@@ -50,6 +50,7 @@ from cayspec.groups import (
     make_from_generators,
     make_product,
     power,
+    power_map,
 )
 from cayspec.search import (
     SearchResult,
@@ -65,7 +66,6 @@ from cayspec.spectra import (
     Spectrum,
     adjacency_matrix,
     char_table_abelian,
-    char_table_cyclic,
     char_table_dihedral,
     character_table,
     compare_spectra,

@@ -603,7 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument("--connected", action="store_true", help="keep connected graphs only")
     search.add_argument("--degree", type=int, default=None, help="exit 1 unless this degree occurs")
-    search.add_argument("--jobs", type=int, default=1, help="worker processes")
+    search.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per CPU")
     search.add_argument("--limit", type=int, default=64, help="group order cap")
     search.add_argument("--out", help="write the report to a file instead of stdout")
     return parser

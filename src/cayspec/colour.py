@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Union
 
 from cayspec.errors import Disconnected, NotClassFunction, NotNormal, NotSymmetric
 from cayspec.exactnum import as_fraction
-from cayspec.groups import Group, conjugacy_classes, is_normal_subset, multiplicities, power
+from cayspec.groups import Group, conjugacy_classes, is_normal_subset, multiplicities, power_map
 
 
 class ColourFunction:
@@ -192,10 +192,8 @@ def distance_layering(S: ConnectionMultiset) -> DistanceLayering:
 
 def power_pullback(f: ColourFunction, k: int) -> ColourFunction:
     """The colour g -> f(g**k); stays a symmetric class function."""
-    G = f.group
-    return colour_from_values(
-        G, {g: f.values[power(G, g, k)] for g in range(G.order)}
-    )
+    pm = power_map(f.group, k)
+    return colour_from_values(f.group, {g: f.values[gk] for g, gk in enumerate(pm)})
 
 
 def class_weight_vector(f: ColourFunction) -> tuple[Fraction, ...]:

@@ -30,7 +30,7 @@ from cayspec.exactnum import (
     stabilizer,
     unit_group,
 )
-from cayspec.groups import Group, power
+from cayspec.groups import Group, power_map
 from cayspec.spectra import (
     Spectrum,
     character_table,
@@ -118,14 +118,9 @@ def full_unit_subgroup(n: int) -> UnitSubgroup:
     return unit_subgroup(n, unit_group(n).units)
 
 
-def _power_map(G: Group, h: int) -> list[int]:
-    return [power(G, g, h) for g in range(G.order)]
-
-
 def _pullback_fixed(f: ColourFunction, h: int) -> bool:
     vals = f.values
-    G = f.group
-    return all(vals[power(G, g, h)] == vals[g] for g in range(G.order))
+    return all(vals[gh] == v for gh, v in zip(power_map(f.group, h), vals))
 
 
 def fixing_subgroup(f: ColourFunction) -> UnitSubgroup:
@@ -304,7 +299,7 @@ def multiset_fixing_subgroup(S: ConnectionMultiset) -> UnitSubgroup:
     f = colour_from_multiset(S)  # raises NotNormal for non-normal multisets
     direct = []
     for h in unit_group(n).units:
-        pm = _power_map(G, h)
+        pm = power_map(G, h)
         image = [0] * n
         for g, m in enumerate(S.multiplicity):
             if m:
@@ -324,7 +319,7 @@ def _layer_fixing_members(G: Group, layers: Sequence[Sequence[int]]) -> tuple[in
     members = []
     layer_sets = [frozenset(layer) for layer in layers[1:]]
     for h in unit_group(n).units:
-        pm = _power_map(G, h)
+        pm = power_map(G, h)
         if all(frozenset(pm[g] for g in layer) == layer for layer in layer_sets):
             members.append(h)
     return tuple(members)

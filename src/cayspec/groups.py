@@ -1,8 +1,11 @@
 """Finite group engine: indexed elements, family constructors, conjugacy classes.
 
 Elements are dense indices 0..n-1 with the identity fixed at index 0.
-Multiplication is backed by a precomputed table for small orders and by
-permutation (or componentwise) arithmetic above the table limit.
+Each family multiplies one way: cyclic groups and their products by adding
+digit codes, dihedral groups and other products by their arithmetic rule,
+generated groups by a table up to TABLE_LIMIT and by composing permutations
+above it.  Power maps g -> g**h are computed once per group and unit;
+conjugacy classes are orbits under the group's generators.
 """
 
 from __future__ import annotations
@@ -35,8 +38,12 @@ class ConjugacyClassPartition:
 class Group:
     """A finite group on indices 0..order-1 with identity 0.
 
-    Instances are immutable after construction and safe to share across
-    workers; construct through the make_* functions.
+    `generators` lists the element indices of a generating set; conjugacy
+    classes are orbits under conjugation by them.  `cyclic_orders` lists the
+    factor orders of a cyclic group or a product of cyclic groups, else None.
+    Instances are immutable after construction apart from their caches
+    (classes, power maps, character table), and safe to pickle into workers;
+    construct through the make_* functions.
     """
 
     def __init__(
@@ -44,7 +51,9 @@ class Group:
         order: int,
         names: tuple[str, ...],
         family: str,
+        generators: tuple[int, ...],
         *,
+        cyclic_orders: Optional[tuple[int, ...]] = None,
         mul_table: Optional[tuple[tuple[int, ...], ...]] = None,
         perms: Optional[tuple[tuple[int, ...], ...]] = None,
         factors: Optional[tuple["Group", "Group"]] = None,
@@ -53,6 +62,9 @@ class Group:
         self.order = order
         self.names = names
         self.family = family
+        self.generators = generators
+        self.cyclic_orders = cyclic_orders
+        self._code, self._reduce = _digit_codes(cyclic_orders) if cyclic_orders else (None, None)
         self._table = mul_table
         self._perms = perms
         self._perm_index = (
@@ -65,52 +77,47 @@ class Group:
                 self._name_index.setdefault(alias, idx)
         self._inverse = tuple(self._find_inverse(i) for i in range(order))
         self._classes: Optional[ConjugacyClassPartition] = None
+        self._power_maps: dict[int, tuple[int, ...]] = {}
         self._char_table = None  # filled lazily by spectra.character_table
 
     # -- arithmetic --------------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return self._table[i][j]
-        if self.family == "cyclic":
-            return (i + j) % self.order
+        if self._code is not None:
+            return self._reduce[self._code[i] + self._code[j]]
         if self.family == "dihedral":
+            # Index k is a^k and m+k is b*a^k; a^k * b = b * a^-k.
             m = self.order // 2
-            e1, k1 = divmod(i, m)
-            e2, k2 = divmod(j, m)
-            k = (k2 - k1) % m if e2 else (k1 + k2) % m
-            return (e1 ^ e2) * m + k
-        if self.factors is not None:
+            if i < m:
+                return (i + j) % m if j < m else m + (j - i) % m
+            return m + (i + j) % m if j < m else (j - i) % m
+        if self.family == "product":  # a dihedral or generated factor: componentwise
             left, right = self.factors
             nr = right.order
             return left.mul(i // nr, j // nr) * nr + right.mul(i % nr, j % nr)
+        if self._table is not None:
+            return self._table[i][j]
         pi, pj = self._perms[i], self._perms[j]
-        return self._perm_index[tuple(pi[pj[k]] for k in range(len(pi)))]
+        return self._perm_index[tuple(pi[k] for k in pj)]
 
     def inv(self, i: int) -> int:
         return self._inverse[i]
 
     def _find_inverse(self, i: int) -> int:
-        if self._table is None and self.family == "cyclic":
+        if self.family == "cyclic":
             return (-i) % self.order
-        if self._table is None and self.family == "dihedral":
+        if self.family == "dihedral":
             m = self.order // 2
-            eps, k = divmod(i, m)
-            return i if eps else (-k) % m
-        if self.factors is not None and self._table is None:
+            return i if i >= m else (-i) % m
+        if self.family == "product":
             left, right = self.factors
             nr = right.order
             return left.inv(i // nr) * nr + right.inv(i % nr)
-        if self._perms is not None and self._table is None:
-            p = self._perms[i]
-            q = [0] * len(p)
-            for a, b in enumerate(p):
-                q[b] = a
-            return self._perm_index[tuple(q)]
-        for j in range(self.order):
-            if self.mul(i, j) == 0:
-                return j
-        raise ValueError(f"element {i} has no inverse; not a group")
+        p = self._perms[i]
+        q = [0] * len(p)
+        for a, b in enumerate(p):
+            q[b] = a
+        return self._perm_index[tuple(q)]
 
     def element_order(self, i: int) -> int:
         k, x = 1, i
@@ -137,6 +144,21 @@ class Group:
         return f"<Group {self.family} order={self.order}>"
 
 
+def _digit_codes(orders: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Codes that turn multiplication in Z_n1 x ... x Z_nk into one addition.
+
+    An index has one mixed-radix digit per factor, the last least significant;
+    its code writes digit k in base 2*n_k - 1, so adding two codes never
+    carries, and `reduce` maps each sum of codes to the index of the product.
+    """
+    code, reduce = [0], [0]
+    for n in orders:
+        width = 2 * n - 1
+        code = [c * width + d for c in code for d in range(n)]
+        reduce = [r * n + d % n for r in reduce for d in range(width)]
+    return tuple(code), tuple(reduce)
+
+
 def _table_from_rule(order: int, rule) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(rule(i, j) for j in range(order)) for i in range(order))
 
@@ -146,8 +168,7 @@ def make_cyclic(n: int) -> Group:
     if n < 1:
         raise ValueError(f"cyclic group order must be positive, got {n}")
     names = tuple(str(k) for k in range(n))
-    table = _table_from_rule(n, lambda i, j: (i + j) % n) if n <= TABLE_LIMIT else None
-    return Group(n, names, "cyclic", mul_table=table)
+    return Group(n, names, "cyclic", (1 % n,), cyclic_orders=(n,))
 
 
 def _dihedral_name(m: int, i: int) -> str:
@@ -162,37 +183,30 @@ def make_dihedral(m: int) -> Group:
     if m < 1:
         raise ValueError(f"dihedral parameter must be positive, got {m}")
     order = 2 * m
-
-    def rule(i: int, j: int) -> int:
-        e1, k1 = divmod(i, m)
-        e2, k2 = divmod(j, m)
-        k = (k2 - k1) % m if e2 else (k1 + k2) % m
-        return (e1 ^ e2) * m + k
-
     names = tuple(_dihedral_name(m, i) for i in range(order))
     aliases = {"a^0": 0, "a^1": 1 % m, "b*a^0": m, "b*a^1": m + (1 % m)}
     for k in range(m):
         aliases.setdefault(f"ba^{k}", m + k)
         if k == 1:
             aliases.setdefault("ba", m + 1)
-    table = _table_from_rule(order, rule) if order <= TABLE_LIMIT else None
-    return Group(order, names, "dihedral", mul_table=table, aliases=aliases)
+    return Group(order, names, "dihedral", (1 % m, m), aliases=aliases)
 
 
 def make_product(left: Group, right: Group) -> Group:
-    """Direct product with componentwise multiplication; names are '(x,y)'."""
+    """Direct product with componentwise multiplication; names are '(x,y)'.
+
+    Element (x, y) has index x * |right| + y; the generators are the left
+    factor's generators paired with the identity, then the right factor's.
+    """
     order = left.order * right.order
     nr = right.order
     names = tuple(
         f"({left.names[i]},{right.names[j]})" for i in range(left.order) for j in range(nr)
     )
-    table = None
-    if order <= TABLE_LIMIT:
-        table = _table_from_rule(
-            order,
-            lambda i, j: left.mul(i // nr, j // nr) * nr + right.mul(i % nr, j % nr),
-        )
-    return Group(order, names, "product", mul_table=table, factors=(left, right))
+    generators = tuple(g * nr for g in left.generators) + right.generators
+    abelian = left.cyclic_orders and right.cyclic_orders
+    orders = left.cyclic_orders + right.cyclic_orders if abelian else None
+    return Group(order, names, "product", generators, cyclic_orders=orders, factors=(left, right))
 
 
 def _cycle_name(perm: tuple[int, ...]) -> str:
@@ -247,7 +261,8 @@ def make_from_generators(perms: Sequence[Sequence[int]], cap: int = CLOSURE_CAP)
                 tuple(perms_t[i][perms_t[j][k]] for k in range(npoints))
             ],
         )
-    return Group(order, names, "generated", mul_table=table, perms=perms_t)
+    generators = tuple(index[g] for g in gens)
+    return Group(order, names, "generated", generators, mul_table=table, perms=perms_t)
 
 
 def power(G: Group, g: int, k: int) -> int:
@@ -265,11 +280,30 @@ def power(G: Group, g: int, k: int) -> int:
     return result
 
 
+def power_map(G: Group, h: int) -> tuple[int, ...]:
+    """The map g -> g**h as a tuple indexed by g, cached on the group.
+
+    Exponents are taken modulo the group order, which every element order
+    divides.
+    """
+    h %= G.order
+    pm = G._power_maps.get(h)
+    if pm is None:
+        pm = tuple(power(G, g, h) for g in range(G.order))
+        G._power_maps[h] = pm
+    return pm
+
+
 def conjugacy_classes(G: Group) -> ConjugacyClassPartition:
-    """Orbit partition under conjugation, cached on the group."""
+    """Orbit partition under conjugation by the generators, cached on the group.
+
+    Conjugation by the generators reaches every conjugate, since in a finite
+    group each inverse is a positive power; the cost is O(n * |generators|).
+    """
     if G._classes is not None:
         return G._classes
     n = G.order
+    conjugators = [(s, G.inv(s)) for s in G.generators]
     class_of = [-1] * n
     classes: list[tuple[int, ...]] = []
     for g in range(n):
@@ -279,8 +313,8 @@ def conjugacy_classes(G: Group) -> ConjugacyClassPartition:
         frontier = [g]
         while frontier:
             h = frontier.pop()
-            for x in range(n):
-                c = G.mul(G.mul(x, h), G.inv(x))
+            for s, s_inv in conjugators:
+                c = G.mul(G.mul(s, h), s_inv)
                 if c not in orbit:
                     orbit.add(c)
                     frontier.append(c)

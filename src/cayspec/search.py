@@ -8,6 +8,7 @@ trivially partitionable across worker processes with a deterministic merge.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -195,14 +196,15 @@ def classify(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     """Classify every enumerated candidate by degree and distance degree.
 
     With jobs > 1 the candidate list is split into contiguous ranges handled
-    by worker processes; the merged result is identical for any worker count.
+    by worker processes, at most one per CPU; the merged result is identical
+    for any worker count.
     """
     bundles = class_bundles(spec.group)
     vectors = list(_candidate_vectors(len(bundles), spec.mode, spec.multiplicity_cap))
-    if jobs <= 1 or len(vectors) <= 1:
+    jobs = min(jobs, len(vectors), os.cpu_count() or 1)
+    if jobs <= 1:
         records = _classify_chunk((spec.group, bundles, vectors, 0))
     else:
-        jobs = min(jobs, len(vectors))
         size = (len(vectors) + jobs - 1) // jobs
         chunks = [
             (spec.group, bundles, vectors[i : i + size], i)

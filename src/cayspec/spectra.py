@@ -55,35 +55,6 @@ def _finish_table(G: Group, rows: list[CharacterRow]) -> CharacterTable:
     return CharacterTable(group=G, partition=part, conductor=G.order, rows=tuple(rows))
 
 
-def char_table_cyclic(G: Group) -> CharacterTable:
-    """The n linear characters k -> z^(jk) of a cyclic group of order n."""
-    if G.family != "cyclic":
-        raise UnsupportedFamily(f"expected a cyclic group, got {G.family}")
-    n = G.order
-    part = conjugacy_classes(G)
-    rows = []
-    for j in range(n):
-        values = tuple(
-            Cyclotomic.from_exponents(n, {(j * rep) % n: 1})
-            for rep in part.representatives
-        )
-        rows.append(CharacterRow(label=f"chi{j}", degree=1, values=values))
-    return _finish_table(G, rows)
-
-
-def _cyclic_factor_orders(G: Group) -> Optional[list[int]]:
-    # Flatten nested direct products down to cyclic factor orders, or None.
-    if G.family == "cyclic":
-        return [G.order]
-    if G.family == "product" and G.factors is not None:
-        left = _cyclic_factor_orders(G.factors[0])
-        right = _cyclic_factor_orders(G.factors[1])
-        if left is None or right is None:
-            return None
-        return left + right
-    return None
-
-
 def _mixed_radix(index: int, orders: Sequence[int]) -> list[int]:
     coords = [0] * len(orders)
     for pos in range(len(orders) - 1, -1, -1):
@@ -92,12 +63,13 @@ def _mixed_radix(index: int, orders: Sequence[int]) -> list[int]:
 
 
 def char_table_abelian(G: Group) -> CharacterTable:
-    """Tensor-product characters of a direct product of cyclic groups.
+    """Tensor-product characters of a cyclic group or a product of cyclic groups.
 
-    Values are expressed as powers of the order-|G| root of unity through the
-    embedding z_m = z_N^(N/m).
+    A cyclic group of order n is the one-factor case: row j takes k to
+    z^(jk).  Values are expressed as powers of the order-|G| root of unity
+    through the embedding z_m = z_N^(N/m).
     """
-    orders = _cyclic_factor_orders(G)
+    orders = G.cyclic_orders
     if orders is None:
         raise UnsupportedFamily(
             "character table needs a product of cyclic groups"
@@ -163,11 +135,9 @@ def character_table(G: Group) -> CharacterTable:
     """Dispatch on the group family; cached on the group object."""
     if G._char_table is not None:
         return G._char_table
-    if G.family == "cyclic":
-        table = char_table_cyclic(G)
-    elif G.family == "dihedral":
+    if G.family == "dihedral":
         table = char_table_dihedral(G)
-    elif G.family == "product" and _cyclic_factor_orders(G) is not None:
+    elif G.cyclic_orders is not None:
         table = char_table_abelian(G)
     else:
         raise UnsupportedFamily(

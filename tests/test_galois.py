@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+import cayspec.galois as galois_mod
+import cayspec.search as search_mod
+from cayspec.cli import main
 from cayspec.colour import ConnectionMultiset, colour_from_multiset, colour_from_values
-from cayspec.errors import HypothesisFails, NotAUnit
+from cayspec.errors import HypothesisFails, InternalInconsistency, NotAUnit
 from cayspec.exactnum import Cyclotomic, euler_phi, galois_apply, unit_group
 from cayspec.galois import (
     _gauss_period,
     algebraic_degree,
     close_generators,
+    distance_fixing_subgroup,
     distance_report,
     fixing_subgroup,
     full_unit_subgroup,
@@ -22,6 +26,7 @@ from cayspec.galois import (
     verify_fixing_subgroup_equals_stabilizers,
 )
 from cayspec.groups import make_cyclic, make_dihedral, make_from_generators
+from cayspec.search import SearchSpec, classify
 from cayspec.spectra import character_table, spectrum_exact
 from conftest import d5_s1, d5_s2, d8_alpha, d8_beta, random_class_function
 
@@ -226,6 +231,34 @@ def test_multiset_fixing_subgroup_examples():
     Z5 = make_cyclic(5)
     power_closed = ConnectionMultiset.from_elements(Z5, [1, 2, 3, 4])
     assert multiset_fixing_subgroup(power_closed).members == unit_group(5).units
+
+
+def test_dual_routes_raise_on_injected_mismatch(monkeypatch, capsys):
+    # The pullback route reports only the identity; the multiset and layer
+    # routes must notice, and the CLI must exit 3.
+    monkeypatch.setattr(
+        galois_mod, "fixing_subgroup", lambda f: unit_subgroup(f.group.order, [1])
+    )
+    _, S2 = d5_s2()
+    with pytest.raises(InternalInconsistency):
+        multiset_fixing_subgroup(S2)
+    pentagon = ConnectionMultiset.from_elements(make_cyclic(5), [1, 4])
+    with pytest.raises(InternalInconsistency):
+        distance_fixing_subgroup(pentagon)
+    assert main(["search", "--group", "cyclic:5"]) == 3
+    assert "internal inconsistency" in capsys.readouterr().err
+
+
+def test_shadow_containment_raises_on_injected_mismatch(monkeypatch):
+    # A multiset whose fixing subgroup escapes its shadow's must be refused.
+    def escaping(S):
+        n = S.group.order
+        return unit_subgroup(n, [1] if S.is_simple() else unit_group(n).units)
+
+    monkeypatch.setattr(search_mod, "multiset_fixing_subgroup", escaping)
+    spec = SearchSpec(make_cyclic(5), mode="multisets", multiplicity_cap=2)
+    with pytest.raises(InternalInconsistency):
+        classify(spec)
 
 
 def test_distance_report_complete_graph():

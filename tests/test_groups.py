@@ -10,6 +10,7 @@ from cayspec.groups import (
     make_from_generators,
     make_product,
     power,
+    power_map,
 )
 
 
@@ -121,21 +122,127 @@ def test_permutation_action_path(monkeypatch):
     assert G.order == 6
     for i in range(6):
         assert G.inv(i) == next(j for j in range(6) if G.mul(i, j) == 0)
-    table_classes = [len(c) for c in conjugacy_classes(H).classes]
+    cyclic_classes = [len(c) for c in conjugacy_classes(H).classes]
     perm_classes = [len(c) for c in conjugacy_classes(G).classes]
-    assert perm_classes == table_classes
+    assert perm_classes == cyclic_classes
 
 
-def test_tableless_backends_match_table_backends(monkeypatch):
-    with_tables = [make_cyclic(9), make_dihedral(5), make_product(make_cyclic(3), make_cyclic(4))]
-    monkeypatch.setattr(groups_mod, "TABLE_LIMIT", 1)
-    tableless = [make_cyclic(9), make_dihedral(5), make_product(make_cyclic(3), make_cyclic(4))]
-    for ref, alt in zip(with_tables, tableless):
-        assert alt._table is None
-        for i in range(ref.order):
-            assert ref.inv(i) == alt.inv(i)
-            for j in range(ref.order):
-                assert ref.mul(i, j) == alt.mul(i, j)
+def _scan_classes(G):
+    # Reference partition: close each orbit under conjugation by every element.
+    n = G.order
+    class_of = [-1] * n
+    classes = []
+    for g in range(n):
+        if class_of[g] != -1:
+            continue
+        orbit = {g}
+        frontier = [g]
+        while frontier:
+            h = frontier.pop()
+            for x in range(n):
+                c = G.mul(G.mul(x, h), G.inv(x))
+                if c not in orbit:
+                    orbit.add(c)
+                    frontier.append(c)
+        for h in orbit:
+            class_of[h] = len(classes)
+        classes.append(tuple(sorted(orbit)))
+    return tuple(classes)
+
+
+def _rotation(m, k):
+    return tuple((i + k) % m for i in range(m))
+
+
+def _dihedral_perm(m, g):
+    # a^k is i -> i+k and b*a^k is i -> -(i+k), so b is i -> -i mod m.
+    eps, k = divmod(g, m)
+    return tuple((-(i + k) if eps else i + k) % m for i in range(m))
+
+
+def _product_perm(g):
+    # (x, y, z) in Z2 x Z2 x Z3 shifts the blocks {0,1}, {2,3}, {4,5,6}.
+    xy, z = divmod(g, 3)
+    x, y = divmod(xy, 2)
+    return _rotation(2, x) + tuple(2 + p for p in _rotation(2, y)) + tuple(
+        4 + p for p in _rotation(3, z)
+    )
+
+
+def _z2_d3_perm(g):
+    # (x, d) in Z2 x D3 shifts {0,1} by x and moves {2,3,4} as d does on Z3.
+    x, d = divmod(g, 6)
+    return _rotation(2, x) + tuple(2 + p for p in _dihedral_perm(3, d))
+
+
+PRODUCT_223 = make_product(make_product(make_cyclic(2), make_cyclic(2)), make_cyclic(3))
+
+
+@pytest.mark.parametrize(
+    "G, perm_of, gens",
+    [
+        (make_cyclic(9), lambda g: _rotation(9, g), [_rotation(9, 1)]),
+        (
+            make_dihedral(5),
+            lambda g: _dihedral_perm(5, g),
+            [_rotation(5, 1), _dihedral_perm(5, 5)],
+        ),
+        (
+            PRODUCT_223,
+            _product_perm,
+            [_product_perm(6), _product_perm(3), _product_perm(1)],
+        ),
+        (
+            make_product(make_cyclic(2), make_dihedral(3)),
+            _z2_d3_perm,
+            [_z2_d3_perm(6), _z2_d3_perm(1), _z2_d3_perm(3)],
+        ),
+    ],
+    ids=["Z9", "D5", "Z2xZ2xZ3", "Z2xD3"],
+)
+def test_arithmetic_families_match_permutation_reference(G, perm_of, gens):
+    R = make_from_generators(gens)
+    assert R.order == G.order
+    index = {p: i for i, p in enumerate(R._perms)}
+    phi = [index[perm_of(g)] for g in range(G.order)]
+    assert sorted(phi) == list(range(R.order))
+    for i in range(G.order):
+        assert phi[G.inv(i)] == R.inv(phi[i])
+        for j in range(G.order):
+            assert phi[G.mul(i, j)] == R.mul(phi[i], phi[j])
+    for h in range(-G.order, 2 * G.order):
+        pm = power_map(G, h)
+        for g in range(G.order):
+            ref = 0
+            for _ in range(h % R.order):
+                ref = R.mul(ref, phi[g])
+            assert phi[pm[g]] == ref
+    mapped = {frozenset(phi[g] for g in cls) for cls in conjugacy_classes(G).classes}
+    assert mapped == {frozenset(cls) for cls in _scan_classes(R)}
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        make_from_generators([(1, 2, 3, 0), (1, 0, 2, 3)]),
+        make_from_generators([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]),
+        make_dihedral(6),
+        PRODUCT_223,
+        make_product(make_cyclic(2), make_dihedral(3)),
+    ],
+    ids=["S4", "A5", "D6", "Z2xZ2xZ3", "Z2xD3"],
+)
+def test_generator_classes_match_full_scan(G):
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for y in (G.mul(x, s) for s in G.generators):
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    assert len(reached) == G.order  # the generators generate G
+    assert conjugacy_classes(G).classes == _scan_classes(G)
 
 
 def test_power_examples():

@@ -1,5 +1,6 @@
 import pytest
 
+import cayspec.search as search_mod
 from cayspec.exactnum import euler_phi
 from cayspec.groups import is_normal_subset, make_cyclic, make_dihedral
 from cayspec.search import (
@@ -112,6 +113,34 @@ def test_multiset_mode_runs_shadow_containment():
 def test_classify_deterministic_across_workers():
     spec = SearchSpec(make_cyclic(12))
     assert classify(spec, jobs=1) == classify(spec, jobs=3)
+
+
+def test_classify_clamps_jobs_to_cpus(monkeypatch):
+    class SerialPool:
+        # Stands in for the process pool: records the worker count, maps in
+        # this process, starts nothing.
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    requested = []
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
+    spec = SearchSpec(make_cyclic(12))
+    serial = classify(spec, jobs=1)
+    assert classify(spec, jobs=100000) == serial
+    assert requested == [2]
+    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: None)
+    assert classify(spec, jobs=100000) == serial
+    assert requested == [2]
 
 
 def test_complete_graph_record():

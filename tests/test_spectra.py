@@ -16,7 +16,6 @@ from cayspec.groups import (
 from cayspec.spectra import (
     adjacency_matrix,
     char_table_abelian,
-    char_table_cyclic,
     char_table_dihedral,
     character_table,
     compare_spectra,
@@ -57,20 +56,20 @@ def check_column_orthogonality(table):
 
 
 def test_cyclic_trivial_table():
-    table = char_table_cyclic(make_cyclic(1))
+    table = char_table_abelian(make_cyclic(1))
     assert len(table.rows) == 1
     assert table.rows[0].values[0] == 1
 
 
 def test_cyclic_table_values():
-    table = char_table_cyclic(make_cyclic(4))
+    table = char_table_abelian(make_cyclic(4))
     assert table.rows[1].values[1] == Cyclotomic.from_exponents(4, {1: 1})
     assert table.rows[2].values[2] == 1  # z^(2*2) = z^4 = 1
 
 
 @pytest.mark.parametrize("n", range(1, 25))
 def test_cyclic_orthogonality(n):
-    check_row_orthogonality(char_table_cyclic(make_cyclic(n)))
+    check_row_orthogonality(char_table_abelian(make_cyclic(n)))
 
 
 def test_abelian_product_table():
