@@ -1,6 +1,5 @@
 """Exact spectra, splitting fields and algebraic degrees of Cayley colour graphs."""
 
-from cayspec._kernels import BACKEND as kernel_backend
 from cayspec.colour import (
     ColourFunction,
     ConnectionMultiset,

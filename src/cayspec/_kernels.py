@@ -1,12 +1,19 @@
-"""Cyclic Jacobi eigensolver for dense symmetric matrices, pure-Python build.
+"""Cyclic Jacobi eigensolver for dense symmetric matrices, in pure Python.
 
-Same algorithm as the compiled kernel in jacobi.pyx; kept in lock-step so the
-two backends are interchangeable at import time.
+This is the numeric oracle: it diagonalizes an explicit matrix and shares
+nothing with the exact character-sum route it is there to check.
 """
 
 from __future__ import annotations
 
+from array import array
 from math import sqrt
+from typing import Sequence
+
+from cayspec.errors import NoConvergence
+
+REL_TOL = 1e-12
+MAX_SWEEPS = 100
 
 
 def jacobi_diagonalize(a, n: int, rel_tol: float, max_sweeps: int) -> int:
@@ -67,3 +74,17 @@ def jacobi_diagonalize(a, n: int, rel_tol: float, max_sweeps: int) -> int:
     if off_mass() <= threshold:
         return max_sweeps
     return -1
+
+
+def symmetric_eigenvalues(rows: Sequence[Sequence[float]]) -> list[float]:
+    """Eigenvalues of a dense symmetric matrix, sorted descending.
+
+    Raises NoConvergence when MAX_SWEEPS sweeps do not reach REL_TOL.
+    """
+    n = len(rows)
+    buf = array("d", (float(v) for row in rows for v in row))
+    if jacobi_diagonalize(buf, n, REL_TOL, MAX_SWEEPS) < 0:
+        raise NoConvergence(
+            f"Jacobi sweeps did not converge within {MAX_SWEEPS} sweeps"
+        )
+    return sorted((buf[i * n + i] for i in range(n)), reverse=True)

@@ -13,6 +13,7 @@ inconsistency.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,7 +47,7 @@ from cayspec.groups import (
     make_from_generators,
     make_product,
 )
-from cayspec.search import SearchSpec, classify
+from cayspec.search import SearchSpec, check_order, classify
 from cayspec.spectra import (
     Spectrum,
     character_table,
@@ -55,8 +56,6 @@ from cayspec.spectra import (
     spectrum_exact,
     spectrum_numeric,
 )
-
-NUMERIC_MATCH_TOL = 1e-8
 
 
 # -- instance files ----------------------------------------------------------
@@ -144,6 +143,24 @@ def _parse_cycles(text: str, npoints_hint: int, line: int) -> list[int]:
         for k, p in enumerate(cyc):
             perm[p] = cyc[(k + 1) % len(cyc)]
     return perm
+
+
+def _declared_order(kind: str, params: dict[str, str]) -> Optional[int]:
+    """The order of an arithmetic family read off its parameters, or None.
+
+    None for generated groups and for parameters that are not integers;
+    `_construct_group` reports those.
+    """
+    try:
+        if kind == "cyclic":
+            return int(params["n"])
+        if kind == "dihedral":
+            return 2 * int(params["m"])
+        if kind == "product":
+            return math.prod(int(x) for x in params["factors"].split(",") if x.strip())
+    except (KeyError, ValueError):
+        pass
+    return None
 
 
 def _construct_group(kind: str, params: dict[str, str], line: int = 0) -> Group:
@@ -424,7 +441,7 @@ def cmd_spectrum(doc: InstanceDocument) -> tuple[Report, int]:
     report.put("spectrum.numeric", ";".join(_fmt_float(v) for v in numeric))
     exit_code = 0
     if exact is not None:
-        comparison = compare_spectra(exact, numeric, tol=NUMERIC_MATCH_TOL)
+        comparison = compare_spectra(exact, numeric)
         report.line(
             f"Numeric cross-check: max deviation {_fmt_float(comparison.max_deviation)}"
             f" (threshold {_fmt_float(comparison.threshold)}):"
@@ -510,7 +527,12 @@ def cmd_search(args) -> tuple[Report, int]:
     param_key = {"cyclic": "n", "dihedral": "m", "product": "factors", "generated": "generators"}.get(kind)
     if param_key is None or not param:
         raise CayspecError(f"bad --group value {args.group!r} (expected kind:params)")
-    G = _construct_group(kind, {param_key: param})
+    params = {param_key: param}
+    order = _declared_order(kind, params)
+    if order is not None:
+        # Refuse before building: construction costs memory linear in the order.
+        check_order(order, args.limit)
+    G = _construct_group(kind, params)
     spec = SearchSpec(
         group=G,
         mode="multisets" if args.multisets else "sets",

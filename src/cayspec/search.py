@@ -20,6 +20,13 @@ from cayspec.galois import distance_fixing_subgroup, multiset_fixing_subgroup
 from cayspec.groups import Group, conjugacy_classes
 
 DEFAULT_ORDER_LIMIT = 64
+MAX_CANDIDATES = 2**20
+
+
+def check_order(order: int, limit: int) -> None:
+    """Refuse a group order above the search limit."""
+    if order > limit:
+        raise ValueError(f"group order {order} exceeds the search limit {limit}")
 
 
 @dataclass(frozen=True)
@@ -38,11 +45,7 @@ class SearchSpec:
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.mode == "multisets" and self.multiplicity_cap < 1:
             raise ValueError("multiplicity cap must be at least 1")
-        if self.group.order > self.order_limit:
-            raise ValueError(
-                f"group order {self.group.order} exceeds the search limit "
-                f"{self.order_limit}"
-            )
+        check_order(self.group.order, self.order_limit)
 
 
 @dataclass(frozen=True)
@@ -197,9 +200,16 @@ def classify(spec: SearchSpec, jobs: int = 1) -> SearchResult:
 
     With jobs > 1 the candidate list is split into contiguous ranges handled
     by worker processes, at most one per CPU; the merged result is identical
-    for any worker count.
+    for any worker count.  More than MAX_CANDIDATES candidates are refused
+    before any is listed.
     """
     bundles = class_bundles(spec.group)
+    radix = 2 if spec.mode == "sets" else spec.multiplicity_cap + 1
+    count = radix ** len(bundles) - 1
+    if count > MAX_CANDIDATES:
+        raise ValueError(
+            f"{count} candidates exceed the search cap {MAX_CANDIDATES}"
+        )
     vectors = list(_candidate_vectors(len(bundles), spec.mode, spec.multiplicity_cap))
     jobs = min(jobs, len(vectors), os.cpu_count() or 1)
     if jobs <= 1:

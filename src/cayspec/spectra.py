@@ -20,6 +20,7 @@ from cayspec.exactnum import Cyclotomic
 from cayspec.groups import Group, ConjugacyClassPartition, conjugacy_classes
 
 REALNESS_TOL = 1e-9
+MATCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -225,16 +226,14 @@ def adjacency_matrix(f: ColourFunction) -> list[list[Fraction]]:
     ]
 
 
-def spectrum_numeric(
-    f: ColourFunction, rel_tol: float = 1e-12, max_sweeps: int = 100
-) -> list[float]:
+def spectrum_numeric(f: ColourFunction) -> list[float]:
     """Adjacency eigenvalues in double precision, sorted descending.
 
     Independent of the character-sum route: diagonalizes the explicit matrix
     with cyclic Jacobi rotations.
     """
     rows = [[float(v) for v in row] for row in adjacency_matrix(f)]
-    return symmetric_eigenvalues(rows, rel_tol=rel_tol, max_sweeps=max_sweeps)
+    return symmetric_eigenvalues(rows)
 
 
 @dataclass(frozen=True)
@@ -245,13 +244,11 @@ class SpectrumComparison:
     worst_pair: Optional[tuple[float, float]]
 
 
-def compare_spectra(
-    exact: Spectrum, numeric: Sequence[float], tol: float = 1e-8
-) -> SpectrumComparison:
+def compare_spectra(exact: Spectrum, numeric: Sequence[float]) -> SpectrumComparison:
     """Match multiplicity-expanded exact embeddings against numeric eigenvalues.
 
     Both lists are sorted descending and paired off; the verdict is true when
-    the largest gap stays below tol * (1 + Frobenius norm).
+    the largest gap stays below MATCH_TOL * (1 + Frobenius norm).
     """
     expanded = exact.embeddings()
     numeric_sorted = sorted(numeric, reverse=True)
@@ -259,7 +256,7 @@ def compare_spectra(
         raise ValueError(
             f"{len(expanded)} exact eigenvalues against {len(numeric_sorted)} numeric"
         )
-    threshold = tol * (1.0 + exact.frobenius_norm())
+    threshold = MATCH_TOL * (1.0 + exact.frobenius_norm())
     worst = None
     max_dev = 0.0
     for e, v in zip(expanded, numeric_sorted):

@@ -145,7 +145,7 @@ def test_criterion_06_exact_vs_numeric(oracle_corpus):
     for f in oracle_corpus:
         spec = spectrum_exact(f, character_table(f.group))
         numeric = spectrum_numeric(f)
-        assert compare_spectra(spec, numeric, tol=1e-8).matches
+        assert compare_spectra(spec, numeric).matches
     report(
         6,
         f"Jacobi oracle matches exact spectra on {len(oracle_corpus)} instances",

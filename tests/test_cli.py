@@ -253,12 +253,39 @@ def test_search_jobs_determinism(capsys):
     assert out1 == out8
 
 
-def test_search_respects_limit(capsys):
-    code, _, err = run(
-        capsys, "search", "--group", "cyclic:30", "--limit", "16"
-    )
+def test_search_respects_limit(capsys, monkeypatch):
+    import cayspec.cli as cli_mod
+
+    def refuse(*args):
+        raise AssertionError("group built before the order limit was checked")
+
+    monkeypatch.setattr(cli_mod, "make_cyclic", refuse)
+    monkeypatch.setattr(cli_mod, "make_dihedral", refuse)
+    for group, order in (("cyclic:30", 30), ("dihedral:9", 18), ("product:4,5", 20)):
+        code, _, err = run(capsys, "search", "--group", group, "--limit", "16")
+        assert code == 2
+        assert f"group order {order} exceeds the search limit 16" in err
+
+
+def test_search_refuses_too_many_candidates(capsys, monkeypatch):
+    import cayspec.search as search_mod
+
+    def refuse(*args):
+        raise AssertionError("candidates enumerated before the cap was checked")
+
+    monkeypatch.setattr(search_mod, "_candidate_vectors", refuse)
+    code, _, err = run(capsys, "search", "--group", "cyclic:64")
     assert code == 2
-    assert "exceeds" in err
+    assert "4294967295 candidates exceed" in err
+
+
+def test_no_convergence_exits_three(capsys, monkeypatch):
+    import cayspec._kernels as kernels_mod
+
+    monkeypatch.setattr(kernels_mod, "jacobi_diagonalize", lambda a, n, rel_tol, max_sweeps: -1)
+    code, _, err = run(capsys, "spectrum", instance_path("d8_alpha.txt"))
+    assert code == 3
+    assert "internal inconsistency" in err
 
 
 def test_search_bad_group(capsys):

@@ -209,7 +209,7 @@ def test_numeric_pentagon_closed_form():
 def test_numeric_matches_exact_for_alpha():
     G, alpha = d8_alpha()
     spec = spectrum_exact(alpha, character_table(G))
-    comparison = compare_spectra(spec, spectrum_numeric(alpha), tol=1e-8)
+    comparison = compare_spectra(spec, spectrum_numeric(alpha))
     assert comparison.matches
 
 
@@ -218,7 +218,7 @@ def test_compare_flags_perturbation():
     spec = spectrum_exact(beta, character_table(G))
     numeric = spectrum_numeric(beta)
     numeric[0] += 1e-3
-    comparison = compare_spectra(spec, numeric, tol=1e-8)
+    comparison = compare_spectra(spec, numeric)
     assert not comparison.matches
     assert comparison.worst_pair is not None
     assert comparison.max_deviation == pytest.approx(1e-3, rel=1e-6)
@@ -253,7 +253,7 @@ def test_exact_vs_numeric_sampled():
         for _ in range(10):
             f = random_class_function(G, rng)
             spec = spectrum_exact(f, table)
-            assert compare_spectra(spec, spectrum_numeric(f), tol=1e-8).matches
+            assert compare_spectra(spec, spectrum_numeric(f)).matches
 
 
 def test_spectrum_multiplicity_total():
