@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from cayspec.errors import CoefficientBudgetExceeded, InternalInconsistency, NotAUnit
 
@@ -38,6 +38,8 @@ def get_coefficient_bit_budget() -> int:
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an exact rational-like value; floats are rejected on purpose."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError("refusing to coerce a float to an exact rational")
     return Fraction(value)
@@ -180,6 +182,29 @@ class Cyclotomic:
         return cls(n, tuple(coeffs))
 
     @classmethod
+    def linear_combination(
+        cls, n: int, terms: Iterable[tuple[RationalLike, "Cyclotomic"]]
+    ) -> "Cyclotomic":
+        """Build sum c * x over the (c, x) pairs as one canonical residue.
+
+        Every x is already reduced modulo the n-th cyclotomic polynomial, and a
+        rational combination of reduced residues is reduced, so the sum is
+        accumulated coefficient by coefficient with no convolution and no
+        reduction, and only the result is constructed.
+        """
+        acc = [Fraction(0)] * euler_phi(n)
+        for c, x in terms:
+            if x.conductor != n:
+                raise ValueError(f"mixed conductors {n} and {x.conductor}")
+            c = as_fraction(c)
+            if not c:
+                continue
+            for i, a in enumerate(x.coeffs):
+                if a:
+                    acc[i] += c * a
+        return cls(n, tuple(acc))
+
+    @classmethod
     def zero(cls, n: int) -> "Cyclotomic":
         return cls.from_rational(n, 0)
 
@@ -226,6 +251,8 @@ class Cyclotomic:
         return Cyclotomic(self.conductor, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Cyclotomic.linear_combination(self.conductor, ((other, self),))
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -360,20 +360,25 @@ def _check_layer_sum_form(
     spectrum: Spectrum, table, layering: DistanceLayering
 ) -> None:
     # Distance eigenvalues restated as weighted layer character sums must
-    # reproduce the character-sum route exactly.
+    # reproduce the character-sum route exactly.  The sum runs element by
+    # element over the layers, never through the class weights the other
+    # route uses.
     n = table.group.order
     for row_index, (label, deg, lam) in enumerate(spectrum.per_irreducible):
-        total = Cyclotomic.zero(n)
-        for level, layer in enumerate(layering.layers):
-            if level == 0:
-                continue
-            layer_sum = Cyclotomic.zero(n)
-            for g in layer:
-                layer_sum = layer_sum + table.value(row_index, g)
-            total = total + layer_sum * level
-        if total * Fraction(1, deg) != lam:
+        scale = [Fraction(level, deg) for level in range(len(layering.layers))]
+        layered = Cyclotomic.linear_combination(
+            n,
+            [
+                (scale[level], table.value(row_index, g))
+                for level, layer in enumerate(layering.layers)
+                if level
+                for g in layer
+            ],
+        )
+        if layered != lam:
             raise InternalInconsistency(
-                f"layered distance eigenvalue disagrees for {label}"
+                f"layered distance eigenvalue of {label} is {layered}, "
+                f"the character sum gives {lam}"
             )
 
 

@@ -1,10 +1,13 @@
 """Exact spectra of Cayley colour graphs via character sums, plus a numeric oracle.
 
 Character tables are built for the cyclic, product-of-cyclic and dihedral
-families; the eigenvalue of each irreducible row is the class-weighted
-character sum divided by the row degree, carried with multiplicity degree
-squared.  The oracle diagonalizes the explicit adjacency matrix with cyclic
-Jacobi rotations and never touches the character machinery.
+families; each distinct character value is built once and shared by every
+cell that takes it.  The eigenvalue of each irreducible row is the
+class-weighted character sum divided by the row degree, built as one
+rational combination of the row's residues and carried with multiplicity
+degree squared; its realness is tested exactly, as invariance under complex
+conjugation.  The oracle diagonalizes the explicit adjacency matrix with
+cyclic Jacobi rotations and never touches the character machinery.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from typing import Optional, Sequence
 from cayspec._kernels import symmetric_eigenvalues
 from cayspec.colour import ColourFunction, class_weight_vector
 from cayspec.errors import InternalInconsistency, UnsupportedFamily
-from cayspec.exactnum import Cyclotomic
+from cayspec.exactnum import Cyclotomic, galois_apply
 from cayspec.groups import Group, ConjugacyClassPartition, conjugacy_classes
 
-REALNESS_TOL = 1e-9
 MATCH_TOL = 1e-8
 
 
@@ -78,14 +80,15 @@ def char_table_abelian(G: Group) -> CharacterTable:
     N = G.order
     part = conjugacy_classes(G)
     rep_coords = [_mixed_radix(rep, orders) for rep in part.representatives]
+    roots = [Cyclotomic.from_exponents(N, {e: 1}) for e in range(N)]
     rows = []
     for j in range(N):
         u = _mixed_radix(j, orders)
-        values = []
-        for coords in rep_coords:
-            e = sum((N // m) * ui * xi for m, ui, xi in zip(orders, u, coords))
-            values.append(Cyclotomic.from_exponents(N, {e % N: 1}))
-        rows.append(CharacterRow(label=f"chi{j}", degree=1, values=tuple(values)))
+        values = tuple(
+            roots[sum((N // m) * ui * xi for m, ui, xi in zip(orders, u, coords)) % N]
+            for coords in rep_coords
+        )
+        rows.append(CharacterRow(label=f"chi{j}", degree=1, values=values))
     return _finish_table(G, rows)
 
 
@@ -100,12 +103,23 @@ def char_table_dihedral(G: Group) -> CharacterTable:
     def decode(i: int) -> tuple[int, int]:
         return divmod(i, m)
 
+    signs = {1: Cyclotomic.one(n), -1: Cyclotomic.from_rational(n, -1)}
+    zero = Cyclotomic.zero(n)
+    cosines: dict[int, Cyclotomic] = {}
+
+    def two_cos(a: int) -> Cyclotomic:
+        # z^a + z^-a, built once per a up to sign; a and -a can coincide mod n
+        a = min(a % n, -a % n)
+        if a not in cosines:
+            exps = {a: 2} if a == -a % n else {a: 1, n - a: 1}
+            cosines[a] = Cyclotomic.from_exponents(n, exps)
+        return cosines[a]
+
     def lin_row(label: str, on_rot, on_ref) -> CharacterRow:
         values = []
         for rep in part.representatives:
             eps, k = decode(rep)
-            sign = on_rot(k) if eps == 0 else on_ref(k)
-            values.append(Cyclotomic.from_rational(n, sign))
+            values.append(signs[on_rot(k) if eps == 0 else on_ref(k)])
         return CharacterRow(label=label, degree=1, values=tuple(values))
 
     rows = [
@@ -117,18 +131,11 @@ def char_table_dihedral(G: Group) -> CharacterTable:
         rows.append(lin_row("lin3", lambda k: (-1) ** k, lambda k: (-1) ** (k + 1)))
     h_max = (m - 1) // 2 if m % 2 else m // 2 - 1
     for h in range(1, h_max + 1):
-        values = []
-        for rep in part.representatives:
-            eps, k = decode(rep)
-            if eps == 1:
-                values.append(Cyclotomic.zero(n))
-            else:
-                # z^(2kh) + z^(-2kh); the two exponents can coincide mod n
-                exps: dict[int, int] = {}
-                for e in ((2 * k * h) % n, (-2 * k * h) % n):
-                    exps[e] = exps.get(e, 0) + 1
-                values.append(Cyclotomic.from_exponents(n, exps))
-        rows.append(CharacterRow(label=f"dim2_{h}", degree=2, values=tuple(values)))
+        values = tuple(
+            zero if eps == 1 else two_cos(2 * k * h)
+            for eps, k in map(decode, part.representatives)
+        )
+        rows.append(CharacterRow(label=f"dim2_{h}", degree=2, values=values))
     return _finish_table(G, rows)
 
 
@@ -184,9 +191,11 @@ class Spectrum:
 def spectrum_exact(f: ColourFunction, table: CharacterTable) -> Spectrum:
     """One eigenvalue per irreducible with multiplicity its degree squared.
 
-    The eigenvalue of a row of degree d is (1/d) * sum over classes of
-    (class size) * f * (character value), computed exactly; equal values
-    across rows are merged.
+    The eigenvalue of a row of degree d is sum over classes of
+    ((class size) * f / d) * (character value), built as one rational
+    combination of the row's canonical residues; equal values across rows
+    are merged.  Each eigenvalue must be fixed by complex conjugation
+    (z -> z^(n-1)), an exact realness test.
     """
     if table.group is not f.group:
         raise ValueError("colour function and character table disagree on the group")
@@ -195,14 +204,13 @@ def spectrum_exact(f: ColourFunction, table: CharacterTable) -> Spectrum:
     per_irr = []
     merged: dict[Cyclotomic, int] = {}
     for row in table.rows:
-        total = Cyclotomic.zero(n)
-        for w, chi in zip(weights, row.values):
-            if w:
-                total = total + chi * w
-        lam = total * Fraction(1, row.degree)
-        if abs(lam.to_complex().imag) >= REALNESS_TOL:
+        lam = Cyclotomic.linear_combination(
+            n,
+            [(w / row.degree, chi) for w, chi in zip(weights, row.values) if w],
+        )
+        if galois_apply(n - 1, lam) != lam:
             raise InternalInconsistency(
-                f"eigenvalue {lam} of {row.label} has a non-real embedding"
+                f"eigenvalue {lam} of {row.label} is not real: complex conjugation moves it"
             )
         per_irr.append((row.label, row.degree, lam))
         merged[lam] = merged.get(lam, 0) + row.degree**2

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -166,12 +167,59 @@ def test_unit_group_sizes():
 
 
 def test_coefficient_budget_guardrail():
+    big = Fraction(2**64, 3)
+    one = Cyclotomic.one(8)
+    builders = (
+        lambda: Cyclotomic.from_rational(8, big),
+        lambda: Cyclotomic.linear_combination(8, [(big, one)]),
+        lambda: one * big,
+        lambda: big * one,
+    )
     ex.set_coefficient_bit_budget(16)
     try:
-        with pytest.raises(CoefficientBudgetExceeded):
-            Cyclotomic.from_rational(8, Fraction(2**64, 3))
+        for build in builders:
+            with pytest.raises(CoefficientBudgetExceeded):
+                build()
     finally:
         ex.set_coefficient_bit_budget(ex._DEFAULT_BIT_BUDGET)
+
+
+def reference_combination(n, terms):
+    # The fold the sparse path replaced: one full product per term.
+    return sum(
+        (Cyclotomic.from_rational(n, c) * x for c, x in terms), Cyclotomic.zero(n)
+    )
+
+
+COMBINATION_COEFFS = (0, 1, -3, Fraction(5, 7), Fraction(-2, 9), 4, Fraction(0, 5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 21, 48, 60, 128])
+def test_linear_combination_matches_reference_fold(n):
+    rng = random.Random(n)
+    values = [Cyclotomic.from_exponents(n, {e: 1}) for e in rng.sample(range(n), min(n, 4))]
+    # dense residues: many exponents, including ones at or above phi(n)
+    for _ in range(3):
+        exps = {rng.randrange(n): rng.choice(COMBINATION_COEFFS[1:]) for _ in range(6)}
+        values.append(Cyclotomic.from_exponents(n, exps))
+    values.append(Cyclotomic.zero(n))
+    terms = [(rng.choice(COMBINATION_COEFFS), x) for x in values for _ in range(2)]
+    assert Cyclotomic.linear_combination(n, terms) == reference_combination(n, terms)
+    assert Cyclotomic.linear_combination(n, []) == Cyclotomic.zero(n)
+    for c in COMBINATION_COEFFS:
+        for x in values:
+            expected = reference_combination(n, [(c, x)])
+            assert x * c == expected
+            assert c * x == expected
+
+
+def test_linear_combination_rejects_mixed_conductors():
+    with pytest.raises(ValueError):
+        Cyclotomic.linear_combination(12, [(1, Cyclotomic.one(12)), (2, Cyclotomic.one(6))])
+    with pytest.raises(ValueError):
+        Cyclotomic.linear_combination(12, [(1, Cyclotomic.one(6))])
+    with pytest.raises(TypeError):
+        Cyclotomic.linear_combination(12, [(0.5, Cyclotomic.one(12))])
 
 
 def test_format_polynomial():

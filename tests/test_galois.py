@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from cayspec.galois import (
 from cayspec.groups import make_cyclic, make_dihedral, make_from_generators
 from cayspec.search import SearchSpec, classify
 from cayspec.spectra import character_table, spectrum_exact
-from conftest import d5_s1, d5_s2, d8_alpha, d8_beta, random_class_function
+from conftest import d5_s1, d5_s2, d8_alpha, d8_beta, instance_path, random_class_function
 
 
 def test_unit_subgroup_validation():
@@ -246,6 +247,25 @@ def test_dual_routes_raise_on_injected_mismatch(monkeypatch, capsys):
     with pytest.raises(InternalInconsistency):
         distance_fixing_subgroup(pentagon)
     assert main(["search", "--group", "cyclic:5"]) == 3
+    assert "internal inconsistency" in capsys.readouterr().err
+
+
+def test_layer_sum_form_raises_on_injected_mismatch(monkeypatch, capsys):
+    # One per-irreducible eigenvalue shifted by 1: the layered character sum
+    # must notice, name the row and both values, and the CLI must exit 3.
+    real = galois_mod.spectrum_exact
+
+    def shifted(f, table):
+        spec = real(f, table)
+        (label, deg, lam), *rest = spec.per_irreducible
+        return dataclasses.replace(spec, per_irreducible=((label, deg, lam + 1), *rest))
+
+    monkeypatch.setattr(galois_mod, "spectrum_exact", shifted)
+    pentagon = ConnectionMultiset.from_elements(make_cyclic(5), [1, 4])
+    with pytest.raises(InternalInconsistency) as info:
+        distance_report(pentagon)
+    assert "chi0 is 6, the character sum gives 7" in str(info.value)
+    assert main(["distance", instance_path("z5_pentagon.txt")]) == 3
     assert "internal inconsistency" in capsys.readouterr().err
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cayspec.colour import ConnectionMultiset, colour_from_multiset, colour_from_values
-from cayspec.errors import UnsupportedFamily
+from cayspec.errors import InternalInconsistency, UnsupportedFamily
 from cayspec.exactnum import Cyclotomic
 from cayspec.groups import (
     make_cyclic,
@@ -122,6 +123,94 @@ def test_dihedral_orthogonality(m):
     table = char_table_dihedral(make_dihedral(m))
     check_row_orthogonality(table)
     check_column_orthogonality(table)
+
+
+def abelian_reference(G, orders):
+    # Row j is the tensor product of z_m^(u_k x_k) over the factors, with
+    # u = digits of j and x = digits of the element, most significant first.
+    def digits(i):
+        out = []
+        for m in reversed(orders):
+            i, d = divmod(i, m)
+            out.append(d)
+        return out[::-1]
+
+    N = G.order
+    return {
+        f"chi{j}": lambda g, u=digits(j): Cyclotomic.from_exponents(
+            N, {sum(N // m * uk * xk for m, uk, xk in zip(orders, u, digits(g))): 1}
+        )
+        for j in range(N)
+    }
+
+
+def dihedral_reference(m):
+    n = 2 * m
+
+    def rot(k, h):
+        # two separate roots, so coinciding exponents are added, not merged
+        return Cyclotomic.from_exponents(n, {2 * k * h: 1}) + Cyclotomic.from_exponents(
+            n, {-2 * k * h: 1}
+        )
+
+    def linear(on_rot, on_ref):
+        return lambda g: Cyclotomic.from_rational(
+            n, on_rot(g % m) if g < m else on_ref(g % m)
+        )
+
+    ref = {
+        "lin0": linear(lambda k: 1, lambda k: 1),
+        "lin1": linear(lambda k: 1, lambda k: -1),
+    }
+    if m % 2 == 0:
+        ref["lin2"] = linear(lambda k: (-1) ** k, lambda k: (-1) ** k)
+        ref["lin3"] = linear(lambda k: (-1) ** k, lambda k: -((-1) ** k))
+    for h in range(1, (m - 1) // 2 + 1):
+        ref[f"dim2_{h}"] = lambda g, h=h: Cyclotomic.zero(n) if g >= m else rot(g, h)
+    return ref
+
+
+@pytest.mark.parametrize(
+    "group, orders",
+    [
+        (lambda: make_cyclic(12), (12,)),
+        (lambda: make_product(make_cyclic(4), make_cyclic(6)), (4, 6)),
+        (lambda: make_product(make_cyclic(3), make_cyclic(8)), (3, 8)),
+        (lambda: make_dihedral(5), None),
+        (lambda: make_dihedral(6), None),
+        (lambda: make_dihedral(8), None),
+    ],
+    ids=["cyclic:12", "product:4,6", "product:3,8", "dihedral:5", "dihedral:6", "dihedral:8"],
+)
+def test_shared_value_tables_match_reference(group, orders):
+    G = group()
+    table = character_table(G)
+    ref = dihedral_reference(G.order // 2) if orders is None else abelian_reference(G, orders)
+    assert sorted(row.label for row in table.rows) == sorted(ref)
+    for row in table.rows:
+        for ci, cls in enumerate(table.partition.classes):
+            for g in cls:
+                assert row.values[ci] == ref[row.label](g), (row.label, g)
+    # every cell refers to one of a few shared values
+    if orders is None:
+        two_dim = {id(v) for row in table.rows if row.degree == 2 for v in row.values}
+        assert len(two_dim) <= G.order // 4 + 2
+    else:
+        assert len({id(v) for row in table.rows for v in row.values}) <= G.order
+
+
+def test_spectrum_exact_rejects_non_real_eigenvalue():
+    # The trivial row with z_5 swapped in on a weighted class gives 1 + z_5.
+    Z5 = make_cyclic(5)
+    f = colour_from_multiset(ConnectionMultiset.from_elements(Z5, [1, 4]))
+    table = character_table(Z5)
+    weighted = next(ci for ci, rep in enumerate(table.partition.representatives) if rep == 1)
+    values = list(table.rows[0].values)
+    values[weighted] = Cyclotomic.from_exponents(5, {1: 1})
+    rows = (dataclasses.replace(table.rows[0], values=tuple(values)),) + table.rows[1:]
+    with pytest.raises(InternalInconsistency, match="chi0 is not real"):
+        spectrum_exact(f, dataclasses.replace(table, rows=rows))
+    spectrum_exact(f, table)
 
 
 def test_character_table_dispatch_unsupported():
