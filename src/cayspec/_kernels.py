@@ -2,11 +2,20 @@
 
 This is the numeric oracle: it diagonalizes an explicit matrix and shares
 nothing with the exact character-sum route it is there to check.
+
+The matrix is held as a list of row lists while it is rotated.  A rotation
+builds the new rows p and q in two list comprehensions and writes them back
+as columns p and q in one pass over the rows; since the matrix stays exactly
+symmetric, row p is column p.  The rotations, and every float operation in
+each, come in the same order as in the element-wise loop over a flat buffer
+(kept as the reference in tests/test_kernels.py), so the sweep count and the
+result are the same bit for bit.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 from math import sqrt
 from typing import Sequence
 
@@ -17,17 +26,17 @@ MAX_SWEEPS = 100
 
 
 def jacobi_diagonalize(a, n: int, rel_tol: float, max_sweeps: int) -> int:
-    """Run cyclic Jacobi sweeps in place on the row-major n*n buffer `a`.
+    """Run cyclic Jacobi sweeps on the row-major n*n array("d") buffer `a`.
 
-    Sweeps stop once the off-diagonal Frobenius mass drops to
-    rel_tol * ||A||_F.  Returns the number of sweeps used, or -1 when the
-    budget of max_sweeps is exhausted first.
+    The rotated matrix is written back into `a`.  Sweeps stop once the
+    off-diagonal Frobenius mass drops to rel_tol * ||A||_F.  Returns the
+    number of sweeps used, or -1 when the budget of max_sweeps is exhausted
+    first.  `a` must be exactly symmetric.
     """
+    rows = [list(a[i * n : i * n + n]) for i in range(n)]
     norm_f = 0.0
-    for i in range(n):
-        base = i * n
-        for j in range(n):
-            v = a[base + j]
+    for row in rows:
+        for v in row:
             norm_f += v * v
     norm_f = sqrt(norm_f)
     threshold = rel_tol * norm_f
@@ -35,22 +44,22 @@ def jacobi_diagonalize(a, n: int, rel_tol: float, max_sweeps: int) -> int:
     def off_mass() -> float:
         total = 0.0
         for p in range(n):
-            base = p * n
-            for q in range(p + 1, n):
-                v = a[base + q]
+            for v in rows[p][p + 1 :]:
                 total += 2.0 * v * v
         return sqrt(total)
 
+    result = -1
     for sweep in range(max_sweeps):
         if off_mass() <= threshold:
-            return sweep
+            result = sweep
+            break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p * n + q]
+                apq = rows[p][q]
                 if apq == 0.0:
                     continue
-                app = a[p * n + p]
-                aqq = a[q * n + q]
+                app = rows[p][p]
+                aqq = rows[q][q]
                 tau = (aqq - app) / (2.0 * apq)
                 if tau >= 0.0:
                     t = 1.0 / (tau + sqrt(1.0 + tau * tau))
@@ -58,22 +67,24 @@ def jacobi_diagonalize(a, n: int, rel_tol: float, max_sweeps: int) -> int:
                     t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
                 c = 1.0 / sqrt(1.0 + t * t)
                 s = t * c
-                a[p * n + p] = app - t * apq
-                a[q * n + q] = aqq + t * apq
-                a[p * n + q] = 0.0
-                a[q * n + p] = 0.0
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    aip = a[i * n + p]
-                    aiq = a[i * n + q]
-                    a[i * n + p] = c * aip - s * aiq
-                    a[p * n + i] = a[i * n + p]
-                    a[i * n + q] = s * aip + c * aiq
-                    a[q * n + i] = a[i * n + q]
-    if off_mass() <= threshold:
-        return max_sweeps
-    return -1
+                row_p = rows[p]
+                row_q = rows[q]
+                new_p = [c * x - s * y for x, y in zip(row_p, row_q)]
+                new_q = [s * x + c * y for x, y in zip(row_p, row_q)]
+                new_p[p] = app - t * apq
+                new_q[q] = aqq + t * apq
+                new_p[q] = 0.0
+                new_q[p] = 0.0
+                rows[p] = new_p
+                rows[q] = new_q
+                for row, x, y in zip(rows, new_p, new_q):
+                    row[p] = x
+                    row[q] = y
+    else:  # the budget is used up: one last test
+        if off_mass() <= threshold:
+            result = max_sweeps
+    a[:] = array("d", chain.from_iterable(rows))
+    return result
 
 
 def symmetric_eigenvalues(rows: Sequence[Sequence[float]]) -> list[float]:

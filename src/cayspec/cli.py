@@ -450,7 +450,7 @@ def cmd_spectrum(doc: InstanceDocument) -> tuple[Report, int]:
         report.put("spectrum.match", comparison.matches)
         if not comparison.matches:
             exit_code = 3
-    verdict = integrality_verdict(f, exact)
+    verdict = integrality_verdict(f, exact, numeric)
     report.line(
         f"Rational: {'yes' if verdict.rational else 'no'}   "
         f"Integral: {'yes' if verdict.integral else 'no' if verdict.integral is False else 'undetermined'}"

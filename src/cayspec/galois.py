@@ -256,14 +256,18 @@ class IntegralityVerdict:
 
 
 def integrality_verdict(
-    f: ColourFunction, spectrum: Optional[Spectrum] = None
+    f: ColourFunction,
+    spectrum: Optional[Spectrum] = None,
+    numeric: Optional[Sequence[float]] = None,
 ) -> IntegralityVerdict:
     """Rationality from the fixing subgroup; integrality from the best route open.
 
     With an exact spectrum the eigenvalues are inspected directly (and, for
     integer-valued f vanishing at the identity, cross-checked against the
     algebraic-integer argument).  Without one, that argument or rounding the
-    numeric spectrum decides.
+    numeric spectrum decides; a caller that already holds
+    `spectrum_numeric(f)` passes it as `numeric`, so the matrix is not
+    diagonalized twice.
     """
     n = f.group.order
     H = fixing_subgroup(f)
@@ -283,7 +287,8 @@ def integrality_verdict(
         return IntegralityVerdict(True, all_integer, "exact spectrum")
     if integer_case:
         return IntegralityVerdict(True, True, "algebraic-integer argument")
-    numeric = spectrum_numeric(f)
+    if numeric is None:
+        numeric = spectrum_numeric(f)
     all_integer = all(abs(v - round(v)) <= INTEGER_ROUNDING_TOL for v in numeric)
     return IntegralityVerdict(True, all_integer, "numeric rounding")
 

@@ -9,7 +9,6 @@ trivially partitionable across worker processes with a deterministic merge.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -215,6 +214,9 @@ def classify(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     if jobs <= 1:
         records = _classify_chunk((spec.group, bundles, vectors, 0))
     else:
+        # Imported here: only a parallel search pays for multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         size = (len(vectors) + jobs - 1) // jobs
         chunks = [
             (spec.group, bundles, vectors[i : i + size], i)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cayspec
 from cayspec.cli import main, parse_instance
 from cayspec.errors import ParseError
 from conftest import instance_path
@@ -337,3 +343,84 @@ def test_trivial_group_spectrum(capsys, tmp_path):
     block = machine_block(out)
     assert block["spectrum.exact.1.value"] == "7"
     assert block["spectrum.exact.1.multiplicity"] == "1"
+
+
+# The numeric oracle's lines as printed before the kernel kept its matrix as
+# row lists; the rounding noise in d8_beta pins the last bits of the rotations.
+PINNED_NUMERIC = {
+    "d5_s1.txt": "9;1.236067977;1.236067977;1.236067977;1.236067977;-1;"
+    "-3.236067977;-3.236067977;-3.236067977;-3.236067977",
+    "d5_s2.txt": "8;8;-2;-2;-2;-2;-2;-2;-2;-2",
+    "d8_alpha.txt": "48.2;9.8;0.5656854249;0.5656854249;0.5656854249;0.5656854249;"
+    "-0.5656854249;-0.5656854249;-0.5656854249;-0.5656854249;-1;-1;-1;-1;-14.2;-39.8",
+    "d8_beta.txt": "58;18;3.023060859e-15;2.803378883e-15;1.845760494e-15;"
+    "2.708684952e-16;1.648292065e-17;-2.296947066e-15;-2.712572525e-15;"
+    "-3.852017113e-15;-6;-6;-6;-6;-14;-38",
+    "z5_pentagon.txt": "2;0.6180339887;0.6180339887;-1.618033989;-1.618033989",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_NUMERIC))
+def test_spectrum_numeric_line_pinned(capsys, name):
+    code, out, _ = run(capsys, "spectrum", instance_path(name))
+    assert code == 0
+    assert f"spectrum.numeric = {PINNED_NUMERIC[name]}\n" in out
+
+
+def test_tableless_rational_colour_runs_jacobi_once(capsys, monkeypatch, tmp_path):
+    import cayspec._kernels as kernels_mod
+
+    real = kernels_mod.jacobi_diagonalize
+    calls = []
+
+    def counted(a, n, rel_tol, max_sweeps):
+        calls.append(n)
+        return real(a, n, rel_tol, max_sweeps)
+
+    monkeypatch.setattr(kernels_mod, "jacobi_diagonalize", counted)
+    path = tmp_path / "s4_half.txt"
+    path.write_text(
+        "[group]\nkind = generated\ngenerators = (0 1 2 3);(0 1)\n\n"
+        "[colour]\nclass((0 1)) = 1/2\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "spectrum", str(path))
+    assert code == 0
+    assert calls == [24]
+    assert "numeric spectrum only" in err
+    assert out == (
+        "Cayley colour graph on a generated group of order 24\n"
+        "Rational: yes   Integral: yes\n"
+        "--- report ---\n"
+        "command = spectrum\n"
+        "group.kind = generated\n"
+        "group.generators = (0 1 2 3);(0 1)\n"
+        "group.order = 24\n"
+        "instance.colour.class((0 1)) = 1/2\n"
+        "spectrum.exact.count = unavailable\n"
+        "spectrum.numeric = 3;1;1;1;1;1;1;1;1;1;1.639905393e-16;-1.425060916e-16;"
+        "-3.052737122e-16;-3.356762014e-16;-1;-1;-1;-1;-1;-1;-1;-1;-1;-3\n"
+        "verdict.rational = true\n"
+        "verdict.integral = true\n"
+        "--- end ---\n"
+    )
+
+
+def test_cli_import_loads_no_process_pool():
+    # Only `search --jobs` above 1 starts workers; every other request
+    # should not pay for importing multiprocessing.
+    src = str(Path(cayspec.__file__).resolve().parent.parent)
+    code = (
+        "import sys, cayspec.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 import cayspec.search as search_mod
@@ -132,7 +134,8 @@ def test_classify_clamps_jobs_to_cpus(monkeypatch):
             return map(fn, items)
 
     requested = []
-    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", SerialPool)
+    # classify imports the pool from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
     spec = SearchSpec(make_cyclic(12))
     serial = classify(spec, jobs=1)
