@@ -1,22 +1,37 @@
 """Exhaustive enumeration of normal connection (multi)sets on small groups.
 
 Normality is enforced by construction: candidates are unions of inverse-closed
-conjugacy-class bundles, so the search space is 2^bundles rather than
-2^(n-1).  All per-candidate work is pure, which makes the candidate range
-trivially partitionable across worker processes with a deterministic merge.
+conjugacy-class bundles, so a candidate is a vector of bundle multiplicities
+and the search space is (cap+1)^bundles rather than 2^(n-1).
+
+Candidates are classified on bundles.  `BundleTables` is built once per
+group: each power map g -> g**h permutes the bundles (pi_h), and the product
+of two bundles is a union of bundles, kept as a bitmask.  The fixing subgroup
+of a vector v is {h : v o pi_h = v}; connectivity and the word length of
+every bundle come from one breadth-first search over bundle masks, and the
+distance fixing subgroup is that of the word-length vector.
+
+Every fixing subgroup is checked by a second route on elements, which shares
+only the group engine: the generators of the subgroup must fix the
+candidate's integer multiplicity (or word-length) vector under `power_map`,
+and one representative of each non-trivial coset must move it.  All
+per-candidate work is pure, so the candidate codes split into contiguous
+ranges across worker processes with a deterministic merge.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from cayspec.colour import ConnectionMultiset
 from cayspec.errors import InternalInconsistency
-from cayspec.exactnum import euler_phi
-from cayspec.galois import distance_fixing_subgroup, multiset_fixing_subgroup
-from cayspec.groups import Group, conjugacy_classes
+from cayspec.exactnum import unit_group
+from cayspec.galois import unit_subgroup
+from cayspec.groups import Group, conjugacy_classes, power_map
 
 DEFAULT_ORDER_LIMIT = 64
 MAX_CANDIDATES = 2**20
@@ -45,6 +60,11 @@ class SearchSpec:
         if self.mode == "multisets" and self.multiplicity_cap < 1:
             raise ValueError("multiplicity cap must be at least 1")
         check_order(self.group.order, self.order_limit)
+
+    @property
+    def radix(self) -> int:
+        """Number of multiplicities a bundle may take, zero included."""
+        return 2 if self.mode == "sets" else self.multiplicity_cap + 1
 
 
 @dataclass(frozen=True)
@@ -100,15 +120,62 @@ def class_bundles(G: Group) -> tuple[tuple[int, ...], ...]:
     return tuple(bundles)
 
 
+class BundleTables:
+    """Everything a candidate's classification reads, built once per group.
+
+    With B bundles, index B stands for the identity, and a candidate is read
+    as an extended vector: its B bundle values, then 0 for the identity.
+    `read_off` maps an extended vector to its per-element tuple, reading
+    each element's value at its bundle.  For h = units[i], pi_h sends each
+    bundle to the bundle that g -> g**h maps it onto (the identity stays
+    put), and `pullbacks[i]` maps an extended vector v to v o pi_h.
+    `products[a][b]` is the bitmask of the bundles (bit B: the identity) met
+    by products x*y with x in bundle a and y in bundle b.  `coset_forms`
+    caches, per fixing subgroup, its generators and one representative of
+    each non-trivial coset in the units.
+    """
+
+    def __init__(self, G: Group):
+        n = G.order
+        bundles = class_bundles(G)
+        B = len(bundles)
+        bundle_of = [B] * n
+        for b, bundle in enumerate(bundles):
+            for g in bundle:
+                bundle_of[g] = b
+        units = unit_group(n).units
+        # A power map with unit exponent sends classes to classes and
+        # inverses to inverses, so one element shows where a bundle goes.
+        pullbacks = []
+        for h in units:
+            pm = power_map(G, h)
+            pi = [bundle_of[pm[bundle[0]]] for bundle in bundles]
+            pullbacks.append(itemgetter(*pi, B))
+        # Bundles are normal and inverse-closed, so x*(bundle b) meets the
+        # same bundles for every x in bundle a: one x per bundle suffices.
+        products = []
+        for bundle in bundles:
+            x = bundle[0]
+            row = [0] * B
+            for y in range(1, n):
+                row[bundle_of[y]] |= 1 << bundle_of[G.mul(x, y)]
+            products.append(tuple(row))
+        products.append(tuple(1 << b for b in range(B)))
+        self.group = G
+        self.bundles = bundles
+        self.read_off = itemgetter(*bundle_of)
+        self.units = units
+        self.pullbacks = tuple(pullbacks)
+        self.products = tuple(products)
+        self.coset_forms: dict[tuple[int, ...], tuple[tuple, tuple]] = {}
+
+
 def _candidate_vectors(
-    num_bundles: int, mode: str, cap: int
+    num_bundles: int, radix: int, start: int, stop: int
 ) -> Iterator[tuple[int, ...]]:
-    if mode == "sets":
-        for mask in range(1, 1 << num_bundles):
-            yield tuple((mask >> b) & 1 for b in range(num_bundles))
-        return
-    radix = cap + 1
-    for code in range(1, radix**num_bundles):
+    """The vectors with codes start..stop-1; digit b of a code in base radix
+    is the multiplicity of bundle b."""
+    for code in range(start, stop):
         vec = []
         x = code
         for _ in range(num_bundles):
@@ -131,54 +198,158 @@ def _multiset_from_vector(
 def enumerate_normal_sets(spec: SearchSpec) -> Iterator[ConnectionMultiset]:
     """All non-empty normal inverse-closed connection (multi)sets, in order."""
     bundles = class_bundles(spec.group)
-    for vector in _candidate_vectors(len(bundles), spec.mode, spec.multiplicity_cap):
+    stop = spec.radix**len(bundles)
+    for vector in _candidate_vectors(len(bundles), spec.radix, 1, stop):
         yield _multiset_from_vector(spec.group, bundles, vector)
 
 
-def _is_connected(G: Group, support: tuple[int, ...]) -> bool:
-    reached = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for s in support:
-            w = G.mul(s, v)
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    return len(reached) == G.order
+def _fixing_units(tables: BundleTables, extended: tuple[int, ...]) -> tuple[int, ...]:
+    """The units h with v o pi_h = v for the extended vector v, ascending."""
+    return tuple(
+        h
+        for h, pullback in zip(tables.units, tables.pullbacks)
+        if pullback(extended) == extended
+    )
+
+
+def _word_lengths(
+    tables: BundleTables, extended: tuple[int, ...]
+) -> Optional[tuple[int, ...]]:
+    """Extended vector of word lengths over the support of a candidate, or
+    None when the support does not generate the group.
+
+    The ball of radius k is a union of bundles, so breadth-first search runs
+    on bundle masks: layer k is what the products of layer k-1 with the
+    support reach for the first time.
+    """
+    B = len(extended) - 1
+    support = [b for b in range(B) if extended[b]]
+    lengths = [0] * (B + 1)
+    reached = 1 << B
+    frontier = [B]
+    level = 0
+    while frontier:
+        level += 1
+        mask = 0
+        for a in frontier:
+            row = tables.products[a]
+            for b in support:
+                mask |= row[b]
+        new = mask & ~reached
+        reached |= new
+        frontier = [b for b in range(B) if new >> b & 1]
+        for b in frontier:
+            lengths[b] = level
+    if reached != (1 << (B + 1)) - 1:
+        return None
+    return tuple(lengths)
+
+
+def _coset_form(tables: BundleTables, members: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """(h, pullback on elements) for the generators of a fixing subgroup and
+    for one representative of each non-trivial coset, validating on first
+    sight that the members form a subgroup."""
+    form = tables.coset_forms.get(members)
+    if form is None:
+        G = tables.group
+        n = G.order
+        try:
+            H = unit_subgroup(n, members)
+        except ValueError as err:
+            raise InternalInconsistency(
+                f"bundle route: fixing set {members} is not a subgroup of the "
+                f"units modulo {n} ({err})"
+            ) from None
+        covered = set(members)
+        reps = []
+        for u in tables.units:
+            if u not in covered:
+                reps.append(u)
+                covered.update(u * h % n for h in members)
+        form = tables.coset_forms[members] = tuple(
+            tuple((h, itemgetter(*power_map(G, h))) for h in units)
+            for units in (H.generators, reps)
+        )
+    return form
+
+
+def _check_coset_form(
+    tables: BundleTables,
+    what: str,
+    members: tuple[int, ...],
+    extended: tuple[int, ...],
+    index: int,
+) -> None:
+    """Check on elements that members is the fixing subgroup of a vector.
+
+    The vector is read off per element; the generators of the subgroup must
+    fix it under the power map and one representative of each non-trivial
+    coset must move it, which together pin the subgroup down.
+    """
+    G = tables.group
+    values = tables.read_off(extended)
+    generators, reps = _coset_form(tables, members)
+    for h, pullback in generators:
+        if pullback(values) != values:
+            pm = power_map(G, h)
+            g = next(g for g, gh in enumerate(pm) if values[gh] != values[g])
+            raise InternalInconsistency(
+                f"set {index}, {what} vector: the bundle route fixes it by unit {h}, "
+                f"the element route moves it at {G.names[g]} "
+                f"({values[g]} there, {values[pm[g]]} at {G.names[g]}**{h})"
+            )
+    for h, pullback in reps:
+        if pullback(values) == values:
+            moved = tables.pullbacks[tables.units.index(h)](extended)
+            b = next(b for b, m in enumerate(moved) if m != extended[b])
+            raise InternalInconsistency(
+                f"set {index}, {what} vector: the bundle route moves it by unit {h} "
+                f"at {G.names[tables.bundles[b][0]]}, the element route finds it "
+                f"fixed at every element"
+            )
 
 
 def _classify_one(
-    G: Group,
-    bundles: tuple[tuple[int, ...], ...],
-    vector: tuple[int, ...],
-    index: int,
+    tables: BundleTables, vector: tuple[int, ...], index: int
 ) -> SetRecord:
-    S = _multiset_from_vector(G, bundles, vector)
-    phi = euler_phi(G.order)
-    H_star = multiset_fixing_subgroup(S)
-    degree = phi // len(H_star)
-    if not S.is_simple():
+    phi = len(tables.units)
+    extended = vector + (0,)
+    H = _fixing_units(tables, extended)
+    degree = phi // len(H)
+    simple = max(vector) <= 1
+    if not simple:
         # Dropping repeats can only grow the fixing subgroup, so the simple
         # graph's degree divides the multigraph's.
-        shadow_subgroup = multiset_fixing_subgroup(S.shadow())
-        if not set(H_star.members) <= set(shadow_subgroup.members):
+        shadow = tuple(min(m, 1) for m in extended)
+        shadow_H = _fixing_units(tables, shadow)
+        if not set(H) <= set(shadow_H):
             raise InternalInconsistency(
-                "multiset fixing subgroup escapes its shadow's fixing subgroup"
+                f"set {index}: multiset fixing subgroup escapes its shadow's "
+                f"fixing subgroup"
             )
-    connected = _is_connected(G, S.support())
+        _check_coset_form(tables, "shadow", shadow_H, shadow, index)
+    _check_coset_form(tables, "multiplicity", H, extended, index)
+    lengths = _word_lengths(tables, extended)
     distance_degree = None
     distance_integral = None
-    if connected:
-        _, H_prime = distance_fixing_subgroup(S.shadow())
+    if lengths is not None:
+        H_prime = _fixing_units(tables, lengths)
+        _check_coset_form(tables, "word-length", H_prime, lengths, index)
         distance_degree = phi // len(H_prime)
         distance_integral = distance_degree == 1
+        if simple and distance_degree != degree:
+            raise InternalInconsistency(
+                f"set {index} is connected and simple, but its degree {degree} "
+                f"differs from its distance degree {distance_degree}"
+            )
+    multiplicity = tables.read_off(extended)
+    elements = chain.from_iterable(map(repeat, range(len(multiplicity)), multiplicity))
     return SetRecord(
         index=index,
         bundle_vector=vector,
-        elements=S.elements(),
-        valency=S.valency(),
-        connected=connected,
+        elements=tuple(elements),
+        valency=sum(multiplicity),
+        connected=lengths is not None,
         degree=degree,
         distance_degree=distance_degree,
         integral=degree == 1,
@@ -186,47 +357,54 @@ def _classify_one(
     )
 
 
-def _classify_chunk(args) -> list[SetRecord]:
-    G, bundles, vectors, start = args
-    return [
-        _classify_one(G, bundles, vector, start + offset)
-        for offset, vector in enumerate(vectors)
-    ]
+def _classify_range(args) -> list[SetRecord]:
+    """Records of the candidates with codes start..stop-1, built on tables of
+    this process's own; disconnected ones are dropped when only connected
+    ones are wanted."""
+    G, radix, start, stop, require_connected = args
+    tables = BundleTables(G)
+    records = []
+    for code, vector in enumerate(
+        _candidate_vectors(len(tables.bundles), radix, start, stop), start
+    ):
+        record = _classify_one(tables, vector, code - 1)
+        if record.connected or not require_connected:
+            records.append(record)
+    return records
 
 
 def classify(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     """Classify every enumerated candidate by degree and distance degree.
 
-    With jobs > 1 the candidate list is split into contiguous ranges handled
-    by worker processes, at most one per CPU; the merged result is identical
-    for any worker count.  More than MAX_CANDIDATES candidates are refused
-    before any is listed.
+    Candidate codes 1..count are classified one at a time, never listed.
+    With jobs > 1 they are split into contiguous ranges, one per worker
+    process and at most one worker per CPU, each building its own tables;
+    the merged result is identical for any worker count.  More than
+    MAX_CANDIDATES candidates are refused before any is classified.
     """
-    bundles = class_bundles(spec.group)
-    radix = 2 if spec.mode == "sets" else spec.multiplicity_cap + 1
-    count = radix ** len(bundles) - 1
+    G = spec.group
+    num_bundles = len(class_bundles(G))
+    stop = spec.radix**num_bundles
+    count = stop - 1
     if count > MAX_CANDIDATES:
         raise ValueError(
             f"{count} candidates exceed the search cap {MAX_CANDIDATES}"
         )
-    vectors = list(_candidate_vectors(len(bundles), spec.mode, spec.multiplicity_cap))
-    jobs = min(jobs, len(vectors), os.cpu_count() or 1)
+    jobs = min(jobs, count, os.cpu_count() or 1)
     if jobs <= 1:
-        records = _classify_chunk((spec.group, bundles, vectors, 0))
+        records = _classify_range((G, spec.radix, 1, stop, spec.require_connected))
     else:
         # Imported here: only a parallel search pays for multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        size = (len(vectors) + jobs - 1) // jobs
-        chunks = [
-            (spec.group, bundles, vectors[i : i + size], i)
-            for i in range(0, len(vectors), size)
+        size = (count + jobs - 1) // jobs
+        ranges = [
+            (G, spec.radix, start, min(start + size, stop), spec.require_connected)
+            for start in range(1, stop, size)
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_classify_chunk, chunks))
+            parts = list(pool.map(_classify_range, ranges))
         records = [record for part in parts for record in part]
-    if spec.require_connected:
-        records = [r for r in records if r.connected]
     counts: dict[int, int] = {}
     counts_connected: dict[int, int] = {}
     for r in records:
@@ -240,13 +418,13 @@ def classify(spec: SearchSpec, jobs: int = 1) -> SearchResult:
                 witness = r.index
                 break
     return SearchResult(
-        group_family=spec.group.family,
-        group_order=spec.group.order,
+        group_family=G.family,
+        group_order=G.order,
         mode=spec.mode,
         multiplicity_cap=spec.multiplicity_cap,
         require_connected=spec.require_connected,
         target_degree=spec.target_degree,
-        bundle_count=len(bundles),
+        bundle_count=num_bundles,
         records=tuple(records),
         degree_counts=tuple(sorted(counts.items())),
         degree_counts_connected=tuple(sorted(counts_connected.items())),

@@ -275,9 +275,9 @@ def multiset_corpus():
 
 def test_criterion_12_dual_route_cross_checks():
     budget = Budget(120.0)
-    # Simple sets: both dual-route identities run inside classify (multiset
-    # route vs colour route; layer route vs pullback route) and raise on any
-    # disagreement, so a completed pass is the verification.
+    # Simple sets: classify checks every fixing subgroup of the bundle route
+    # (multiplicity and word-length vectors) on elements in coset form and
+    # raises on any disagreement, so a completed pass is the verification.
     for G in search_corpus_groups():
         classify(SearchSpec(G))
     # Multisets: same identities, plus explicit shadow containment.

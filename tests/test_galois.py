@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -236,7 +237,7 @@ def test_multiset_fixing_subgroup_examples():
 
 def test_dual_routes_raise_on_injected_mismatch(monkeypatch, capsys):
     # The pullback route reports only the identity; the multiset and layer
-    # routes must notice, and the CLI must exit 3.
+    # routes must notice.
     monkeypatch.setattr(
         galois_mod, "fixing_subgroup", lambda f: unit_subgroup(f.group.order, [1])
     )
@@ -246,8 +247,38 @@ def test_dual_routes_raise_on_injected_mismatch(monkeypatch, capsys):
     pentagon = ConnectionMultiset.from_elements(make_cyclic(5), [1, 4])
     with pytest.raises(InternalInconsistency):
         distance_fixing_subgroup(pentagon)
+
+    # search classifies on bundle tables: with every pi_h wrongly the
+    # identity, the bundle route puts unit 2 in the fixing subgroup of
+    # {1, 4}; the element route must notice, and the CLI must exit 3.
+    BundleTables = search_mod.BundleTables
+
+    class IdentityPermutations(BundleTables):
+        def __init__(self, G):
+            super().__init__(G)
+            B = len(self.bundles)
+            self.pullbacks = tuple(itemgetter(*range(B + 1)) for _ in self.units)
+
+    monkeypatch.setattr(search_mod, "BundleTables", IdentityPermutations)
     assert main(["search", "--group", "cyclic:5"]) == 3
-    assert "internal inconsistency" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "internal inconsistency" in err
+    assert "set 0, multiplicity vector" in err
+    assert "fixes it by unit 2, the element route moves it at 1 " in err
+
+    # With pi_4 wrongly a swap, unit 4 (inversion, which fixes every bundle)
+    # drops out of the fixing subgroup; its coset must not be fixed.
+    class SwappedInversion(BundleTables):
+        def __init__(self, G):
+            super().__init__(G)
+            pullbacks = list(self.pullbacks)
+            pullbacks[self.units.index(4)] = itemgetter(1, 0, 2)
+            self.pullbacks = tuple(pullbacks)
+
+    monkeypatch.setattr(search_mod, "BundleTables", SwappedInversion)
+    assert main(["search", "--group", "cyclic:5"]) == 3
+    err = capsys.readouterr().err
+    assert "moves it by unit 4 at 1, the element route finds it fixed" in err
 
 
 def test_layer_sum_form_raises_on_injected_mismatch(monkeypatch, capsys):
@@ -270,14 +301,18 @@ def test_layer_sum_form_raises_on_injected_mismatch(monkeypatch, capsys):
 
 
 def test_shadow_containment_raises_on_injected_mismatch(monkeypatch):
-    # A multiset whose fixing subgroup escapes its shadow's must be refused.
-    def escaping(S):
-        n = S.group.order
-        return unit_subgroup(n, [1] if S.is_simple() else unit_group(n).units)
+    # A multiset whose fixing subgroup escapes its shadow's must be refused,
+    # by the containment check itself: the bundle route here claims every
+    # unit fixes {1, 4} taken twice (set 1), while its shadow {1, 4} is
+    # fixed by the units 1 and 4 only.
+    real = search_mod._fixing_units
 
-    monkeypatch.setattr(search_mod, "multiset_fixing_subgroup", escaping)
+    def escaping(tables, extended):
+        return tables.units if extended == (2, 0, 0) else real(tables, extended)
+
+    monkeypatch.setattr(search_mod, "_fixing_units", escaping)
     spec = SearchSpec(make_cyclic(5), mode="multisets", multiplicity_cap=2)
-    with pytest.raises(InternalInconsistency):
+    with pytest.raises(InternalInconsistency, match="set 1: multiset fixing subgroup escapes"):
         classify(spec)
 
 

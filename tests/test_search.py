@@ -3,15 +3,166 @@ import concurrent.futures
 import pytest
 
 import cayspec.search as search_mod
+from cayspec.cli import main
+from cayspec.errors import InternalInconsistency
 from cayspec.exactnum import euler_phi
-from cayspec.groups import is_normal_subset, make_cyclic, make_dihedral
+from cayspec.galois import distance_fixing_subgroup, multiset_fixing_subgroup
+from cayspec.groups import (
+    Group,
+    is_normal_subset,
+    make_cyclic,
+    make_dihedral,
+    make_from_generators,
+    make_product,
+)
 from cayspec.search import (
     SearchSpec,
+    SetRecord,
+    _multiset_from_vector,
     class_bundles,
     classify,
     enumerate_normal_sets,
     verify_degree_equals_distance_degree,
 )
+
+
+# The element-route classification that the bundle route replaced, kept as
+# the reference: fixing subgroups from galois on whole colour functions,
+# connectivity and distance layers by search over group elements.
+
+
+def reference_candidate_vectors(num_bundles, mode, cap):
+    if mode == "sets":
+        for mask in range(1, 1 << num_bundles):
+            yield tuple((mask >> b) & 1 for b in range(num_bundles))
+        return
+    radix = cap + 1
+    for code in range(1, radix**num_bundles):
+        vec = []
+        x = code
+        for _ in range(num_bundles):
+            x, r = divmod(x, radix)
+            vec.append(r)
+        yield tuple(vec)
+
+
+def reference_is_connected(G: Group, support: tuple[int, ...]) -> bool:
+    reached = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for s in support:
+            w = G.mul(s, v)
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    return len(reached) == G.order
+
+
+def reference_classify_one(
+    G: Group,
+    bundles: tuple[tuple[int, ...], ...],
+    vector: tuple[int, ...],
+    index: int,
+) -> SetRecord:
+    S = _multiset_from_vector(G, bundles, vector)
+    phi = euler_phi(G.order)
+    H_star = multiset_fixing_subgroup(S)
+    degree = phi // len(H_star)
+    if not S.is_simple():
+        # Dropping repeats can only grow the fixing subgroup, so the simple
+        # graph's degree divides the multigraph's.
+        shadow_subgroup = multiset_fixing_subgroup(S.shadow())
+        if not set(H_star.members) <= set(shadow_subgroup.members):
+            raise InternalInconsistency(
+                "multiset fixing subgroup escapes its shadow's fixing subgroup"
+            )
+    connected = reference_is_connected(G, S.support())
+    distance_degree = None
+    distance_integral = None
+    if connected:
+        _, H_prime = distance_fixing_subgroup(S.shadow())
+        distance_degree = phi // len(H_prime)
+        distance_integral = distance_degree == 1
+    return SetRecord(
+        index=index,
+        bundle_vector=vector,
+        elements=S.elements(),
+        valency=S.valency(),
+        connected=connected,
+        degree=degree,
+        distance_degree=distance_degree,
+        integral=degree == 1,
+        distance_integral=distance_integral,
+    )
+
+
+def reference_records(spec: SearchSpec) -> tuple[SetRecord, ...]:
+    bundles = class_bundles(spec.group)
+    vectors = reference_candidate_vectors(len(bundles), spec.mode, spec.multiplicity_cap)
+    records = [
+        reference_classify_one(spec.group, bundles, vector, index)
+        for index, vector in enumerate(vectors)
+    ]
+    return tuple(r for r in records if r.connected or not spec.require_connected)
+
+
+def test_bundle_route_matches_element_reference():
+    s4 = make_from_generators([[1, 2, 3, 0], [1, 0, 2, 3]])
+    specs = [
+        SearchSpec(make_cyclic(12)),
+        SearchSpec(make_product(make_cyclic(3), make_cyclic(4))),
+        SearchSpec(make_dihedral(6)),
+        SearchSpec(make_dihedral(8)),
+        SearchSpec(s4),
+        SearchSpec(make_cyclic(10), mode="multisets", multiplicity_cap=2),
+        SearchSpec(make_dihedral(5), mode="multisets", multiplicity_cap=2),
+        SearchSpec(make_cyclic(9), require_connected=True),
+    ]
+    assert s4.order == 24
+    for spec in specs:
+        records = classify(spec).records
+        assert records, spec
+        assert records == reference_records(spec), spec
+    for spec in specs[-3:]:
+        assert classify(spec, jobs=2) == classify(spec, jobs=1)
+
+
+def test_serial_search_streams_candidates(monkeypatch):
+    # Each candidate is classified, once, before the next one is generated.
+    events = []
+    real_vectors, real_one = search_mod._candidate_vectors, search_mod._classify_one
+
+    def vectors(*args):
+        for vector in real_vectors(*args):
+            events.append("vector")
+            yield vector
+
+    def classify_one(*args):
+        events.append("classify")
+        return real_one(*args)
+
+    monkeypatch.setattr(search_mod, "_candidate_vectors", vectors)
+    monkeypatch.setattr(search_mod, "_classify_one", classify_one)
+    assert len(classify(SearchSpec(make_cyclic(7))).records) == 7
+    assert events == ["vector", "classify"] * 7
+
+
+def test_degree_distance_mismatch_exits_three(monkeypatch, capsys):
+    # Word lengths that give the complete graph on Z5 (set 2) a distance
+    # degree of 2: the element route checks H' against these same lengths,
+    # so only the degree = distance degree assertion can notice.
+    real = search_mod._word_lengths
+
+    def skewed(tables, extended):
+        lengths = real(tables, extended)
+        return (1, 2, 0) if lengths == (1, 1, 0) else lengths
+
+    monkeypatch.setattr(search_mod, "_word_lengths", skewed)
+    assert main(["search", "--group", "cyclic:5"]) == 3
+    err = capsys.readouterr().err
+    assert "set 2 is connected and simple, but its degree 1 differs" in err
+    assert "from its distance degree 2" in err
 
 
 def test_bundles_d4():
