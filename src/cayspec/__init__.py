@@ -42,6 +42,7 @@ from cayspec.galois import (
 from cayspec.groups import (
     ConjugacyClassPartition,
     Group,
+    class_bundles,
     conjugacy_classes,
     is_normal_subset,
     make_cyclic,
@@ -55,7 +56,6 @@ from cayspec.search import (
     SearchResult,
     SearchSpec,
     SetRecord,
-    class_bundles,
     classify,
     enumerate_normal_sets,
     verify_degree_equals_distance_degree,

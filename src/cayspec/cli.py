@@ -494,10 +494,10 @@ def cmd_distance(doc: InstanceDocument) -> tuple[Report, int]:
         if level:
             report.line(f"  layer {level}: {names}")
         report.put(f"distance.layer.{level}", names)
-    _subgroup_section(report, "H_prime", result.fixing_subgroup)
+    _subgroup_section(report, "H_prime", result.field.fixing_subgroup)
     _field_section(report, result.field)
-    report.put("distance.degree", result.degree)
-    report.put("distance.integral", result.distance_integral)
+    report.put("distance.degree", result.field.degree)
+    report.put("distance.integral", result.field.degree == 1)
     if result.spectrum is not None:
         _spectrum_section(report, result.spectrum)
     return report, 0
@@ -646,13 +646,16 @@ def main(argv: Optional[list[str]] = None) -> int:
                 report, code = cmd_distance(doc)
             else:
                 report, code = cmd_check(doc, args.subgroup)
+        text = report.render()
     except (InternalInconsistency, NoConvergence) as err:
         print(f"internal inconsistency: {err}", file=sys.stderr)
         return 3
     except (CayspecError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    text = report.render()
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

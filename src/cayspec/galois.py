@@ -3,8 +3,15 @@
 Everything here runs on one identity: the subgroup of units fixing a colour
 function under power pullbacks is exactly the subgroup of the cyclotomic
 Galois group fixing every eigenvalue.  Degrees therefore come from subgroup
-orders, with no eigenvalue computation required; where exact spectra are
-available the identity itself is verified by two independent code paths.
+orders, with no eigenvalue computation required.
+
+Every fixing subgroup comes from one routine and is checked by one other.
+`FixingTables`, built once per group, reads a class function on its class
+bundles, which each power map g -> g**h permutes (pi_h): the fixing subgroup
+of a bundle vector v is {h : v o pi_h = v}.  The check shares only the group
+engine: on the values per element, the generators of the subgroup must fix
+them under `power_map` and one representative of each non-trivial coset must
+move them.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from cayspec.colour import (
@@ -25,12 +33,12 @@ from cayspec.errors import HypothesisFails, InternalInconsistency, NotAUnit
 from cayspec.exactnum import (
     Cyclotomic,
     euler_phi,
+    galois_apply,
     galois_orbit,
     minimal_polynomial,
-    stabilizer,
     unit_group,
 )
-from cayspec.groups import Group, power_map
+from cayspec.groups import Group, class_bundles, power, power_map
 from cayspec.spectra import (
     Spectrum,
     character_table,
@@ -118,20 +126,145 @@ def full_unit_subgroup(n: int) -> UnitSubgroup:
     return unit_subgroup(n, unit_group(n).units)
 
 
-def _pullback_fixed(f: ColourFunction, h: int) -> bool:
-    vals = f.values
-    return all(vals[gh] == v for gh, v in zip(power_map(f.group, h), vals))
+def _getter(indices: Sequence[int]):
+    """itemgetter that returns a tuple for any number of indices, one included."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
+class FixingTables:
+    """What every fixing subgroup of the group is read from, built once.
+
+    With B class bundles, index B stands for the identity, and a class
+    function is read as an extended vector: its value on each bundle, then
+    its value at the identity.  `read_off` maps an extended vector to its
+    per-element tuple.  For h = units[i], pi_h sends each bundle to the
+    bundle that g -> g**h maps it onto (the identity stays put), and
+    `pullbacks[i]` maps an extended vector v to v o pi_h.  `coset_forms`
+    caches, per fixing subgroup, the validated subgroup, (h, pullback on
+    elements) for its generators, and the same for one representative of
+    each non-trivial coset in the units.
+    """
+
+    def __init__(self, G: Group):
+        n = G.order
+        bundles = class_bundles(G)
+        B = len(bundles)
+        bundle_of = [B] * n
+        for b, bundle in enumerate(bundles):
+            for g in bundle:
+                bundle_of[g] = b
+        units = unit_group(n).units
+        # A power map with unit exponent sends classes to classes and
+        # inverses to inverses, so one element shows where a bundle goes.
+        pullbacks = [
+            _getter([bundle_of[power(G, bundle[0], h)] for bundle in bundles] + [B])
+            for h in units
+        ]
+        self.group = G
+        self.bundles = bundles
+        self.bundle_of = tuple(bundle_of)
+        self.read_off = _getter(bundle_of)
+        self.units = units
+        self.pullbacks = tuple(pullbacks)
+        self.coset_forms: dict[tuple[int, ...], tuple] = {}
+
+
+def fixing_tables(G: Group) -> FixingTables:
+    """The group's fixing tables, built on first use and cached on the group."""
+    if G._fixing_tables is None:
+        G._fixing_tables = FixingTables(G)
+    return G._fixing_tables
+
+
+def _fixing_units(tables: FixingTables, extended: tuple) -> tuple[int, ...]:
+    """The units h with v o pi_h = v for the extended vector v, ascending."""
+    return tuple(
+        h
+        for h, pullback in zip(tables.units, tables.pullbacks)
+        if pullback(extended) == extended
+    )
+
+
+def _coset_form(tables: FixingTables, members: tuple[int, ...]) -> tuple:
+    """(subgroup, generators, coset representatives) of a fixing set, each
+    unit paired with its pullback on elements, validating on first sight that
+    the members form a subgroup."""
+    form = tables.coset_forms.get(members)
+    if form is None:
+        G = tables.group
+        n = G.order
+        try:
+            H = unit_subgroup(n, members)
+        except ValueError as err:
+            raise InternalInconsistency(
+                f"bundle route: fixing set {members} is not a subgroup of the "
+                f"units modulo {n} ({err})"
+            ) from None
+        covered = set(members)
+        reps = []
+        for u in tables.units:
+            if u not in covered:
+                reps.append(u)
+                covered.update(u * h % n for h in members)
+        form = tables.coset_forms[members] = (H,) + tuple(
+            tuple((h, _getter(power_map(G, h))) for h in units)
+            for units in (H.generators, reps)
+        )
+    return form
+
+
+def _check_coset_form(
+    tables: FixingTables,
+    label: str,
+    members: tuple[int, ...],
+    extended: tuple,
+    values: tuple,
+) -> UnitSubgroup:
+    """Check on elements that members is the fixing subgroup of a vector.
+
+    `values` is the vector per element; the generators of the subgroup must
+    fix it under the power map and one representative of each non-trivial
+    coset must move it, which together pin the subgroup down.  Returns the
+    validated subgroup.
+    """
+    G = tables.group
+    H, generators, reps = _coset_form(tables, members)
+    for h, pullback in generators:
+        if pullback(values) != values:
+            pm = power_map(G, h)
+            g = next(g for g, gh in enumerate(pm) if values[gh] != values[g])
+            raise InternalInconsistency(
+                f"{label}: the bundle route fixes it by unit {h}, "
+                f"the element route moves it at {G.names[g]} "
+                f"({values[g]} there, {values[pm[g]]} at {G.names[g]}**{h})"
+            )
+    for h, pullback in reps:
+        if pullback(values) == values:
+            moved = tables.pullbacks[tables.units.index(h)](extended)
+            b = next(b for b, m in enumerate(moved) if m != extended[b])
+            raise InternalInconsistency(
+                f"{label}: the bundle route moves it by unit {h} "
+                f"at {G.names[tables.bundles[b][0]]}, the element route finds it "
+                f"fixed at every element"
+            )
+    return H
 
 
 def fixing_subgroup(f: ColourFunction) -> UnitSubgroup:
     """All units h (mod the group order) with f(g**h) = f(g) for every g.
 
-    Found by exhaustive scan; this is the subgroup whose fixed field is the
+    Read off f's values on the class bundles, and checked on f's values per
+    element in coset form; this is the subgroup whose fixed field is the
     splitting field of the colour graph.
     """
-    n = f.group.order
-    members = [h for h in unit_group(n).units if _pullback_fixed(f, h)]
-    return unit_subgroup(n, members)
+    tables = fixing_tables(f.group)
+    values = f.values
+    extended = tuple(values[bundle[0]] for bundle in tables.bundles) + (values[0],)
+    members = _fixing_units(tables, extended)
+    return _check_coset_form(tables, "colour function", members, extended, values)
 
 
 def algebraic_degree(f: ColourFunction) -> int:
@@ -154,8 +287,6 @@ class FieldReport:
     degree: int
     primitive_element: Optional[Cyclotomic]
     minimal_poly: Optional[tuple[Fraction, ...]]
-    rational: bool
-    integral: Optional[bool]
 
 
 def _gauss_period(n: int, members: Sequence[int], k: int) -> Cyclotomic:
@@ -192,25 +323,9 @@ def _primitive_search(
     return None, None
 
 
-def splitting_field(f: ColourFunction) -> FieldReport:
-    """Fixing subgroup, degree, and a best-effort primitive element for f.
-
-    Candidate primitive elements are the subgroup periods sum of z^(k*h) for
-    k = 1..n-1 and then small integer combinations of two periods; the first
-    candidate whose Galois orbit has exactly `degree` distinct images wins.
-    """
-    G = f.group
-    n = G.order
-    H = fixing_subgroup(f)
+def _field_of(H: UnitSubgroup) -> FieldReport:
+    n = H.modulus
     degree = euler_phi(n) // len(H)
-    rational = degree == 1
-    if not rational:
-        integral: Optional[bool] = False
-    elif f.is_integer_valued() and f.values[0] == 0:
-        # Rational eigenvalues of an integer matrix are algebraic integers.
-        integral = True
-    else:
-        integral = None
     primitive, poly = _primitive_search(n, H.members, degree)
     return FieldReport(
         modulus=n,
@@ -218,34 +333,45 @@ def splitting_field(f: ColourFunction) -> FieldReport:
         degree=degree,
         primitive_element=primitive,
         minimal_poly=poly,
-        rational=rational,
-        integral=integral,
     )
+
+
+def splitting_field(f: ColourFunction) -> FieldReport:
+    """Fixing subgroup, degree, and a best-effort primitive element for f.
+
+    Candidate primitive elements are the subgroup periods sum of z^(k*h) for
+    k = 1..n-1 and then small integer combinations of two periods; the first
+    candidate whose Galois orbit has exactly `degree` distinct images wins.
+    """
+    return _field_of(fixing_subgroup(f))
 
 
 def verify_fixing_subgroup_equals_stabilizers(
     f: ColourFunction, spectrum: Spectrum
 ) -> bool:
-    """Check, by two independent routes, that eigenvalue stabilizers cut out
-    exactly the fixing subgroup of f."""
-    n = f.group.order
-    intersection = set(unit_group(n).units)
-    for value, _ in spectrum.pairs:
-        intersection &= set(stabilizer(value).units)
-    return tuple(sorted(intersection)) == fixing_subgroup(f).members
+    """Check that the eigenvalue stabilizers intersect in exactly the fixing
+    subgroup H of f, in coset form: the generators of H fix every distinct
+    eigenvalue, and one representative of each non-trivial coset of H moves
+    at least one.  H is a validated subgroup, so this pins the intersection
+    down."""
+    H = fixing_subgroup(f)
+    _, generators, reps = _coset_form(fixing_tables(f.group), H.members)
+    values = [value for value, _ in spectrum.pairs]
+    return all(
+        galois_apply(h, value) == value for h, _ in generators for value in values
+    ) and all(any(galois_apply(h, value) != value for value in values) for h, _ in reps)
 
 
 def is_algebraically_integral_over(f: ColourFunction, H_K: UnitSubgroup) -> bool:
     """True iff every eigenvalue lies in the fixed field of H_K.
 
-    Equivalent, and implemented as: f is fixed by the power pullback of every
-    member of H_K.
+    Equivalent, and implemented as: H_K lies inside the fixing subgroup of f.
     """
     if H_K.modulus != f.group.order:
         raise ValueError(
             f"subgroup modulus {H_K.modulus} does not match group order {f.group.order}"
         )
-    return all(_pullback_fixed(f, h) for h in H_K.members)
+    return set(H_K.members) <= set(fixing_subgroup(f).members)
 
 
 @dataclass(frozen=True)
@@ -294,59 +420,18 @@ def integrality_verdict(
 
 
 def multiset_fixing_subgroup(S: ConnectionMultiset) -> UnitSubgroup:
-    """Units whose power map preserves S as a multiset.
-
-    Computed directly on multiplicities and cross-checked against the fixing
-    subgroup of the multiplicity colour function; a mismatch is a bug.
-    """
-    G = S.group
-    n = G.order
-    f = colour_from_multiset(S)  # raises NotNormal for non-normal multisets
-    direct = []
-    for h in unit_group(n).units:
-        pm = power_map(G, h)
-        image = [0] * n
-        for g, m in enumerate(S.multiplicity):
-            if m:
-                image[pm[g]] += m
-        if tuple(image) == S.multiplicity:
-            direct.append(h)
-    via_colour = fixing_subgroup(f)
-    if tuple(direct) != via_colour.members:
-        raise InternalInconsistency(
-            "multiset route and colour-function route disagree on the fixing subgroup"
-        )
-    return via_colour
-
-
-def _layer_fixing_members(G: Group, layers: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    n = G.order
-    members = []
-    layer_sets = [frozenset(layer) for layer in layers[1:]]
-    for h in unit_group(n).units:
-        pm = power_map(G, h)
-        if all(frozenset(pm[g] for g in layer) == layer for layer in layer_sets):
-            members.append(h)
-    return tuple(members)
+    """Units whose power map preserves S as a multiset: the fixing subgroup
+    of its multiplicity colour function (NotNormal for non-normal S)."""
+    return fixing_subgroup(colour_from_multiset(S))
 
 
 def distance_fixing_subgroup(
     S: ConnectionMultiset,
 ) -> tuple[DistanceLayering, UnitSubgroup]:
-    """Layer-preserving subgroup of a connected normal Cayley graph.
-
-    Computed directly on the distance layers and cross-checked against the
-    fixing subgroup of the word-length colour; returns both the layering and
-    the subgroup.
-    """
+    """Layering of a connected normal Cayley graph and the fixing subgroup of
+    its word-length colour, which preserves every distance layer."""
     layering = distance_layering(S)
-    direct = _layer_fixing_members(S.group, layering.layers)
-    via_colour = fixing_subgroup(layering.colour)
-    if direct != via_colour.members:
-        raise InternalInconsistency(
-            "layer route and pullback route disagree on the fixing subgroup"
-        )
-    return layering, via_colour
+    return layering, fixing_subgroup(layering.colour)
 
 
 @dataclass(frozen=True)
@@ -354,11 +439,8 @@ class DistanceReport:
     """Distance splitting field of a connected normal Cayley graph."""
 
     layering: DistanceLayering
-    fixing_subgroup: UnitSubgroup
     field: FieldReport
     spectrum: Optional[Spectrum]
-    degree: int
-    distance_integral: bool
 
 
 def _check_layer_sum_form(
@@ -390,34 +472,27 @@ def _check_layer_sum_form(
 def distance_report(S: ConnectionMultiset) -> DistanceReport:
     """Distance degree and splitting field via layers, with all cross-checks.
 
-    The layer-preserving subgroup is computed directly on the distance layers
-    and must agree with the fixing subgroup of the word-length colour; exact
+    The field comes from the fixing subgroup of the word-length colour; exact
     distance spectra are produced whenever the family has a character table,
     validated against the layered character-sum form.
     """
-    layering, _ = distance_fixing_subgroup(S)
+    layering, H = distance_fixing_subgroup(S)
     G = S.group
-    field = splitting_field(layering.colour)
+    field = _field_of(H)
     spectrum = None
     if has_character_table(G):
         table = character_table(G)
         spectrum = spectrum_exact(layering.colour, table)
         _check_layer_sum_form(spectrum, table, layering)
-    return DistanceReport(
-        layering=layering,
-        fixing_subgroup=field.fixing_subgroup,
-        field=field,
-        spectrum=spectrum,
-        degree=field.degree,
-        distance_integral=field.degree == 1,
-    )
+    return DistanceReport(layering=layering, field=field, spectrum=spectrum)
 
 
 def transfer_check(
     alpha: ColourFunction, beta: ColourFunction, H_K: UnitSubgroup
 ) -> bool:
     """Integrality over the fixed field of H_K transfers between two colours
-    whose fixed-member sets inside H_K coincide.
+    whose fixed-member sets inside H_K, H_K meet H_alpha and H_K meet H_beta,
+    coincide.
 
     Both sides of the biconditional are computed; their common value is
     returned.  Raises HypothesisFails when the member sets differ.
@@ -426,8 +501,9 @@ def transfer_check(
         raise ValueError("transfer check needs colours on the same group")
     if H_K.modulus != alpha.group.order:
         raise ValueError("subgroup modulus does not match the group order")
-    fixed_alpha = tuple(h for h in H_K.members if _pullback_fixed(alpha, h))
-    fixed_beta = tuple(h for h in H_K.members if _pullback_fixed(beta, h))
+    K = set(H_K.members)
+    fixed_alpha = K & set(fixing_subgroup(alpha).members)
+    fixed_beta = K & set(fixing_subgroup(beta).members)
     if fixed_alpha != fixed_beta:
         raise HypothesisFails(
             "the two colours fix different subsets of the given subgroup"

@@ -5,7 +5,8 @@ Each family multiplies one way: cyclic groups and their products by adding
 digit codes, dihedral groups and other products by their arithmetic rule,
 generated groups by a table up to TABLE_LIMIT and by composing permutations
 above it.  Power maps g -> g**h are computed once per group and unit;
-conjugacy classes are orbits under the group's generators.
+conjugacy classes are orbits under the group's generators, and class bundles
+join each class with the class of its inverses.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ class Group:
     classes are orbits under conjugation by them.  `cyclic_orders` lists the
     factor orders of a cyclic group or a product of cyclic groups, else None.
     Instances are immutable after construction apart from their caches
-    (classes, power maps, character table), and safe to pickle into workers;
-    construct through the make_* functions.
+    (classes, power maps, character table, fixing tables), and safe to pickle
+    into workers, which rebuild the fixing tables; construct through the
+    make_* functions.
     """
 
     def __init__(
@@ -79,6 +81,10 @@ class Group:
         self._classes: Optional[ConjugacyClassPartition] = None
         self._power_maps: dict[int, tuple[int, ...]] = {}
         self._char_table = None  # filled lazily by spectra.character_table
+        self._fixing_tables = None  # filled lazily by galois.fixing_tables
+
+    def __getstate__(self):
+        return {**self.__dict__, "_fixing_tables": None}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -330,6 +336,26 @@ def conjugacy_classes(G: Group) -> ConjugacyClassPartition:
     )
     G._classes = partition
     return partition
+
+
+def class_bundles(G: Group) -> tuple[tuple[int, ...], ...]:
+    """Minimal inverse-closed unions of non-identity conjugacy classes.
+
+    Each bundle is a class joined with the class of its inverses; bundles are
+    ordered by least element index.
+    """
+    part = conjugacy_classes(G)
+    used: set[int] = set()
+    bundles = []
+    for ci, cls in enumerate(part.classes):
+        if 0 in cls or ci in used:
+            continue
+        inverse_ci = part.class_of[G.inv(cls[0])]
+        members = set(cls) | set(part.classes[inverse_ci])
+        used.add(ci)
+        used.add(inverse_ci)
+        bundles.append(tuple(sorted(members)))
+    return tuple(bundles)
 
 
 def multiplicities(G: Group, S: MultisetLike) -> tuple[int, ...]:

@@ -294,6 +294,19 @@ def test_no_convergence_exits_three(capsys, monkeypatch):
     assert "internal inconsistency" in err
 
 
+def test_out_of_memory_exits_two(capsys, monkeypatch):
+    import cayspec.cli as cli_mod
+
+    def exhausted(spec, jobs=1):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "classify", exhausted)
+    code, out, err = run(capsys, "search", "--group", "cyclic:5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_search_bad_group(capsys):
     code, _, err = run(capsys, "search", "--group", "foo")
     assert code == 2
@@ -343,6 +356,15 @@ def test_trivial_group_spectrum(capsys, tmp_path):
     block = machine_block(out)
     assert block["spectrum.exact.1.value"] == "7"
     assert block["spectrum.exact.1.multiplicity"] == "1"
+    # No bundles: the fixing tables read the identity value alone.
+    code, out, _ = run(capsys, "degree", str(path))
+    assert code == 0
+    block = machine_block(out)
+    assert block["H.members"] == "1"
+    assert block["degree"] == "1"
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert machine_block(out)["integral_over_K"] == "true"
 
 
 # The numeric oracle's lines as printed before the kernel kept its matrix as

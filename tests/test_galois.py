@@ -15,7 +15,6 @@ from cayspec.galois import (
     _gauss_period,
     algebraic_degree,
     close_generators,
-    distance_fixing_subgroup,
     distance_report,
     fixing_subgroup,
     full_unit_subgroup,
@@ -107,7 +106,8 @@ def test_splitting_field_alpha():
     assert not _gauss_period(16, (1, 7, 9, 15), 1)
     assert report.primitive_element == Cyclotomic.from_exponents(16, {2: 2, 14: 2})
     assert report.minimal_poly == (Fraction(-8), Fraction(0), Fraction(1))
-    assert report.rational is False and report.integral is False
+    verdict = integrality_verdict(alpha)
+    assert verdict.rational is False and verdict.integral is False
 
 
 def test_splitting_field_s1():
@@ -159,6 +159,19 @@ def test_stabilizer_identity_rational_spectrum():
     G, beta = d8_beta()
     spec = spectrum_exact(beta, character_table(G))
     assert verify_fixing_subgroup_equals_stabilizers(beta, spec)
+
+
+def test_stabilizer_identity_refuses_a_wrong_subgroup(monkeypatch):
+    # H = {1} leaves unit 7 as a coset representative, and 7 fixes every
+    # eigenvalue; H = all units has generator 3, which moves the surds.
+    G, alpha = d8_alpha()
+    spec = spectrum_exact(alpha, character_table(G))
+    assert verify_fixing_subgroup_equals_stabilizers(alpha, spec)
+    for wrong in ((1,), unit_group(16).units):
+        monkeypatch.setattr(
+            galois_mod, "fixing_subgroup", lambda f, wrong=wrong: unit_subgroup(16, wrong)
+        )
+        assert verify_fixing_subgroup_equals_stabilizers(alpha, spec) is False
 
 
 def test_stabilizer_identity_random():
@@ -235,50 +248,71 @@ def test_multiset_fixing_subgroup_examples():
     assert multiset_fixing_subgroup(power_closed).members == unit_group(5).units
 
 
+# Requests whose fixing subgroups are {1, -1}, with the errors each fault
+# must raise: (argv, identity pullbacks, swapped pullback of -1).
+FAULT_CASES = [
+    (
+        ["degree", instance_path("d5_s1.txt")],
+        "colour function: the bundle route fixes it by unit 3, "
+        "the element route moves it at a (0 there, 2 at a**3)",
+        "colour function: the bundle route moves it by unit 9 at a, "
+        "the element route finds it fixed",
+    ),
+    (
+        ["distance", instance_path("z5_pentagon.txt")],
+        "colour function: the bundle route fixes it by unit 2, "
+        "the element route moves it at 1 (1 there, 2 at 1**2)",
+        "colour function: the bundle route moves it by unit 4 at 1, "
+        "the element route finds it fixed",
+    ),
+    (
+        ["check", instance_path("d5_s1.txt"), "--subgroup", "3"],
+        "colour function: the bundle route fixes it by unit 3, "
+        "the element route moves it at a (0 there, 2 at a**3)",
+        "colour function: the bundle route moves it by unit 9 at a, "
+        "the element route finds it fixed",
+    ),
+    (
+        ["search", "--group", "cyclic:5"],
+        "set 0, multiplicity vector: the bundle route fixes it by unit 2, "
+        "the element route moves it at 1 (1 there, 0 at 1**2)",
+        "set 0, multiplicity vector: the bundle route moves it by unit 4 at 1, "
+        "the element route finds it fixed",
+    ),
+]
+
+
 def test_dual_routes_raise_on_injected_mismatch(monkeypatch, capsys):
-    # The pullback route reports only the identity; the multiset and layer
-    # routes must notice.
-    monkeypatch.setattr(
-        galois_mod, "fixing_subgroup", lambda f: unit_subgroup(f.group.order, [1])
-    )
-    _, S2 = d5_s2()
-    with pytest.raises(InternalInconsistency):
-        multiset_fixing_subgroup(S2)
-    pentagon = ConnectionMultiset.from_elements(make_cyclic(5), [1, 4])
-    with pytest.raises(InternalInconsistency):
-        distance_fixing_subgroup(pentagon)
+    # Every command reads its fixing subgroups off the shared bundle
+    # pullbacks and checks them on elements in coset form; a fault in the
+    # pullbacks must exit 3 and name the unit and the element.
+    FixingTables = galois_mod.FixingTables
 
-    # search classifies on bundle tables: with every pi_h wrongly the
-    # identity, the bundle route puts unit 2 in the fixing subgroup of
-    # {1, 4}; the element route must notice, and the CLI must exit 3.
-    BundleTables = search_mod.BundleTables
-
-    class IdentityPermutations(BundleTables):
+    class IdentityPermutations(FixingTables):
+        # Every pi_h wrongly the identity: the bundle route fixes every unit.
         def __init__(self, G):
             super().__init__(G)
-            B = len(self.bundles)
-            self.pullbacks = tuple(itemgetter(*range(B + 1)) for _ in self.units)
+            identity = itemgetter(*range(len(self.bundles) + 1))
+            self.pullbacks = tuple(identity for _ in self.units)
 
-    monkeypatch.setattr(search_mod, "BundleTables", IdentityPermutations)
-    assert main(["search", "--group", "cyclic:5"]) == 3
-    err = capsys.readouterr().err
-    assert "internal inconsistency" in err
-    assert "set 0, multiplicity vector" in err
-    assert "fixes it by unit 2, the element route moves it at 1 " in err
-
-    # With pi_4 wrongly a swap, unit 4 (inversion, which fixes every bundle)
-    # drops out of the fixing subgroup; its coset must not be fixed.
-    class SwappedInversion(BundleTables):
+    class SwappedInversion(FixingTables):
+        # pi_-1 wrongly swaps the first two bundles: inversion, which fixes
+        # every bundle, drops out, so its coset must not be found fixed.
         def __init__(self, G):
             super().__init__(G)
-            pullbacks = list(self.pullbacks)
-            pullbacks[self.units.index(4)] = itemgetter(1, 0, 2)
-            self.pullbacks = tuple(pullbacks)
+            swap = itemgetter(1, 0, *range(2, len(self.bundles) + 1))
+            self.pullbacks = self.pullbacks[:-1] + (swap,)
 
-    monkeypatch.setattr(search_mod, "BundleTables", SwappedInversion)
-    assert main(["search", "--group", "cyclic:5"]) == 3
-    err = capsys.readouterr().err
-    assert "moves it by unit 4 at 1, the element route finds it fixed" in err
+    for argv, identity_error, swap_error in FAULT_CASES:
+        for tables, expected in (
+            (IdentityPermutations, identity_error),
+            (SwappedInversion, swap_error),
+        ):
+            monkeypatch.setattr(galois_mod, "FixingTables", tables)
+            assert main(argv) == 3, (argv, tables)
+            err = capsys.readouterr().err
+            assert err.startswith("internal inconsistency: "), err
+            assert expected in err, err
 
 
 def test_layer_sum_form_raises_on_injected_mismatch(monkeypatch, capsys):
@@ -323,16 +357,15 @@ def test_distance_report_complete_graph():
     assert report.layering.diameter == 1
     adj_spec = spectrum_exact(colour_from_multiset(S), character_table(G))
     assert report.spectrum.pairs == adj_spec.pairs
-    assert report.degree == algebraic_degree(colour_from_multiset(S))
+    assert report.field.degree == algebraic_degree(colour_from_multiset(S))
 
 
 def test_distance_report_pentagon():
     Z5 = make_cyclic(5)
     report = distance_report(ConnectionMultiset.from_elements(Z5, [1, 4]))
     assert [int(v) for v in report.layering.colour.values] == [0, 1, 2, 2, 1]
-    assert report.fixing_subgroup.members == (1, 4)
-    assert report.degree == 2
-    assert not report.distance_integral
+    assert report.field.fixing_subgroup.members == (1, 4)
+    assert report.field.degree == 2
 
 
 def test_transfer_check_reflexive():

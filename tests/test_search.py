@@ -1,25 +1,27 @@
 import concurrent.futures
+import pickle
 
 import pytest
 
 import cayspec.search as search_mod
 from cayspec.cli import main
+from cayspec.colour import ConnectionMultiset, distance_layering
 from cayspec.errors import InternalInconsistency
-from cayspec.exactnum import euler_phi
-from cayspec.galois import distance_fixing_subgroup, multiset_fixing_subgroup
+from cayspec.exactnum import euler_phi, unit_group
 from cayspec.groups import (
     Group,
+    class_bundles,
     is_normal_subset,
     make_cyclic,
     make_dihedral,
     make_from_generators,
     make_product,
+    power_map,
 )
 from cayspec.search import (
     SearchSpec,
     SetRecord,
     _multiset_from_vector,
-    class_bundles,
     classify,
     enumerate_normal_sets,
     verify_degree_equals_distance_degree,
@@ -27,8 +29,33 @@ from cayspec.search import (
 
 
 # The element-route classification that the bundle route replaced, kept as
-# the reference: fixing subgroups from galois on whole colour functions,
-# connectivity and distance layers by search over group elements.
+# the reference and sharing nothing with it but the group engine: fixing
+# subgroups by scanning every unit on every element (multiplicities, then
+# distance layers), connectivity and layers by search over group elements.
+
+
+def reference_multiset_fixing_members(S: ConnectionMultiset) -> tuple[int, ...]:
+    G = S.group
+    members = []
+    for h in unit_group(G.order).units:
+        pm = power_map(G, h)
+        image = [0] * G.order
+        for g, m in enumerate(S.multiplicity):
+            if m:
+                image[pm[g]] += m
+        if tuple(image) == S.multiplicity:
+            members.append(h)
+    return tuple(members)
+
+
+def reference_layer_fixing_members(G: Group, layers) -> tuple[int, ...]:
+    members = []
+    layer_sets = [frozenset(layer) for layer in layers[1:]]
+    for h in unit_group(G.order).units:
+        pm = power_map(G, h)
+        if all(frozenset(pm[g] for g in layer) == layer for layer in layer_sets):
+            members.append(h)
+    return tuple(members)
 
 
 def reference_candidate_vectors(num_bundles, mode, cap):
@@ -67,13 +94,13 @@ def reference_classify_one(
 ) -> SetRecord:
     S = _multiset_from_vector(G, bundles, vector)
     phi = euler_phi(G.order)
-    H_star = multiset_fixing_subgroup(S)
+    H_star = reference_multiset_fixing_members(S)
     degree = phi // len(H_star)
     if not S.is_simple():
         # Dropping repeats can only grow the fixing subgroup, so the simple
         # graph's degree divides the multigraph's.
-        shadow_subgroup = multiset_fixing_subgroup(S.shadow())
-        if not set(H_star.members) <= set(shadow_subgroup.members):
+        shadow_members = reference_multiset_fixing_members(S.shadow())
+        if not set(H_star) <= set(shadow_members):
             raise InternalInconsistency(
                 "multiset fixing subgroup escapes its shadow's fixing subgroup"
             )
@@ -81,7 +108,8 @@ def reference_classify_one(
     distance_degree = None
     distance_integral = None
     if connected:
-        _, H_prime = distance_fixing_subgroup(S.shadow())
+        layers = distance_layering(S.shadow()).layers
+        H_prime = reference_layer_fixing_members(G, layers)
         distance_degree = phi // len(H_prime)
         distance_integral = distance_degree == 1
     return SetRecord(
@@ -264,8 +292,13 @@ def test_multiset_mode_runs_shadow_containment():
 
 
 def test_classify_deterministic_across_workers():
-    spec = SearchSpec(make_cyclic(12))
-    assert classify(spec, jobs=1) == classify(spec, jobs=3)
+    G = make_cyclic(12)
+    spec = SearchSpec(G)
+    serial = classify(spec, jobs=1)
+    # Workers build their own fixing tables; none travel with the group.
+    assert G._fixing_tables is not None
+    assert pickle.loads(pickle.dumps(G))._fixing_tables is None
+    assert classify(spec, jobs=3) == serial
 
 
 def test_classify_clamps_jobs_to_cpus(monkeypatch):
