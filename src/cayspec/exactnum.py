@@ -13,7 +13,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from cayspec.errors import CoefficientBudgetExceeded, InternalInconsistency, NotAUnit
@@ -45,6 +45,7 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler totient via trial-division factorization."""
     if n < 1:
@@ -110,9 +111,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_residues(n: int) -> tuple[tuple[int, ...], ...]:
-    # Row e is the canonical residue of z^e modulo the n-th cyclotomic polynomial,
-    # for every exponent a product of two canonical residues can produce.
+def _power_residues(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # Row e holds the non-zero (index, coefficient) pairs of the canonical
+    # residue of z^e modulo the n-th cyclotomic polynomial, for every exponent
+    # a product of two canonical residues can produce.
     modulus = cyclotomic_polynomial(n)
     phi = len(modulus) - 1
     count = max(n, 2 * phi - 1)
@@ -120,7 +122,7 @@ def _power_residues(n: int) -> tuple[tuple[int, ...], ...]:
     cur = [0] * phi
     cur[0] = 1
     for _ in range(count):
-        rows.append(tuple(cur))
+        rows.append(tuple((i, r) for i, r in enumerate(cur) if r))
         lead = cur[phi - 1]
         nxt = [0] * phi
         for i in range(phi - 1, 0, -1):
@@ -130,6 +132,31 @@ def _power_residues(n: int) -> tuple[tuple[int, ...], ...]:
                 nxt[i] -= lead * modulus[i]
         cur = nxt
     return tuple(rows)
+
+
+def _mobius(m: int) -> int:
+    result = 1
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1 if p == 2 else 2
+    return -result if m > 1 else result
+
+
+@lru_cache(maxsize=None)
+def _ramanujan_sums(n: int) -> tuple[int, ...]:
+    # Entry i is the trace of z^i from the n-th cyclotomic field to the
+    # rationals, the Ramanujan sum mu(n/g) * phi(n) / phi(n/g) with g = gcd(i, n).
+    phi = euler_phi(n)
+    out = []
+    for i in range(n):
+        m = n // gcd(i, n)
+        out.append(_mobius(m) * (phi // euler_phi(m)))
+    return tuple(out)
 
 
 def _check_budget(coeffs: tuple[Fraction, ...]) -> None:
@@ -144,14 +171,20 @@ def _check_budget(coeffs: tuple[Fraction, ...]) -> None:
             )
 
 
+_ZERO = Fraction(0)
+
+
 class Cyclotomic:
     """A value in the field of n-th roots of unity, in canonical reduced form.
 
-    Immutable; equality and hashing go through the coefficient tuple, so equal
-    field values always compare equal.
+    Immutable; equality goes through the coefficient tuple, so equal field
+    values always compare equal.  Hashing and arithmetic read the value as its
+    coefficients' common denominator D and the non-zero (index, D * coefficient)
+    pairs, built once per value; each result is accumulated as one integer
+    vector over one denominator.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "coeffs", "_hash", "_scaled")
 
     def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
         self.conductor = conductor
@@ -159,20 +192,34 @@ class Cyclotomic:
         _check_budget(coeffs)
 
     @classmethod
+    def _from_scaled(cls, n: int, numerators: list[int], denominator: int) -> "Cyclotomic":
+        return cls(n, tuple(Fraction(a, denominator) if a else _ZERO for a in numerators))
+
+    def _terms(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(D, pairs): the common denominator of the coefficients and the
+        non-zero (index, D * coefficient) pairs."""
+        try:
+            return self._scaled
+        except AttributeError:
+            D = lcm(*(c.denominator for c in self.coeffs))
+            self._scaled = D, tuple(
+                (i, c.numerator * (D // c.denominator)) for i, c in enumerate(self.coeffs) if c
+            )
+            return self._scaled
+
+    @classmethod
     def from_exponents(cls, n: int, exponent_coeffs: Mapping[int, RationalLike]) -> "Cyclotomic":
         """Build sum_e c_e * z^e with exponents taken modulo n, then canonicalize."""
         rows = _power_residues(n)
-        phi = len(rows[0])
-        acc = [Fraction(0)] * phi
-        for e, c in exponent_coeffs.items():
-            c = as_fraction(c)
-            if not c:
-                continue
-            row = rows[e % n]
-            for i, r in enumerate(row):
-                if r:
-                    acc[i] += c * r
-        return cls(n, tuple(acc))
+        items = [(e, as_fraction(c)) for e, c in exponent_coeffs.items()]
+        D = lcm(*(c.denominator for _, c in items))
+        acc = [0] * euler_phi(n)
+        for e, c in items:
+            k = c.numerator * (D // c.denominator)
+            if k:
+                for i, r in rows[e % n]:
+                    acc[i] += k * r
+        return cls._from_scaled(n, acc, D)
 
     @classmethod
     def from_rational(cls, n: int, value: RationalLike) -> "Cyclotomic":
@@ -192,17 +239,23 @@ class Cyclotomic:
         accumulated coefficient by coefficient with no convolution and no
         reduction, and only the result is constructed.
         """
-        acc = [Fraction(0)] * euler_phi(n)
+        scaled = []
+        D = 1
         for c, x in terms:
             if x.conductor != n:
                 raise ValueError(f"mixed conductors {n} and {x.conductor}")
             c = as_fraction(c)
-            if not c:
-                continue
-            for i, a in enumerate(x.coeffs):
-                if a:
-                    acc[i] += c * a
-        return cls(n, tuple(acc))
+            if c:
+                dx, pairs = x._terms()
+                d = c.denominator * dx
+                D = lcm(D, d)
+                scaled.append((c.numerator, d, pairs))
+        acc = [0] * euler_phi(n)
+        for num, d, pairs in scaled:
+            k = num * (D // d)
+            for i, a in pairs:
+                acc[i] += k * a
+        return cls._from_scaled(n, acc, D)
 
     @classmethod
     def zero(cls, n: int) -> "Cyclotomic":
@@ -256,25 +309,21 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        phi = len(a)
-        conv = [Fraction(0)] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] += ai * bj
+        phi = len(self.coeffs)
+        da, a = self._terms()
+        db, b = other._terms()
+        conv = [0] * (2 * phi - 1)
+        for i, ai in a:
+            for j, bj in b:
+                conv[i + j] += ai * bj
         rows = _power_residues(self.conductor)
         acc = conv[:phi]
         for e in range(phi, 2 * phi - 1):
             ce = conv[e]
-            if not ce:
-                continue
-            for i, r in enumerate(rows[e]):
-                if r:
+            if ce:
+                for i, r in rows[e]:
                     acc[i] += ce * r
-        return Cyclotomic(self.conductor, tuple(acc))
+        return Cyclotomic._from_scaled(self.conductor, acc, da * db)
 
     __rmul__ = __mul__
 
@@ -286,7 +335,11 @@ class Cyclotomic:
         return self.conductor == other.conductor and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.conductor, self.coeffs))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.conductor, self._terms()))
+            return self._hash
 
     def __bool__(self):
         return any(self.coeffs)
@@ -363,12 +416,13 @@ def galois_apply(h: int, x: Cyclotomic) -> Cyclotomic:
     n = x.conductor
     if gcd(h, n) != 1:
         raise NotAUnit(f"{h} is not a unit modulo {n}")
-    mapped: dict[int, Fraction] = {}
-    for i, c in enumerate(x.coeffs):
-        if c:
-            e = (i * h) % n
-            mapped[e] = mapped.get(e, Fraction(0)) + c
-    return Cyclotomic.from_exponents(n, mapped)
+    rows = _power_residues(n)
+    D, pairs = x._terms()
+    acc = [0] * len(x.coeffs)
+    for i, a in pairs:
+        for j, r in rows[i * h % n]:
+            acc[j] += a * r
+    return Cyclotomic._from_scaled(n, acc, D)
 
 
 def stabilizer(x: Cyclotomic) -> UnitGroup:
@@ -380,37 +434,49 @@ def stabilizer(x: Cyclotomic) -> UnitGroup:
 
 def galois_orbit(x: Cyclotomic) -> tuple[Cyclotomic, ...]:
     """Distinct images of x under the full unit group, in first-seen order."""
-    seen: list[Cyclotomic] = []
-    for h in unit_group(x.conductor).units:
-        img = galois_apply(h, x)
-        if img not in seen:
-            seen.append(img)
-    return tuple(seen)
+    return tuple(dict.fromkeys(galois_apply(h, x) for h in unit_group(x.conductor).units))
 
 
 def minimal_polynomial(x: Cyclotomic) -> tuple[Fraction, ...]:
     """Monic minimal polynomial of x over the rationals (coefficients low to high).
 
-    Expands the product of (t - v) over the Galois orbit of x; every coefficient
-    must come out rational, otherwise the arithmetic itself is broken.
+    With d the size of the Galois orbit of x, the power sums of the orbit are
+    p_k = Tr(x^k) * d / phi(n), where the trace of z^i is a Ramanujan sum, and
+    Newton's identities turn p_1..p_d into the coefficients: d - 1 products in
+    all, and every coefficient rational by construction.  The result is checked
+    by a second route sharing only the ring arithmetic: it must vanish at x,
+    evaluated exactly by Horner's rule.  A monic polynomial of degree
+    d = [Q(x):Q] with x as a root is the minimal polynomial.
     """
     n = x.conductor
-    orbit = galois_orbit(x)
-    coeffs = [Cyclotomic.one(n)]
-    for v in orbit:
-        nxt = [Cyclotomic.zero(n) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * v
-        coeffs = nxt
-    out = []
-    for c in coeffs:
-        if not c.is_rational():
-            raise InternalInconsistency(
-                "minimal polynomial acquired an irrational coefficient"
-            )
-        out.append(c.rational_value())
-    return tuple(out)
+    d = len(galois_orbit(x))
+    sums = _ramanujan_sums(n)
+    scale = Fraction(d, euler_phi(n))
+    power_sums = []
+    power = x
+    for k in range(1, d + 1):
+        if k > 1:
+            power = power * x
+        D, pairs = power._terms()
+        power_sums.append(scale * Fraction(sum(a * sums[i] for i, a in pairs), D))
+    # e[k] is the k-th elementary symmetric function of the orbit.
+    e = [Fraction(1)]
+    for k in range(1, d + 1):
+        total = sum(
+            (e[k - i] * power_sums[i - 1] if i % 2 else -e[k - i] * power_sums[i - 1])
+            for i in range(1, k + 1)
+        )
+        e.append(total / k)
+    coeffs = tuple(e[d - j] if (d - j) % 2 == 0 else -e[d - j] for j in range(d + 1))
+    value = Cyclotomic.one(n)
+    for c in coeffs[d - 1 :: -1]:
+        value = value * x + c
+    if value:
+        raise InternalInconsistency(
+            f"trace route: minimal polynomial {format_polynomial(coeffs)} of {x} "
+            f"does not vanish there by Horner's rule (value {value})"
+        )
+    return coeffs
 
 
 def format_polynomial(coeffs: Sequence[Fraction], var: str = "t") -> str:

@@ -34,7 +34,6 @@ from cayspec.exactnum import (
     Cyclotomic,
     euler_phi,
     galois_apply,
-    galois_orbit,
     minimal_polynomial,
     unit_group,
 )
@@ -298,35 +297,50 @@ def _gauss_period(n: int, members: Sequence[int], k: int) -> Cyclotomic:
 
 
 def _primitive_search(
-    n: int, members: Sequence[int], degree: int
+    tables: FixingTables, H: UnitSubgroup, degree: int
 ) -> tuple[Optional[Cyclotomic], Optional[tuple[Fraction, ...]]]:
+    """The first candidate whose stabilizer is exactly H, and its minimal polynomial.
+
+    Candidates are the periods of H, sum of z^(k*h) over h in H for
+    k = 1..n-1, built as they are reached, and then small integer
+    combinations of two periods.  Each is fixed by H by construction, so its
+    stabilizer is H exactly when the generators of H fix it and no
+    representative of a non-trivial coset of H does.
+    """
+    n = H.modulus
     if degree == 1:
         one = Cyclotomic.one(n)
         return one, minimal_polynomial(one)
-    periods = [_gauss_period(n, members, k) for k in range(1, n)]
+    _, generators, reps = _coset_form(tables, H.members)
 
     def candidates():
-        yield from periods
+        periods = []
+        for k in range(1, n):
+            periods.append(_gauss_period(n, H.members, k))
+            yield periods[-1]
         for i in range(len(periods)):
             for j in range(i + 1, len(periods)):
                 for c in range(1, 9):
                     yield periods[i] + periods[j] * c
 
     for x in candidates():
-        if len(galois_orbit(x)) == degree:
+        if all(galois_apply(h, x) == x for h, _ in generators) and all(
+            galois_apply(h, x) != x for h, _ in reps
+        ):
             poly = minimal_polynomial(x)
             if len(poly) - 1 != degree:
                 raise InternalInconsistency(
-                    "orbit size and minimal polynomial degree disagree"
+                    f"coset route: {x} has stabilizer {H.members}, but its Galois "
+                    f"orbit has {len(poly) - 1} elements, not {degree}"
                 )
             return x, poly
     return None, None
 
 
-def _field_of(H: UnitSubgroup) -> FieldReport:
+def _field_of(tables: FixingTables, H: UnitSubgroup) -> FieldReport:
     n = H.modulus
     degree = euler_phi(n) // len(H)
-    primitive, poly = _primitive_search(n, H.members, degree)
+    primitive, poly = _primitive_search(tables, H, degree)
     return FieldReport(
         modulus=n,
         fixing_subgroup=H,
@@ -343,7 +357,7 @@ def splitting_field(f: ColourFunction) -> FieldReport:
     k = 1..n-1 and then small integer combinations of two periods; the first
     candidate whose Galois orbit has exactly `degree` distinct images wins.
     """
-    return _field_of(fixing_subgroup(f))
+    return _field_of(fixing_tables(f.group), fixing_subgroup(f))
 
 
 def verify_fixing_subgroup_equals_stabilizers(
@@ -478,7 +492,7 @@ def distance_report(S: ConnectionMultiset) -> DistanceReport:
     """
     layering, H = distance_fixing_subgroup(S)
     G = S.group
-    field = _field_of(H)
+    field = _field_of(fixing_tables(G), H)
     spectrum = None
     if has_character_table(G):
         table = character_table(G)

@@ -2,24 +2,26 @@
 
 Character tables are built for the cyclic, product-of-cyclic and dihedral
 families; each distinct character value is built once and shared by every
-cell that takes it.  The eigenvalue of each irreducible row is the
-class-weighted character sum divided by the row degree, built as one
-rational combination of the row's residues and carried with multiplicity
-degree squared; its realness is tested exactly, as invariance under complex
-conjugation.  The oracle diagonalizes the explicit adjacency matrix with
-cyclic Jacobi rotations and never touches the character machinery.
+cell that takes it, and each table knows how the Galois group permutes its
+rows.  The eigenvalue of each irreducible row is the class-weighted character
+sum divided by the row degree, carried with multiplicity degree squared: it
+is built as one rational combination of residues for one row per Galois
+orbit, and as that value's Galois image for the other rows.  Its realness is
+tested exactly, as invariance under complex conjugation.  The oracle
+diagonalizes the explicit adjacency matrix with cyclic Jacobi rotations and
+never touches the character machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from cayspec._kernels import symmetric_eigenvalues
 from cayspec.colour import ColourFunction, class_weight_vector
 from cayspec.errors import InternalInconsistency, UnsupportedFamily
-from cayspec.exactnum import Cyclotomic, galois_apply
+from cayspec.exactnum import Cyclotomic, galois_apply, unit_group
 from cayspec.groups import Group, ConjugacyClassPartition, conjugacy_classes
 
 MATCH_TOL = 1e-8
@@ -36,18 +38,28 @@ class CharacterRow:
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """All irreducible characters of a group, with values in the order-|G| field."""
+    """All irreducible characters of a group, with values in the order-|G| field.
+
+    `row_orbits` holds the orbits of the rows under the Galois group, each as
+    (row, h) pairs, representative first with h = 1: sigma_h, which sends z to
+    z^h, maps the representative's row to that row.
+    """
 
     group: Group
     partition: ConjugacyClassPartition
     conductor: int
     rows: tuple[CharacterRow, ...]
+    row_orbits: tuple[tuple[tuple[int, int], ...], ...]
 
     def value(self, row: int, element: int) -> Cyclotomic:
         return self.rows[row].values[self.partition.class_of[element]]
 
 
-def _finish_table(G: Group, rows: list[CharacterRow]) -> CharacterTable:
+def _finish_table(
+    G: Group, rows: list[CharacterRow], row_image: Callable[[int, int], int]
+) -> CharacterTable:
+    """Validate the rows and group them into Galois orbits, where row_image(h, r)
+    is the index of the row that sigma_h maps row r to."""
     part = conjugacy_classes(G)
     if len(rows) != len(part.classes):
         raise InternalInconsistency(
@@ -55,7 +67,26 @@ def _finish_table(G: Group, rows: list[CharacterRow]) -> CharacterTable:
         )
     if sum(r.degree**2 for r in rows) != G.order:
         raise InternalInconsistency("degree squares do not sum to the group order")
-    return CharacterTable(group=G, partition=part, conductor=G.order, rows=tuple(rows))
+    units = unit_group(G.order).units
+    placed = [False] * len(rows)
+    orbits = []
+    for r in range(len(rows)):
+        if placed[r]:
+            continue
+        orbit = []
+        for h in units:
+            image = row_image(h, r)
+            if not placed[image]:
+                placed[image] = True
+                orbit.append((image, h))
+        orbits.append(tuple(orbit))
+    return CharacterTable(
+        group=G,
+        partition=part,
+        conductor=G.order,
+        rows=tuple(rows),
+        row_orbits=tuple(orbits),
+    )
 
 
 def _mixed_radix(index: int, orders: Sequence[int]) -> list[int]:
@@ -70,7 +101,8 @@ def char_table_abelian(G: Group) -> CharacterTable:
 
     A cyclic group of order n is the one-factor case: row j takes k to
     z^(jk).  Values are expressed as powers of the order-|G| root of unity
-    through the embedding z_m = z_N^(N/m).
+    through the embedding z_m = z_N^(N/m).  sigma_h maps the row with
+    coordinates u to the row with coordinates h*u, reduced modulo each factor.
     """
     orders = G.cyclic_orders
     if orders is None:
@@ -82,18 +114,29 @@ def char_table_abelian(G: Group) -> CharacterTable:
     rep_coords = [_mixed_radix(rep, orders) for rep in part.representatives]
     roots = [Cyclotomic.from_exponents(N, {e: 1}) for e in range(N)]
     rows = []
-    for j in range(N):
-        u = _mixed_radix(j, orders)
+    row_coords = [_mixed_radix(j, orders) for j in range(N)]
+    for j, u in enumerate(row_coords):
         values = tuple(
             roots[sum((N // m) * ui * xi for m, ui, xi in zip(orders, u, coords)) % N]
             for coords in rep_coords
         )
         rows.append(CharacterRow(label=f"chi{j}", degree=1, values=values))
-    return _finish_table(G, rows)
+
+    def row_image(h: int, j: int) -> int:
+        index = 0
+        for m, ui in zip(orders, row_coords[j]):
+            index = index * m + h * ui % m
+        return index
+
+    return _finish_table(G, rows, row_image)
 
 
 def char_table_dihedral(G: Group) -> CharacterTable:
-    """Linear plus two-dimensional characters of the dihedral group of order 2m."""
+    """Linear plus two-dimensional characters of the dihedral group of order 2m.
+
+    The linear rows are rational, so every sigma_h fixes them; sigma_h maps
+    dim2_j, whose values are z^(2kj) + z^(-2kj), to dim2_{hj mod m} up to sign.
+    """
     if G.family != "dihedral":
         raise UnsupportedFamily(f"expected a dihedral group, got {G.family}")
     m = G.order // 2
@@ -136,7 +179,15 @@ def char_table_dihedral(G: Group) -> CharacterTable:
             for eps, k in map(decode, part.representatives)
         )
         rows.append(CharacterRow(label=f"dim2_{h}", degree=2, values=values))
-    return _finish_table(G, rows)
+    linear = len(rows) - h_max
+
+    def row_image(h: int, r: int) -> int:
+        if r < linear:
+            return r
+        j = h * (r - linear + 1) % m
+        return linear + min(j, m - j) - 1
+
+    return _finish_table(G, rows, row_image)
 
 
 def character_table(G: Group) -> CharacterTable:
@@ -192,28 +243,39 @@ def spectrum_exact(f: ColourFunction, table: CharacterTable) -> Spectrum:
     """One eigenvalue per irreducible with multiplicity its degree squared.
 
     The eigenvalue of a row of degree d is sum over classes of
-    ((class size) * f / d) * (character value), built as one rational
-    combination of the row's canonical residues; equal values across rows
-    are merged.  Each eigenvalue must be fixed by complex conjugation
+    ((class size) * f / d) * (character value).  It is built as one rational
+    combination of canonical residues for the first row of each Galois orbit
+    of rows; since f is rational, sigma_h of that value is the eigenvalue of
+    the row sigma_h maps the first row to.  Equal values across rows are
+    merged.  Each distinct eigenvalue must be fixed by complex conjugation
     (z -> z^(n-1)), an exact realness test.
     """
     if table.group is not f.group:
         raise ValueError("colour function and character table disagree on the group")
     n = f.group.order
     weights = class_weight_vector(f)
-    per_irr = []
-    merged: dict[Cyclotomic, int] = {}
-    for row in table.rows:
-        lam = Cyclotomic.linear_combination(
+    values: list[Optional[Cyclotomic]] = [None] * len(table.rows)
+    for (first, _), *rest in table.row_orbits:
+        row = table.rows[first]
+        lam = values[first] = Cyclotomic.linear_combination(
             n,
             [(w / row.degree, chi) for w, chi in zip(weights, row.values) if w],
         )
-        if galois_apply(n - 1, lam) != lam:
-            raise InternalInconsistency(
-                f"eigenvalue {lam} of {row.label} is not real: complex conjugation moves it"
-            )
+        for r, h in rest:
+            values[r] = galois_apply(h, lam)
+    per_irr = []
+    merged: dict[Cyclotomic, int] = {}
+    for row, lam in zip(table.rows, values):
+        count = merged.get(lam)
+        if count is None:
+            if galois_apply(n - 1, lam) != lam:
+                raise InternalInconsistency(
+                    f"eigenvalue {lam} of {row.label} is not real: "
+                    "complex conjugation moves it"
+                )
+            count = 0
         per_irr.append((row.label, row.degree, lam))
-        merged[lam] = merged.get(lam, 0) + row.degree**2
+        merged[lam] = count + row.degree**2
     pairs = tuple(
         sorted(
             merged.items(),

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cayspec.exactnum as ex
-from cayspec.errors import CoefficientBudgetExceeded, NotAUnit
+from cayspec.cli import main
+from cayspec.errors import CoefficientBudgetExceeded, InternalInconsistency, NotAUnit
 from cayspec.exactnum import (
     Cyclotomic,
     cyclotomic_polynomial,
@@ -17,6 +18,7 @@ from cayspec.exactnum import (
     stabilizer,
     unit_group,
 )
+from conftest import instance_path
 
 
 def poly_mul(a, b):
@@ -92,6 +94,80 @@ def test_minimal_polynomial_examples():
     assert minimal_polynomial(sqrt2) == (Fraction(-2), Fraction(0), Fraction(1))
     rational = Cyclotomic.from_rational(8, Fraction(3, 5))
     assert minimal_polynomial(rational) == (Fraction(-3, 5), Fraction(1))
+
+
+def reference_orbit(x):
+    # The list scan galois_orbit replaced: each image against every earlier one.
+    seen = []
+    for h in unit_group(x.conductor).units:
+        img = galois_apply(h, x)
+        if img not in seen:
+            seen.append(img)
+    return tuple(seen)
+
+
+def reference_minimal_polynomial(x):
+    # The orbit-product expansion the trace route replaced: prod (t - v) over
+    # the Galois orbit, d(d+1)/2 products.
+    n = x.conductor
+    coeffs = [Cyclotomic.one(n)]
+    for v in reference_orbit(x):
+        nxt = [Cyclotomic.zero(n) for _ in range(len(coeffs) + 1)]
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i] = nxt[i] - c * v
+        coeffs = nxt
+    assert all(c.is_rational() for c in coeffs)
+    return tuple(c.rational_value() for c in coeffs)
+
+
+def minpoly_cases(n):
+    """Rational values, and values with negative and fractional coefficients.
+
+    Above phi(n) = 16 the values are combinations of periods of the subgroup
+    {1, u, -u, -1}, with u^2 = 1, which keeps the orbits, and the reference
+    expansion, small.
+    """
+    rng = random.Random(n)
+
+    def coeff():
+        return Fraction(rng.choice([-5, -3, -1, 1, 2, 7]), rng.choice([1, 2, 3, 9]))
+
+    cases = [Cyclotomic.from_rational(n, Fraction(-7, 3)), Cyclotomic.from_rational(n, 0)]
+    units = unit_group(n).units
+    if len(units) <= 16:
+        for size in (1, 2, 4):
+            cases.append(Cyclotomic.from_exponents(n, {rng.randrange(n): coeff() for _ in range(size)}))
+        return cases
+    u = next(u for u in units[1:-1] if u * u % n == 1)
+    H = (1, u, n - u, n - 1)
+    for size in (1, 2, 3):
+        exps = {}
+        for k in rng.sample(range(1, n), size):
+            c = coeff()
+            for h in H:
+                exps[k * h % n] = exps.get(k * h % n, 0) + c
+        cases.append(Cyclotomic.from_exponents(n, exps))
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 10, 15, 16, 21, 48, 60, 105, 128])
+def test_minimal_polynomial_matches_orbit_product(n):
+    for x in minpoly_cases(n):
+        assert galois_orbit(x) == reference_orbit(x)
+        assert minimal_polynomial(x) == reference_minimal_polynomial(x), x
+
+
+def test_horner_check_sees_wrong_traces(monkeypatch, capsys):
+    # Ramanujan sums off by one: the power sums, and so the polynomial, are
+    # wrong, and the Horner evaluation at x must refuse it (exit 3).
+    real = ex._ramanujan_sums
+    monkeypatch.setattr(ex, "_ramanujan_sums", lambda n: tuple(c + 1 for c in real(n)))
+    sqrt2 = Cyclotomic.from_exponents(16, {2: 1, 14: 1})
+    with pytest.raises(InternalInconsistency, match="trace route: .* Horner"):
+        minimal_polynomial(sqrt2)
+    assert main(["degree", instance_path("d5_s1.txt")]) == 3
+    assert "trace route" in capsys.readouterr().err
 
 
 def horner(coeffs, x):

@@ -7,16 +7,26 @@ import pytest
 
 import cayspec.galois as galois_mod
 import cayspec.search as search_mod
+import cayspec.spectra as spectra_mod
 from cayspec.cli import main
 from cayspec.colour import ConnectionMultiset, colour_from_multiset, colour_from_values
 from cayspec.errors import HypothesisFails, InternalInconsistency, NotAUnit
-from cayspec.exactnum import Cyclotomic, euler_phi, galois_apply, unit_group
+from cayspec.exactnum import (
+    Cyclotomic,
+    euler_phi,
+    galois_apply,
+    galois_orbit,
+    minimal_polynomial,
+    unit_group,
+)
 from cayspec.galois import (
     _gauss_period,
+    _primitive_search,
     algebraic_degree,
     close_generators,
     distance_report,
     fixing_subgroup,
+    fixing_tables,
     full_unit_subgroup,
     integrality_verdict,
     is_algebraically_integral_over,
@@ -332,6 +342,55 @@ def test_layer_sum_form_raises_on_injected_mismatch(monkeypatch, capsys):
     assert "chi0 is 6, the character sum gives 7" in str(info.value)
     assert main(["distance", instance_path("z5_pentagon.txt")]) == 3
     assert "internal inconsistency" in capsys.readouterr().err
+
+
+def test_orbit_image_units_checked_by_the_layer_sum(monkeypatch, capsys):
+    # Each orbit image built with the square of the right unit: on Z5 chi2
+    # gets sigma_4 of chi1's eigenvalue, which is chi1's own, and the layered
+    # character sum must refuse it (exit 3).
+    real = spectra_mod.galois_apply
+    monkeypatch.setattr(
+        spectra_mod, "galois_apply", lambda h, x: real(h * h % x.conductor, x)
+    )
+    pentagon = ConnectionMultiset.from_elements(make_cyclic(5), [1, 4])
+    with pytest.raises(InternalInconsistency, match="layered distance eigenvalue of chi2"):
+        distance_report(pentagon)
+    assert main(["distance", instance_path("z5_pentagon.txt")]) == 3
+    assert "internal inconsistency" in capsys.readouterr().err
+
+
+def reference_primitive_search(n, members, degree):
+    # The search the coset test replaced: every period built up front, each
+    # candidate accepted on the size of its whole Galois orbit.
+    if degree == 1:
+        return Cyclotomic.one(n)
+    periods = [_gauss_period(n, members, k) for k in range(1, n)]
+
+    def candidates():
+        yield from periods
+        for i in range(len(periods)):
+            for j in range(i + 1, len(periods)):
+                for c in range(1, 9):
+                    yield periods[i] + periods[j] * c
+
+    return next((x for x in candidates() if len(galois_orbit(x)) == degree), None)
+
+
+@pytest.mark.parametrize("G", [make_cyclic(16), make_cyclic(24), make_dihedral(15), make_cyclic(60)],
+                         ids=lambda G: f"{G.family}{G.order}")
+def test_primitive_search_matches_orbit_reference(G):
+    n = G.order
+    tables = fixing_tables(G)
+    units = unit_group(n).units
+    subgroups = {close_generators(n, [u]).members for u in units}
+    subgroups |= {close_generators(n, [u, n - 1]).members for u in units}
+    for members in sorted(subgroups):
+        H = unit_subgroup(n, members)
+        degree = euler_phi(n) // len(H)
+        x, poly = _primitive_search(tables, H, degree)
+        assert x is not None
+        assert x == reference_primitive_search(n, members, degree), members
+        assert poly == minimal_polynomial(x)
 
 
 def test_shadow_containment_raises_on_injected_mismatch(monkeypatch):

@@ -5,9 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from cayspec.colour import ConnectionMultiset, colour_from_multiset, colour_from_values
+import cayspec.spectra as spectra_mod
+from cayspec.cli import main
+from cayspec.colour import (
+    ConnectionMultiset,
+    class_weight_vector,
+    colour_from_multiset,
+    colour_from_values,
+)
 from cayspec.errors import InternalInconsistency, UnsupportedFamily
-from cayspec.exactnum import Cyclotomic
+from cayspec.exactnum import Cyclotomic, galois_apply, unit_group
 from cayspec.groups import (
     make_cyclic,
     make_dihedral,
@@ -23,7 +30,7 @@ from cayspec.spectra import (
     spectrum_exact,
     spectrum_numeric,
 )
-from conftest import d5_s1, d5_s2, d8_alpha, d8_beta, random_class_function
+from conftest import d5_s1, d5_s2, d8_alpha, d8_beta, instance_path, random_class_function
 
 
 def check_row_orthogonality(table):
@@ -211,6 +218,74 @@ def test_spectrum_exact_rejects_non_real_eigenvalue():
     with pytest.raises(InternalInconsistency, match="chi0 is not real"):
         spectrum_exact(f, dataclasses.replace(table, rows=rows))
     spectrum_exact(f, table)
+
+
+def reference_spectrum(f, table):
+    # The per-row loop the Galois orbits replaced: one character sum and one
+    # realness test per row.
+    n = f.group.order
+    weights = class_weight_vector(f)
+    per_irr = []
+    merged = {}
+    for row in table.rows:
+        lam = Cyclotomic.linear_combination(
+            n, [(w / row.degree, chi) for w, chi in zip(weights, row.values) if w]
+        )
+        assert galois_apply(n - 1, lam) == lam
+        per_irr.append((row.label, row.degree, lam))
+        merged[lam] = merged.get(lam, 0) + row.degree**2
+    pairs = tuple(
+        sorted(merged.items(), key=lambda item: (-item[0].real_embedding(), item[0].coeffs))
+    )
+    return pairs, tuple(per_irr)
+
+
+def orbit_groups():
+    c = make_cyclic
+    return [
+        c(1), c(2), c(12), c(64),
+        make_product(c(4), c(6)),
+        make_product(c(3), c(8)),
+        make_product(make_product(c(2), c(2)), c(3)),
+    ] + [make_dihedral(m) for m in (3, 4, 5, 6, 8, 16)]
+
+
+def group_id(G):
+    if G.cyclic_orders is None:
+        return f"dihedral{G.order // 2}"
+    return "x".join(map(str, G.cyclic_orders))
+
+
+@pytest.mark.parametrize("G", orbit_groups(), ids=group_id)
+def test_spectrum_orbits_match_per_row_reference(G):
+    table = character_table(G)
+    rows = [r for orbit in table.row_orbits for r, _ in orbit]
+    assert sorted(rows) == list(range(len(table.rows)))
+    if G.order <= 32:
+        # Each orbit is the whole Galois orbit of its first row, and sigma_h
+        # maps the first row's values to row r's.
+        units = unit_group(G.order).units
+        for (first, _), *rest in table.row_orbits:
+            values = table.rows[first].values
+            fixing = [h for h in units if tuple(galois_apply(h, v) for v in values) == values]
+            assert (len(rest) + 1) * len(fixing) == len(units)
+            for r, h in rest:
+                assert table.rows[r].values == tuple(galois_apply(h, v) for v in values)
+    rng = random.Random(G.order)
+    colours = [random_class_function(G, rng) for _ in range(3)]
+    colours.append(colour_from_values(G, {g: 1 for g in range(1, G.order)}))
+    for f in colours:
+        spec = spectrum_exact(f, table)
+        assert (spec.pairs, spec.per_irreducible) == reference_spectrum(f, table)
+
+
+def test_orbit_images_checked_by_the_numeric_oracle(monkeypatch, capsys):
+    # Every row's eigenvalue wrongly its orbit representative's own value:
+    # on D8 dim2_3 takes dim2_1's sqrt 2 term unchanged, and the Jacobi
+    # cross-check must refuse the spectrum (exit 3).
+    monkeypatch.setattr(spectra_mod, "galois_apply", lambda h, x: x)
+    assert main(["spectrum", instance_path("d8_alpha.txt")]) == 3
+    assert "spectrum.match = false" in capsys.readouterr().out
 
 
 def test_character_table_dispatch_unsupported():
