@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -33,6 +32,7 @@ from cayspec.errors import (
 )
 from cayspec.exactnum import euler_phi, format_polynomial
 from cayspec.galois import (
+    check_fixing_subgroup_equals_stabilizers,
     close_generators,
     distance_report,
     integrality_verdict,
@@ -61,17 +61,36 @@ from cayspec.spectra import (
 # -- instance files ----------------------------------------------------------
 
 
-@dataclass
 class InstanceDocument:
     """A parsed instance: the group plus one colour or connection section."""
 
-    group_kind: str
-    group_params: dict[str, str]
-    group: Group
-    kind: str  # "colour" | "connection"
-    colour: Optional[ColourFunction] = None
-    connection: Optional[ConnectionMultiset] = None
-    echo_entries: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = (
+        "group_kind",
+        "group_params",
+        "group",
+        "kind",
+        "colour",
+        "connection",
+        "echo_entries",
+    )
+
+    def __init__(
+        self,
+        group_kind: str,
+        group_params: dict[str, str],
+        group: Group,
+        kind: str,  # "colour" | "connection"
+        colour: Optional[ColourFunction] = None,
+        connection: Optional[ConnectionMultiset] = None,
+        echo_entries: Optional[list[tuple[str, str]]] = None,
+    ):
+        self.group_kind = group_kind
+        self.group_params = group_params
+        self.group = group
+        self.kind = kind
+        self.colour = colour
+        self.connection = connection
+        self.echo_entries = [] if echo_entries is None else echo_entries
 
     def canonical_text(self) -> str:
         lines = ["[group]", "kind = " + self.group_kind]
@@ -429,6 +448,7 @@ def cmd_spectrum(doc: InstanceDocument) -> tuple[Report, int]:
     exact = None
     if has_character_table(doc.group):
         exact = spectrum_exact(f, character_table(doc.group))
+        check_fixing_subgroup_equals_stabilizers(f, exact)
         _spectrum_section(report, exact)
     else:
         print(
@@ -471,6 +491,7 @@ def cmd_degree(doc: InstanceDocument) -> tuple[Report, int]:
     exact = None
     if has_character_table(doc.group):
         exact = spectrum_exact(f, character_table(doc.group))
+        check_fixing_subgroup_equals_stabilizers(f, exact)
     verdict = integrality_verdict(f, exact)
     report.put("verdict.rational", verdict.rational)
     report.put("verdict.integral", "undetermined" if verdict.integral is None else verdict.integral)

@@ -8,9 +8,8 @@ and graph-distance functions are the two special constructors.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from cayspec.errors import Disconnected, NotClassFunction, NotNormal, NotSymmetric
 from cayspec.exactnum import as_fraction
@@ -145,8 +144,7 @@ def colour_from_multiset(S: ConnectionMultiset) -> ColourFunction:
     return ColourFunction(S.group, tuple(Fraction(m) for m in S.multiplicity))
 
 
-@dataclass(frozen=True)
-class DistanceLayering:
+class DistanceLayering(NamedTuple):
     """Word-length function of a connection set together with its layer partition."""
 
     colour: ColourFunction

@@ -10,7 +10,6 @@ need.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -385,12 +384,35 @@ class Cyclotomic:
         return f"Cyclotomic({self.conductor}, {self})"
 
 
-@dataclass(frozen=True)
 class UnitGroup:
-    """A set of units modulo n; the full group or the subgroup fixing a value."""
+    """A set of units modulo n; the full group or the subgroup fixing a value.
 
-    modulus: int
-    units: tuple[int, ...]
+    Immutable, and equal and hashed by value: `unit_group` shares one
+    instance between all its callers.
+    """
+
+    __slots__ = ("modulus", "units")
+
+    def __init__(self, modulus: int, units: tuple[int, ...]):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "units", units)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UnitGroup is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return UnitGroup, (self.modulus, self.units)
+
+    def __eq__(self, other):
+        if not isinstance(other, UnitGroup):
+            return NotImplemented
+        return self.modulus == other.modulus and self.units == other.units
+
+    def __hash__(self):
+        return hash((self.modulus, self.units))
+
+    def __repr__(self):
+        return f"UnitGroup(modulus={self.modulus!r}, units={self.units!r})"
 
     def __contains__(self, h: int) -> bool:
         return h in self.units

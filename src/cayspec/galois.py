@@ -16,11 +16,10 @@ move them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from cayspec.colour import (
     ColourFunction,
@@ -49,13 +48,43 @@ from cayspec.spectra import (
 INTEGER_ROUNDING_TOL = 1e-6
 
 
-@dataclass(frozen=True)
 class UnitSubgroup:
-    """A subgroup of the units modulo n, with a best-effort short generator list."""
+    """A subgroup of the units modulo n, with a best-effort short generator list.
 
-    modulus: int
-    members: tuple[int, ...]
-    generators: tuple[int, ...]
+    Immutable, and equal and hashed by value: `FixingTables.coset_forms`
+    caches one instance per fixing subgroup.
+    """
+
+    __slots__ = ("modulus", "members", "generators")
+
+    def __init__(self, modulus: int, members: tuple[int, ...], generators: tuple[int, ...]):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "generators", generators)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UnitSubgroup is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return UnitSubgroup, (self.modulus, self.members, self.generators)
+
+    def __eq__(self, other):
+        if not isinstance(other, UnitSubgroup):
+            return NotImplemented
+        return (
+            self.modulus == other.modulus
+            and self.members == other.members
+            and self.generators == other.generators
+        )
+
+    def __hash__(self):
+        return hash((self.modulus, self.members, self.generators))
+
+    def __repr__(self):
+        return (
+            f"UnitSubgroup(modulus={self.modulus!r}, members={self.members!r}, "
+            f"generators={self.generators!r})"
+        )
 
     def __contains__(self, h: int) -> bool:
         return h in self.members
@@ -272,8 +301,7 @@ def algebraic_degree(f: ColourFunction) -> int:
     return euler_phi(n) // len(fixing_subgroup(f))
 
 
-@dataclass(frozen=True)
-class FieldReport:
+class FieldReport(NamedTuple):
     """A splitting field described by its fixing subgroup of units.
 
     The primitive element is best-effort: present only when a candidate with
@@ -360,20 +388,41 @@ def splitting_field(f: ColourFunction) -> FieldReport:
     return _field_of(fixing_tables(f.group), fixing_subgroup(f))
 
 
-def verify_fixing_subgroup_equals_stabilizers(
-    f: ColourFunction, spectrum: Spectrum
-) -> bool:
-    """Check that the eigenvalue stabilizers intersect in exactly the fixing
-    subgroup H of f, in coset form: the generators of H fix every distinct
-    eigenvalue, and one representative of each non-trivial coset of H moves
-    at least one.  H is a validated subgroup, so this pins the intersection
-    down."""
+def _stabilizer_split(f: ColourFunction, spectrum: Spectrum) -> Optional[str]:
+    """Where the eigenvalue stabilizers and the fixing subgroup H of f part,
+    or None when they agree; checked in coset form: the generators of H fix
+    every distinct eigenvalue, and one representative of each non-trivial
+    coset of H moves at least one.  H is a validated subgroup, so this pins
+    the intersection of the stabilizers down."""
     H = fixing_subgroup(f)
     _, generators, reps = _coset_form(fixing_tables(f.group), H.members)
     values = [value for value, _ in spectrum.pairs]
-    return all(
-        galois_apply(h, value) == value for h, _ in generators for value in values
-    ) and all(any(galois_apply(h, value) != value for value in values) for h, _ in reps)
+    for h, _ in generators:
+        for value in values:
+            if galois_apply(h, value) != value:
+                return f"unit {h} fixes the colour function but moves the eigenvalue {value}"
+    for h, _ in reps:
+        if all(galois_apply(h, value) == value for value in values):
+            return f"unit {h} moves the colour function but fixes every eigenvalue"
+    return None
+
+
+def verify_fixing_subgroup_equals_stabilizers(
+    f: ColourFunction, spectrum: Spectrum
+) -> bool:
+    """Whether the eigenvalue stabilizers intersect in exactly the fixing
+    subgroup of f: the paper's main identity."""
+    return _stabilizer_split(f, spectrum) is None
+
+
+def check_fixing_subgroup_equals_stabilizers(
+    f: ColourFunction, spectrum: Spectrum
+) -> None:
+    """Raise InternalInconsistency, naming the unit at which they part, unless
+    the eigenvalue stabilizers intersect in exactly the fixing subgroup of f."""
+    split = _stabilizer_split(f, spectrum)
+    if split is not None:
+        raise InternalInconsistency(f"stabilizer identity: {split}")
 
 
 def is_algebraically_integral_over(f: ColourFunction, H_K: UnitSubgroup) -> bool:
@@ -388,8 +437,7 @@ def is_algebraically_integral_over(f: ColourFunction, H_K: UnitSubgroup) -> bool
     return set(H_K.members) <= set(fixing_subgroup(f).members)
 
 
-@dataclass(frozen=True)
-class IntegralityVerdict:
+class IntegralityVerdict(NamedTuple):
     rational: bool
     integral: Optional[bool]
     method: str
@@ -448,8 +496,7 @@ def distance_fixing_subgroup(
     return layering, fixing_subgroup(layering.colour)
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     """Distance splitting field of a connected normal Cayley graph."""
 
     layering: DistanceLayering

@@ -12,8 +12,7 @@ join each class with the class of its inverses.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from cayspec.errors import ClosureCapExceeded
 
@@ -23,8 +22,7 @@ CLOSURE_CAP = 10000
 MultisetLike = Union[Iterable[int], Mapping[int, int]]
 
 
-@dataclass(frozen=True)
-class ConjugacyClassPartition:
+class ConjugacyClassPartition(NamedTuple):
     """Partition of the element indices into conjugacy classes.
 
     Classes are ordered by their least element, so the identity class comes

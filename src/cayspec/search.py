@@ -17,9 +17,8 @@ processes with a deterministic merge.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from cayspec.colour import ConnectionMultiset
 from cayspec.errors import InternalInconsistency
@@ -36,23 +35,38 @@ def check_order(order: int, limit: int) -> None:
         raise ValueError(f"group order {order} exceeds the search limit {limit}")
 
 
-@dataclass(frozen=True)
 class SearchSpec:
     """What to enumerate: which group, sets or bounded multisets, filters."""
 
-    group: Group
-    mode: str = "sets"
-    multiplicity_cap: int = 3
-    require_connected: bool = False
-    target_degree: Optional[int] = None
-    order_limit: int = DEFAULT_ORDER_LIMIT
+    __slots__ = (
+        "group",
+        "mode",
+        "multiplicity_cap",
+        "require_connected",
+        "target_degree",
+        "order_limit",
+    )
 
-    def __post_init__(self):
-        if self.mode not in ("sets", "multisets"):
-            raise ValueError(f"unknown search mode {self.mode!r}")
-        if self.mode == "multisets" and self.multiplicity_cap < 1:
+    def __init__(
+        self,
+        group: Group,
+        mode: str = "sets",
+        multiplicity_cap: int = 3,
+        require_connected: bool = False,
+        target_degree: Optional[int] = None,
+        order_limit: int = DEFAULT_ORDER_LIMIT,
+    ):
+        if mode not in ("sets", "multisets"):
+            raise ValueError(f"unknown search mode {mode!r}")
+        if mode == "multisets" and multiplicity_cap < 1:
             raise ValueError("multiplicity cap must be at least 1")
-        check_order(self.group.order, self.order_limit)
+        check_order(group.order, order_limit)
+        self.group = group
+        self.mode = mode
+        self.multiplicity_cap = multiplicity_cap
+        self.require_connected = require_connected
+        self.target_degree = target_degree
+        self.order_limit = order_limit
 
     @property
     def radix(self) -> int:
@@ -60,8 +74,7 @@ class SearchSpec:
         return 2 if self.mode == "sets" else self.multiplicity_cap + 1
 
 
-@dataclass(frozen=True)
-class SetRecord:
+class SetRecord(NamedTuple):
     """Classification of one enumerated connection (multi)set."""
 
     index: int
@@ -75,8 +88,7 @@ class SetRecord:
     distance_integral: Optional[bool]
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Records and histograms of one search; the spec says what was searched."""
 
     bundle_count: int
@@ -253,6 +265,8 @@ def classify(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     the merged result is identical for any worker count.  More than
     MAX_CANDIDATES candidates are refused before any is classified.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     G = spec.group
     num_bundles = len(class_bundles(G))
     stop = spec.radix**num_bundles

@@ -14,9 +14,8 @@ never touches the character machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from cayspec._kernels import symmetric_eigenvalues
 from cayspec.colour import ColourFunction, class_weight_vector
@@ -27,8 +26,7 @@ from cayspec.groups import Group, ConjugacyClassPartition, conjugacy_classes
 MATCH_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class CharacterRow:
+class CharacterRow(NamedTuple):
     """One irreducible character: its degree and one exact value per class."""
 
     label: str
@@ -36,8 +34,7 @@ class CharacterRow:
     values: tuple[Cyclotomic, ...]
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """All irreducible characters of a group, with values in the order-|G| field.
 
     `row_orbits` holds the orbits of the rows under the Galois group, each as
@@ -214,8 +211,7 @@ def has_character_table(G: Group) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Exact eigenvalues with multiplicities, distinct and sorted descending.
 
     per_irreducible keeps the unmerged one-eigenvalue-per-character list
@@ -306,8 +302,7 @@ def spectrum_numeric(f: ColourFunction) -> list[float]:
     return symmetric_eigenvalues(rows)
 
 
-@dataclass(frozen=True)
-class SpectrumComparison:
+class SpectrumComparison(NamedTuple):
     matches: bool
     max_deviation: float
     threshold: float

@@ -307,6 +307,20 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
     assert err == "error: out of memory\n"
 
 
+def test_search_refuses_jobs_below_one(capsys, monkeypatch):
+    import cayspec.search as search_mod
+
+    def refuse(*args):
+        raise AssertionError("candidates enumerated before --jobs was checked")
+
+    monkeypatch.setattr(search_mod, "_candidate_vectors", refuse)
+    for jobs in ("0", "-2"):
+        code, out, err = run(capsys, "search", "--group", "cyclic:6", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
 def test_search_bad_group(capsys):
     code, _, err = run(capsys, "search", "--group", "foo")
     assert code == 2
@@ -343,6 +357,43 @@ def test_exact_numeric_mismatch_exits_three(capsys, monkeypatch):
     code, out, _ = run(capsys, "spectrum", instance_path("d8_beta.txt"))
     assert code == 3
     assert machine_block(out)["spectrum.match"] == "false"
+
+
+@pytest.mark.parametrize(
+    "command, name, unit, part",
+    [
+        # One eigenvalue plus z_16, which no unit but 1 fixes: generator 7
+        # of H = {1, 7, 9, 15} moves it.
+        ("spectrum", "d8_alpha.txt", 7, "fixes the colour function but moves"),
+        # Every eigenvalue made rational: unit 3, the representative of the
+        # non-trivial coset of H = {1, 9}, fixes them all.
+        ("degree", "d5_s1.txt", 3, "moves the colour function but fixes every eigenvalue"),
+    ],
+)
+def test_stabilizer_identity_mismatch_exits_three(capsys, monkeypatch, command, name, unit, part):
+    import cayspec.cli as cli_mod
+    from cayspec.exactnum import Cyclotomic
+
+    real = cli_mod.spectrum_exact
+
+    def injected(f, table):
+        spec = real(f, table)
+        n = spec.conductor
+        if command == "spectrum":
+            (value, mult), *rest = spec.pairs
+            pairs = ((value + Cyclotomic.from_exponents(n, {1: 1}), mult), *rest)
+        else:
+            pairs = tuple(
+                (Cyclotomic.from_exponents(n, {0: i}), m) for i, (_, m) in enumerate(spec.pairs)
+            )
+        return spec._replace(pairs=pairs)
+
+    monkeypatch.setattr(cli_mod, "spectrum_exact", injected)
+    code, out, err = run(capsys, command, instance_path(name))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"internal inconsistency: stabilizer identity: unit {unit} ")
+    assert part in err
 
 
 def test_trivial_group_spectrum(capsys, tmp_path):
@@ -428,15 +479,10 @@ def test_tableless_rational_colour_runs_jacobi_once(capsys, monkeypatch, tmp_pat
     )
 
 
-def test_cli_import_loads_no_process_pool():
-    # Only `search --jobs` above 1 starts workers; every other request
-    # should not pay for importing multiprocessing.
+def _loaded_by_cli_import(modules) -> str:
+    """The given modules that `import cayspec.cli` loads, as a printed list."""
     src = str(Path(cayspec.__file__).resolve().parent.parent)
-    code = (
-        "import sys, cayspec.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
-        "if m in sys.modules))"
-    )
+    code = f"import sys, cayspec.cli; print(sorted(m for m in {modules!r} if m in sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -445,4 +491,17 @@ def test_cli_import_loads_no_process_pool():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_no_process_pool():
+    # Only `search --jobs` above 1 starts workers; every other request
+    # should not pay for importing multiprocessing.
+    assert _loaded_by_cli_import(("multiprocessing", "concurrent.futures.process")) == "[]"
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # Every request is a fresh process: `dataclasses` and the `inspect`,
+    # `ast` and `dis` modules it pulls in cost about 10 ms to import, and
+    # each decorated class more to build.
+    assert _loaded_by_cli_import(("dataclasses", "inspect")) == "[]"

@@ -1,4 +1,4 @@
-import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from operator import itemgetter
@@ -13,6 +13,7 @@ from cayspec.colour import ConnectionMultiset, colour_from_multiset, colour_from
 from cayspec.errors import HypothesisFails, InternalInconsistency, NotAUnit
 from cayspec.exactnum import (
     Cyclotomic,
+    UnitGroup,
     euler_phi,
     galois_apply,
     galois_orbit,
@@ -33,12 +34,13 @@ from cayspec.galois import (
     multiset_fixing_subgroup,
     splitting_field,
     transfer_check,
+    UnitSubgroup,
     unit_subgroup,
     verify_fixing_subgroup_equals_stabilizers,
 )
 from cayspec.groups import make_cyclic, make_dihedral, make_from_generators
-from cayspec.search import SearchSpec, classify
-from cayspec.spectra import character_table, spectrum_exact
+from cayspec.search import SearchSpec, SetRecord, classify
+from cayspec.spectra import Spectrum, character_table, spectrum_exact
 from conftest import d5_s1, d5_s2, d8_alpha, d8_beta, instance_path, random_class_function
 
 
@@ -51,6 +53,31 @@ def test_unit_subgroup_validation():
         unit_subgroup(16, [1, 3])  # 3*3 = 9 escapes
     with pytest.raises(ValueError):
         unit_subgroup(16, [3, 9, 11])  # missing 1
+
+
+def test_records_are_values():
+    # Equal fields give equal, equally hashed values; fields cannot be
+    # assigned; SetRecords cross to `--jobs` workers by pickle.
+    G, alpha = d8_alpha()
+    spec = spectrum_exact(alpha, character_table(G))
+    record = classify(SearchSpec(make_cyclic(6))).records[2]
+    H = unit_subgroup(16, [1, 7, 9, 15])
+    cases = [
+        (unit_group(16), UnitGroup(16, unit_group(16).units), "units"),
+        (H, UnitSubgroup(16, (1, 7, 9, 15), (7, 9)), "members"),
+        (record, SetRecord(*record), "degree"),
+        (spec, Spectrum(*spec), "pairs"),
+    ]
+    for value, copy, field in cases:
+        assert value == copy and value is not copy
+        assert hash(value) == hash(copy)
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    assert H != unit_subgroup(16, [1, 15])
+    assert len(unit_group(16)) == 8 and 7 in unit_group(16) and 2 not in unit_group(16)
+    assert len(H) == 4 and 9 in H and 3 not in H
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert pickle.loads(pickle.dumps(H)) == H
 
 
 def test_close_generators():
@@ -333,7 +360,7 @@ def test_layer_sum_form_raises_on_injected_mismatch(monkeypatch, capsys):
     def shifted(f, table):
         spec = real(f, table)
         (label, deg, lam), *rest = spec.per_irreducible
-        return dataclasses.replace(spec, per_irreducible=((label, deg, lam + 1), *rest))
+        return spec._replace(per_irreducible=((label, deg, lam + 1), *rest))
 
     monkeypatch.setattr(galois_mod, "spectrum_exact", shifted)
     pentagon = ConnectionMultiset.from_elements(make_cyclic(5), [1, 4])

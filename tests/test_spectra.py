@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -214,9 +213,9 @@ def test_spectrum_exact_rejects_non_real_eigenvalue():
     weighted = next(ci for ci, rep in enumerate(table.partition.representatives) if rep == 1)
     values = list(table.rows[0].values)
     values[weighted] = Cyclotomic.from_exponents(5, {1: 1})
-    rows = (dataclasses.replace(table.rows[0], values=tuple(values)),) + table.rows[1:]
+    rows = (table.rows[0]._replace(values=tuple(values)),) + table.rows[1:]
     with pytest.raises(InternalInconsistency, match="chi0 is not real"):
-        spectrum_exact(f, dataclasses.replace(table, rows=rows))
+        spectrum_exact(f, table._replace(rows=rows))
     spectrum_exact(f, table)
 
 
