@@ -12,31 +12,25 @@ from cayspec.colour import (
 )
 from cayspec.exactnum import (
     Cyclotomic,
-    UnitGroup,
     cyclotomic_polynomial,
     euler_phi,
     galois_apply,
     galois_orbit,
     minimal_polynomial,
     stabilizer,
-    unit_group,
 )
 from cayspec.galois import (
     DistanceReport,
     FieldReport,
     IntegralityVerdict,
-    UnitSubgroup,
     algebraic_degree,
-    close_generators,
     distance_report,
     fixing_subgroup,
-    full_unit_subgroup,
     integrality_verdict,
     is_algebraically_integral_over,
     multiset_fixing_subgroup,
     splitting_field,
     transfer_check,
-    unit_subgroup,
     verify_fixing_subgroup_equals_stabilizers,
 )
 from cayspec.groups import (
@@ -71,5 +65,6 @@ from cayspec.spectra import (
     spectrum_exact,
     spectrum_numeric,
 )
+from cayspec.units import UnitSubgroup, close_generators, unit_group, unit_subgroup
 
 __version__ = "0.1.0"

@@ -33,7 +33,6 @@ from cayspec.errors import (
 from cayspec.exactnum import euler_phi, format_polynomial
 from cayspec.galois import (
     check_fixing_subgroup_equals_stabilizers,
-    close_generators,
     distance_report,
     integrality_verdict,
     is_algebraically_integral_over,
@@ -56,6 +55,7 @@ from cayspec.spectra import (
     spectrum_exact,
     spectrum_numeric,
 )
+from cayspec.units import close_generators
 
 
 # -- instance files ----------------------------------------------------------

@@ -16,23 +16,13 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from cayspec.errors import CoefficientBudgetExceeded, InternalInconsistency, NotAUnit
+from cayspec.units import UnitSubgroup, unit_group, unit_subgroup
 
 RationalLike = Union[int, str, Fraction]
 
 # Total bits (numerators plus denominators) allowed in one canonical residue.
 # A guardrail against runaway coefficient growth, not a precision limit.
-_DEFAULT_BIT_BUDGET = 1_000_000
-_bit_budget = _DEFAULT_BIT_BUDGET
-
-
-def set_coefficient_bit_budget(bits: int) -> None:
-    """Set the per-value coefficient size guardrail (pass 0 to disable)."""
-    global _bit_budget
-    _bit_budget = int(bits)
-
-
-def get_coefficient_bit_budget() -> int:
-    return _bit_budget
+COEFFICIENT_BIT_BUDGET = 1_000_000
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -159,14 +149,13 @@ def _ramanujan_sums(n: int) -> tuple[int, ...]:
 
 
 def _check_budget(coeffs: tuple[Fraction, ...]) -> None:
-    if not _bit_budget:
-        return
+    budget = COEFFICIENT_BIT_BUDGET
     total = 0
     for c in coeffs:
         total += c.numerator.bit_length() + c.denominator.bit_length()
-        if total > _bit_budget:
+        if total > budget:
             raise CoefficientBudgetExceeded(
-                f"canonical residue exceeds the {_bit_budget}-bit coefficient budget"
+                f"canonical residue exceeds the {budget}-bit coefficient budget"
             )
 
 
@@ -384,55 +373,6 @@ class Cyclotomic:
         return f"Cyclotomic({self.conductor}, {self})"
 
 
-class UnitGroup:
-    """A set of units modulo n; the full group or the subgroup fixing a value.
-
-    Immutable, and equal and hashed by value: `unit_group` shares one
-    instance between all its callers.
-    """
-
-    __slots__ = ("modulus", "units")
-
-    def __init__(self, modulus: int, units: tuple[int, ...]):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "units", units)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"UnitGroup is immutable: cannot set {name!r}")
-
-    def __reduce__(self):
-        return UnitGroup, (self.modulus, self.units)
-
-    def __eq__(self, other):
-        if not isinstance(other, UnitGroup):
-            return NotImplemented
-        return self.modulus == other.modulus and self.units == other.units
-
-    def __hash__(self):
-        return hash((self.modulus, self.units))
-
-    def __repr__(self):
-        return f"UnitGroup(modulus={self.modulus!r}, units={self.units!r})"
-
-    def __contains__(self, h: int) -> bool:
-        return h in self.units
-
-    def __len__(self) -> int:
-        return len(self.units)
-
-
-@lru_cache(maxsize=None)
-def unit_group(n: int) -> UnitGroup:
-    """The multiplicative group of units modulo n.
-
-    For n = 1 the single residue class is labelled 1 so that the group is
-    non-empty and its size matches phi(1).
-    """
-    if n == 1:
-        return UnitGroup(1, (1,))
-    return UnitGroup(n, tuple(h for h in range(1, n) if gcd(h, n) == 1))
-
-
 def galois_apply(h: int, x: Cyclotomic) -> Cyclotomic:
     """Image of x under the field automorphism sending z to z^h (h a unit mod n)."""
     n = x.conductor
@@ -447,16 +387,15 @@ def galois_apply(h: int, x: Cyclotomic) -> Cyclotomic:
     return Cyclotomic._from_scaled(n, acc, D)
 
 
-def stabilizer(x: Cyclotomic) -> UnitGroup:
+def stabilizer(x: Cyclotomic) -> UnitSubgroup:
     """All units h with galois_apply(h, x) == x; always a subgroup."""
-    full = unit_group(x.conductor)
-    fixed = tuple(h for h in full.units if galois_apply(h, x) == x)
-    return UnitGroup(x.conductor, fixed)
+    n = x.conductor
+    return unit_subgroup(n, [h for h in unit_group(n).members if galois_apply(h, x) == x])
 
 
 def galois_orbit(x: Cyclotomic) -> tuple[Cyclotomic, ...]:
     """Distinct images of x under the full unit group, in first-seen order."""
-    return tuple(dict.fromkeys(galois_apply(h, x) for h in unit_group(x.conductor).units))
+    return tuple(dict.fromkeys(galois_apply(h, x) for h in unit_group(x.conductor).members))
 
 
 def minimal_polynomial(x: Cyclotomic) -> tuple[Fraction, ...]:

@@ -5,20 +5,13 @@ function under power pullbacks is exactly the subgroup of the cyclotomic
 Galois group fixing every eigenvalue.  Degrees therefore come from subgroup
 orders, with no eigenvalue computation required.
 
-Every fixing subgroup comes from one routine and is checked by one other.
-`FixingTables`, built once per group, reads a class function on its class
-bundles, which each power map g -> g**h permutes (pi_h): the fixing subgroup
-of a bundle vector v is {h : v o pi_h = v}.  The check shares only the group
-engine: on the values per element, the generators of the subgroup must fix
-them under `power_map` and one representative of each non-trivial coset must
-move them.
+Every fixing subgroup is read off the group's class bundles by the engine in
+`cayspec.units` and checked there on the values per element in coset form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from cayspec.colour import (
@@ -28,15 +21,8 @@ from cayspec.colour import (
     colour_from_multiset,
     distance_layering,
 )
-from cayspec.errors import HypothesisFails, InternalInconsistency, NotAUnit
-from cayspec.exactnum import (
-    Cyclotomic,
-    euler_phi,
-    galois_apply,
-    minimal_polynomial,
-    unit_group,
-)
-from cayspec.groups import Group, class_bundles, power, power_map
+from cayspec.errors import HypothesisFails, InternalInconsistency
+from cayspec.exactnum import Cyclotomic, euler_phi, galois_apply, minimal_polynomial
 from cayspec.spectra import (
     Spectrum,
     character_table,
@@ -44,241 +30,16 @@ from cayspec.spectra import (
     spectrum_exact,
     spectrum_numeric,
 )
+from cayspec.units import (
+    FixingTables,
+    UnitSubgroup,
+    check_coset_form,
+    coset_form,
+    fixing_tables,
+    fixing_units,
+)
 
 INTEGER_ROUNDING_TOL = 1e-6
-
-
-class UnitSubgroup:
-    """A subgroup of the units modulo n, with a best-effort short generator list.
-
-    Immutable, and equal and hashed by value: `FixingTables.coset_forms`
-    caches one instance per fixing subgroup.
-    """
-
-    __slots__ = ("modulus", "members", "generators")
-
-    def __init__(self, modulus: int, members: tuple[int, ...], generators: tuple[int, ...]):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "generators", generators)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"UnitSubgroup is immutable: cannot set {name!r}")
-
-    def __reduce__(self):
-        return UnitSubgroup, (self.modulus, self.members, self.generators)
-
-    def __eq__(self, other):
-        if not isinstance(other, UnitSubgroup):
-            return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.members == other.members
-            and self.generators == other.generators
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.members, self.generators))
-
-    def __repr__(self):
-        return (
-            f"UnitSubgroup(modulus={self.modulus!r}, members={self.members!r}, "
-            f"generators={self.generators!r})"
-        )
-
-    def __contains__(self, h: int) -> bool:
-        return h in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def _closure(n: int, gens: Sequence[int]) -> set[int]:
-    if n == 1:
-        return {1}
-    out = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = (x * g) % n
-            if y not in out:
-                out.add(y)
-                frontier.append(y)
-    return out
-
-
-def _find_generators(n: int, members: tuple[int, ...]) -> tuple[int, ...]:
-    target = set(members)
-    gens: list[int] = []
-    have = {1}
-    for h in members:
-        if h in have:
-            continue
-        gens.append(h)
-        have = _closure(n, gens)
-        if have == target:
-            break
-    return tuple(gens)
-
-
-def unit_subgroup(n: int, members: Sequence[int]) -> UnitSubgroup:
-    """Wrap a member list as a subgroup, validating units and closure."""
-    ms = tuple(sorted(set(members)))
-    full = set(unit_group(n).units)
-    for h in ms:
-        if h not in full:
-            raise NotAUnit(f"{h} is not a unit modulo {n}")
-    if 1 not in ms:
-        raise ValueError("a subgroup of units must contain 1")
-    if n > 1:
-        for a in ms:
-            for b in ms:
-                if (a * b) % n not in ms:
-                    raise ValueError(f"member list not closed: {a}*{b} escapes")
-    return UnitSubgroup(n, ms, _find_generators(n, ms))
-
-
-def close_generators(n: int, gens: Sequence[int]) -> UnitSubgroup:
-    """The subgroup of units modulo n generated by the given unit labels."""
-    for g in gens:
-        if gcd(g, n) != 1:
-            raise NotAUnit(f"{g} is not a unit modulo {n}")
-    if n == 1:
-        return UnitSubgroup(1, (1,), ())
-    reduced = [g % n for g in gens]
-    return unit_subgroup(n, sorted(_closure(n, reduced)))
-
-
-def full_unit_subgroup(n: int) -> UnitSubgroup:
-    return unit_subgroup(n, unit_group(n).units)
-
-
-def _getter(indices: Sequence[int]):
-    """itemgetter that returns a tuple for any number of indices, one included."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda seq: (seq[i],)
-    return itemgetter(*indices)
-
-
-class FixingTables:
-    """What every fixing subgroup of the group is read from, built once.
-
-    With B class bundles, index B stands for the identity, and a class
-    function is read as an extended vector: its value on each bundle, then
-    its value at the identity.  `read_off` maps an extended vector to its
-    per-element tuple.  For h = units[i], pi_h sends each bundle to the
-    bundle that g -> g**h maps it onto (the identity stays put), and
-    `pullbacks[i]` maps an extended vector v to v o pi_h.  `coset_forms`
-    caches, per fixing subgroup, the validated subgroup, (h, pullback on
-    elements) for its generators, and the same for one representative of
-    each non-trivial coset in the units.
-    """
-
-    def __init__(self, G: Group):
-        n = G.order
-        bundles = class_bundles(G)
-        B = len(bundles)
-        bundle_of = [B] * n
-        for b, bundle in enumerate(bundles):
-            for g in bundle:
-                bundle_of[g] = b
-        units = unit_group(n).units
-        # A power map with unit exponent sends classes to classes and
-        # inverses to inverses, so one element shows where a bundle goes.
-        pullbacks = [
-            _getter([bundle_of[power(G, bundle[0], h)] for bundle in bundles] + [B])
-            for h in units
-        ]
-        self.group = G
-        self.bundles = bundles
-        self.bundle_of = tuple(bundle_of)
-        self.read_off = _getter(bundle_of)
-        self.units = units
-        self.pullbacks = tuple(pullbacks)
-        self.coset_forms: dict[tuple[int, ...], tuple] = {}
-
-
-def fixing_tables(G: Group) -> FixingTables:
-    """The group's fixing tables, built on first use and cached on the group."""
-    if G._fixing_tables is None:
-        G._fixing_tables = FixingTables(G)
-    return G._fixing_tables
-
-
-def _fixing_units(tables: FixingTables, extended: tuple) -> tuple[int, ...]:
-    """The units h with v o pi_h = v for the extended vector v, ascending."""
-    return tuple(
-        h
-        for h, pullback in zip(tables.units, tables.pullbacks)
-        if pullback(extended) == extended
-    )
-
-
-def _coset_form(tables: FixingTables, members: tuple[int, ...]) -> tuple:
-    """(subgroup, generators, coset representatives) of a fixing set, each
-    unit paired with its pullback on elements, validating on first sight that
-    the members form a subgroup."""
-    form = tables.coset_forms.get(members)
-    if form is None:
-        G = tables.group
-        n = G.order
-        try:
-            H = unit_subgroup(n, members)
-        except ValueError as err:
-            raise InternalInconsistency(
-                f"bundle route: fixing set {members} is not a subgroup of the "
-                f"units modulo {n} ({err})"
-            ) from None
-        covered = set(members)
-        reps = []
-        for u in tables.units:
-            if u not in covered:
-                reps.append(u)
-                covered.update(u * h % n for h in members)
-        form = tables.coset_forms[members] = (H,) + tuple(
-            tuple((h, _getter(power_map(G, h))) for h in units)
-            for units in (H.generators, reps)
-        )
-    return form
-
-
-def _check_coset_form(
-    tables: FixingTables,
-    label: str,
-    members: tuple[int, ...],
-    extended: tuple,
-    values: tuple,
-) -> UnitSubgroup:
-    """Check on elements that members is the fixing subgroup of a vector.
-
-    `values` is the vector per element; the generators of the subgroup must
-    fix it under the power map and one representative of each non-trivial
-    coset must move it, which together pin the subgroup down.  Returns the
-    validated subgroup.
-    """
-    G = tables.group
-    H, generators, reps = _coset_form(tables, members)
-    for h, pullback in generators:
-        if pullback(values) != values:
-            pm = power_map(G, h)
-            g = next(g for g, gh in enumerate(pm) if values[gh] != values[g])
-            raise InternalInconsistency(
-                f"{label}: the bundle route fixes it by unit {h}, "
-                f"the element route moves it at {G.names[g]} "
-                f"({values[g]} there, {values[pm[g]]} at {G.names[g]}**{h})"
-            )
-    for h, pullback in reps:
-        if pullback(values) == values:
-            moved = tables.pullbacks[tables.units.index(h)](extended)
-            b = next(b for b, m in enumerate(moved) if m != extended[b])
-            raise InternalInconsistency(
-                f"{label}: the bundle route moves it by unit {h} "
-                f"at {G.names[tables.bundles[b][0]]}, the element route finds it "
-                f"fixed at every element"
-            )
-    return H
 
 
 def fixing_subgroup(f: ColourFunction) -> UnitSubgroup:
@@ -291,8 +52,8 @@ def fixing_subgroup(f: ColourFunction) -> UnitSubgroup:
     tables = fixing_tables(f.group)
     values = f.values
     extended = tuple(values[bundle[0]] for bundle in tables.bundles) + (values[0],)
-    members = _fixing_units(tables, extended)
-    return _check_coset_form(tables, "colour function", members, extended, values)
+    members = fixing_units(tables, extended)
+    return check_coset_form(tables, "colour function", members, extended, values)
 
 
 def algebraic_degree(f: ColourFunction) -> int:
@@ -339,7 +100,7 @@ def _primitive_search(
     if degree == 1:
         one = Cyclotomic.one(n)
         return one, minimal_polynomial(one)
-    _, generators, reps = _coset_form(tables, H.members)
+    _, generators, reps = coset_form(tables, H.members)
 
     def candidates():
         periods = []
@@ -395,7 +156,7 @@ def _stabilizer_split(f: ColourFunction, spectrum: Spectrum) -> Optional[str]:
     coset of H moves at least one.  H is a validated subgroup, so this pins
     the intersection of the stabilizers down."""
     H = fixing_subgroup(f)
-    _, generators, reps = _coset_form(fixing_tables(f.group), H.members)
+    _, generators, reps = coset_form(fixing_tables(f.group), H.members)
     values = [value for value, _ in spectrum.pairs]
     for h, _ in generators:
         for value in values:
@@ -457,9 +218,8 @@ def integrality_verdict(
     `spectrum_numeric(f)` passes it as `numeric`, so the matrix is not
     diagonalized twice.
     """
-    n = f.group.order
     H = fixing_subgroup(f)
-    rational = len(H) == len(unit_group(n).units)
+    rational = len(H) == euler_phi(f.group.order)
     integer_case = f.is_integer_valued() and f.values[0] == 0
     if not rational:
         return IntegralityVerdict(False, False, "fixing subgroup is proper")

@@ -79,7 +79,7 @@ class Group:
         self._classes: Optional[ConjugacyClassPartition] = None
         self._power_maps: dict[int, tuple[int, ...]] = {}
         self._char_table = None  # filled lazily by spectra.character_table
-        self._fixing_tables = None  # filled lazily by galois.fixing_tables
+        self._fixing_tables = None  # filled lazily by units.fixing_tables
 
     def __getstate__(self):
         return {**self.__dict__, "_fixing_tables": None}

@@ -5,7 +5,7 @@ conjugacy-class bundles, so a candidate is a vector of bundle multiplicities
 and the search space is (cap+1)^bundles rather than 2^(n-1).
 
 Candidates are classified on bundles.  The fixing subgroup of a vector v
-is {h : v o pi_h = v}, read off the group's `galois.FixingTables` and checked
+is {h : v o pi_h = v}, read off the group's `units.FixingTables` and checked
 there on elements in coset form.  The product of two bundles is a union of
 bundles, kept as a bitmask; connectivity and the word length of every bundle
 come from one breadth-first search over bundle masks, and the distance
@@ -20,10 +20,9 @@ import os
 from itertools import chain, repeat
 from typing import Iterator, NamedTuple, Optional
 
-from cayspec.colour import ConnectionMultiset
 from cayspec.errors import InternalInconsistency
-from cayspec.galois import FixingTables, _check_coset_form, _fixing_units, fixing_tables
 from cayspec.groups import Group, class_bundles
+from cayspec.units import FixingTables, check_coset_form, fixing_tables, fixing_units
 
 DEFAULT_ORDER_LIMIT = 64
 MAX_CANDIDATES = 2**20
@@ -135,6 +134,9 @@ def _candidate_vectors(
 def _multiset_from_vector(
     G: Group, bundles: tuple[tuple[int, ...], ...], vector: tuple[int, ...]
 ) -> ConnectionMultiset:
+    # Imported here: classification never builds a multiset.
+    from cayspec.colour import ConnectionMultiset
+
     counts = [0] * G.order
     for b, mult in enumerate(vector):
         if mult:
@@ -193,29 +195,29 @@ def _classify_one(
     phi = len(tables.units)
     extended = vector + (0,)
     multiplicity = tables.read_off(extended)
-    H = _fixing_units(tables, extended)
+    H = fixing_units(tables, extended)
     degree = phi // len(H)
     simple = max(vector) <= 1
     if not simple:
         # Dropping repeats can only grow the fixing subgroup, so the simple
         # graph's degree divides the multigraph's.
         shadow = tuple(min(m, 1) for m in extended)
-        shadow_H = _fixing_units(tables, shadow)
+        shadow_H = fixing_units(tables, shadow)
         if not set(H) <= set(shadow_H):
             raise InternalInconsistency(
                 f"set {index}: multiset fixing subgroup escapes its shadow's "
                 f"fixing subgroup"
             )
-        _check_coset_form(
+        check_coset_form(
             tables, f"set {index}, shadow vector", shadow_H, shadow, tables.read_off(shadow)
         )
-    _check_coset_form(tables, f"set {index}, multiplicity vector", H, extended, multiplicity)
+    check_coset_form(tables, f"set {index}, multiplicity vector", H, extended, multiplicity)
     lengths = _word_lengths(products, extended)
     distance_degree = None
     distance_integral = None
     if lengths is not None:
-        H_prime = _fixing_units(tables, lengths)
-        _check_coset_form(
+        H_prime = fixing_units(tables, lengths)
+        check_coset_form(
             tables, f"set {index}, word-length vector", H_prime, lengths, tables.read_off(lengths)
         )
         distance_degree = phi // len(H_prime)

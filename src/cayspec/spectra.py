@@ -20,8 +20,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from cayspec._kernels import symmetric_eigenvalues
 from cayspec.colour import ColourFunction, class_weight_vector
 from cayspec.errors import InternalInconsistency, UnsupportedFamily
-from cayspec.exactnum import Cyclotomic, galois_apply, unit_group
+from cayspec.exactnum import Cyclotomic, galois_apply
 from cayspec.groups import Group, ConjugacyClassPartition, conjugacy_classes
+from cayspec.units import unit_group
 
 MATCH_TOL = 1e-8
 
@@ -64,7 +65,7 @@ def _finish_table(
         )
     if sum(r.degree**2 for r in rows) != G.order:
         raise InternalInconsistency("degree squares do not sum to the group order")
-    units = unit_group(G.order).units
+    units = unit_group(G.order).members
     placed = [False] * len(rows)
     orbits = []
     for r in range(len(rows)):

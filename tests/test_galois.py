@@ -8,39 +8,34 @@ import pytest
 import cayspec.galois as galois_mod
 import cayspec.search as search_mod
 import cayspec.spectra as spectra_mod
+import cayspec.units as units_mod
 from cayspec.cli import main
 from cayspec.colour import ConnectionMultiset, colour_from_multiset, colour_from_values
 from cayspec.errors import HypothesisFails, InternalInconsistency, NotAUnit
 from cayspec.exactnum import (
     Cyclotomic,
-    UnitGroup,
     euler_phi,
     galois_apply,
     galois_orbit,
     minimal_polynomial,
-    unit_group,
 )
 from cayspec.galois import (
     _gauss_period,
     _primitive_search,
     algebraic_degree,
-    close_generators,
     distance_report,
     fixing_subgroup,
-    fixing_tables,
-    full_unit_subgroup,
     integrality_verdict,
     is_algebraically_integral_over,
     multiset_fixing_subgroup,
     splitting_field,
     transfer_check,
-    UnitSubgroup,
-    unit_subgroup,
     verify_fixing_subgroup_equals_stabilizers,
 )
 from cayspec.groups import make_cyclic, make_dihedral, make_from_generators
 from cayspec.search import SearchSpec, SetRecord, classify
 from cayspec.spectra import Spectrum, character_table, spectrum_exact
+from cayspec.units import UnitSubgroup, close_generators, fixing_tables, unit_group, unit_subgroup
 from conftest import d5_s1, d5_s2, d8_alpha, d8_beta, instance_path, random_class_function
 
 
@@ -53,6 +48,8 @@ def test_unit_subgroup_validation():
         unit_subgroup(16, [1, 3])  # 3*3 = 9 escapes
     with pytest.raises(ValueError):
         unit_subgroup(16, [3, 9, 11])  # missing 1
+    with pytest.raises(ValueError, match="7 escapes"):
+        unit_subgroup(8, [1, 3, 5])  # every square is 1; only 3*5 = 7 escapes
 
 
 def test_records_are_values():
@@ -63,7 +60,7 @@ def test_records_are_values():
     record = classify(SearchSpec(make_cyclic(6))).records[2]
     H = unit_subgroup(16, [1, 7, 9, 15])
     cases = [
-        (unit_group(16), UnitGroup(16, unit_group(16).units), "units"),
+        (unit_group(16), close_generators(16, unit_group(16).generators), "members"),
         (H, UnitSubgroup(16, (1, 7, 9, 15), (7, 9)), "members"),
         (record, SetRecord(*record), "degree"),
         (spec, Spectrum(*spec), "pairs"),
@@ -78,6 +75,7 @@ def test_records_are_values():
     assert len(H) == 4 and 9 in H and 3 not in H
     assert pickle.loads(pickle.dumps(record)) == record
     assert pickle.loads(pickle.dumps(H)) == H
+    assert pickle.loads(pickle.dumps(unit_group(16))) == unit_group(16)
 
 
 def test_close_generators():
@@ -102,7 +100,7 @@ def test_fixing_subgroup_alpha():
 def test_fixing_subgroup_constant():
     G = make_dihedral(6)
     f = colour_from_values(G, {g: 5 for g in range(G.order)})
-    assert fixing_subgroup(f).members == unit_group(12).units
+    assert fixing_subgroup(f).members == unit_group(12).members
 
 
 def test_fixing_subgroup_s1():
@@ -159,7 +157,7 @@ def test_splitting_field_constant():
     f = colour_from_values(G, {g: 2 for g in range(6)})
     report = splitting_field(f)
     assert report.degree == 1
-    assert report.fixing_subgroup.members == unit_group(6).units
+    assert report.fixing_subgroup.members == unit_group(6).members
     assert report.primitive_element == Cyclotomic.one(6)
 
 
@@ -204,7 +202,7 @@ def test_stabilizer_identity_refuses_a_wrong_subgroup(monkeypatch):
     G, alpha = d8_alpha()
     spec = spectrum_exact(alpha, character_table(G))
     assert verify_fixing_subgroup_equals_stabilizers(alpha, spec)
-    for wrong in ((1,), unit_group(16).units):
+    for wrong in ((1,), unit_group(16).members):
         monkeypatch.setattr(
             galois_mod, "fixing_subgroup", lambda f, wrong=wrong: unit_subgroup(16, wrong)
         )
@@ -237,9 +235,9 @@ def test_integral_over_trivial_subgroup():
 def test_integral_over_examples():
     _, alpha = d8_alpha()
     assert is_algebraically_integral_over(alpha, unit_subgroup(16, (1, 7, 9, 15)))
-    assert not is_algebraically_integral_over(alpha, full_unit_subgroup(16))
+    assert not is_algebraically_integral_over(alpha, unit_group(16))
     _, beta = d8_beta()
-    assert is_algebraically_integral_over(beta, full_unit_subgroup(16))
+    assert is_algebraically_integral_over(beta, unit_group(16))
 
 
 def test_integrality_verdicts():
@@ -279,10 +277,10 @@ def test_multiset_fixing_subgroup_examples():
     _, S1 = d5_s1()
     assert multiset_fixing_subgroup(S1).members == (1, 9)
     _, S2 = d5_s2()
-    assert multiset_fixing_subgroup(S2).members == unit_group(10).units
+    assert multiset_fixing_subgroup(S2).members == unit_group(10).members
     Z5 = make_cyclic(5)
     power_closed = ConnectionMultiset.from_elements(Z5, [1, 2, 3, 4])
-    assert multiset_fixing_subgroup(power_closed).members == unit_group(5).units
+    assert multiset_fixing_subgroup(power_closed).members == unit_group(5).members
 
 
 # Requests whose fixing subgroups are {1, -1}, with the errors each fault
@@ -323,7 +321,7 @@ def test_dual_routes_raise_on_injected_mismatch(monkeypatch, capsys):
     # Every command reads its fixing subgroups off the shared bundle
     # pullbacks and checks them on elements in coset form; a fault in the
     # pullbacks must exit 3 and name the unit and the element.
-    FixingTables = galois_mod.FixingTables
+    FixingTables = units_mod.FixingTables
 
     class IdentityPermutations(FixingTables):
         # Every pi_h wrongly the identity: the bundle route fixes every unit.
@@ -345,7 +343,7 @@ def test_dual_routes_raise_on_injected_mismatch(monkeypatch, capsys):
             (IdentityPermutations, identity_error),
             (SwappedInversion, swap_error),
         ):
-            monkeypatch.setattr(galois_mod, "FixingTables", tables)
+            monkeypatch.setattr(units_mod, "FixingTables", tables)
             assert main(argv) == 3, (argv, tables)
             err = capsys.readouterr().err
             assert err.startswith("internal inconsistency: "), err
@@ -408,7 +406,7 @@ def reference_primitive_search(n, members, degree):
 def test_primitive_search_matches_orbit_reference(G):
     n = G.order
     tables = fixing_tables(G)
-    units = unit_group(n).units
+    units = unit_group(n).members
     subgroups = {close_generators(n, [u]).members for u in units}
     subgroups |= {close_generators(n, [u, n - 1]).members for u in units}
     for members in sorted(subgroups):
@@ -425,12 +423,12 @@ def test_shadow_containment_raises_on_injected_mismatch(monkeypatch):
     # by the containment check itself: the bundle route here claims every
     # unit fixes {1, 4} taken twice (set 1), while its shadow {1, 4} is
     # fixed by the units 1 and 4 only.
-    real = search_mod._fixing_units
+    real = search_mod.fixing_units
 
     def escaping(tables, extended):
         return tables.units if extended == (2, 0, 0) else real(tables, extended)
 
-    monkeypatch.setattr(search_mod, "_fixing_units", escaping)
+    monkeypatch.setattr(search_mod, "fixing_units", escaping)
     spec = SearchSpec(make_cyclic(5), mode="multisets", multiplicity_cap=2)
     with pytest.raises(InternalInconsistency, match="set 1: multiset fixing subgroup escapes"):
         classify(spec)
@@ -466,7 +464,7 @@ def test_transfer_check_scaling_preserves_degree():
     doubled = colour_from_values(
         G, {g: 2 * v for g, v in enumerate(alpha.values)}
     )
-    assert transfer_check(alpha, doubled, full_unit_subgroup(16)) is False
+    assert transfer_check(alpha, doubled, unit_group(16)) is False
     assert transfer_check(alpha, doubled, unit_subgroup(16, (1, 7, 9, 15))) is True
     assert algebraic_degree(alpha) == algebraic_degree(doubled)
 
@@ -475,7 +473,7 @@ def test_transfer_check_hypothesis_fails():
     G, alpha = d8_alpha()
     constant = colour_from_values(G, {g: 1 for g in range(16)})
     with pytest.raises(HypothesisFails):
-        transfer_check(alpha, constant, full_unit_subgroup(16))
+        transfer_check(alpha, constant, unit_group(16))
 
 
 def test_transfer_check_random_pairs():
@@ -485,7 +483,7 @@ def test_transfer_check_random_pairs():
     G = make_dihedral(8)
     n = G.order
     subgroups = []
-    for h in unit_group(n).units:
+    for h in unit_group(n).members:
         H = close_generators(n, [h])
         if H.members not in [s.members for s in subgroups]:
             subgroups.append(H)

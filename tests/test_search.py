@@ -7,7 +7,7 @@ import cayspec.search as search_mod
 from cayspec.cli import main
 from cayspec.colour import ConnectionMultiset, distance_layering
 from cayspec.errors import InternalInconsistency
-from cayspec.exactnum import euler_phi, unit_group
+from cayspec.exactnum import euler_phi
 from cayspec.groups import (
     Group,
     class_bundles,
@@ -26,6 +26,7 @@ from cayspec.search import (
     enumerate_normal_sets,
     verify_degree_equals_distance_degree,
 )
+from cayspec.units import unit_group
 
 
 # The element-route classification that the bundle route replaced, kept as
@@ -37,7 +38,7 @@ from cayspec.search import (
 def reference_multiset_fixing_members(S: ConnectionMultiset) -> tuple[int, ...]:
     G = S.group
     members = []
-    for h in unit_group(G.order).units:
+    for h in unit_group(G.order).members:
         pm = power_map(G, h)
         image = [0] * G.order
         for g, m in enumerate(S.multiplicity):
@@ -51,7 +52,7 @@ def reference_multiset_fixing_members(S: ConnectionMultiset) -> tuple[int, ...]:
 def reference_layer_fixing_members(G: Group, layers) -> tuple[int, ...]:
     members = []
     layer_sets = [frozenset(layer) for layer in layers[1:]]
-    for h in unit_group(G.order).units:
+    for h in unit_group(G.order).members:
         pm = power_map(G, h)
         if all(frozenset(pm[g] for g in layer) == layer for layer in layer_sets):
             members.append(h)
