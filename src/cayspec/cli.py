@@ -16,7 +16,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from cayspec.colour import (
     ColourFunction,
@@ -46,10 +46,17 @@ from cayspec.groups import (
     make_from_generators,
     make_product,
 )
-from cayspec.search import SearchSpec, check_order, classify
+from cayspec.search import (
+    SearchResult,
+    SearchSpec,
+    check_order,
+    classify,
+    set_renderer,
+)
 from cayspec.spectra import (
     Spectrum,
     character_table,
+    check_numeric_order,
     compare_spectra,
     has_character_table,
     spectrum_exact,
@@ -351,11 +358,17 @@ def load_instance(path: str) -> InstanceDocument:
 
 
 class Report:
-    """Human-readable lines plus a stable machine key=value block."""
+    """Human-readable lines plus a stable machine key=value block.
+
+    Machine lines given to `stream` are written in place by `write`, one at
+    a time as they are rendered, so a long block is never held whole; any
+    other report is rendered whole and then written.
+    """
 
     def __init__(self):
         self.human: list[str] = []
-        self.machine: list[tuple[str, str]] = []
+        self.machine: list[Optional[tuple[str, str]]] = []  # None: the streamed lines
+        self.streamed: Optional[Iterable[str]] = None
 
     def line(self, text: str = "") -> None:
         self.human.append(text)
@@ -365,12 +378,31 @@ class Report:
             value = "true" if value else "false"
         self.machine.append((key, str(value)))
 
-    def render(self) -> str:
-        out = list(self.human)
-        out.append("--- report ---")
-        out.extend(f"{key} = {value}" for key, value in self.machine)
+    def stream(self, lines: Iterable[str]) -> None:
+        """Machine lines, each ending in a newline, to follow the pairs put so far."""
+        self.machine.append(None)
+        self.streamed = lines
+
+    def _chunks(self) -> Iterator[str]:
+        out = self.human + ["--- report ---"]
+        for pair in self.machine:
+            if pair is None:
+                yield "\n".join(out) + "\n"
+                yield from self.streamed
+                out = []
+            else:
+                out.append(f"{pair[0]} = {pair[1]}")
         out.append("--- end ---")
-        return "\n".join(out) + "\n"
+        yield "\n".join(out) + "\n"
+
+    def render(self) -> str:
+        return "".join(self._chunks())
+
+    def write(self, fh) -> None:
+        if self.streamed is None:
+            fh.write(self.render())
+        else:
+            fh.writelines(self._chunks())
 
 
 def _fmt_float(x: float) -> str:
@@ -441,6 +473,8 @@ def _field_section(report: Report, field_report) -> None:
 
 
 def cmd_spectrum(doc: InstanceDocument) -> tuple[Report, int]:
+    # Refused before any work: every spectrum request runs the numeric oracle.
+    check_numeric_order(doc.group.order)
     f = _instance_colour(doc)
     report = Report()
     report.line(f"Cayley colour graph on a {doc.group_kind} group of order {doc.group.order}")
@@ -563,6 +597,7 @@ def cmd_search(args) -> tuple[Report, int]:
         order_limit=args.limit,
     )
     result = classify(spec, jobs=args.jobs)
+    render = set_renderer(G, spec.radix)
     report = Report()
     report.line(
         f"Search over {kind} group of order {G.order}: {len(result.records)} "
@@ -583,15 +618,7 @@ def cmd_search(args) -> tuple[Report, int]:
     report.line(f"Degree histogram (connected): {hist_conn or 'empty'}")
     report.put("search.degree_histogram", hist)
     report.put("search.degree_histogram.connected", hist_conn)
-    for r in result.records:
-        key = f"set.{r.index}"
-        report.put(f"{key}.elements", ";".join(G.names[g] for g in r.elements))
-        report.put(f"{key}.valency", r.valency)
-        report.put(f"{key}.connected", r.connected)
-        report.put(f"{key}.degree", r.degree)
-        if r.distance_degree is not None:
-            report.put(f"{key}.distance_degree", r.distance_degree)
-        report.put(f"{key}.integral", r.integral)
+    report.stream(_set_lines(result, render))
     exit_code = 0
     if spec.target_degree is not None:
         if result.witness_index is None:
@@ -599,13 +626,25 @@ def cmd_search(args) -> tuple[Report, int]:
             report.put("search.witness", "none")
             exit_code = 1
         else:
-            witness = result.records[
-                next(i for i, r in enumerate(result.records) if r.index == result.witness_index)
-            ]
-            names = ";".join(G.names[g] for g in witness.elements)
+            names, _ = render(result.vector(result.witness_index))
             report.line(f"Witness of degree {spec.target_degree}: {{{names}}}")
-            report.put("search.witness", witness.index)
+            report.put("search.witness", result.witness_index)
     return report, exit_code
+
+
+def _set_lines(result: SearchResult, render) -> Iterator[str]:
+    """The machine lines of each record, rendered from its bundle vector."""
+    for r, vector in zip(result.records, result.vectors()):
+        names, valency = render(vector)
+        key = f"set.{r.index}"
+        connected = r.distance_degree is not None
+        distance = f"{key}.distance_degree = {r.distance_degree}\n" if connected else ""
+        yield (
+            f"{key}.elements = {names}\n{key}.valency = {valency}\n"
+            f"{key}.connected = {'true' if connected else 'false'}\n"
+            f"{key}.degree = {r.degree}\n{distance}"
+            f"{key}.integral = {'true' if r.degree == 1 else 'false'}\n"
+        )
 
 
 # -- entry point ---------------------------------------------------------------
@@ -667,7 +706,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                 report, code = cmd_distance(doc)
             else:
                 report, code = cmd_check(doc, args.subgroup)
-        text = report.render()
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8") as fh:
+                report.write(fh)
+        else:
+            report.write(sys.stdout)
     except (InternalInconsistency, NoConvergence) as err:
         print(f"internal inconsistency: {err}", file=sys.stderr)
         return 3
@@ -677,11 +720,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -2,23 +2,43 @@
 
 Normality is enforced by construction: candidates are unions of inverse-closed
 conjugacy-class bundles, so a candidate is a vector of bundle multiplicities
-and the search space is (cap+1)^bundles rather than 2^(n-1).
+and the search space is (cap+1)^bundles rather than 2^(n-1).  Candidate
+code c stands for the vector of c's digits in base cap+1, bundle 0 least
+significant; vectors are generated in code order by `itertools.product`.
 
 Candidates are classified on bundles.  The fixing subgroup of a vector v
 is {h : v o pi_h = v}, read off the group's `units.FixingTables` and checked
 there on elements in coset form.  The product of two bundles is a union of
 bundles, kept as a bitmask; connectivity and the word length of every bundle
 come from one breadth-first search over bundle masks, and the distance
-fixing subgroup is that of the word-length vector.  All per-candidate work
-is pure, so the candidate codes split into contiguous ranges across worker
-processes with a deterministic merge.
+fixing subgroup is that of the word-length vector.
+
+Units act on bundle vectors, and word lengths move with them: the
+word-length vector of v o pi_h is that of v composed with pi_h.  So the
+breadth-first search runs once per unit orbit of supports, on the orbit's
+key, the least of the images v o pi_h, and every other support of the orbit
+pulls the key's vector back along the inverse unit.  In multiset mode the
+facts that depend only on the support (the shadow's fixing subgroup and its
+check, the word lengths, the distance fixing subgroup and its check) are
+computed once per distinct support.  Every candidate still gets its own
+fixing subgroup, its own check on elements, the shadow containment, the
+distance fixing subgroup and its check for sets, and the assertion that a
+connected simple set has degree equal to its distance degree.
+
+A record keeps the candidate's index, its degree and its distance degree;
+elements and valency are rendered from the bundle vector when the record is
+written (`set_renderer`).  All per-candidate work is pure, so the candidate
+codes split into contiguous ranges across worker processes with a
+deterministic merge.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import chain, repeat
-from typing import Iterator, NamedTuple, Optional
+from collections import Counter
+from itertools import islice, product
+from operator import getitem, itemgetter
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from cayspec.errors import InternalInconsistency
 from cayspec.groups import Group, class_bundles
@@ -74,27 +94,51 @@ class SearchSpec:
 
 
 class SetRecord(NamedTuple):
-    """Classification of one enumerated connection (multi)set."""
+    """Classification of one enumerated connection (multi)set: its index
+    (code less one), its degree, and its distance degree, None when the
+    graph is disconnected."""
 
     index: int
-    bundle_vector: tuple[int, ...]
-    elements: tuple[int, ...]
-    valency: int
-    connected: bool
     degree: int
     distance_degree: Optional[int]
-    integral: bool
-    distance_integral: Optional[bool]
+
+    @property
+    def connected(self) -> bool:
+        return self.distance_degree is not None
+
+    @property
+    def integral(self) -> bool:
+        return self.degree == 1
+
+    @property
+    def distance_integral(self) -> Optional[bool]:
+        return None if self.distance_degree is None else self.distance_degree == 1
 
 
 class SearchResult(NamedTuple):
     """Records and histograms of one search; the spec says what was searched."""
 
     bundle_count: int
+    radix: int
     records: tuple[SetRecord, ...]
     degree_counts: tuple[tuple[int, int], ...]
     degree_counts_connected: tuple[tuple[int, int], ...]
     witness_index: Optional[int]
+
+    def vector(self, index: int) -> tuple[int, ...]:
+        """The bundle vector of the candidate with this index."""
+        return next(_candidate_vectors(self.bundle_count, self.radix, index + 1, index + 2))
+
+    def vectors(self) -> Iterator[tuple[int, ...]]:
+        """The bundle vector of each record, in record order."""
+        candidates = _candidate_vectors(
+            self.bundle_count, self.radix, 1, self.radix**self.bundle_count
+        )
+        last = -1
+        for record in self.records:
+            skip = record.index - last - 1
+            last = record.index
+            yield next(islice(candidates, skip, None)) if skip else next(candidates)
 
 
 def _bundle_products(tables: FixingTables) -> tuple[tuple[int, ...], ...]:
@@ -117,18 +161,18 @@ def _bundle_products(tables: FixingTables) -> tuple[tuple[int, ...], ...]:
     return tuple(products)
 
 
+_REVERSED = itemgetter(slice(None, None, -1))
+
+
 def _candidate_vectors(
     num_bundles: int, radix: int, start: int, stop: int
 ) -> Iterator[tuple[int, ...]]:
     """The vectors with codes start..stop-1; digit b of a code in base radix
     is the multiplicity of bundle b."""
-    for code in range(start, stop):
-        vec = []
-        x = code
-        for _ in range(num_bundles):
-            x, r = divmod(x, radix)
-            vec.append(r)
-        yield tuple(vec)
+    # product varies its last place fastest, so each of its tuples lists a
+    # code's digits most significant first.
+    digits = product(range(radix), repeat=num_bundles)
+    return map(_REVERSED, islice(digits, start, stop))
 
 
 def _multiset_from_vector(
@@ -151,6 +195,21 @@ def enumerate_normal_sets(spec: SearchSpec) -> Iterator[ConnectionMultiset]:
     stop = spec.radix**len(bundles)
     for vector in _candidate_vectors(len(bundles), spec.radix, 1, stop):
         yield _multiset_from_vector(spec.group, bundles, vector)
+
+
+def set_renderer(G: Group, radix: int) -> Callable[[tuple[int, ...]], tuple[str, int]]:
+    """A function from a non-zero bundle vector to its elements and its
+    valency: the element names in index order, each repeated by its
+    multiplicity and joined by ';'."""
+    read_off = fixing_tables(G).read_off
+    # pieces[g][m]: element g taken m times, each copy followed by ';'.
+    pieces = tuple(tuple((name + ";") * m for m in range(radix)) for name in G.names)
+
+    def render(vector):
+        multiplicity = read_off(vector + (0,))
+        return "".join(map(getitem, pieces, multiplicity))[:-1], sum(multiplicity)
+
+    return render
 
 
 def _word_lengths(
@@ -186,59 +245,110 @@ def _word_lengths(
     return tuple(lengths)
 
 
-def _classify_one(
-    tables: FixingTables,
-    products: tuple[tuple[int, ...], ...],
-    vector: tuple[int, ...],
-    index: int,
-) -> SetRecord:
-    phi = len(tables.units)
+_UNSEEN = object()
+
+
+class _Search:
+    """One process's classification state: the group's tables, its bundle
+    products, the word lengths of each orbit key met so far and, in multiset
+    mode, the facts of each support met so far."""
+
+    __slots__ = (
+        "tables", "products", "phi", "inverse_pullbacks", "by_support", "orbits", "supports"
+    )
+
+    def __init__(self, G: Group, by_support: bool):
+        tables = fixing_tables(G)
+        units, n = tables.units, G.order
+        self.tables = tables
+        self.products = _bundle_products(tables)
+        self.phi = len(units)
+        # inverse_pullbacks[i]: the pullback along the inverse of units[i].
+        self.inverse_pullbacks = tuple(
+            next(p for k, p in zip(units, tables.pullbacks) if h * k % n == 1 % n)
+            for h in units
+        )
+        self.by_support = by_support
+        self.orbits: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
+        self.supports: dict[tuple[bool, ...], tuple[frozenset[int], Optional[int]]] = {}
+
+    def word_lengths(self, images: list[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
+        """Word lengths of the support v whose images v o pi_h over the units
+        are `images`, or None when v does not generate the group.
+
+        The search runs on the least image, the orbit's key = v o pi_h; the
+        word-length vector L of the key gives v's as L o pi_{h^-1}.
+        """
+        key = min(images)
+        lengths = self.orbits.get(key, _UNSEEN)
+        if lengths is _UNSEEN:
+            lengths = self.orbits[key] = _word_lengths(self.products, key)
+        if lengths is None:
+            return None
+        return self.inverse_pullbacks[images.index(key)](lengths)
+
+    def distance_degree(self, lengths: Optional[tuple[int, ...]], index: int) -> Optional[int]:
+        """phi(n)/|H'| for the word-length vector, checked on elements."""
+        if lengths is None:
+            return None
+        tables = self.tables
+        H_prime = fixing_units(tables, lengths)
+        check_coset_form(
+            tables, "set {}, word-length vector", H_prime, lengths, tables.read_off(lengths), index
+        )
+        return self.phi // len(H_prime)
+
+    def support(
+        self, extended: tuple[int, ...], index: int
+    ) -> tuple[frozenset[int], Optional[int]]:
+        """The shadow's fixing subgroup and the distance degree of the support
+        of a multiset, computed and checked on the first candidate with that
+        support (`index`)."""
+        key = tuple(map(bool, extended))
+        facts = self.supports.get(key)
+        if facts is None:
+            tables = self.tables
+            shadow = tuple(map(int, key))
+            images = [pullback(shadow) for pullback in tables.pullbacks]
+            shadow_H = tuple([h for h, image in zip(tables.units, images) if image == shadow])
+            check_coset_form(
+                tables, "set {}, shadow vector", shadow_H, shadow, tables.read_off(shadow), index
+            )
+            distance_degree = self.distance_degree(self.word_lengths(images), index)
+            facts = self.supports[key] = (frozenset(shadow_H), distance_degree)
+        return facts
+
+
+def _classify_one(search: _Search, vector: tuple[int, ...], index: int) -> SetRecord:
+    tables = search.tables
     extended = vector + (0,)
-    multiplicity = tables.read_off(extended)
-    H = fixing_units(tables, extended)
-    degree = phi // len(H)
-    simple = max(vector) <= 1
-    if not simple:
+    if search.by_support:
+        H = fixing_units(tables, extended)
+        shadow_H, distance_degree = search.support(extended, index)
         # Dropping repeats can only grow the fixing subgroup, so the simple
         # graph's degree divides the multigraph's.
-        shadow = tuple(min(m, 1) for m in extended)
-        shadow_H = fixing_units(tables, shadow)
-        if not set(H) <= set(shadow_H):
+        if not shadow_H.issuperset(H):
             raise InternalInconsistency(
                 f"set {index}: multiset fixing subgroup escapes its shadow's "
                 f"fixing subgroup"
             )
         check_coset_form(
-            tables, f"set {index}, shadow vector", shadow_H, shadow, tables.read_off(shadow)
+            tables, "set {}, multiplicity vector", H, extended, tables.read_off(extended), index
         )
-    check_coset_form(tables, f"set {index}, multiplicity vector", H, extended, multiplicity)
-    lengths = _word_lengths(products, extended)
-    distance_degree = None
-    distance_integral = None
-    if lengths is not None:
-        H_prime = fixing_units(tables, lengths)
+    else:
+        images = [pullback(extended) for pullback in tables.pullbacks]
+        H = tuple([h for h, image in zip(tables.units, images) if image == extended])
         check_coset_form(
-            tables, f"set {index}, word-length vector", H_prime, lengths, tables.read_off(lengths)
+            tables, "set {}, multiplicity vector", H, extended, tables.read_off(extended), index
         )
-        distance_degree = phi // len(H_prime)
-        distance_integral = distance_degree == 1
-        if simple and distance_degree != degree:
-            raise InternalInconsistency(
-                f"set {index} is connected and simple, but its degree {degree} "
-                f"differs from its distance degree {distance_degree}"
-            )
-    elements = chain.from_iterable(map(repeat, range(len(multiplicity)), multiplicity))
-    return SetRecord(
-        index=index,
-        bundle_vector=vector,
-        elements=tuple(elements),
-        valency=sum(multiplicity),
-        connected=lengths is not None,
-        degree=degree,
-        distance_degree=distance_degree,
-        integral=degree == 1,
-        distance_integral=distance_integral,
-    )
+        distance_degree = search.distance_degree(search.word_lengths(images), index)
+    degree = search.phi // len(H)
+    if distance_degree is not None and distance_degree != degree and max(vector) <= 1:
+        raise InternalInconsistency(
+            f"set {index} is connected and simple, but its degree {degree} "
+            f"differs from its distance degree {distance_degree}"
+        )
+    return SetRecord(index, degree, distance_degree)
 
 
 def _classify_range(args) -> list[SetRecord]:
@@ -246,14 +356,13 @@ def _classify_range(args) -> list[SetRecord]:
     this process's own; disconnected ones are dropped when only connected
     ones are wanted."""
     G, radix, start, stop, require_connected = args
-    tables = fixing_tables(G)
-    products = _bundle_products(tables)
+    # With radix 2 every candidate is its own support: no memo pays.
+    search = _Search(G, by_support=radix > 2)
+    num_bundles = len(search.tables.bundles)
     records = []
-    for code, vector in enumerate(
-        _candidate_vectors(len(tables.bundles), radix, start, stop), start
-    ):
-        record = _classify_one(tables, products, vector, code - 1)
-        if record.connected or not require_connected:
+    for index, vector in enumerate(_candidate_vectors(num_bundles, radix, start, stop), start - 1):
+        record = _classify_one(search, vector, index)
+        if not require_connected or record.distance_degree is not None:
             records.append(record)
     return records
 
@@ -292,20 +401,14 @@ def classify(spec: SearchSpec, jobs: int = 1) -> SearchResult:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_classify_range, ranges))
         records = [record for part in parts for record in part]
-    counts: dict[int, int] = {}
-    counts_connected: dict[int, int] = {}
-    for r in records:
-        counts[r.degree] = counts.get(r.degree, 0) + 1
-        if r.connected:
-            counts_connected[r.degree] = counts_connected.get(r.degree, 0) + 1
+    counts = Counter(r.degree for r in records)
+    counts_connected = Counter(r.degree for r in records if r.distance_degree is not None)
     witness = None
     if spec.target_degree is not None:
-        for r in records:
-            if r.degree == spec.target_degree:
-                witness = r.index
-                break
+        witness = next((r.index for r in records if r.degree == spec.target_degree), None)
     return SearchResult(
         bundle_count=num_bundles,
+        radix=spec.radix,
         records=tuple(records),
         degree_counts=tuple(sorted(counts.items())),
         degree_counts_connected=tuple(sorted(counts_connected.items())),

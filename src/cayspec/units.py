@@ -195,9 +195,7 @@ def fixing_tables(G: Group) -> FixingTables:
 def fixing_units(tables: FixingTables, extended: tuple) -> tuple[int, ...]:
     """The units h with v o pi_h = v for the extended vector v, ascending."""
     return tuple(
-        h
-        for h, pullback in zip(tables.units, tables.pullbacks)
-        if pullback(extended) == extended
+        [h for h, pullback in zip(tables.units, tables.pullbacks) if pullback(extended) == extended]
     )
 
 
@@ -235,13 +233,15 @@ def check_coset_form(
     members: tuple[int, ...],
     extended: tuple,
     values: tuple,
+    *label_args,
 ) -> UnitSubgroup:
     """Check on elements that members is the fixing subgroup of a vector.
 
     `values` is the vector per element; the generators of the subgroup must
     fix it under the power map and one representative of each non-trivial
     coset must move it, which together pin the subgroup down.  Returns the
-    validated subgroup.
+    validated subgroup.  A failure names the vector by
+    `label.format(*label_args)`, formatted only then.
     """
     G = tables.group
     H, generators, reps = coset_form(tables, members)
@@ -250,7 +250,7 @@ def check_coset_form(
             pm = power_map(G, h)
             g = next(g for g, gh in enumerate(pm) if values[gh] != values[g])
             raise InternalInconsistency(
-                f"{label}: the bundle route fixes it by unit {h}, "
+                f"{label.format(*label_args)}: the bundle route fixes it by unit {h}, "
                 f"the element route moves it at {G.names[g]} "
                 f"({values[g]} there, {values[pm[g]]} at {G.names[g]}**{h})"
             )
@@ -259,7 +259,7 @@ def check_coset_form(
             moved = tables.pullbacks[tables.units.index(h)](extended)
             b = next(b for b, m in enumerate(moved) if m != extended[b])
             raise InternalInconsistency(
-                f"{label}: the bundle route moves it by unit {h} "
+                f"{label.format(*label_args)}: the bundle route moves it by unit {h} "
                 f"at {G.names[tables.bundles[b][0]]}, the element route finds it "
                 f"fixed at every element"
             )

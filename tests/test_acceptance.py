@@ -20,7 +20,7 @@ from cayspec.galois import (
     splitting_field,
     verify_fixing_subgroup_equals_stabilizers,
 )
-from cayspec.groups import make_cyclic, make_dihedral
+from cayspec.groups import class_bundles, make_cyclic, make_dihedral
 from cayspec.search import SearchSpec, classify, verify_degree_equals_distance_degree
 from cayspec.spectra import (
     character_table,
@@ -284,12 +284,15 @@ def test_criterion_12_dual_route_cross_checks():
     pairs_checked = 0
     for G, cap in multiset_corpus():
         spec = SearchSpec(G, mode="multisets", multiplicity_cap=cap)
-        for record in classify(spec).records:
-            if all(m <= 1 for m in record.bundle_vector):
+        result = classify(spec)
+        bundles = class_bundles(G)
+        for record, vector in zip(result.records, result.vectors()):
+            if all(m <= 1 for m in vector):
                 continue
             counts = [0] * G.order
-            for g in record.elements:
-                counts[g] += 1
+            for bundle, m in zip(bundles, vector):
+                for g in bundle:
+                    counts[g] = m
             S = ConnectionMultiset(G, tuple(counts))
             multi = multiset_fixing_subgroup(S)
             shadow = multiset_fixing_subgroup(S.shadow())
@@ -297,11 +300,12 @@ def test_criterion_12_dual_route_cross_checks():
             phi = euler_phi(G.order)
             assert (phi // len(multi)) % (phi // len(shadow)) == 0
             pairs_checked += 1
-        for record in classify(spec).records:
+        for record, vector in zip(result.records, result.vectors()):
             if record.connected:
                 counts = [0] * G.order
-                for g in set(record.elements):
-                    counts[g] = 1
+                for bundle, m in zip(bundles, vector):
+                    for g in bundle:
+                        counts[g] = min(m, 1)
                 distance_fixing_subgroup(ConnectionMultiset(G, tuple(counts)))
     report(
         12,

@@ -338,6 +338,93 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert machine_block(text)["degree"] == "1"
 
 
+@pytest.mark.parametrize(
+    "argv", [["--group", "cyclic:16", "--degree", "4"], ["--group", "dihedral:4", "--degree", "2"]]
+)
+def test_search_out_file_equals_stdout(capsys, tmp_path, argv):
+    # The set lines are streamed to whichever destination: the bytes and the
+    # exit code must not depend on it, with a witness line or without one.
+    code, out, _ = run(capsys, "search", *argv)
+    target = tmp_path / "report.txt"
+    code_out, out_out, _ = run(capsys, "search", *argv, "--out", str(target))
+    assert (code_out, out_out) == (code, "")
+    assert target.read_bytes() == out.encode("utf-8")
+    assert "search.witness = " in out
+
+
+def test_late_search_inconsistency_writes_nothing(capsys, monkeypatch, tmp_path):
+    # Word lengths that give the complete graph on Z16, the last of 255
+    # candidates, distance degree 4: every record is classified before the
+    # first line is written, so the run exits 3 with nothing on stdout and
+    # no --out file.
+    import cayspec.search as search_mod
+
+    real = search_mod._word_lengths
+    complete = (1,) * 8 + (0,)
+
+    def skewed(products, extended):
+        lengths = real(products, extended)
+        return (2,) + lengths[1:] if extended == complete else lengths
+
+    monkeypatch.setattr(search_mod, "_word_lengths", skewed)
+    code, out, err = run(capsys, "search", "--group", "cyclic:16")
+    assert (code, out) == (3, "")
+    assert "set 254 is connected and simple, but its degree 1 differs" in err
+    target = tmp_path / "report.txt"
+    code, out, err = run(capsys, "search", "--group", "cyclic:16", "--out", str(target))
+    assert (code, out) == (3, "")
+    assert "set 254 is connected and simple" in err
+    assert not target.exists()
+
+
+def test_spectrum_refuses_orders_above_the_numeric_limit(capsys, monkeypatch, tmp_path):
+    # Refused before any exact work, with exit 2 and nothing written.  The
+    # limit sits above every spectrum the benchmark asks for (n = 64).
+    import cayspec.cli as cli_mod
+    from cayspec.spectra import NUMERIC_ORDER_LIMIT, check_numeric_order
+
+    assert NUMERIC_ORDER_LIMIT >= 64
+    check_numeric_order(NUMERIC_ORDER_LIMIT)
+
+    def refuse(*args):
+        raise AssertionError("exact work began before the order was checked")
+
+    monkeypatch.setattr(cli_mod, "character_table", refuse)
+    monkeypatch.setattr(cli_mod, "spectrum_exact", refuse)
+    monkeypatch.setattr(cli_mod, "spectrum_numeric", refuse)
+    n = NUMERIC_ORDER_LIMIT + 1
+    path = tmp_path / "big.txt"
+    path.write_text(f"[group]\nkind = cyclic\nn = {n}\n\n[connection]\nelements = 1, {n - 1}\n")
+    target = tmp_path / "report.txt"
+    code, out, err = run(capsys, "spectrum", str(path), "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: group order {n} exceeds the numeric oracle limit {NUMERIC_ORDER_LIMIT}\n"
+    assert not target.exists()
+
+
+def test_degree_refuses_the_numeric_route_above_the_limit(capsys, monkeypatch, tmp_path):
+    # A rational, non-integer colour on a group without a character table
+    # decides integrality numerically; above the limit that is refused
+    # before the oracle builds its matrix.
+    import cayspec._kernels as kernels_mod
+    import cayspec.spectra as spectra_mod
+
+    def refuse(*args):
+        raise AssertionError("the oracle ran above the limit")
+
+    monkeypatch.setattr(kernels_mod, "jacobi_diagonalize", refuse)
+    monkeypatch.setattr(spectra_mod, "NUMERIC_ORDER_LIMIT", 5)
+    path = tmp_path / "s3_half.txt"
+    path.write_text(
+        "[group]\nkind = generated\ngenerators = (0 1 2);(0 1)\n\n"
+        "[colour]\nclass((0 1)) = 1/2\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "degree", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: group order 6 exceeds the numeric oracle limit 5\n"
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "degree", "/nonexistent/file.txt")
     assert code == 2

@@ -20,13 +20,13 @@ from cayspec.groups import (
 )
 from cayspec.search import (
     SearchSpec,
-    SetRecord,
     _multiset_from_vector,
     classify,
     enumerate_normal_sets,
+    set_renderer,
     verify_degree_equals_distance_degree,
 )
-from cayspec.units import unit_group
+from cayspec.units import fixing_tables, unit_group
 
 
 # The element-route classification that the bundle route replaced, kept as
@@ -92,7 +92,8 @@ def reference_classify_one(
     bundles: tuple[tuple[int, ...], ...],
     vector: tuple[int, ...],
     index: int,
-) -> SetRecord:
+) -> tuple:
+    """(index, vector, elements, valency, connected, degree, distance degree)."""
     S = _multiset_from_vector(G, bundles, vector)
     phi = euler_phi(G.order)
     H_star = reference_multiset_fixing_members(S)
@@ -107,33 +108,41 @@ def reference_classify_one(
             )
     connected = reference_is_connected(G, S.support())
     distance_degree = None
-    distance_integral = None
     if connected:
         layers = distance_layering(S.shadow()).layers
         H_prime = reference_layer_fixing_members(G, layers)
         distance_degree = phi // len(H_prime)
-        distance_integral = distance_degree == 1
-    return SetRecord(
-        index=index,
-        bundle_vector=vector,
-        elements=S.elements(),
-        valency=S.valency(),
-        connected=connected,
-        degree=degree,
-        distance_degree=distance_degree,
-        integral=degree == 1,
-        distance_integral=distance_integral,
-    )
+    elements = ";".join(G.names[g] for g in S.elements())
+    return (index, vector, elements, S.valency(), connected, degree, distance_degree)
 
 
-def reference_records(spec: SearchSpec) -> tuple[SetRecord, ...]:
+def reference_records(spec: SearchSpec) -> tuple[tuple, ...]:
     bundles = class_bundles(spec.group)
     vectors = reference_candidate_vectors(len(bundles), spec.mode, spec.multiplicity_cap)
     records = [
         reference_classify_one(spec.group, bundles, vector, index)
         for index, vector in enumerate(vectors)
     ]
-    return tuple(r for r in records if r.connected or not spec.require_connected)
+    return tuple(r for r in records if r[4] or not spec.require_connected)
+
+
+def bundle_route_records(spec: SearchSpec) -> tuple[tuple, ...]:
+    """The compact records of `classify`, each with its vector, elements and
+    valency rendered as the report renders them."""
+    result = classify(spec)
+    render = set_renderer(spec.group, spec.radix)
+    rows = []
+    for record, vector in zip(result.records, result.vectors()):
+        elements, valency = render(vector)
+        assert record.integral == (record.degree == 1)
+        assert record.distance_integral == (
+            None if record.distance_degree is None else record.distance_degree == 1
+        )
+        rows.append(
+            (record.index, vector, elements, valency, record.connected,
+             record.degree, record.distance_degree)
+        )
+    return tuple(rows)
 
 
 def test_bundle_route_matches_element_reference():
@@ -150,11 +159,67 @@ def test_bundle_route_matches_element_reference():
     ]
     assert s4.order == 24
     for spec in specs:
-        records = classify(spec).records
+        records = bundle_route_records(spec)
         assert records, spec
         assert records == reference_records(spec), spec
     for spec in specs[-3:]:
         assert classify(spec, jobs=2) == classify(spec, jobs=1)
+
+
+@pytest.mark.parametrize(
+    "group, cap",
+    [
+        (lambda: make_cyclic(24), 1),
+        (lambda: make_dihedral(12), 1),
+        (lambda: make_product(make_product(make_cyclic(2), make_cyclic(3)), make_cyclic(4)), 1),
+        (lambda: make_from_generators([[1, 2, 3, 0], [1, 0, 2, 3]]), 1),
+        (lambda: make_dihedral(8), 3),
+        (lambda: make_cyclic(16), 1),
+        (lambda: make_cyclic(9), 2),
+    ],
+    ids=[
+        "cyclic:24", "dihedral:12", "product:2,3,4", "S4", "dihedral:8 --multisets 3",
+        "cyclic:16", "cyclic:9 --multisets 2",
+    ],
+)
+def test_transported_word_lengths_match_direct_search(monkeypatch, group, cap):
+    # The report cannot see a wrong transport: H' is the same on a whole
+    # unit orbit.  So every word-length vector the orbit memo hands out is
+    # pinned to a breadth-first search of that very support.  On the first
+    # five groups every unit permutes the bundles as an involution, so only
+    # Z16 and Z9, with units of order 4 and 3 on the bundles, tell the
+    # inverse unit from the unit itself.
+    G = group()
+    spec = SearchSpec(G) if cap == 1 else SearchSpec(G, mode="multisets", multiplicity_cap=cap)
+    seen = {}
+    real = search_mod._Search.word_lengths
+
+    def recorded(self, images):
+        # images[0] is the support itself: units[0] = 1.
+        lengths = real(self, images)
+        seen[images[0]] = (lengths, self.products)
+        return lengths
+
+    searched = []
+    real_search = search_mod._word_lengths
+
+    def counted(products, extended):
+        searched.append(extended)
+        return real_search(products, extended)
+
+    monkeypatch.setattr(search_mod._Search, "word_lengths", recorded)
+    monkeypatch.setattr(search_mod, "_word_lengths", counted)
+    result = classify(spec)
+    assert len(result.records) == spec.radix ** result.bundle_count - 1
+    supports = {tuple(min(m, 1) for m in vector) + (0,) for vector in result.vectors()}
+    assert set(seen) == supports
+    for support, (lengths, products) in seen.items():
+        assert lengths == real_search(products, support), support
+    # The breadth-first search itself ran once per unit orbit of supports.
+    orbits = {
+        min(pullback(support) for pullback in fixing_tables(G).pullbacks) for support in supports
+    }
+    assert sorted(searched) == sorted(orbits)
 
 
 def test_serial_search_streams_candidates(monkeypatch):
@@ -251,7 +316,8 @@ def test_classify_finds_circulant_witnesses():
     Z5 = make_cyclic(5)
     result = classify(SearchSpec(Z5, target_degree=2))
     witness = next(r for r in result.records if r.index == result.witness_index)
-    assert witness.elements == (1, 4)
+    assert result.vector(witness.index) == (1, 0)
+    assert set_renderer(Z5, 2)(result.vector(witness.index)) == ("1;4", 2)
     assert witness.degree == 2
 
 
@@ -288,7 +354,7 @@ def test_multiset_mode_runs_shadow_containment():
     # the shadow's subgroup; a full pass means no assertion fired
     result = classify(SearchSpec(make_dihedral(5), mode="multisets", multiplicity_cap=2))
     assert len(result.records) == 3**3 - 1
-    multi = [r for r in result.records if any(m > 1 for m in r.bundle_vector)]
+    multi = [v for v in result.vectors() if any(m > 1 for m in v)]
     assert multi
 
 
@@ -334,6 +400,8 @@ def test_classify_clamps_jobs_to_cpus(monkeypatch):
 def test_complete_graph_record():
     G = make_cyclic(7)
     result = classify(SearchSpec(G))
-    full = next(r for r in result.records if r.valency == 6)
+    render = set_renderer(G, 2)
+    full = next(r for r, v in zip(result.records, result.vectors()) if render(v)[1] == 6)
+    assert full.index == 2**3 - 2
     assert full.connected and full.degree == 1 and full.distance_degree == 1
     assert full.integral and full.distance_integral

@@ -1,15 +1,23 @@
-"""Tooling guard: every function the benchmark's tracer wraps still exists.
+"""Tooling guard: every function the benchmark's tracer wraps still exists,
+and a traced search still runs.
 
 `perfbench/trace_request.py` wraps the functions named in its SPANS, TIMED
 and COUNTED lists, and silently records 0 for a name it cannot find; a
 function moved or renamed in cayspec would make its layer metric read 0.
+It also reads what some of them return (`classify(...).bundle_count`), so a
+changed result would fail only the benchmark's traced run.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACE_REQUEST = Path(__file__).resolve().parent.parent / "perfbench" / "trace_request.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACE_REQUEST = ROOT / "perfbench" / "trace_request.py"
 
 
 def load_trace_request():
@@ -43,3 +51,24 @@ def test_traced_names_resolve():
     assert len(names) > 30
     missing = [f"{module}.{name}" for module, name in names if not callable(resolve(module, name))]
     assert missing == []
+
+
+def test_traced_search_counts_every_candidate(tmp_path):
+    # D6 has 5 class bundles, so cap-2 multisets give 3^5 - 1 candidates.
+    spans_path = tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, str(TRACE_REQUEST), str(spans_path),
+         "search", "--group", "dihedral:6", "--multisets", "2"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "search.count = 242\n" in done.stdout
+    trace = json.loads(spans_path.read_text())
+    assert trace["calls"]["search._classify_one"][0] == 242
+    assert trace["sizes"]["candidates"] == 242
+    classify = [span for span in trace["spans"] if span[0] == "search.classify"]
+    assert [span[5] for span in classify] == [{"bundles": 5}]
