@@ -47,6 +47,7 @@ from cayspec.groups import (
     make_product,
 )
 from cayspec.search import (
+    DEFAULT_ORDER_LIMIT,
     SearchResult,
     SearchSpec,
     check_order,
@@ -579,15 +580,18 @@ def cmd_check(doc: InstanceDocument, subgroup_arg: str) -> tuple[Report, int]:
 
 def cmd_search(args) -> tuple[Report, int]:
     kind, _, param = args.group.partition(":")
-    param_key = {"cyclic": "n", "dihedral": "m", "product": "factors", "generated": "generators"}.get(kind)
-    if param_key is None or not param:
+    if kind not in _GROUP_KEYS or not param:
         raise CayspecError(f"bad --group value {args.group!r} (expected kind:params)")
-    params = {param_key: param}
+    params = dict.fromkeys(_GROUP_KEYS[kind], param)  # one parameter per kind
     order = _declared_order(kind, params)
     if order is not None:
         # Refuse before building: construction costs memory linear in the order.
         check_order(order, args.limit)
-    G = _construct_group(kind, params)
+    try:
+        G = _construct_group(kind, params)
+    except ParseError as err:
+        # A command-line value has no line to point at.
+        raise CayspecError(f"--group {args.group}: {err.reason}") from None
     spec = SearchSpec(
         group=G,
         mode="multisets" if args.multisets else "sets",
@@ -686,7 +690,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--connected", action="store_true", help="keep connected graphs only")
     search.add_argument("--degree", type=int, default=None, help="exit 1 unless this degree occurs")
     search.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per CPU")
-    search.add_argument("--limit", type=int, default=64, help="group order cap")
+    search.add_argument("--limit", type=int, default=DEFAULT_ORDER_LIMIT, help="group order cap")
     search.add_argument("--out", help="write the report to a file instead of stdout")
     return parser
 

@@ -58,5 +58,6 @@ class ParseError(CayspecError):
 
     def __init__(self, message, line=0, column=0):
         super().__init__(f"line {line}, column {column}: {message}")
+        self.reason = message
         self.line = line
         self.column = column

@@ -2,9 +2,10 @@
 
 Every algebraic number handled by the package lives in the field generated by a
 primitive n-th root of unity, stored as its residue modulo the n-th cyclotomic
-polynomial over the power basis {z^0, ..., z^{phi(n)-1}}.  Canonical residues make
-equality a coefficient comparison, which is what stabilizer and orbit computations
-need.
+polynomial over the power basis {z^0, ..., z^{phi(n)-1}}: integer numerators of
+the non-zero coefficients over one common denominator, in lowest terms.  This
+canonical form makes equality and hashing a comparison of integers, which is
+what stabilizer and orbit computations need; no other module reads it.
 """
 
 from __future__ import annotations
@@ -148,52 +149,47 @@ def _ramanujan_sums(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_budget(coeffs: tuple[Fraction, ...]) -> None:
-    budget = COEFFICIENT_BIT_BUDGET
-    total = 0
-    for c in coeffs:
-        total += c.numerator.bit_length() + c.denominator.bit_length()
-        if total > budget:
-            raise CoefficientBudgetExceeded(
-                f"canonical residue exceeds the {budget}-bit coefficient budget"
-            )
-
-
 _ZERO = Fraction(0)
 
 
 class Cyclotomic:
     """A value in the field of n-th roots of unity, in canonical reduced form.
 
-    Immutable; equality goes through the coefficient tuple, so equal field
-    values always compare equal.  Hashing and arithmetic read the value as its
-    coefficients' common denominator D and the non-zero (index, D * coefficient)
-    pairs, built once per value; each result is accumulated as one integer
-    vector over one denominator.
+    Immutable.  A value is stored once, as its power-basis coefficients over
+    one positive common denominator D: `terms` holds the non-zero (index,
+    D * coefficient) pairs in increasing index, and D shares no factor with
+    their numerators, so equal field values have equal (conductor, D, terms).
+    Every value is built by `__init__` from one dense integer accumulator;
+    arithmetic reads and writes integers only.
     """
 
-    __slots__ = ("conductor", "coeffs", "_hash", "_scaled")
+    __slots__ = ("conductor", "denominator", "terms")
 
-    def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
-        self.conductor = conductor
-        self.coeffs = coeffs
-        _check_budget(coeffs)
-
-    @classmethod
-    def _from_scaled(cls, n: int, numerators: list[int], denominator: int) -> "Cyclotomic":
-        return cls(n, tuple(Fraction(a, denominator) if a else _ZERO for a in numerators))
-
-    def _terms(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(D, pairs): the common denominator of the coefficients and the
-        non-zero (index, D * coefficient) pairs."""
-        try:
-            return self._scaled
-        except AttributeError:
-            D = lcm(*(c.denominator for c in self.coeffs))
-            self._scaled = D, tuple(
-                (i, c.numerator * (D // c.denominator)) for i, c in enumerate(self.coeffs) if c
+    def __init__(self, conductor: int, numerators: Sequence[int], denominator: int):
+        g = gcd(denominator, *numerators) if denominator != 1 else 1
+        if g != 1:
+            denominator //= g
+            terms = tuple((i, a // g) for i, a in enumerate(numerators) if a)
+        else:
+            terms = tuple((i, a) for i, a in enumerate(numerators) if a)
+        # The bits the coefficients would take as reduced Fractions are at most
+        # their numerator bits plus those of D, and 1 for each zero.
+        bits = len(numerators) - len(terms) + len(terms) * denominator.bit_length()
+        if bits + sum(a.bit_length() for _, a in terms) > COEFFICIENT_BIT_BUDGET:
+            raise CoefficientBudgetExceeded(
+                f"canonical residue exceeds the {COEFFICIENT_BIT_BUDGET}-bit coefficient budget"
             )
-            return self._scaled
+        self.conductor = conductor
+        self.denominator = denominator
+        self.terms = terms
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The phi(n) power-basis coefficients, built on each read."""
+        out = [_ZERO] * euler_phi(self.conductor)
+        for i, a in self.terms:
+            out[i] = Fraction(a, self.denominator)
+        return tuple(out)
 
     @classmethod
     def from_exponents(cls, n: int, exponent_coeffs: Mapping[int, RationalLike]) -> "Cyclotomic":
@@ -207,14 +203,14 @@ class Cyclotomic:
             if k:
                 for i, r in rows[e % n]:
                     acc[i] += k * r
-        return cls._from_scaled(n, acc, D)
+        return cls(n, acc, D)
 
     @classmethod
     def from_rational(cls, n: int, value: RationalLike) -> "Cyclotomic":
-        phi = euler_phi(n)
-        coeffs = [Fraction(0)] * phi
-        coeffs[0] = as_fraction(value)
-        return cls(n, tuple(coeffs))
+        value = as_fraction(value)
+        acc = [0] * euler_phi(n)
+        acc[0] = value.numerator
+        return cls(n, acc, value.denominator)
 
     @classmethod
     def linear_combination(
@@ -234,16 +230,15 @@ class Cyclotomic:
                 raise ValueError(f"mixed conductors {n} and {x.conductor}")
             c = as_fraction(c)
             if c:
-                dx, pairs = x._terms()
-                d = c.denominator * dx
+                d = c.denominator * x.denominator
                 D = lcm(D, d)
-                scaled.append((c.numerator, d, pairs))
+                scaled.append((c.numerator, d, x.terms))
         acc = [0] * euler_phi(n)
         for num, d, pairs in scaled:
             k = num * (D // d)
             for i, a in pairs:
                 acc[i] += k * a
-        return cls._from_scaled(n, acc, D)
+        return cls(n, acc, D)
 
     @classmethod
     def zero(cls, n: int) -> "Cyclotomic":
@@ -268,9 +263,7 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Cyclotomic(
-            self.conductor, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return Cyclotomic.linear_combination(self.conductor, ((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -278,9 +271,7 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Cyclotomic(
-            self.conductor, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return Cyclotomic.linear_combination(self.conductor, ((1, self), (-1, other)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -289,7 +280,7 @@ class Cyclotomic:
         return other - self
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, tuple(-a for a in self.coeffs))
+        return Cyclotomic.linear_combination(self.conductor, ((-1, self),))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -297,12 +288,10 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        phi = len(self.coeffs)
-        da, a = self._terms()
-        db, b = other._terms()
+        phi = euler_phi(self.conductor)
         conv = [0] * (2 * phi - 1)
-        for i, ai in a:
-            for j, bj in b:
+        for i, ai in self.terms:
+            for j, bj in other.terms:
                 conv[i + j] += ai * bj
         rows = _power_residues(self.conductor)
         acc = conv[:phi]
@@ -311,7 +300,7 @@ class Cyclotomic:
             if ce:
                 for i, r in rows[e]:
                     acc[i] += ce * r
-        return Cyclotomic._from_scaled(self.conductor, acc, da * db)
+        return Cyclotomic(self.conductor, acc, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -320,33 +309,40 @@ class Cyclotomic:
             other = Cyclotomic.from_rational(self.conductor, other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
+        return (
+            self.conductor == other.conductor
+            and self.denominator == other.denominator
+            and self.terms == other.terms
+        )
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash((self.conductor, self._terms()))
-            return self._hash
+        # A rational value hashes as its Fraction, as it compares equal to it.
+        if self.is_rational():
+            return hash(self.rational_value())
+        return hash((self.conductor, self.denominator, self.terms))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.terms)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not self.terms or self.terms[-1][0] == 0
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.terms[0][1], self.denominator) if self.terms else _ZERO
 
     def to_complex(self) -> complex:
-        """Double-precision embedding z = exp(2*pi*i/n)."""
+        """Double-precision embedding z = exp(2*pi*i/n).
+
+        Int true division is correctly rounded, so a / D is the float of the
+        reduced coefficient.
+        """
         n = self.conductor
+        D = self.denominator
         total = 0j
-        for i, c in enumerate(self.coeffs):
-            if c:
-                total += float(c) * cmath.exp(2j * cmath.pi * i / n)
+        for i, a in self.terms:
+            total += a / D * cmath.exp(2j * cmath.pi * i / n)
         return total
 
     def real_embedding(self) -> float:
@@ -354,20 +350,18 @@ class Cyclotomic:
 
     def __str__(self):
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(self.rational_value())
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = -c if c < 0 else c
+        for i, a in self.terms:
+            mag = Fraction(abs(a), self.denominator)
             term = str(mag) if i == 0 else (
                 f"z{self.conductor}^{i}" if mag == 1 else f"{mag}*z{self.conductor}^{i}"
             )
             if not parts:
-                parts.append(term if c > 0 else f"-{term}")
+                parts.append(term if a > 0 else f"-{term}")
             else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts) if parts else "0"
+                parts.append(f"+ {term}" if a > 0 else f"- {term}")
+        return " ".join(parts)
 
     def __repr__(self):
         return f"Cyclotomic({self.conductor}, {self})"
@@ -379,12 +373,11 @@ def galois_apply(h: int, x: Cyclotomic) -> Cyclotomic:
     if gcd(h, n) != 1:
         raise NotAUnit(f"{h} is not a unit modulo {n}")
     rows = _power_residues(n)
-    D, pairs = x._terms()
-    acc = [0] * len(x.coeffs)
-    for i, a in pairs:
+    acc = [0] * euler_phi(n)
+    for i, a in x.terms:
         for j, r in rows[i * h % n]:
             acc[j] += a * r
-    return Cyclotomic._from_scaled(n, acc, D)
+    return Cyclotomic(n, acc, x.denominator)
 
 
 def stabilizer(x: Cyclotomic) -> UnitSubgroup:
@@ -418,8 +411,8 @@ def minimal_polynomial(x: Cyclotomic) -> tuple[Fraction, ...]:
     for k in range(1, d + 1):
         if k > 1:
             power = power * x
-        D, pairs = power._terms()
-        power_sums.append(scale * Fraction(sum(a * sums[i] for i, a in pairs), D))
+        trace = sum(a * sums[i] for i, a in power.terms)
+        power_sums.append(scale * Fraction(trace, power.denominator))
     # e[k] is the k-th elementary symmetric function of the orbit.
     e = [Fraction(1)]
     for k in range(1, d + 1):

@@ -132,9 +132,6 @@ class Group:
 
     # -- names --------------------------------------------------------------
 
-    def element_name(self, i: int) -> str:
-        return self.names[i]
-
     def element_index(self, name: str) -> int:
         key = name.strip()
         if key in self._name_index:

@@ -322,8 +322,18 @@ def test_search_refuses_jobs_below_one(capsys, monkeypatch):
 
 
 def test_search_bad_group(capsys):
-    code, _, err = run(capsys, "search", "--group", "foo")
-    assert code == 2
+    code, out, err = run(capsys, "search", "--group", "foo")
+    assert (code, out) == (2, "")
+    assert err == "error: bad --group value 'foo' (expected kind:params)\n"
+    # A command-line value has no line or column: the error names the option.
+    for value, reason in [
+        ("cyclic:-3", "bad group parameter: cyclic group order must be positive, got -3"),
+        ("product:4", "product needs at least two factors"),
+        ("generated:(0 1", "unclosed cycle in permutation"),
+    ]:
+        code, out, err = run(capsys, "search", "--group", value)
+        assert (code, out) == (2, "")
+        assert err == f"error: --group {value}: {reason}\n"
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

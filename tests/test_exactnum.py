@@ -257,6 +257,83 @@ def test_coefficient_budget_guardrail(monkeypatch):
             build()
 
 
+def test_rational_values_hash_as_their_fractions():
+    # Equal values must hash equal, and a rational value equals its Fraction.
+    assert hash(Cyclotomic.from_rational(7, Fraction(3, 2))) == hash(Fraction(3, 2))
+    assert hash(Cyclotomic.zero(9)) == hash(0)
+    assert len({Cyclotomic.one(5), 1}) == 1
+    assert len({Cyclotomic.from_rational(12, Fraction(-2, 3)), Fraction(-2, 3)}) == 1
+
+
+def test_equal_values_share_one_stored_form():
+    z = {e: Cyclotomic.from_exponents(8, {e: 1}) for e in range(8)}
+    half = Fraction(1, 2)
+    rational_routes = [
+        Cyclotomic.from_exponents(8, {0: Fraction(2, 4)}),
+        Cyclotomic.from_rational(8, half),
+        Cyclotomic.linear_combination(8, [(Fraction(1, 6), z[0]), (Fraction(1, 3), z[0])]),
+        Cyclotomic.from_exponents(8, {1: Fraction(3, 4)})
+        * Cyclotomic.from_exponents(8, {7: Fraction(2, 3)}),
+        galois_apply(3, Cyclotomic.from_exponents(8, {4: Fraction(-3, 6)})),
+    ]
+    # z/2 + z^3/3; exponent 9 is exponent 1, and z -> z^3 swaps z and z^3.
+    value_routes = [
+        Cyclotomic.from_exponents(8, {1: Fraction(1, 4), 9: Fraction(1, 4), 3: Fraction(2, 6)}),
+        Cyclotomic.linear_combination(8, [(half, z[1]), (Fraction(1, 3), z[3])]),
+        Cyclotomic.from_exponents(8, {0: half, 2: Fraction(1, 3)}) * z[1],
+        galois_apply(3, Cyclotomic.from_exponents(8, {3: half, 1: Fraction(1, 3)})),
+    ]
+    for routes, denominator, terms in [
+        (rational_routes, 2, ((0, 1),)),
+        (value_routes, 6, ((1, 3), (3, 2))),
+    ]:
+        for x in routes:
+            assert (x.denominator, x.terms) == (denominator, terms), x
+            assert x == routes[0] and hash(x) == hash(routes[0])
+    x = value_routes[0]
+    assert ((x - x).denominator, (x - x).terms) == (1, ())
+    assert x - x == 0 and not x - x
+
+
+def reference_coeffs(n, exponent_coeffs):
+    """Dense Fraction coefficients of sum c_e z^e, reduced by long division."""
+    poly = [Fraction(0)] * n
+    for e, c in exponent_coeffs.items():
+        poly[e % n] += Fraction(c)
+    modulus = cyclotomic_polynomial(n)
+    phi = len(modulus) - 1
+    for top in range(n - 1, phi - 1, -1):
+        lead = poly[top]
+        for i, m in enumerate(modulus):
+            poly[top - phi + i] -= lead * m
+    return tuple(poly[:phi])
+
+
+def budget_cases():
+    rng = random.Random(12)
+    for n in (5, 12, 21, 60):
+        for size in (1, 3, 6):
+            exps = {
+                rng.randrange(n): Fraction(rng.randrange(-2**40, 2**40), rng.choice([1, 2, 3, 5, 12]))
+                for _ in range(size)
+            }
+            yield n, exps
+
+
+@pytest.mark.parametrize("n, exps", list(budget_cases()))
+def test_coeffs_view_and_budget_never_looser(monkeypatch, n, exps):
+    x = Cyclotomic.from_exponents(n, exps)
+    assert x.coeffs == reference_coeffs(n, exps)
+    # The count of the dense Fraction form: numerator plus denominator bits of
+    # each reduced coefficient, 1 bit for each zero.
+    dense_bits = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in x.coeffs)
+    monkeypatch.setattr(ex, "COEFFICIENT_BIT_BUDGET", dense_bits - 1)
+    with pytest.raises(CoefficientBudgetExceeded):
+        Cyclotomic.from_exponents(n, exps)
+    with pytest.raises(CoefficientBudgetExceeded):
+        Cyclotomic.linear_combination(n, [(1, x)])
+
+
 def reference_combination(n, terms):
     # The fold the sparse path replaced: one full product per term.
     return sum(

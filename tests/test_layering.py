@@ -1,9 +1,10 @@
 """Layering guard: the units engine sits below the field layer.
 
 Imports are read from the source with `ast`, so nothing is imported and no
-module runs.  `units` builds on the group engine alone, and `search`, which
-classifies candidates on the units engine, needs nothing above it.  No
-module reaches into another's private, `_`-prefixed names.
+module runs.  `units` builds on the group engine alone, `exactnum` on the units
+engine, and `search`, which classifies candidates on the units engine, needs
+nothing above it.  No module reaches into another's private, `_`-prefixed
+names, and only `exactnum` reads the stored form of a cyclotomic value.
 """
 
 import ast
@@ -14,6 +15,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cayspec"
 
 ALLOWED = {
+    "exactnum": {"errors", "units"},
     "units": {"errors", "groups"},
     "search": {"errors", "groups", "units"},
 }
@@ -48,3 +50,15 @@ def test_no_module_imports_private_names_from_another():
         for module, names in imports(ast.walk(parse(path))):
             private += [f"{path.name}: {module}.{n}" for n in names if n.startswith("_")]
     assert private == []
+
+
+def test_only_exactnum_reads_the_stored_terms():
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "exactnum.py":
+            readers += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(parse(path))
+                if isinstance(node, ast.Attribute) and node.attr == "terms"
+            ]
+    assert readers == []
