@@ -143,7 +143,7 @@ def _parse_rational(text: str, line: int, column: int) -> Fraction:
         raise ParseError(f"malformed rational {text!r}", line, column) from None
 
 
-def _parse_cycles(text: str, npoints_hint: int, line: int) -> list[int]:
+def _parse_cycles(text: str, line: int) -> list[int]:
     # Cycle notation like (0 1 2 3)(4 5); returns a one-line permutation.
     cycles: list[list[int]] = []
     i = 0
@@ -164,7 +164,6 @@ def _parse_cycles(text: str, npoints_hint: int, line: int) -> list[int]:
             raise ParseError("cycle entries must be integers", line, i + 1) from None
         i = j + 1
     points = max((p for cyc in cycles for p in cyc), default=-1) + 1
-    points = max(points, npoints_hint)
     perm = list(range(points))
     for cyc in cycles:
         for k, p in enumerate(cyc):
@@ -206,7 +205,7 @@ def _construct_group(kind: str, params: dict[str, str], line: int = 0) -> Group:
             return group
         if kind == "generated":
             chunks = [c for c in params["generators"].split(";") if c.strip()]
-            perms = [_parse_cycles(c, 0, line) for c in chunks]
+            perms = [_parse_cycles(c, line) for c in chunks]
             width = max((len(p) for p in perms), default=0)
             perms = [p + list(range(len(p), width)) for p in perms]
             return make_from_generators(perms)
@@ -505,13 +504,13 @@ def cmd_spectrum(doc: InstanceDocument) -> tuple[Report, int]:
         report.put("spectrum.match", comparison.matches)
         if not comparison.matches:
             exit_code = 3
-    verdict = integrality_verdict(f, exact, numeric)
+    verdict = integrality_verdict(f, exact)
     report.line(
         f"Rational: {'yes' if verdict.rational else 'no'}   "
-        f"Integral: {'yes' if verdict.integral else 'no' if verdict.integral is False else 'undetermined'}"
+        f"Integral: {'yes' if verdict.integral else 'no'}"
     )
     report.put("verdict.rational", verdict.rational)
-    report.put("verdict.integral", "undetermined" if verdict.integral is None else verdict.integral)
+    report.put("verdict.integral", verdict.integral)
     return report, exit_code
 
 
@@ -529,7 +528,7 @@ def cmd_degree(doc: InstanceDocument) -> tuple[Report, int]:
         check_fixing_subgroup_equals_stabilizers(f, exact)
     verdict = integrality_verdict(f, exact)
     report.put("verdict.rational", verdict.rational)
-    report.put("verdict.integral", "undetermined" if verdict.integral is None else verdict.integral)
+    report.put("verdict.integral", verdict.integral)
     return report, 0
 
 

@@ -25,10 +25,10 @@ from cayspec.errors import HypothesisFails, InternalInconsistency
 from cayspec.exactnum import Cyclotomic, euler_phi, galois_apply, minimal_polynomial
 from cayspec.spectra import (
     Spectrum,
+    adjacency_minimal_polynomial,
     character_table,
     has_character_table,
     spectrum_exact,
-    spectrum_numeric,
 )
 from cayspec.units import (
     FixingTables,
@@ -38,8 +38,6 @@ from cayspec.units import (
     fixing_tables,
     fixing_units,
 )
-
-INTEGER_ROUNDING_TOL = 1e-6
 
 
 def fixing_subgroup(f: ColourFunction) -> UnitSubgroup:
@@ -92,15 +90,13 @@ def _primitive_search(
 
     Candidates are the periods of H, sum of z^(k*h) over h in H for
     k = 1..n-1, built as they are reached, and then small integer
-    combinations of two periods.  Each is fixed by H by construction, so its
-    stabilizer is H exactly when the generators of H fix it and no
-    representative of a non-trivial coset of H does.
+    combinations of two periods.  Each is fixed by H by construction, so the
+    coset form tells whether its stabilizer is exactly H.
     """
     n = H.modulus
     if degree == 1:
         one = Cyclotomic.one(n)
         return one, minimal_polynomial(one)
-    _, generators, reps = coset_form(tables, H.members)
 
     def candidates():
         periods = []
@@ -113,9 +109,7 @@ def _primitive_search(
                     yield periods[i] + periods[j] * c
 
     for x in candidates():
-        if all(galois_apply(h, x) == x for h, _ in generators) and all(
-            galois_apply(h, x) != x for h, _ in reps
-        ):
+        if _coset_split(tables, H.members, (x,)) is None:
             poly = minimal_polynomial(x)
             if len(poly) - 1 != degree:
                 raise InternalInconsistency(
@@ -149,15 +143,12 @@ def splitting_field(f: ColourFunction) -> FieldReport:
     return _field_of(fixing_tables(f.group), fixing_subgroup(f))
 
 
-def _stabilizer_split(f: ColourFunction, spectrum: Spectrum) -> Optional[str]:
-    """Where the eigenvalue stabilizers and the fixing subgroup H of f part,
-    or None when they agree; checked in coset form: the generators of H fix
-    every distinct eigenvalue, and one representative of each non-trivial
-    coset of H moves at least one.  H is a validated subgroup, so this pins
-    the intersection of the stabilizers down."""
-    H = fixing_subgroup(f)
-    _, generators, reps = coset_form(fixing_tables(f.group), H.members)
-    values = [value for value, _ in spectrum.pairs]
+def _coset_split(tables: FixingTables, members: tuple[int, ...], values) -> Optional[str]:
+    """Where the stabilizer of the values and the subgroup H with these members
+    part, or None: in coset form, the generators of H fix every value and one
+    representative of each non-trivial coset moves one.  H is validated, so
+    this pins the stabilizer down."""
+    _, generators, reps = coset_form(tables, members)
     for h, _ in generators:
         for value in values:
             if galois_apply(h, value) != value:
@@ -166,6 +157,11 @@ def _stabilizer_split(f: ColourFunction, spectrum: Spectrum) -> Optional[str]:
         if all(galois_apply(h, value) == value for value in values):
             return f"unit {h} moves the colour function but fixes every eigenvalue"
     return None
+
+
+def _stabilizer_split(f: ColourFunction, spectrum: Spectrum) -> Optional[str]:
+    values = [value for value, _ in spectrum.pairs]
+    return _coset_split(fixing_tables(f.group), fixing_subgroup(f).members, values)
 
 
 def verify_fixing_subgroup_equals_stabilizers(
@@ -200,45 +196,34 @@ def is_algebraically_integral_over(f: ColourFunction, H_K: UnitSubgroup) -> bool
 
 class IntegralityVerdict(NamedTuple):
     rational: bool
-    integral: Optional[bool]
+    integral: bool
     method: str
 
 
 def integrality_verdict(
-    f: ColourFunction,
-    spectrum: Optional[Spectrum] = None,
-    numeric: Optional[Sequence[float]] = None,
+    f: ColourFunction, spectrum: Optional[Spectrum] = None
 ) -> IntegralityVerdict:
-    """Rationality from the fixing subgroup; integrality from the best route open.
-
-    With an exact spectrum the eigenvalues are inspected directly (and, for
-    integer-valued f vanishing at the identity, cross-checked against the
-    algebraic-integer argument).  Without one, that argument or rounding the
-    numeric spectrum decides; a caller that already holds
-    `spectrum_numeric(f)` passes it as `numeric`, so the matrix is not
-    diagonalized twice.
-    """
-    H = fixing_subgroup(f)
-    rational = len(H) == euler_phi(f.group.order)
-    integer_case = f.is_integer_valued() and f.values[0] == 0
-    if not rational:
+    """Rationality from the fixing subgroup; integrality from the exact spectrum
+    or, without one, the adjacency minimal polynomial: for rational f its roots
+    are rational, so by Gauss's lemma all are integers exactly when its
+    coefficients are.  Either route must find integer-valued f vanishing at
+    the identity integral."""
+    if len(fixing_subgroup(f)) != euler_phi(f.group.order):
         return IntegralityVerdict(False, False, "fixing subgroup is proper")
     if spectrum is not None:
-        all_integer = all(
+        method = "exact spectrum"
+        integral = all(
             v.is_rational() and v.rational_value().denominator == 1
             for v, _ in spectrum.pairs
         )
-        if integer_case and not all_integer:
-            raise InternalInconsistency(
-                "integer colours with zero identity value must yield integer eigenvalues"
-            )
-        return IntegralityVerdict(True, all_integer, "exact spectrum")
-    if integer_case:
-        return IntegralityVerdict(True, True, "algebraic-integer argument")
-    if numeric is None:
-        numeric = spectrum_numeric(f)
-    all_integer = all(abs(v - round(v)) <= INTEGER_ROUNDING_TOL for v in numeric)
-    return IntegralityVerdict(True, all_integer, "numeric rounding")
+    else:
+        method = "adjacency minimal polynomial"
+        integral = all(c.denominator == 1 for c in adjacency_minimal_polynomial(f))
+    if not integral and f.is_integer_valued() and f.values[0] == 0:
+        raise InternalInconsistency(
+            f"{method}: integer colours with zero identity value must yield integer eigenvalues"
+        )
+    return IntegralityVerdict(True, integral, method)
 
 
 def multiset_fixing_subgroup(S: ConnectionMultiset) -> UnitSubgroup:

@@ -15,6 +15,7 @@ never touches the character machinery.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from cayspec._kernels import symmetric_eigenvalues
@@ -296,6 +297,39 @@ def adjacency_matrix(f: ColourFunction) -> list[list[Fraction]]:
         [f.values[G.mul(g, G.inv(h))] for h in range(G.order)]
         for g in range(G.order)
     ]
+
+
+def adjacency_minimal_polynomial(f: ColourFunction) -> tuple[Fraction, ...]:
+    """Monic minimal polynomial of the adjacency matrix, coefficients low to high:
+    that of F = sum of f(x)*x on the centre of Q[G], whose eigenvalues are the
+    distinct adjacency eigenvalues (Burnside; Dixon, Numer. Math. 10, 1967).
+    With D the lcm of f's denominators, 1, DF, (DF)^2, ... are integer class
+    vectors, (DF v)[E] = sum of D*f(x) * v[class of x^-1 z_E] with z_E in class
+    E; exact elimination stops at the first dependence, and t -> D*t rescales it.
+    """
+    G = f.group
+    part = conjugacy_classes(G)
+    support = [x for x, value in enumerate(f.values) if value]
+    D = lcm(*(f.values[x].denominator for x in support))
+    index = [
+        [(part.class_of[G.mul(G.inv(x), z)], (f.values[x] * D).numerator) for x in support]
+        for z in part.representatives
+    ]
+    k = len(index)
+    vector = [1] + [0] * (k - 1)
+    basis = []  # (pivot, row scaled to 1 there)
+    while True:
+        m = len(basis)
+        # The Krylov vector DF^m, then its combination of DF^0..DF^m.
+        row = [Fraction(v) for v in vector] + [Fraction(j == m) for j in range(k + 1)]
+        for pivot, b in basis:
+            c = row[pivot]
+            row = [r - c * x for r, x in zip(row, b)]
+        pivot = next((i for i in range(k) if row[i]), None)
+        if pivot is None:
+            return tuple(a / D ** (m - j) for j, a in enumerate(row[k : k + m + 1]))
+        basis.append((pivot, [r / row[pivot] for r in row]))
+        vector = [sum(w * vector[d] for d, w in pairs) for pairs in index]
 
 
 def check_numeric_order(order: int) -> None:

@@ -412,15 +412,15 @@ def test_spectrum_refuses_orders_above_the_numeric_limit(capsys, monkeypatch, tm
     assert not target.exists()
 
 
-def test_degree_refuses_the_numeric_route_above_the_limit(capsys, monkeypatch, tmp_path):
-    # A rational, non-integer colour on a group without a character table
-    # decides integrality numerically; above the limit that is refused
-    # before the oracle builds its matrix.
+def test_degree_never_runs_the_oracle(capsys, monkeypatch, tmp_path):
+    # A rational, non-integer colour on a group without a character table is
+    # decided by the adjacency minimal polynomial, so `degree` neither builds
+    # the oracle's matrix nor meets its order limit.
     import cayspec._kernels as kernels_mod
     import cayspec.spectra as spectra_mod
 
     def refuse(*args):
-        raise AssertionError("the oracle ran above the limit")
+        raise AssertionError("degree ran the numeric oracle")
 
     monkeypatch.setattr(kernels_mod, "jacobi_diagonalize", refuse)
     monkeypatch.setattr(spectra_mod, "NUMERIC_ORDER_LIMIT", 5)
@@ -431,8 +431,35 @@ def test_degree_refuses_the_numeric_route_above_the_limit(capsys, monkeypatch, t
         encoding="utf-8",
     )
     code, out, err = run(capsys, "degree", str(path))
-    assert (code, out) == (2, "")
-    assert err == "error: group order 6 exceeds the numeric oracle limit 5\n"
+    assert (code, err) == (0, "")
+    block = machine_block(out)
+    assert (block["verdict.rational"], block["verdict.integral"]) == ("true", "false")
+
+
+# Two rational colours on S3, which has no character table here.  Rounding
+# the numeric spectrum to 1e-6 called the first integral (its eigenvalues are
+# 0 and +-3/10^7) and the second not (10^12 + 3, 1 - 10^12 and -1).
+S3_VERDICTS = [
+    ("class((0 1)) = 1/10000000\n", "false"),
+    ("class((0 1)) = 1000000000001/3\nclass((0 1 2)) = 1\n", "true"),
+]
+
+
+@pytest.mark.parametrize("command", ["degree", "spectrum"])
+@pytest.mark.parametrize("colour, integral", S3_VERDICTS, ids=["tiny", "huge"])
+def test_tableless_integrality_is_exact(capsys, tmp_path, command, colour, integral):
+    path = tmp_path / "s3.txt"
+    path.write_text(
+        "[group]\nkind = generated\ngenerators = (0 1 2); (0 1)\n\n[colour]\n" + colour,
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, command, str(path))
+    assert code == 0
+    block = machine_block(out)
+    assert (block["verdict.rational"], block["verdict.integral"]) == ("true", integral)
+    if command == "spectrum":
+        expected = "Integral: yes" if integral == "true" else "Integral: no"
+        assert expected in out
 
 
 def test_missing_file(capsys):

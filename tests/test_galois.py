@@ -256,13 +256,13 @@ def test_integrality_verdicts():
 
 
 def test_integrality_without_characters():
-    # A nonabelian generated group has no exact table; the subgroup argument
-    # and numeric rounding must still decide.
+    # A nonabelian generated group has no exact table; the adjacency minimal
+    # polynomial decides, and the integer rule checks it.
     G = make_from_generators([(1, 2, 3, 0), (2, 1, 0, 3)])
     complete = colour_from_values(G, {g: 1 for g in range(1, G.order)})
     verdict = integrality_verdict(complete)
     assert verdict.rational and verdict.integral
-    assert verdict.method == "algebraic-integer argument"
+    assert verdict.method == "adjacency minimal polynomial"
 
     halves = colour_from_values(
         G, {g: Fraction(1, 2) for g in range(1, G.order)}
@@ -270,7 +270,32 @@ def test_integrality_without_characters():
     verdict_halves = integrality_verdict(halves)
     assert verdict_halves.rational
     assert verdict_halves.integral is False
-    assert verdict_halves.method == "numeric rounding"
+    assert verdict_halves.method == "adjacency minimal polynomial"
+
+
+def test_integer_rule_checks_both_integrality_routes(monkeypatch, capsys):
+    # An integer colour vanishing at the identity has integer eigenvalues; a
+    # route that finds otherwise must exit 3 and name itself.
+    import cayspec.cli as cli_mod
+
+    monkeypatch.setattr(
+        galois_mod, "adjacency_minimal_polynomial", lambda f: (Fraction(1, 2), Fraction(1))
+    )
+    G = make_from_generators([(1, 2, 3, 0), (2, 1, 0, 3)])
+    complete = colour_from_values(G, {g: 1 for g in range(1, G.order)})
+    with pytest.raises(InternalInconsistency, match="^adjacency minimal polynomial: integer"):
+        integrality_verdict(complete)
+
+    real = cli_mod.spectrum_exact
+
+    def halved(f, table):
+        spec = real(f, table)
+        return spec._replace(pairs=tuple((v + Fraction(1, 2), m) for v, m in spec.pairs))
+
+    monkeypatch.setattr(cli_mod, "spectrum_exact", halved)
+    assert main(["degree", instance_path("d8_beta.txt")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal inconsistency: exact spectrum: integer colours"), err
 
 
 def test_multiset_fixing_subgroup_examples():

@@ -5,6 +5,8 @@ module runs.  `units` builds on the group engine alone, `exactnum` on the units
 engine, and `search`, which classifies candidates on the units engine, needs
 nothing above it.  No module reaches into another's private, `_`-prefixed
 names, and only `exactnum` reads the stored form of a cyclotomic value.
+`galois` decides integrality exactly, so it reaches neither the Jacobi
+kernels nor the float spectrum.
 """
 
 import ast
@@ -62,3 +64,18 @@ def test_only_exactnum_reads_the_stored_terms():
                 if isinstance(node, ast.Attribute) and node.attr == "terms"
             ]
     assert readers == []
+
+
+def test_galois_reaches_no_numeric_oracle():
+    tree = parse(PACKAGE / "galois.py")
+    reached = [
+        f"{module}: {names}"
+        for module, names in imports(ast.walk(tree))
+        if module == "cayspec._kernels" or {"_kernels", "spectrum_numeric"} & set(names)
+    ]
+    reached += [
+        f"galois.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "spectrum_numeric"
+    ]
+    assert reached == []

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import cayspec.spectra as spectra_mod
-from cayspec.cli import main
+from cayspec.cli import load_instance, main
 from cayspec.colour import (
     ConnectionMultiset,
     class_weight_vector,
@@ -22,6 +22,7 @@ from cayspec.groups import (
 )
 from cayspec.spectra import (
     adjacency_matrix,
+    adjacency_minimal_polynomial,
     char_table_abelian,
     char_table_dihedral,
     character_table,
@@ -30,7 +31,15 @@ from cayspec.spectra import (
     spectrum_numeric,
 )
 from cayspec.units import unit_group
-from conftest import d5_s1, d5_s2, d8_alpha, d8_beta, instance_path, random_class_function
+from conftest import (
+    INSTANCE_DIR,
+    d5_s1,
+    d5_s2,
+    d8_alpha,
+    d8_beta,
+    instance_path,
+    random_class_function,
+)
 
 
 def check_row_orthogonality(table):
@@ -427,3 +436,41 @@ def test_spectrum_multiplicity_total():
         spec = spectrum_exact(f, character_table(G))
         assert sum(m for _, m in spec.pairs) == G.order
         assert all(abs(v.to_complex().imag) < 1e-9 for v, _ in spec.pairs)
+
+
+def table_family_colours(corpus):
+    """The oracle corpus, the conftest examples and the colours of instances/*."""
+    colours = list(corpus) + [d8_alpha()[1], d8_beta()[1]]
+    colours += [colour_from_multiset(S) for _, S in (d5_s1(), d5_s2())]
+    for path in sorted(INSTANCE_DIR.glob("*.txt")):
+        doc = load_instance(str(path))
+        colours.append(doc.colour or colour_from_multiset(doc.connection))
+    return colours
+
+
+def test_adjacency_minimal_polynomial_has_the_distinct_eigenvalues_as_roots(oracle_corpus):
+    # The class-algebra route shares no arithmetic with the character sums:
+    # its degree must be the number of distinct eigenvalues, and it must
+    # vanish exactly, by Horner's rule, at each of them.
+    for f in table_family_colours(oracle_corpus):
+        poly = adjacency_minimal_polynomial(f)
+        spec = spectrum_exact(f, character_table(f.group))
+        assert (len(poly) - 1, poly[-1]) == (len(spec.pairs), 1), f
+        for value, _ in spec.pairs:
+            total = Cyclotomic.zero(value.conductor)
+            for c in reversed(poly):
+                total = total * value + c
+            assert not total, (f, value)
+
+
+def test_adjacency_minimal_polynomial_of_a_generated_group():
+    # S3 has eigenvalues 3a + 2b, 2b - 3a and -b for f = a on the
+    # transpositions and b on the 3-cycles.
+    G = make_from_generators([(1, 2, 0), (1, 0, 2)])
+    a, b = Fraction(1, 10**7), Fraction(2, 3)
+    f = colour_from_values(G, {g: a if G.inv(g) == g else b for g in range(1, 6)})
+    expected = [3 * a + 2 * b, 2 * b - 3 * a, -b]
+    poly = adjacency_minimal_polynomial(f)
+    assert len(poly) == 4
+    for root in expected:
+        assert sum(c * root**j for j, c in enumerate(poly)) == 0
