@@ -16,7 +16,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from cayspec.colour import (
     ColourFunction,
@@ -26,6 +26,7 @@ from cayspec.colour import (
 )
 from cayspec.errors import (
     CayspecError,
+    ClosureCapExceeded,
     InternalInconsistency,
     NoConvergence,
     ParseError,
@@ -39,6 +40,7 @@ from cayspec.galois import (
     splitting_field,
 )
 from cayspec.groups import (
+    CLOSURE_CAP,
     Group,
     conjugacy_classes,
     make_cyclic,
@@ -69,36 +71,16 @@ from cayspec.units import close_generators
 # -- instance files ----------------------------------------------------------
 
 
-class InstanceDocument:
+class InstanceDocument(NamedTuple):
     """A parsed instance: the group plus one colour or connection section."""
 
-    __slots__ = (
-        "group_kind",
-        "group_params",
-        "group",
-        "kind",
-        "colour",
-        "connection",
-        "echo_entries",
-    )
-
-    def __init__(
-        self,
-        group_kind: str,
-        group_params: dict[str, str],
-        group: Group,
-        kind: str,  # "colour" | "connection"
-        colour: Optional[ColourFunction] = None,
-        connection: Optional[ConnectionMultiset] = None,
-        echo_entries: Optional[list[tuple[str, str]]] = None,
-    ):
-        self.group_kind = group_kind
-        self.group_params = group_params
-        self.group = group
-        self.kind = kind
-        self.colour = colour
-        self.connection = connection
-        self.echo_entries = [] if echo_entries is None else echo_entries
+    group_kind: str
+    group_params: dict[str, str]
+    group: Group
+    kind: str  # "colour" | "connection"
+    echo_entries: list[tuple[str, str]]
+    colour: Optional[ColourFunction] = None
+    connection: Optional[ConnectionMultiset] = None
 
     def canonical_text(self) -> str:
         lines = ["[group]", "kind = " + self.group_kind]
@@ -159,9 +141,12 @@ def _parse_cycles(text: str, line: int) -> list[int]:
             raise ParseError("unclosed cycle in permutation", line, i + 1)
         body = text[i + 1 : j].replace(",", " ").split()
         try:
-            cycles.append([int(p) for p in body])
+            cycle = [int(p) for p in body]
         except ValueError:
             raise ParseError("cycle entries must be integers", line, i + 1) from None
+        if any(p < 0 for p in cycle):
+            raise ParseError("cycle entries must be non-negative", line, i + 1)
+        cycles.append(cycle)
         i = j + 1
     points = max((p for cyc in cycles for p in cyc), default=-1) + 1
     perm = list(range(points))
@@ -171,49 +156,52 @@ def _parse_cycles(text: str, line: int) -> list[int]:
     return perm
 
 
-def _declared_order(kind: str, params: dict[str, str]) -> Optional[int]:
-    """The order of an arithmetic family read off its parameters, or None.
+SizeCheck = Callable[[int], None]  # raises on a group order it refuses
 
-    None for generated groups and for parameters that are not integers;
-    `_construct_group` reports those.
+
+def _check_closure_cap(order: int) -> None:
+    """Refuse an order above CLOSURE_CAP, which generator closure also meets."""
+    if order > CLOSURE_CAP:
+        raise ClosureCapExceeded(f"group order {order} exceeds the cap of {CLOSURE_CAP} elements")
+
+
+def _construct_group(kind: str, params: dict[str, str], check: SizeCheck, line: int = 0) -> Group:
+    """The group a family and its parameters name, sized by `check` before it is built.
+
+    The parameters are parsed once.  Building an arithmetic family costs memory
+    linear in its order, so the order is read off the parameters and checked
+    first; a generated group is checked once closed, which CLOSURE_CAP bounds.
     """
     try:
-        if kind == "cyclic":
-            return int(params["n"])
-        if kind == "dihedral":
-            return 2 * int(params["m"])
-        if kind == "product":
-            return math.prod(int(x) for x in params["factors"].split(",") if x.strip())
-    except (KeyError, ValueError):
-        pass
-    return None
-
-
-def _construct_group(kind: str, params: dict[str, str], line: int = 0) -> Group:
-    try:
-        if kind == "cyclic":
-            return make_cyclic(int(params["n"]))
-        if kind == "dihedral":
-            return make_dihedral(int(params["m"]))
-        if kind == "product":
-            factors = [int(x) for x in params["factors"].split(",") if x.strip()]
-            if len(factors) < 2:
-                raise ParseError("product needs at least two factors", line, 1)
-            group = make_cyclic(factors[0])
-            for n in factors[1:]:
-                group = make_product(group, make_cyclic(n))
-            return group
         if kind == "generated":
             chunks = [c for c in params["generators"].split(";") if c.strip()]
             perms = [_parse_cycles(c, line) for c in chunks]
             width = max((len(p) for p in perms), default=0)
             perms = [p + list(range(len(p), width)) for p in perms]
-            return make_from_generators(perms)
+            group = make_from_generators(perms)
+        else:
+            if kind == "product":
+                factors = [int(x) for x in params["factors"].split(",") if x.strip()]
+                if len(factors) < 2:
+                    raise ParseError("product needs at least two factors", line, 1)
+            else:
+                factors = [int(params["m" if kind == "dihedral" else "n"])]
+            make = make_dihedral if kind == "dihedral" else make_cyclic
+            for n in factors:
+                if n < 1:
+                    make(n)  # refuses n in the family's own words, building nothing
     except KeyError as missing:
         raise ParseError(f"group kind {kind!r} needs parameter {missing}", line, 1) from None
     except ValueError as bad:
         raise ParseError(f"bad group parameter: {bad}", line, 1) from None
-    raise ParseError(f"unknown group kind {kind!r}", line, 1)
+    if kind == "generated":
+        check(group.order)
+        return group
+    check(math.prod(factors) * (2 if kind == "dihedral" else 1))
+    group = make(factors[0])
+    for n in factors[1:]:
+        group = make_product(group, make_cyclic(n))
+    return group
 
 
 _GROUP_KEYS = {
@@ -224,8 +212,11 @@ _GROUP_KEYS = {
 }
 
 
-def parse_instance(text: str) -> InstanceDocument:
-    """Parse an instance document; raises ParseError with line and column."""
+def parse_instance(text: str, check: SizeCheck = _check_closure_cap) -> InstanceDocument:
+    """Parse an instance document; raises ParseError with line and column.
+
+    `check` sizes the group before it is built, as `_construct_group` says.
+    """
     section = None
     group_raw: dict[str, tuple[str, int]] = {}
     colour_raw: list[tuple[str, str, int, int]] = []
@@ -255,6 +246,8 @@ def parse_instance(text: str) -> InstanceDocument:
         if not key:
             raise ParseError("empty key", lineno, col)
         if section == "group":
+            if key in group_raw:
+                raise ParseError(f"repeated [group] key {key!r}", lineno, col)
             group_raw[key] = (value, lineno)
         elif section == "colour":
             colour_raw.append((key, value, lineno, value_col))
@@ -271,7 +264,7 @@ def parse_instance(text: str) -> InstanceDocument:
             raise ParseError(f"unknown group parameter {key!r}", lineno, 1)
     params = {key: value for key, (value, _) in group_raw.items()}
     first_line = min((ln for _, ln in group_raw.values()), default=1)
-    G = _construct_group(kind, params, first_line)
+    G = _construct_group(kind, params, check, first_line)
 
     if colour_raw and connection_raw:
         raise ParseError(
@@ -309,7 +302,7 @@ def parse_instance(text: str) -> InstanceDocument:
                 assignment[g] = rational
         colour = colour_from_values(G, assignment)
         echo = _echo_colour(G, colour)
-        return InstanceDocument(kind, params, G, "colour", colour=colour, echo_entries=echo)
+        return InstanceDocument(kind, params, G, "colour", echo, colour=colour)
 
     counts: dict[int, int] = {}
     for key, value, lineno, vcol in connection_raw:
@@ -334,9 +327,7 @@ def parse_instance(text: str) -> InstanceDocument:
         for g, m in enumerate(connection.multiplicity)
         if m
     ]
-    return InstanceDocument(
-        kind, params, G, "connection", connection=connection, echo_entries=echo
-    )
+    return InstanceDocument(kind, params, G, "connection", echo, connection=connection)
 
 
 def _echo_colour(G: Group, colour: ColourFunction) -> list[tuple[str, str]]:
@@ -349,9 +340,9 @@ def _echo_colour(G: Group, colour: ColourFunction) -> list[tuple[str, str]]:
     return entries
 
 
-def load_instance(path: str) -> InstanceDocument:
+def load_instance(path: str, check: SizeCheck = _check_closure_cap) -> InstanceDocument:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        return parse_instance(fh.read(), check)
 
 
 # -- report assembly ---------------------------------------------------------
@@ -473,8 +464,6 @@ def _field_section(report: Report, field_report) -> None:
 
 
 def cmd_spectrum(doc: InstanceDocument) -> tuple[Report, int]:
-    # Refused before any work: every spectrum request runs the numeric oracle.
-    check_numeric_order(doc.group.order)
     f = _instance_colour(doc)
     report = Report()
     report.line(f"Cayley colour graph on a {doc.group_kind} group of order {doc.group.order}")
@@ -561,7 +550,10 @@ def cmd_distance(doc: InstanceDocument) -> tuple[Report, int]:
 def cmd_check(doc: InstanceDocument, subgroup_arg: str) -> tuple[Report, int]:
     f = _instance_colour(doc)
     n = doc.group.order
-    gens = [int(x) for x in subgroup_arg.split(",") if x.strip()] if subgroup_arg else []
+    try:
+        gens = [int(x) for x in subgroup_arg.split(",") if x.strip()]
+    except ValueError:
+        raise CayspecError(f"--subgroup {subgroup_arg}: generators must be integers") from None
     H_K = close_generators(n, gens)
     verdict = is_algebraically_integral_over(f, H_K)
     report = Report()
@@ -582,12 +574,8 @@ def cmd_search(args) -> tuple[Report, int]:
     if kind not in _GROUP_KEYS or not param:
         raise CayspecError(f"bad --group value {args.group!r} (expected kind:params)")
     params = dict.fromkeys(_GROUP_KEYS[kind], param)  # one parameter per kind
-    order = _declared_order(kind, params)
-    if order is not None:
-        # Refuse before building: construction costs memory linear in the order.
-        check_order(order, args.limit)
     try:
-        G = _construct_group(kind, params)
+        G = _construct_group(kind, params, lambda order: check_order(order, args.limit))
     except ParseError as err:
         # A command-line value has no line to point at.
         raise CayspecError(f"--group {args.group}: {err.reason}") from None
@@ -700,7 +688,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "search":
             report, code = cmd_search(args)
         else:
-            doc = load_instance(args.file)
+            # Every spectrum request runs the numeric oracle on the n x n matrix.
+            check = check_numeric_order if args.command == "spectrum" else _check_closure_cap
+            doc = load_instance(args.file, check)
             if args.command == "spectrum":
                 report, code = cmd_spectrum(doc)
             elif args.command == "degree":

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -97,6 +98,31 @@ def test_parse_generated_group():
     doc = parse_instance(text)
     assert doc.group.order == 8
     assert doc.connection.valency() == 1
+
+
+def test_parse_refuses_negative_points():
+    # A negative point would index the permutation from its end: (0 -2 1)
+    # would generate a group of order 2.
+    text = "[group]\nkind = generated\ngenerators = (0 1 2); (0 -2 1)\n\n[colour]\nclass(e) = 1\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert (err.value.line, err.value.reason) == (3, "cycle entries must be non-negative")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[group]\nkind = dihedral\nm = 4\nm = 5\n\n[colour]\nclass(a) = 1\n", 4),
+        ("[group]\nkind = dihedral\nm = 4\n\n[colour]\nclass(a) = 1\n\n[group]\nm = 5\n", 9),
+        ("[group]\nkind = cyclic\nn = 4\n[group]\nkind = cyclic\n\n[colour]\n1 = 1\n", 5),
+    ],
+    ids=["same-section", "second-section", "kind"],
+)
+def test_parse_refuses_repeated_group_keys(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert err.value.line == line
+    assert err.value.reason.startswith("repeated [group] key")
 
 
 @pytest.mark.parametrize(
@@ -234,6 +260,12 @@ def test_check_rejects_non_unit(capsys):
     assert "unit" in err
 
 
+def test_check_names_a_malformed_subgroup(capsys):
+    code, out, err = run(capsys, "check", instance_path("d8_alpha.txt"), "--subgroup", "5,x")
+    assert (code, out) == (2, "")
+    assert err == "error: --subgroup 5,x: generators must be integers\n"
+
+
 def test_search_d4_negative_verdict(capsys):
     code, out, _ = run(capsys, "search", "--group", "dihedral:4", "--degree", "2")
     assert code == 1
@@ -336,6 +368,35 @@ def test_search_bad_group(capsys):
         assert err == f"error: --group {value}: {reason}\n"
 
 
+def test_search_refuses_negative_points(capsys):
+    # Read as a permutation indexed from its end, (0 -1) is the identity.
+    code, out, err = run(capsys, "search", "--group", "generated:(0 -1)")
+    assert (code, out) == (2, "")
+    assert err == "error: --group generated:(0 -1): cycle entries must be non-negative\n"
+
+
+def test_search_checks_every_factor_before_building_any(capsys, monkeypatch):
+    # A non-positive factor is refused before the group is sized or built:
+    # building Z_(10^9) first would run out of memory.
+    import cayspec.cli as cli_mod
+
+    real, calls = cli_mod.make_cyclic, []
+
+    def recording(n):
+        calls.append(n)
+        if n > 0:
+            raise AssertionError("a factor was built before every factor was checked")
+        return real(n)
+
+    monkeypatch.setattr(cli_mod, "make_cyclic", recording)
+    code, out, err = run(capsys, "search", "--group", "product:1000000000,-1,-2", "--limit", "16")
+    assert (code, out, calls) == (2, "", [-1])
+    assert err == (
+        "error: --group product:1000000000,-1,-2: "
+        "bad group parameter: cyclic group order must be positive, got -1\n"
+    )
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "report.txt"
     code, out, _ = run(
@@ -410,6 +471,51 @@ def test_spectrum_refuses_orders_above_the_numeric_limit(capsys, monkeypatch, tm
     assert (code, out) == (2, "")
     assert err == f"error: group order {n} exceeds the numeric oracle limit {NUMERIC_ORDER_LIMIT}\n"
     assert not target.exists()
+
+
+CONSTRUCTORS = ("make_cyclic", "make_dihedral", "make_product", "make_from_generators")
+
+
+def refuse_construction(monkeypatch):
+    import cayspec.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("group built before its order was checked")
+
+    for name in CONSTRUCTORS:
+        monkeypatch.setattr(cli_mod, name, refuse)
+
+
+@pytest.mark.parametrize("n", [193, 5 * 10**7])
+def test_spectrum_sizes_the_group_before_building_it(capsys, monkeypatch, tmp_path, n):
+    refuse_construction(monkeypatch)
+    path = tmp_path / "big.txt"
+    path.write_text(f"[group]\nkind = cyclic\nn = {n}\n\n[connection]\nelements = 1, {n - 1}\n")
+    code, out, err = run(capsys, "spectrum", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: group order {n} exceeds the numeric oracle limit 192\n"
+
+
+@pytest.mark.parametrize("n", [20000, 10**9])
+@pytest.mark.parametrize(
+    "argv", [["degree"], ["distance"], ["check", "--subgroup", "3"]], ids=["degree", "distance", "check"]
+)
+def test_commands_refuse_orders_above_the_closure_cap(capsys, monkeypatch, tmp_path, argv, n):
+    # Generator closure stops at the same cap, so every family meets one.
+    from cayspec.groups import CLOSURE_CAP
+
+    assert CLOSURE_CAP == 10000
+    refuse_construction(monkeypatch)
+    path = tmp_path / "big.txt"
+    path.write_text(f"[group]\nkind = cyclic\nn = {n}\n\n[connection]\nelements = 1, {n - 1}\n")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: group order {n} exceeds the cap of 10000 elements\n"
+
+
+def test_closure_cap_admits_its_own_order():
+    doc = parse_instance("[group]\nkind = dihedral\nm = 5000\n\n[colour]\nclass(b) = 1\n")
+    assert doc.group.order == 10000
 
 
 def test_degree_never_runs_the_oracle(capsys, monkeypatch, tmp_path):
@@ -629,3 +735,43 @@ def test_cli_import_loads_no_dataclass_machinery():
     # `ast` and `dis` modules it pulls in cost about 10 ms to import, and
     # each decorated class more to build.
     assert _loaded_by_cli_import(("dataclasses", "inspect")) == "[]"
+
+
+EMPTY_SHA = hashlib.sha256(b"").hexdigest()
+
+# Exit code, stdout sha256 and stderr of each command on each shipped instance,
+# as recorded before the group front end sized every group up front.
+PINNED_REPORTS = {
+    ("spectrum", "d5_s1.txt"): (0, "ea4523c5fc622c682e6afd10e7b805c144fedd4789d92ae98ca7d128f514fc84", ""),
+    ("spectrum", "d5_s2.txt"): (0, "601fdf94aadb8292ae6862ce120a392ec985ac6873d058c63d06c43b6701b570", ""),
+    ("spectrum", "d8_alpha.txt"): (0, "4d9bce52c9c51af18d9854bb5190ccf79e5e642f9dcf3e1d9c911d90b0d51641", ""),
+    ("spectrum", "d8_beta.txt"): (0, "f58b26439242006e08bd6c759243058ed09608761bbdcbdbdbacc148ba9f0c69", ""),
+    ("spectrum", "z5_pentagon.txt"): (0, "8b9b2168735252184dc3f70263c11976a433e187e1b14c9db941c27ef36aecea", ""),
+    ("degree", "d5_s1.txt"): (0, "161280055b736b42a93c932f55e752ed505451c6d49674d6dda0d03998e2d10c", ""),
+    ("degree", "d5_s2.txt"): (0, "3d6dbf5e59da8577d571e23c208e656e874028646c19e610a873b6da57c73f65", ""),
+    ("degree", "d8_alpha.txt"): (0, "ba6bb3580dcdd91ac3bce0dd5d39281ab6862221ba474ea3cf69dbb2dc6859fd", ""),
+    ("degree", "d8_beta.txt"): (0, "4882f88d42b3228480f8c0bbb7ca08739c3b03e744c66ec8a5aba09237f9585a", ""),
+    ("degree", "z5_pentagon.txt"): (0, "f4b7dda991d594abd31f870a5a45da7b6438513d6d5bac6e3afe6c407c76505d", ""),
+    ("distance", "d5_s1.txt"): (2, EMPTY_SHA, "error: distance analysis needs a simple connection set\n"),
+    ("distance", "d5_s2.txt"): (2, EMPTY_SHA, "error: distance analysis needs a simple connection set\n"),
+    ("distance", "d8_alpha.txt"): (2, EMPTY_SHA, "error: distance analysis needs a [connection] section\n"),
+    ("distance", "d8_beta.txt"): (2, EMPTY_SHA, "error: distance analysis needs a [connection] section\n"),
+    ("distance", "z5_pentagon.txt"): (0, "9a703da96b62effc4e36a6eae9215d8e4a37df0a78d1952cad083ce45483f64b", ""),
+    ("check", "d5_s1.txt"): (0, "53a4a58e30c08fc652cc7cf61cc548e91a8e430cf6949d22e68fe47b0dbdcf6a", ""),
+    ("check", "d5_s2.txt"): (0, "4fde62f0959e52f1359abe995d5f73d5708f319a804625043306c4fd6827d6d8", ""),
+    ("check", "d8_alpha.txt"): (0, "0b2d16757b38311cb1d1d1c1ef7da208f860805dca84a7152438bd9e44a83ddf", ""),
+    ("check", "d8_beta.txt"): (0, "be70d6a95da55693a01d37ed72045c328cdf680bc7cd2a3b8339fce77aa4e1c1", ""),
+    ("check", "z5_pentagon.txt"): (0, "fb95ac41079df38a73bcdc12278363b8c5b57ce987b176e0b32d1f872bfc9877", ""),
+}
+
+
+def test_pinned_reports_cover_every_instance():
+    names = sorted(p.name for p in Path(instance_path("")).iterdir())
+    assert sorted({name for _, name in PINNED_REPORTS}) == names
+
+
+@pytest.mark.parametrize("command, name", sorted(PINNED_REPORTS))
+def test_report_pinned(capsys, command, name):
+    extra = ["--subgroup", "3"] if command == "check" else []
+    code, out, err = run(capsys, command, instance_path(name), *extra)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == PINNED_REPORTS[command, name]

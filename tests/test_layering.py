@@ -6,7 +6,8 @@ engine, and `search`, which classifies candidates on the units engine, needs
 nothing above it.  No module reaches into another's private, `_`-prefixed
 names, and only `exactnum` reads the stored form of a cyclotomic value.
 `galois` decides integrality exactly, so it reaches neither the Jacobi
-kernels nor the float spectrum.
+kernels nor the float spectrum.  The CLI builds every group in
+`_construct_group`, which sizes it first.
 """
 
 import ast
@@ -79,3 +80,28 @@ def test_galois_reaches_no_numeric_oracle():
         if isinstance(node, ast.Attribute) and node.attr == "spectrum_numeric"
     ]
     assert reached == []
+
+
+CONSTRUCTORS = {"make_cyclic", "make_dihedral", "make_product", "make_from_generators"}
+
+
+def test_cli_builds_groups_in_one_routine():
+    tree = parse(PACKAGE / "cli.py")
+
+    def uses(nodes):
+        return [
+            node
+            for node in nodes
+            if (isinstance(node, ast.Name) and node.id in CONSTRUCTORS)
+            or (isinstance(node, ast.Attribute) and node.attr in CONSTRUCTORS)
+        ]
+
+    (routine,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_construct_group"
+    ]
+    inside = {id(node) for node in uses(ast.walk(routine))}
+    assert {node.id for node in uses(ast.walk(routine))} == CONSTRUCTORS
+    stray = [f"cli.py:{node.lineno}" for node in uses(ast.walk(tree)) if id(node) not in inside]
+    assert stray == []
