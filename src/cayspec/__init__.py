@@ -23,15 +23,12 @@ from cayspec.galois import (
     DistanceReport,
     FieldReport,
     IntegralityVerdict,
-    algebraic_degree,
     distance_report,
     fixing_subgroup,
     integrality_verdict,
     is_algebraically_integral_over,
     multiset_fixing_subgroup,
     splitting_field,
-    transfer_check,
-    verify_fixing_subgroup_equals_stabilizers,
 )
 from cayspec.groups import (
     ConjugacyClassPartition,
@@ -51,8 +48,6 @@ from cayspec.search import (
     SearchSpec,
     SetRecord,
     classify,
-    enumerate_normal_sets,
-    verify_degree_equals_distance_degree,
 )
 from cayspec.spectra import (
     CharacterTable,

@@ -82,17 +82,6 @@ class InstanceDocument(NamedTuple):
     colour: Optional[ColourFunction] = None
     connection: Optional[ConnectionMultiset] = None
 
-    def canonical_text(self) -> str:
-        lines = ["[group]", "kind = " + self.group_kind]
-        for key, value in self.group_params.items():
-            lines.append(f"{key} = {value}")
-        lines.append("")
-        lines.append(f"[{self.kind}]")
-        for key, value in self.echo_entries:
-            lines.append(f"{key} = {value}")
-        lines.append("")
-        return "\n".join(lines)
-
 
 def _split_top_level(text: str, sep: str = ",") -> list[str]:
     # Split on sep outside parentheses, so product names like (0,1) survive.
@@ -127,7 +116,9 @@ def _parse_rational(text: str, line: int, column: int) -> Fraction:
 
 def _parse_cycles(text: str, line: int) -> list[int]:
     # Cycle notation like (0 1 2 3)(4 5); returns a one-line permutation.
+    # The cycles must be disjoint: a point named twice would be overwritten.
     cycles: list[list[int]] = []
+    seen: set[int] = set()
     i = 0
     while i < len(text):
         ch = text[i]
@@ -146,6 +137,10 @@ def _parse_cycles(text: str, line: int) -> list[int]:
             raise ParseError("cycle entries must be integers", line, i + 1) from None
         if any(p < 0 for p in cycle):
             raise ParseError("cycle entries must be non-negative", line, i + 1)
+        for p in cycle:
+            if p in seen:
+                raise ParseError(f"point {p} appears twice in one permutation", line, i + 1)
+            seen.add(p)
         cycles.append(cycle)
         i = j + 1
     points = max((p for cyc in cycles for p in cyc), default=-1) + 1

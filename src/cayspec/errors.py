@@ -41,10 +41,6 @@ class UnsupportedFamily(CayspecError):
     """No exact character table is available for this group family."""
 
 
-class HypothesisFails(CayspecError):
-    """A precondition of a two-sided verification does not hold for the inputs."""
-
-
 class InternalInconsistency(CayspecError):
     """Two independent computations of the same quantity disagree (a bug)."""
 

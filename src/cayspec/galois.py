@@ -21,7 +21,7 @@ from cayspec.colour import (
     colour_from_multiset,
     distance_layering,
 )
-from cayspec.errors import HypothesisFails, InternalInconsistency
+from cayspec.errors import InternalInconsistency
 from cayspec.exactnum import Cyclotomic, euler_phi, galois_apply, minimal_polynomial
 from cayspec.spectra import (
     Spectrum,
@@ -52,12 +52,6 @@ def fixing_subgroup(f: ColourFunction) -> UnitSubgroup:
     extended = tuple(values[bundle[0]] for bundle in tables.bundles) + (values[0],)
     members = fixing_units(tables, extended)
     return check_coset_form(tables, "colour function", members, extended, values)
-
-
-def algebraic_degree(f: ColourFunction) -> int:
-    """Degree of the splitting field over the rationals: phi(n) / |fixing subgroup|."""
-    n = f.group.order
-    return euler_phi(n) // len(fixing_subgroup(f))
 
 
 class FieldReport(NamedTuple):
@@ -159,25 +153,14 @@ def _coset_split(tables: FixingTables, members: tuple[int, ...], values) -> Opti
     return None
 
 
-def _stabilizer_split(f: ColourFunction, spectrum: Spectrum) -> Optional[str]:
-    values = [value for value, _ in spectrum.pairs]
-    return _coset_split(fixing_tables(f.group), fixing_subgroup(f).members, values)
-
-
-def verify_fixing_subgroup_equals_stabilizers(
-    f: ColourFunction, spectrum: Spectrum
-) -> bool:
-    """Whether the eigenvalue stabilizers intersect in exactly the fixing
-    subgroup of f: the paper's main identity."""
-    return _stabilizer_split(f, spectrum) is None
-
-
 def check_fixing_subgroup_equals_stabilizers(
     f: ColourFunction, spectrum: Spectrum
 ) -> None:
     """Raise InternalInconsistency, naming the unit at which they part, unless
-    the eigenvalue stabilizers intersect in exactly the fixing subgroup of f."""
-    split = _stabilizer_split(f, spectrum)
+    the eigenvalue stabilizers intersect in exactly the fixing subgroup of f:
+    the paper's main identity."""
+    values = [value for value, _ in spectrum.pairs]
+    split = _coset_split(fixing_tables(f.group), fixing_subgroup(f).members, values)
     if split is not None:
         raise InternalInconsistency(f"stabilizer identity: {split}")
 
@@ -292,30 +275,3 @@ def distance_report(S: ConnectionMultiset) -> DistanceReport:
         _check_layer_sum_form(spectrum, table, layering)
     return DistanceReport(layering=layering, field=field, spectrum=spectrum)
 
-
-def transfer_check(
-    alpha: ColourFunction, beta: ColourFunction, H_K: UnitSubgroup
-) -> bool:
-    """Integrality over the fixed field of H_K transfers between two colours
-    whose fixed-member sets inside H_K, H_K meet H_alpha and H_K meet H_beta,
-    coincide.
-
-    Both sides of the biconditional are computed; their common value is
-    returned.  Raises HypothesisFails when the member sets differ.
-    """
-    if alpha.group is not beta.group:
-        raise ValueError("transfer check needs colours on the same group")
-    if H_K.modulus != alpha.group.order:
-        raise ValueError("subgroup modulus does not match the group order")
-    K = set(H_K.members)
-    fixed_alpha = K & set(fixing_subgroup(alpha).members)
-    fixed_beta = K & set(fixing_subgroup(beta).members)
-    if fixed_alpha != fixed_beta:
-        raise HypothesisFails(
-            "the two colours fix different subsets of the given subgroup"
-        )
-    alpha_side = is_algebraically_integral_over(alpha, H_K)
-    beta_side = is_algebraically_integral_over(beta, H_K)
-    if alpha_side != beta_side:
-        raise InternalInconsistency("integrality transfer biconditional failed")
-    return alpha_side

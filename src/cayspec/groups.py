@@ -123,13 +123,6 @@ class Group:
             q[b] = a
         return self._perm_index[tuple(q)]
 
-    def element_order(self, i: int) -> int:
-        k, x = 1, i
-        while x != 0:
-            x = self.mul(x, i)
-            k += 1
-        return k
-
     # -- names --------------------------------------------------------------
 
     def element_index(self, name: str) -> int:

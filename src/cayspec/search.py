@@ -63,7 +63,6 @@ class SearchSpec:
         "multiplicity_cap",
         "require_connected",
         "target_degree",
-        "order_limit",
     )
 
     def __init__(
@@ -85,7 +84,6 @@ class SearchSpec:
         self.multiplicity_cap = multiplicity_cap
         self.require_connected = require_connected
         self.target_degree = target_degree
-        self.order_limit = order_limit
 
     @property
     def radix(self) -> int:
@@ -101,18 +99,6 @@ class SetRecord(NamedTuple):
     index: int
     degree: int
     distance_degree: Optional[int]
-
-    @property
-    def connected(self) -> bool:
-        return self.distance_degree is not None
-
-    @property
-    def integral(self) -> bool:
-        return self.degree == 1
-
-    @property
-    def distance_integral(self) -> Optional[bool]:
-        return None if self.distance_degree is None else self.distance_degree == 1
 
 
 class SearchResult(NamedTuple):
@@ -173,28 +159,6 @@ def _candidate_vectors(
     # code's digits most significant first.
     digits = product(range(radix), repeat=num_bundles)
     return map(_REVERSED, islice(digits, start, stop))
-
-
-def _multiset_from_vector(
-    G: Group, bundles: tuple[tuple[int, ...], ...], vector: tuple[int, ...]
-) -> ConnectionMultiset:
-    # Imported here: classification never builds a multiset.
-    from cayspec.colour import ConnectionMultiset
-
-    counts = [0] * G.order
-    for b, mult in enumerate(vector):
-        if mult:
-            for g in bundles[b]:
-                counts[g] = mult
-    return ConnectionMultiset(G, tuple(counts))
-
-
-def enumerate_normal_sets(spec: SearchSpec) -> Iterator[ConnectionMultiset]:
-    """All non-empty normal inverse-closed connection (multi)sets, in order."""
-    bundles = class_bundles(spec.group)
-    stop = spec.radix**len(bundles)
-    for vector in _candidate_vectors(len(bundles), spec.radix, 1, stop):
-        yield _multiset_from_vector(spec.group, bundles, vector)
 
 
 def set_renderer(G: Group, radix: int) -> Callable[[tuple[int, ...]], tuple[str, int]]:
@@ -415,19 +379,3 @@ def classify(spec: SearchSpec, jobs: int = 1) -> SearchResult:
         witness_index=witness,
     )
 
-
-def verify_degree_equals_distance_degree(
-    spec: SearchSpec, jobs: int = 1
-) -> tuple[bool, tuple[SetRecord, ...]]:
-    """Compare degree and distance degree over every connected enumerated set.
-
-    Only meaningful for simple sets; returns the verdict and any
-    counterexamples (expected none).
-    """
-    if spec.mode != "sets":
-        raise ValueError("degree comparison is defined for simple connection sets")
-    result = classify(spec, jobs=jobs)
-    counterexamples = tuple(
-        r for r in result.records if r.connected and r.degree != r.distance_degree
-    )
-    return (not counterexamples, counterexamples)

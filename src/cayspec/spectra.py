@@ -51,7 +51,6 @@ class CharacterTable(NamedTuple):
 
     group: Group
     partition: ConjugacyClassPartition
-    conductor: int
     rows: tuple[CharacterRow, ...]
     row_orbits: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -87,7 +86,6 @@ def _finish_table(
     return CharacterTable(
         group=G,
         partition=part,
-        conductor=G.order,
         rows=tuple(rows),
         row_orbits=tuple(orbits),
     )
@@ -194,28 +192,19 @@ def char_table_dihedral(G: Group) -> CharacterTable:
     return _finish_table(G, rows, row_image)
 
 
+def has_character_table(G: Group) -> bool:
+    """Whether the family has an exact table: dihedral, cyclic or a product of cyclics."""
+    return G.family == "dihedral" or G.cyclic_orders is not None
+
+
 def character_table(G: Group) -> CharacterTable:
     """Dispatch on the group family; cached on the group object."""
-    if G._char_table is not None:
-        return G._char_table
-    if G.family == "dihedral":
-        table = char_table_dihedral(G)
-    elif G.cyclic_orders is not None:
-        table = char_table_abelian(G)
-    else:
-        raise UnsupportedFamily(
-            f"no exact character table for family {G.family!r}"
-        )
-    G._char_table = table
-    return table
-
-
-def has_character_table(G: Group) -> bool:
-    try:
-        character_table(G)
-    except UnsupportedFamily:
-        return False
-    return True
+    if G._char_table is None:
+        if not has_character_table(G):
+            raise UnsupportedFamily(f"no exact character table for family {G.family!r}")
+        build = char_table_dihedral if G.family == "dihedral" else char_table_abelian
+        G._char_table = build(G)
+    return G._char_table
 
 
 class Spectrum(NamedTuple):
@@ -226,7 +215,6 @@ class Spectrum(NamedTuple):
     """
 
     order: int
-    conductor: int
     pairs: tuple[tuple[Cyclotomic, int], ...]
     per_irreducible: tuple[tuple[str, int, Cyclotomic], ...]
 
@@ -287,7 +275,7 @@ def spectrum_exact(f: ColourFunction, table: CharacterTable) -> Spectrum:
     )
     if sum(m for _, m in pairs) != n:
         raise InternalInconsistency("spectrum multiplicities do not sum to |G|")
-    return Spectrum(order=n, conductor=n, pairs=pairs, per_irreducible=tuple(per_irr))
+    return Spectrum(order=n, pairs=pairs, per_irreducible=tuple(per_irr))
 
 
 def adjacency_matrix(f: ColourFunction) -> list[list[Fraction]]:

@@ -13,15 +13,15 @@ from cayspec.cli import main
 from cayspec.colour import ConnectionMultiset, colour_from_multiset
 from cayspec.exactnum import Cyclotomic, divisors, euler_phi
 from cayspec.galois import (
+    check_fixing_subgroup_equals_stabilizers,
     distance_fixing_subgroup,
     fixing_subgroup,
     integrality_verdict,
     multiset_fixing_subgroup,
     splitting_field,
-    verify_fixing_subgroup_equals_stabilizers,
 )
 from cayspec.groups import class_bundles, make_cyclic, make_dihedral
-from cayspec.search import SearchSpec, classify, verify_degree_equals_distance_degree
+from cayspec.search import SearchSpec, classify
 from cayspec.spectra import (
     character_table,
     compare_spectra,
@@ -131,7 +131,7 @@ def test_criterion_05_stabilizer_identity(oracle_corpus):
     budget = Budget(30.0)
     for f in oracle_corpus:
         spec = spectrum_exact(f, character_table(f.group))
-        assert verify_fixing_subgroup_equals_stabilizers(f, spec)
+        check_fixing_subgroup_equals_stabilizers(f, spec)
     report(
         5,
         f"stabilizer intersection equals fixing subgroup on {len(oracle_corpus)} "
@@ -247,15 +247,10 @@ def test_criterion_11_degree_equals_distance_degree():
     budget = Budget(120.0)
     total_connected = 0
     for G in search_corpus_groups():
-        ok, counterexamples = verify_degree_equals_distance_degree(
-            SearchSpec(G, require_connected=True)
-        )
-        assert ok, f"counterexamples on order {G.order}: {counterexamples}"
-        total_connected += sum(
-            1
-            for record in classify(SearchSpec(G)).records
-            if record.connected
-        )
+        records = classify(SearchSpec(G, require_connected=True)).records
+        mismatched = [r for r in records if r.distance_degree != r.degree]
+        assert not mismatched, f"counterexamples on order {G.order}: {mismatched}"
+        total_connected += len(records)
     report(
         11,
         f"degree equals distance degree on {total_connected} connected graphs",
@@ -301,7 +296,7 @@ def test_criterion_12_dual_route_cross_checks():
             assert (phi // len(multi)) % (phi // len(shadow)) == 0
             pairs_checked += 1
         for record, vector in zip(result.records, result.vectors()):
-            if record.connected:
+            if record.distance_degree is not None:
                 counts = [0] * G.order
                 for bundle, m in zip(bundles, vector):
                     for g in bundle:

@@ -130,11 +130,18 @@ def test_parse_refuses_repeated_group_keys(text, line):
     ["d8_alpha.txt", "d8_beta.txt", "d5_s1.txt", "d5_s2.txt", "z5_pentagon.txt"],
 )
 def test_canonical_roundtrip(name):
+    def canonical_text(doc):
+        lines = ["[group]", "kind = " + doc.group_kind]
+        lines += [f"{key} = {value}" for key, value in doc.group_params.items()]
+        lines += ["", f"[{doc.kind}]"]
+        lines += [f"{key} = {value}" for key, value in doc.echo_entries]
+        return "\n".join(lines + [""])
+
     with open(instance_path(name), encoding="utf-8") as fh:
         doc = parse_instance(fh.read())
-    canonical = doc.canonical_text()
+    canonical = canonical_text(doc)
     again = parse_instance(canonical)
-    assert again.canonical_text() == canonical
+    assert canonical_text(again) == canonical
 
 
 # -- commands ------------------------------------------------------------------
@@ -375,6 +382,26 @@ def test_search_refuses_negative_points(capsys):
     assert err == "error: --group generated:(0 -1): cycle entries must be non-negative\n"
 
 
+@pytest.mark.parametrize(
+    "cycles, point, column",
+    [("(0 1 0)", 0, 1), ("(0 1)(0 1)", 0, 6), ("(2 3) (4 5 3)", 3, 7)],
+    ids=["same-cycle", "two-cycles", "later-point"],
+)
+def test_repeated_points_are_refused(capsys, cycles, point, column):
+    # Written over, a repeated point made (0 1)(0 1) the transposition (0 1)
+    # and the group of order 2, where the product of the cycles is the
+    # identity.  The cycles of one generator must be disjoint.  Columns
+    # count from the start of the generator, as for every cycle error.
+    reason = f"point {point} appears twice in one permutation"
+    text = f"[group]\nkind = generated\ngenerators = {cycles}\n\n[colour]\nclass(e) = 1\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert (err.value.line, err.value.column, err.value.reason) == (3, column, reason)
+    code, out, err = run(capsys, "search", "--group", f"generated:{cycles}")
+    assert (code, out) == (2, "")
+    assert err == f"error: --group generated:{cycles}: {reason}\n"
+
+
 def test_search_checks_every_factor_before_building_any(capsys, monkeypatch):
     # A non-positive factor is refused before the group is sized or built:
     # building Z_(10^9) first would run out of memory.
@@ -608,7 +635,7 @@ def test_stabilizer_identity_mismatch_exits_three(capsys, monkeypatch, command, 
 
     def injected(f, table):
         spec = real(f, table)
-        n = spec.conductor
+        n = spec.order
         if command == "spectrum":
             (value, mult), *rest = spec.pairs
             pairs = ((value + Cyclotomic.from_exponents(n, {1: 1}), mult), *rest)

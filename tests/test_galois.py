@@ -1,6 +1,7 @@
 import pickle
 import random
 from fractions import Fraction
+from itertools import combinations
 from operator import itemgetter
 
 import pytest
@@ -11,7 +12,7 @@ import cayspec.spectra as spectra_mod
 import cayspec.units as units_mod
 from cayspec.cli import main
 from cayspec.colour import ConnectionMultiset, colour_from_multiset, colour_from_values
-from cayspec.errors import HypothesisFails, InternalInconsistency, NotAUnit
+from cayspec.errors import InternalInconsistency, NotAUnit
 from cayspec.exactnum import (
     Cyclotomic,
     euler_phi,
@@ -22,17 +23,15 @@ from cayspec.exactnum import (
 from cayspec.galois import (
     _gauss_period,
     _primitive_search,
-    algebraic_degree,
+    check_fixing_subgroup_equals_stabilizers,
     distance_report,
     fixing_subgroup,
     integrality_verdict,
     is_algebraically_integral_over,
     multiset_fixing_subgroup,
     splitting_field,
-    transfer_check,
-    verify_fixing_subgroup_equals_stabilizers,
 )
-from cayspec.groups import make_cyclic, make_dihedral, make_from_generators
+from cayspec.groups import make_cyclic, make_dihedral, make_from_generators, power_map
 from cayspec.search import SearchSpec, SetRecord, classify
 from cayspec.spectra import Spectrum, character_table, spectrum_exact
 from cayspec.units import UnitSubgroup, close_generators, fixing_tables, unit_group, unit_subgroup
@@ -109,6 +108,11 @@ def test_fixing_subgroup_s1():
     assert fixing_subgroup(f).members == (1, 9)
 
 
+def algebraic_degree(f):
+    """phi(n) / |H_f|: the degree of the splitting field of f."""
+    return euler_phi(f.group.order) // len(fixing_subgroup(f))
+
+
 def test_algebraic_degree_examples():
     _, alpha = d8_alpha()
     assert algebraic_degree(alpha) == 2
@@ -119,6 +123,7 @@ def test_algebraic_degree_examples():
         ConnectionMultiset.from_elements(Z7, range(1, 7))
     )
     assert algebraic_degree(complete) == 1
+    assert splitting_field(complete).degree == 1
 
 
 def test_fixing_subgroup_contains_negation():
@@ -187,13 +192,13 @@ def test_eigenvalues_fixed_by_fixing_subgroup():
 def test_stabilizer_identity_alpha():
     G, alpha = d8_alpha()
     spec = spectrum_exact(alpha, character_table(G))
-    assert verify_fixing_subgroup_equals_stabilizers(alpha, spec)
+    check_fixing_subgroup_equals_stabilizers(alpha, spec)
 
 
 def test_stabilizer_identity_rational_spectrum():
     G, beta = d8_beta()
     spec = spectrum_exact(beta, character_table(G))
-    assert verify_fixing_subgroup_equals_stabilizers(beta, spec)
+    check_fixing_subgroup_equals_stabilizers(beta, spec)
 
 
 def test_stabilizer_identity_refuses_a_wrong_subgroup(monkeypatch):
@@ -201,12 +206,13 @@ def test_stabilizer_identity_refuses_a_wrong_subgroup(monkeypatch):
     # eigenvalue; H = all units has generator 3, which moves the surds.
     G, alpha = d8_alpha()
     spec = spectrum_exact(alpha, character_table(G))
-    assert verify_fixing_subgroup_equals_stabilizers(alpha, spec)
-    for wrong in ((1,), unit_group(16).members):
+    check_fixing_subgroup_equals_stabilizers(alpha, spec)
+    for wrong, split in (((1,), "unit 7 moves"), (unit_group(16).members, "unit 3 fixes")):
         monkeypatch.setattr(
             galois_mod, "fixing_subgroup", lambda f, wrong=wrong: unit_subgroup(16, wrong)
         )
-        assert verify_fixing_subgroup_equals_stabilizers(alpha, spec) is False
+        with pytest.raises(InternalInconsistency, match=f"^stabilizer identity: {split} "):
+            check_fixing_subgroup_equals_stabilizers(alpha, spec)
 
 
 def test_stabilizer_identity_random():
@@ -218,9 +224,7 @@ def test_stabilizer_identity_random():
         table = character_table(G)
         for _ in range(4):
             f = random_class_function(G, rng)
-            assert verify_fixing_subgroup_equals_stabilizers(
-                f, spectrum_exact(f, table)
-            )
+            check_fixing_subgroup_equals_stabilizers(f, spectrum_exact(f, table))
             count += 1
     assert count >= 50
 
@@ -477,49 +481,48 @@ def test_distance_report_pentagon():
     assert report.field.degree == 2
 
 
-def test_transfer_check_reflexive():
-    G, alpha = d8_alpha()
-    for gens in ([], [7], [7, 9], [3], [15]):
-        H_K = close_generators(16, gens)
-        transfer_check(alpha, alpha, H_K)
-
-
-def test_transfer_check_scaling_preserves_degree():
-    G, alpha = d8_alpha()
-    doubled = colour_from_values(
-        G, {g: 2 * v for g, v in enumerate(alpha.values)}
+def eigenvalues_fixed_by(spectrum, H_K) -> bool:
+    """Whether every generator of H_K fixes every exact eigenvalue: integrality
+    over the fixed field of H_K, decided without a fixing subgroup."""
+    return all(
+        galois_apply(h, value) == value for h in H_K.generators for value, _ in spectrum.pairs
     )
-    assert transfer_check(alpha, doubled, unit_group(16)) is False
-    assert transfer_check(alpha, doubled, unit_subgroup(16, (1, 7, 9, 15))) is True
-    assert algebraic_degree(alpha) == algebraic_degree(doubled)
 
 
-def test_transfer_check_hypothesis_fails():
-    G, alpha = d8_alpha()
-    constant = colour_from_values(G, {g: 1 for g in range(16)})
-    with pytest.raises(HypothesisFails):
-        transfer_check(alpha, constant, unit_group(16))
+def colour_fixed_by(G, L, rng):
+    """A random colour summed over the power maps of the units in L, so that
+    L fixes it and the fixing subgroups of a sample vary."""
+    f = random_class_function(G, rng)
+    maps = [power_map(G, h) for h in L.members]
+    return colour_from_values(G, {g: sum(f.values[pm[g]] for pm in maps) for g in range(G.order)})
 
 
-def test_transfer_check_random_pairs():
-    # transfer_check itself asserts the biconditional; here we only feed it
-    # pairs and subgroups, skipping those that violate its hypothesis.
+def test_transfer_statement_by_eigenvalues():
+    # The paper's transfer: when H_K meets H_alpha and H_beta in the same
+    # set, alpha is integral over the fixed field of H_K exactly when beta
+    # is.  Only the hypothesis reads fixing subgroups; each side is decided
+    # on the exact eigenvalues.  On D8 the sample starts with alpha and
+    # twice alpha, which scaling leaves with one fixing subgroup.
     rng = random.Random(53)
-    G = make_dihedral(8)
-    n = G.order
-    subgroups = []
-    for h in unit_group(n).members:
-        H = close_generators(n, [h])
-        if H.members not in [s.members for s in subgroups]:
-            subgroups.append(H)
-    checked = 0
-    for _ in range(40):
-        alpha = random_class_function(G, rng)
-        beta = random_class_function(G, rng)
-        for H_K in subgroups:
-            try:
-                transfer_check(alpha, beta, H_K)
+    G, alpha = d8_alpha()
+    doubled = colour_from_values(G, {g: 2 * v for g, v in enumerate(alpha.values)})
+    assert fixing_subgroup(doubled) == fixing_subgroup(alpha)
+    checked, verdicts = 0, set()
+    for G, seeds in ((G, [alpha, doubled]), (make_cyclic(16), [])):
+        n = G.order
+        table = character_table(G)
+        subgroups = {close_generators(n, [h]) for h in unit_group(n).members}
+        subgroups = sorted(subgroups | {unit_group(n)}, key=lambda H: H.members)
+        colours = seeds + [colour_fixed_by(G, rng.choice(subgroups), rng) for _ in range(12)]
+        sample = [(set(fixing_subgroup(f).members), spectrum_exact(f, table)) for f in colours]
+        for (H_alpha, s_alpha), (H_beta, s_beta) in combinations(sample, 2):
+            for H_K in subgroups:
+                K = set(H_K.members)
+                if K & H_alpha != K & H_beta:
+                    continue
+                verdict = eigenvalues_fixed_by(s_alpha, H_K)
+                assert eigenvalues_fixed_by(s_beta, H_K) == verdict, (G, H_K)
+                verdicts.add(verdict)
                 checked += 1
-            except HypothesisFails:
-                pass
     assert checked >= 20
+    assert verdicts == {True, False}

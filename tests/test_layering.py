@@ -7,7 +7,8 @@ nothing above it.  No module reaches into another's private, `_`-prefixed
 names, and only `exactnum` reads the stored form of a cyclotomic value.
 `galois` decides integrality exactly, so it reaches neither the Jacobi
 kernels nor the float spectrum.  The CLI builds every group in
-`_construct_group`, which sizes it first.
+`_construct_group`, which sizes it first.  Every function the package defines
+is named somewhere else in it, apart from a short list that tests keep.
 """
 
 import ast
@@ -105,3 +106,64 @@ def test_cli_builds_groups_in_one_routine():
     assert {node.id for node in uses(ast.walk(routine))} == CONSTRUCTORS
     stray = [f"cli.py:{node.lineno}" for node in uses(ast.walk(tree)) if id(node) not in inside]
     assert stray == []
+
+
+# Functions and public methods that no line of the package names, each kept
+# for the tests: a name listed here with no reason to stay should be deleted.
+UNCALLED = {
+    # Independent references the tests compare the engine against: a colour
+    # pulled back along a power map, and the stabilizer of one value found by
+    # scanning every unit.
+    "colour.power_pullback",
+    "exactnum.stabilizer",
+    # Traced by perfbench/trace_request.py, which must keep resolving every
+    # name it wraps (tests/test_trace_names.py).
+    "galois.multiset_fixing_subgroup",
+    # The tests' constructor of connection sets and their reference helpers.
+    "colour.ConnectionMultiset.from_elements",
+    "colour.ConnectionMultiset.shadow",
+    "colour.ConnectionMultiset.valency",
+}
+
+
+def definitions(tree):
+    """(qualified name, node, is a method) for each top-level function and
+    each public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item, True
+
+
+def references(node, inside=frozenset()):
+    """(name, is an attribute, ids of the enclosing functions) for each name
+    and attribute read or written under node."""
+    if isinstance(node, ast.FunctionDef):
+        inside = inside | {id(node)}
+    if isinstance(node, ast.Name):
+        yield node.id, False, inside
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, True, inside
+    for child in ast.iter_child_nodes(node):
+        yield from references(child, inside)
+
+
+def test_every_function_is_called_in_the_package():
+    # A function counts as called when some line outside its own body names
+    # it: as a name or an attribute, or only as an attribute for a method.
+    # The re-exports of __init__.py call nothing.
+    trees = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    named = [ref for stem, tree in trees.items() if stem != "__init__" for ref in references(tree)]
+    uncalled = {
+        f"{stem}.{qualified}"
+        for stem, tree in trees.items()
+        for qualified, node, method in definitions(tree)
+        if not any(
+            name == node.name and (attribute or not method) and id(node) not in inside
+            for name, attribute, inside in named
+        )
+    }
+    assert uncalled == UNCALLED

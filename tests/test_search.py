@@ -18,14 +18,7 @@ from cayspec.groups import (
     make_product,
     power_map,
 )
-from cayspec.search import (
-    SearchSpec,
-    _multiset_from_vector,
-    classify,
-    enumerate_normal_sets,
-    set_renderer,
-    verify_degree_equals_distance_degree,
-)
+from cayspec.search import SearchSpec, classify, set_renderer
 from cayspec.units import fixing_tables, unit_group
 
 
@@ -57,6 +50,17 @@ def reference_layer_fixing_members(G: Group, layers) -> tuple[int, ...]:
         if all(frozenset(pm[g] for g in layer) == layer for layer in layer_sets):
             members.append(h)
     return tuple(members)
+
+
+def multiset_from_vector(
+    G: Group, bundles: tuple[tuple[int, ...], ...], vector: tuple[int, ...]
+) -> ConnectionMultiset:
+    """The connection multiset taking each bundle as often as its entry says."""
+    counts = [0] * G.order
+    for b, mult in enumerate(vector):
+        for g in bundles[b]:
+            counts[g] = mult
+    return ConnectionMultiset(G, tuple(counts))
 
 
 def reference_candidate_vectors(num_bundles, mode, cap):
@@ -94,7 +98,7 @@ def reference_classify_one(
     index: int,
 ) -> tuple:
     """(index, vector, elements, valency, connected, degree, distance degree)."""
-    S = _multiset_from_vector(G, bundles, vector)
+    S = multiset_from_vector(G, bundles, vector)
     phi = euler_phi(G.order)
     H_star = reference_multiset_fixing_members(S)
     degree = phi // len(H_star)
@@ -134,12 +138,8 @@ def bundle_route_records(spec: SearchSpec) -> tuple[tuple, ...]:
     rows = []
     for record, vector in zip(result.records, result.vectors()):
         elements, valency = render(vector)
-        assert record.integral == (record.degree == 1)
-        assert record.distance_integral == (
-            None if record.distance_degree is None else record.distance_degree == 1
-        )
         rows.append(
-            (record.index, vector, elements, valency, record.connected,
+            (record.index, vector, elements, valency, record.distance_degree is not None,
              record.degree, record.distance_degree)
         )
     return tuple(rows)
@@ -276,9 +276,14 @@ def test_bundles_cyclic_pairs():
         assert len(bundles) == (n - 1 + 1) // 2
 
 
+def enumerated_multisets(spec: SearchSpec) -> list[ConnectionMultiset]:
+    bundles = class_bundles(spec.group)
+    return [multiset_from_vector(spec.group, bundles, v) for v in classify(spec).vectors()]
+
+
 def test_enumeration_count_and_normality():
     G = make_dihedral(4)
-    sets = list(enumerate_normal_sets(SearchSpec(G)))
+    sets = enumerated_multisets(SearchSpec(G))
     assert len(sets) == 15
     assert len({s.multiplicity for s in sets}) == 15
     for s in sets:
@@ -288,8 +293,11 @@ def test_enumeration_count_and_normality():
 def test_enumeration_multiset_count():
     G = make_cyclic(5)
     spec = SearchSpec(G, mode="multisets", multiplicity_cap=2)
-    sets = list(enumerate_normal_sets(spec))
+    sets = enumerated_multisets(spec)
     assert len(sets) == 3**2 - 1
+    assert sorted(s.multiplicity for s in sets) == sorted(
+        (0, a, b, b, a) for a in range(3) for b in range(3) if a or b
+    )
 
 
 def test_order_limit_enforced():
@@ -331,22 +339,10 @@ def test_degrees_divide_half_totient():
 
 def test_connected_records_have_distance_degree():
     result = classify(SearchSpec(make_dihedral(5)))
-    for record in result.records:
-        if record.connected:
-            assert record.distance_degree == record.degree
-        else:
-            assert record.distance_degree is None
-
-
-def test_verify_degree_equals_distance_degree():
-    ok, counterexamples = verify_degree_equals_distance_degree(
-        SearchSpec(make_dihedral(4), require_connected=True)
-    )
-    assert ok and counterexamples == ()
-    with pytest.raises(ValueError):
-        verify_degree_equals_distance_degree(
-            SearchSpec(make_cyclic(5), mode="multisets")
-        )
+    connected = [r for r in result.records if r.distance_degree is not None]
+    assert all(r.distance_degree == r.degree for r in connected)
+    # Only the three sets of rotations alone fail to generate D5.
+    assert len(result.records) - len(connected) == 3
 
 
 def test_multiset_mode_runs_shadow_containment():
@@ -403,5 +399,4 @@ def test_complete_graph_record():
     render = set_renderer(G, 2)
     full = next(r for r, v in zip(result.records, result.vectors()) if render(v)[1] == 6)
     assert full.index == 2**3 - 2
-    assert full.connected and full.degree == 1 and full.distance_degree == 1
-    assert full.integral and full.distance_integral
+    assert full.degree == 1 and full.distance_degree == 1

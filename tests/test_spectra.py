@@ -27,6 +27,7 @@ from cayspec.spectra import (
     char_table_dihedral,
     character_table,
     compare_spectra,
+    has_character_table,
     spectrum_exact,
     spectrum_numeric,
 )
@@ -301,6 +302,26 @@ def test_character_table_dispatch_unsupported():
     G = make_from_generators([(1, 2, 3, 0), (2, 1, 0, 3)])
     with pytest.raises(UnsupportedFamily):
         character_table(G)
+
+
+def test_has_character_table_is_a_family_test():
+    # The predicate reads the family and builds no table; character_table
+    # builds one exactly where it holds.
+    groups = [
+        make_cyclic(6),
+        make_dihedral(5),
+        make_product(make_cyclic(2), make_cyclic(3)),
+        make_product(make_dihedral(3), make_cyclic(2)),
+        make_from_generators([(1, 2, 3, 0), (2, 1, 0, 3)]),
+    ]
+    assert [has_character_table(G) for G in groups] == [True, True, True, False, False]
+    assert all(G._char_table is None for G in groups)
+    for G in groups:
+        if has_character_table(G):
+            assert sum(row.degree**2 for row in character_table(G).rows) == G.order
+        else:
+            with pytest.raises(UnsupportedFamily):
+                character_table(G)
 
 
 def test_spectrum_zero_colour():
