@@ -497,23 +497,34 @@ def colour_fixed_by(G, L, rng):
     return colour_from_values(G, {g: sum(f.values[pm[g]] for pm in maps) for g in range(G.order)})
 
 
-def test_transfer_statement_by_eigenvalues():
-    # The paper's transfer: when H_K meets H_alpha and H_beta in the same
-    # set, alpha is integral over the fixed field of H_K exactly when beta
-    # is.  Only the hypothesis reads fixing subgroups; each side is decided
-    # on the exact eigenvalues.  On D8 the sample starts with alpha and
-    # twice alpha, which scaling leaves with one fixing subgroup.
-    rng = random.Random(53)
+def test_transfer_check_scaling_preserves_degree():
+    # Scaling leaves one fixing subgroup, so the transfer hypothesis holds
+    # for alpha and twice alpha under every H_K; their exact eigenvalues
+    # must then be fixed by the same subgroups of units.
     G, alpha = d8_alpha()
     doubled = colour_from_values(G, {g: 2 * v for g, v in enumerate(alpha.values)})
     assert fixing_subgroup(doubled) == fixing_subgroup(alpha)
+    assert algebraic_degree(alpha) == algebraic_degree(doubled)
+    table = character_table(G)
+    s_alpha, s_doubled = spectrum_exact(alpha, table), spectrum_exact(doubled, table)
+    for H_K, verdict in ((unit_group(16), False), (unit_subgroup(16, (1, 7, 9, 15)), True)):
+        assert eigenvalues_fixed_by(s_alpha, H_K) is verdict
+        assert eigenvalues_fixed_by(s_doubled, H_K) is verdict
+
+
+def test_transfer_check_random_pairs():
+    # The paper's transfer: when H_K meets H_alpha and H_beta in the same
+    # set, alpha is integral over the fixed field of H_K exactly when beta
+    # is.  Only the hypothesis reads fixing subgroups; each side is decided
+    # on the exact eigenvalues.
+    rng = random.Random(53)
     checked, verdicts = 0, set()
-    for G, seeds in ((G, [alpha, doubled]), (make_cyclic(16), [])):
+    for G in (make_dihedral(8), make_cyclic(16)):
         n = G.order
         table = character_table(G)
         subgroups = {close_generators(n, [h]) for h in unit_group(n).members}
         subgroups = sorted(subgroups | {unit_group(n)}, key=lambda H: H.members)
-        colours = seeds + [colour_fixed_by(G, rng.choice(subgroups), rng) for _ in range(12)]
+        colours = [colour_fixed_by(G, rng.choice(subgroups), rng) for _ in range(12)]
         sample = [(set(fixing_subgroup(f).members), spectrum_exact(f, table)) for f in colours]
         for (H_alpha, s_alpha), (H_beta, s_beta) in combinations(sample, 2):
             for H_K in subgroups:
