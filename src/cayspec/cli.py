@@ -114,9 +114,10 @@ def _parse_rational(text: str, line: int, column: int) -> Fraction:
         raise ParseError(f"malformed rational {text!r}", line, column) from None
 
 
-def _parse_cycles(text: str, line: int) -> list[int]:
+def _parse_cycles(text: str, line: int, column: int) -> list[int]:
     # Cycle notation like (0 1 2 3)(4 5); returns a one-line permutation.
     # The cycles must be disjoint: a point named twice would be overwritten.
+    # `column` is where text starts on its line; errors name a cycle's column.
     cycles: list[list[int]] = []
     seen: set[int] = set()
     i = 0
@@ -126,20 +127,20 @@ def _parse_cycles(text: str, line: int) -> list[int]:
             i += 1
             continue
         if ch != "(":
-            raise ParseError(f"expected '(' in permutation, found {ch!r}", line, i + 1)
+            raise ParseError(f"expected '(' in permutation, found {ch!r}", line, column + i)
         j = text.index(")", i) if ")" in text[i:] else -1
         if j < 0:
-            raise ParseError("unclosed cycle in permutation", line, i + 1)
+            raise ParseError("unclosed cycle in permutation", line, column + i)
         body = text[i + 1 : j].replace(",", " ").split()
         try:
             cycle = [int(p) for p in body]
         except ValueError:
-            raise ParseError("cycle entries must be integers", line, i + 1) from None
+            raise ParseError("cycle entries must be integers", line, column + i) from None
         if any(p < 0 for p in cycle):
-            raise ParseError("cycle entries must be non-negative", line, i + 1)
+            raise ParseError("cycle entries must be non-negative", line, column + i)
         for p in cycle:
             if p in seen:
-                raise ParseError(f"point {p} appears twice in one permutation", line, i + 1)
+                raise ParseError(f"point {p} appears twice in one permutation", line, column + i)
             seen.add(p)
         cycles.append(cycle)
         i = j + 1
@@ -160,17 +161,23 @@ def _check_closure_cap(order: int) -> None:
         raise ClosureCapExceeded(f"group order {order} exceeds the cap of {CLOSURE_CAP} elements")
 
 
-def _construct_group(kind: str, params: dict[str, str], check: SizeCheck, line: int = 0) -> Group:
+def _construct_group(
+    kind: str, params: dict[str, str], check: SizeCheck, line: int = 0, column: int = 1
+) -> Group:
     """The group a family and its parameters name, sized by `check` before it is built.
 
     The parameters are parsed once.  Building an arithmetic family costs memory
     linear in its order, so the order is read off the parameters and checked
     first; a generated group is checked once closed, which CLOSURE_CAP bounds.
+    `line` and `column` locate the value of the first parameter in an instance.
     """
     try:
         if kind == "generated":
-            chunks = [c for c in params["generators"].split(";") if c.strip()]
-            perms = [_parse_cycles(c, line) for c in chunks]
+            perms, offset = [], column
+            for chunk in params["generators"].split(";"):
+                if chunk.strip():
+                    perms.append(_parse_cycles(chunk, line, offset))
+                offset += len(chunk) + 1
             width = max((len(p) for p in perms), default=0)
             perms = [p + list(range(len(p), width)) for p in perms]
             group = make_from_generators(perms)
@@ -213,7 +220,7 @@ def parse_instance(text: str, check: SizeCheck = _check_closure_cap) -> Instance
     `check` sizes the group before it is built, as `_construct_group` says.
     """
     section = None
-    group_raw: dict[str, tuple[str, int]] = {}
+    group_raw: dict[str, tuple[str, int, int]] = {}
     colour_raw: list[tuple[str, str, int, int]] = []
     connection_raw: list[tuple[str, str, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -236,14 +243,14 @@ def parse_instance(text: str, check: SizeCheck = _check_closure_cap) -> Instance
             raise ParseError("expected 'key = value'", lineno, col)
         key, value = stripped.split("=", 1)
         key = key.strip()
+        value_col = line.index("=") + 2 + len(value) - len(value.lstrip())
         value = value.strip()
-        value_col = line.index("=") + 2
         if not key:
             raise ParseError("empty key", lineno, col)
         if section == "group":
             if key in group_raw:
                 raise ParseError(f"repeated [group] key {key!r}", lineno, col)
-            group_raw[key] = (value, lineno)
+            group_raw[key] = (value, lineno, value_col)
         elif section == "colour":
             colour_raw.append((key, value, lineno, value_col))
         else:
@@ -254,12 +261,12 @@ def parse_instance(text: str, check: SizeCheck = _check_closure_cap) -> Instance
     kind = group_raw.pop("kind")[0]
     if kind not in _GROUP_KEYS:
         raise ParseError(f"unknown group kind {kind!r}", 1, 1)
-    for key, (_, lineno) in group_raw.items():
+    for key, (_, lineno, _) in group_raw.items():
         if key not in _GROUP_KEYS[kind]:
             raise ParseError(f"unknown group parameter {key!r}", lineno, 1)
-    params = {key: value for key, (value, _) in group_raw.items()}
-    first_line = min((ln for _, ln in group_raw.values()), default=1)
-    G = _construct_group(kind, params, check, first_line)
+    params = {key: value for key, (value, _, _) in group_raw.items()}
+    _, first_line, first_col = min(group_raw.values(), key=lambda raw: raw[1], default=("", 1, 1))
+    G = _construct_group(kind, params, check, first_line, first_col)
 
     if colour_raw and connection_raw:
         raise ParseError(

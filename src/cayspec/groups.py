@@ -3,8 +3,8 @@
 Elements are dense indices 0..n-1 with the identity fixed at index 0.
 Each family multiplies one way: cyclic groups and their products by adding
 digit codes, dihedral groups and other products by their arithmetic rule,
-generated groups by a table up to TABLE_LIMIT and by composing permutations
-above it.  Power maps g -> g**h are computed once per group and unit;
+generated groups by composing permutations, so no family builds an n x n
+table.  Power maps g -> g**h are computed once per group and unit;
 conjugacy classes are orbits under the group's generators, and class bundles
 join each class with the class of its inverses.
 """
@@ -16,7 +16,6 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from cayspec.errors import ClosureCapExceeded
 
-TABLE_LIMIT = 4096
 CLOSURE_CAP = 10000
 
 MultisetLike = Union[Iterable[int], Mapping[int, int]]
@@ -39,7 +38,9 @@ class Group:
 
     `generators` lists the element indices of a generating set; conjugacy
     classes are orbits under conjugation by them.  `cyclic_orders` lists the
-    factor orders of a cyclic group or a product of cyclic groups, else None.
+    factor orders of a cyclic group or a product of cyclic groups, else None;
+    `perms` lists the permutation of each element of a generated group, which
+    multiplies by composing them.
     Instances are immutable after construction apart from their caches
     (classes, power maps, character table, fixing tables), and safe to pickle
     into workers, which rebuild the fixing tables; construct through the
@@ -54,7 +55,6 @@ class Group:
         generators: tuple[int, ...],
         *,
         cyclic_orders: Optional[tuple[int, ...]] = None,
-        mul_table: Optional[tuple[tuple[int, ...], ...]] = None,
         perms: Optional[tuple[tuple[int, ...], ...]] = None,
         factors: Optional[tuple["Group", "Group"]] = None,
         aliases: Optional[dict[str, int]] = None,
@@ -65,7 +65,6 @@ class Group:
         self.generators = generators
         self.cyclic_orders = cyclic_orders
         self._code, self._reduce = _digit_codes(cyclic_orders) if cyclic_orders else (None, None)
-        self._table = mul_table
         self._perms = perms
         self._perm_index = (
             {p: i for i, p in enumerate(perms)} if perms is not None else None
@@ -99,10 +98,7 @@ class Group:
             left, right = self.factors
             nr = right.order
             return left.mul(i // nr, j // nr) * nr + right.mul(i % nr, j % nr)
-        if self._table is not None:
-            return self._table[i][j]
-        pi, pj = self._perms[i], self._perms[j]
-        return self._perm_index[tuple(pi[k] for k in pj)]
+        return self._perm_index[tuple(map(self._perms[i].__getitem__, self._perms[j]))]
 
     def inv(self, i: int) -> int:
         return self._inverse[i]
@@ -153,6 +149,8 @@ def _digit_codes(orders: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(code), tuple(reduce)
 
 
+# No family builds a multiplication table.  perfbench/trace_request.py counts
+# the cells of this one by name, so its `groups.table_cells` reads 0.
 def _table_from_rule(order: int, rule) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(rule(i, j) for j in range(order)) for i in range(order))
 
@@ -222,7 +220,12 @@ def _cycle_name(perm: tuple[int, ...]) -> str:
 
 
 def make_from_generators(perms: Sequence[Sequence[int]], cap: int = CLOSURE_CAP) -> Group:
-    """Group generated by permutations, closed breadth-first from the identity."""
+    """Group generated by permutations, closed breadth-first from the identity.
+
+    Element i is the i-th permutation the closure reaches.  A product of two
+    elements is the composition of their permutations, looked up in an index
+    of the elements, so memory stays linear in the order.
+    """
     gens = [tuple(p) for p in perms]
     npoints = len(gens[0]) if gens else 0
     for g in gens:
@@ -235,7 +238,7 @@ def make_from_generators(perms: Sequence[Sequence[int]], cap: int = CLOSURE_CAP)
     while queue:
         x = queue.popleft()
         for g in gens:
-            y = tuple(x[g[k]] for k in range(npoints))
+            y = tuple(map(x.__getitem__, g))
             if y not in index:
                 if len(elements) >= cap:
                     raise ClosureCapExceeded(
@@ -244,19 +247,9 @@ def make_from_generators(perms: Sequence[Sequence[int]], cap: int = CLOSURE_CAP)
                 index[y] = len(elements)
                 elements.append(y)
                 queue.append(y)
-    order = len(elements)
     names = tuple(_cycle_name(p) for p in elements)
-    perms_t = tuple(elements)
-    table = None
-    if order <= TABLE_LIMIT:
-        table = _table_from_rule(
-            order,
-            lambda i, j: index[
-                tuple(perms_t[i][perms_t[j][k]] for k in range(npoints))
-            ],
-        )
     generators = tuple(index[g] for g in gens)
-    return Group(order, names, "generated", generators, mul_table=table, perms=perms_t)
+    return Group(len(elements), names, "generated", generators, perms=tuple(elements))
 
 
 def power(G: Group, g: int, k: int) -> int:

@@ -1,6 +1,7 @@
+import tracemalloc
+
 import pytest
 
-import cayspec.groups as groups_mod
 from cayspec.errors import ClosureCapExceeded
 from cayspec.groups import (
     conjugacy_classes,
@@ -124,8 +125,7 @@ def test_generators_cap():
         make_from_generators([(1, 2, 3, 4, 0)], cap=3)
 
 
-def test_permutation_action_path(monkeypatch):
-    monkeypatch.setattr(groups_mod, "TABLE_LIMIT", 2)
+def test_permutation_action_path():
     G = make_from_generators([(1, 2, 3, 4, 5, 0)])
     H = make_cyclic(6)
     assert G.order == 6
@@ -134,6 +134,19 @@ def test_permutation_action_path(monkeypatch):
     cyclic_classes = [len(c) for c in conjugacy_classes(H).classes]
     perm_classes = [len(c) for c in conjugacy_classes(G).classes]
     assert perm_classes == cyclic_classes
+
+
+def test_generated_group_memory_is_linear_in_its_order():
+    # S6 multiplies by composing permutations: building it holds the 720
+    # permutations, their names and their index, not a 720 x 720 table.
+    tracemalloc.start()
+    try:
+        G = make_from_generators([(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.order == 720
+    assert peak < 2 * 2**20
 
 
 def _scan_classes(G):

@@ -119,6 +119,9 @@ UNCALLED = {
     # Traced by perfbench/trace_request.py, which must keep resolving every
     # name it wraps (tests/test_trace_names.py).
     "galois.multiset_fixing_subgroup",
+    # Counted by name in perfbench/trace_request.py (`groups.table_cells`),
+    # although no family builds a multiplication table.
+    "groups._table_from_rule",
     # The tests' constructor of connection sets and their reference helpers.
     "colour.ConnectionMultiset.from_elements",
     "colour.ConnectionMultiset.shadow",
