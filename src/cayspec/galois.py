@@ -89,8 +89,8 @@ def _primitive_search(
     """
     n = H.modulus
     if degree == 1:
-        one = Cyclotomic.one(n)
-        return one, minimal_polynomial(one)
+        # 1 is rational: its minimal polynomial is t - 1.
+        return Cyclotomic.one(n), (Fraction(-1), Fraction(1))
 
     def candidates():
         periods = []

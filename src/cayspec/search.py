@@ -11,19 +11,24 @@ is {h : v o pi_h = v}, read off the group's `units.FixingTables` and checked
 there on elements in coset form.  The product of two bundles is a union of
 bundles, kept as a bitmask; connectivity and the word length of every bundle
 come from one breadth-first search over bundle masks, and the distance
-fixing subgroup is that of the word-length vector.
+fixing subgroup H' is that of the word-length vector.
 
-Units act on bundle vectors, and word lengths move with them: the
-word-length vector of v o pi_h is that of v composed with pi_h.  So the
-breadth-first search runs once per unit orbit of supports, on the orbit's
-key, the least of the images v o pi_h, and every other support of the orbit
-pulls the key's vector back along the inverse unit.  In multiset mode the
-facts that depend only on the support (the shadow's fixing subgroup and its
-check, the word lengths, the distance fixing subgroup and its check) are
-computed once per distinct support.  Every candidate still gets its own
-fixing subgroup, its own check on elements, the shadow containment, the
-distance fixing subgroup and its check for sets, and the assertion that a
-connected simple set has degree equal to its distance degree.
+Per candidate: its own fixing subgroup H and its check on elements, which
+decide its degree; for a multiset, the containment of H in its shadow's
+fixing subgroup; for a connected simple set, the assertion that its degree
+equals its distance degree.
+
+Once per unit orbit of supports: everything else.  The units commute, so
+v o pi_h has the fixing subgroup of v.  Sending each class sum to the class
+sum of its h-th powers is a ring automorphism of the centre of Q[G] (sigma_h
+on the central characters), so the word-length vector of v o pi_h is that
+of v composed with pi_h, with the same fixing subgroup, and v o pi_h
+generates the group when v does.  So a support's fixing subgroup, its
+connectivity and its distance degree are constant on its orbit: they are
+computed, and checked on elements, on the orbit's key, the least image
+v o pi_h, for the first candidate to meet it.  A set finds its key among
+the images that give its H; a multiset looks its support up, and computes
+the support's images only the first time it meets that support.
 
 A record keeps the candidate's index, its degree and its distance degree;
 elements and valency are rendered from the bundle vector when the record is
@@ -209,86 +214,66 @@ def _word_lengths(
     return tuple(lengths)
 
 
-_UNSEEN = object()
-
-
 class _Search:
     """One process's classification state: the group's tables, its bundle
-    products, the word lengths of each orbit key met so far and, in multiset
-    mode, the facts of each support met so far."""
+    products, the facts of each unit orbit of supports met so far and, for
+    multisets, the orbit facts of each support met so far."""
 
-    __slots__ = (
-        "tables", "products", "phi", "inverse_pullbacks", "by_support", "orbits", "supports"
-    )
+    __slots__ = ("tables", "products", "phi", "orbits", "supports")
 
-    def __init__(self, G: Group, by_support: bool):
+    def __init__(self, G: Group):
         tables = fixing_tables(G)
-        units, n = tables.units, G.order
         self.tables = tables
         self.products = _bundle_products(tables)
-        self.phi = len(units)
-        # inverse_pullbacks[i]: the pullback along the inverse of units[i].
-        self.inverse_pullbacks = tuple(
-            next(p for k, p in zip(units, tables.pullbacks) if h * k % n == 1 % n)
-            for h in units
-        )
-        self.by_support = by_support
-        self.orbits: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
+        self.phi = len(tables.units)
+        self.orbits: dict[tuple[int, ...], tuple[frozenset[int], Optional[int]]] = {}
         self.supports: dict[tuple[bool, ...], tuple[frozenset[int], Optional[int]]] = {}
 
-    def word_lengths(self, images: list[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
-        """Word lengths of the support v whose images v o pi_h over the units
-        are `images`, or None when v does not generate the group.
-
-        The search runs on the least image, the orbit's key = v o pi_h; the
-        word-length vector L of the key gives v's as L o pi_{h^-1}.
-        """
-        key = min(images)
-        lengths = self.orbits.get(key, _UNSEEN)
-        if lengths is _UNSEEN:
-            lengths = self.orbits[key] = _word_lengths(self.products, key)
-        if lengths is None:
-            return None
-        return self.inverse_pullbacks[images.index(key)](lengths)
-
-    def distance_degree(self, lengths: Optional[tuple[int, ...]], index: int) -> Optional[int]:
-        """phi(n)/|H'| for the word-length vector, checked on elements."""
-        if lengths is None:
-            return None
-        tables = self.tables
-        H_prime = fixing_units(tables, lengths)
-        check_coset_form(
-            tables, "set {}, word-length vector", H_prime, lengths, tables.read_off(lengths), index
-        )
-        return self.phi // len(H_prime)
-
-    def support(
-        self, extended: tuple[int, ...], index: int
-    ) -> tuple[frozenset[int], Optional[int]]:
-        """The shadow's fixing subgroup and the distance degree of the support
-        of a multiset, computed and checked on the first candidate with that
-        support (`index`)."""
-        key = tuple(map(bool, extended))
-        facts = self.supports.get(key)
+    def orbit(self, key: tuple[int, ...], index: int) -> tuple[frozenset[int], Optional[int]]:
+        """The fixing subgroup and the distance degree (None when the support
+        does not generate the group) shared by every support in the unit
+        orbit whose key is `key`, computed on the key and checked there on
+        elements for the first candidate (`index`) to meet the orbit.  The
+        support is the shadow of every candidate on it, hence the label."""
+        facts = self.orbits.get(key)
         if facts is None:
             tables = self.tables
-            shadow = tuple(map(int, key))
-            images = [pullback(shadow) for pullback in tables.pullbacks]
-            shadow_H = tuple([h for h, image in zip(tables.units, images) if image == shadow])
-            check_coset_form(
-                tables, "set {}, shadow vector", shadow_H, shadow, tables.read_off(shadow), index
-            )
-            distance_degree = self.distance_degree(self.word_lengths(images), index)
-            facts = self.supports[key] = (frozenset(shadow_H), distance_degree)
+            H = fixing_units(tables, key)
+            check_coset_form(tables, "set {}, shadow vector", H, key, tables.read_off(key), index)
+            lengths = _word_lengths(self.products, key)
+            distance_degree = None
+            if lengths is not None:
+                H_prime = fixing_units(tables, lengths)
+                check_coset_form(
+                    tables, "set {}, word-length vector", H_prime, lengths,
+                    tables.read_off(lengths), index,
+                )
+                distance_degree = self.phi // len(H_prime)
+            facts = self.orbits[key] = (frozenset(H), distance_degree)
         return facts
 
 
 def _classify_one(search: _Search, vector: tuple[int, ...], index: int) -> SetRecord:
     tables = search.tables
     extended = vector + (0,)
-    if search.by_support:
+    simple = max(vector) <= 1
+    if simple:
+        # A set is its own support: the images that give its H give its key.
+        images = [pullback(extended) for pullback in tables.pullbacks]
+        H = tuple([h for h, image in zip(tables.units, images) if image == extended])
+        check_coset_form(
+            tables, "set {}, multiplicity vector", H, extended, tables.read_off(extended), index
+        )
+        distance_degree = search.orbit(min(images), index)[1]
+    else:
         H = fixing_units(tables, extended)
-        shadow_H, distance_degree = search.support(extended, index)
+        support = tuple(map(bool, extended))
+        facts = search.supports.get(support)
+        if facts is None:
+            shadow = tuple(map(int, support))
+            key = min([pullback(shadow) for pullback in tables.pullbacks])
+            facts = search.supports[support] = search.orbit(key, index)
+        shadow_H, distance_degree = facts
         # Dropping repeats can only grow the fixing subgroup, so the simple
         # graph's degree divides the multigraph's.
         if not shadow_H.issuperset(H):
@@ -299,15 +284,10 @@ def _classify_one(search: _Search, vector: tuple[int, ...], index: int) -> SetRe
         check_coset_form(
             tables, "set {}, multiplicity vector", H, extended, tables.read_off(extended), index
         )
-    else:
-        images = [pullback(extended) for pullback in tables.pullbacks]
-        H = tuple([h for h, image in zip(tables.units, images) if image == extended])
-        check_coset_form(
-            tables, "set {}, multiplicity vector", H, extended, tables.read_off(extended), index
-        )
-        distance_degree = search.distance_degree(search.word_lengths(images), index)
     degree = search.phi // len(H)
-    if distance_degree is not None and distance_degree != degree and max(vector) <= 1:
+    # The distance degree is the orbit's and the degree the candidate's own,
+    # so this also tests that the orbit shares its key's distance degree.
+    if simple and distance_degree is not None and distance_degree != degree:
         raise InternalInconsistency(
             f"set {index} is connected and simple, but its degree {degree} "
             f"differs from its distance degree {distance_degree}"
@@ -320,8 +300,7 @@ def _classify_range(args) -> list[SetRecord]:
     this process's own; disconnected ones are dropped when only connected
     ones are wanted."""
     G, radix, start, stop, require_connected = args
-    # With radix 2 every candidate is its own support: no memo pays.
-    search = _Search(G, by_support=radix > 2)
+    search = _Search(G)
     num_bundles = len(search.tables.bundles)
     records = []
     for index, vector in enumerate(_candidate_vectors(num_bundles, radix, start, stop), start - 1):

@@ -850,3 +850,24 @@ def test_generated_s6_z4_report_pinned(capsys, tmp_path, command):
     code, out, err = run(capsys, command, str(path), *extra)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == S6_Z4_REPORTS[command]
     assert err == ""
+
+
+def test_degree_one_field_skips_the_minimal_polynomial(capsys, tmp_path, monkeypatch):
+    # A colour of S4 constant on classes is rational: its field is Q, whose
+    # primitive element 1 has minimal polynomial t - 1, written down without
+    # the Galois orbit of 1 under every unit.
+    import cayspec.galois as galois_mod
+
+    def refuse(x):
+        raise AssertionError(f"minimal polynomial of {x} computed at degree 1")
+
+    monkeypatch.setattr(galois_mod, "minimal_polynomial", refuse)
+    path = tmp_path / "s4.txt"
+    path.write_text(
+        "[group]\nkind = generated\ngenerators = (0 1 2 3); (0 1)\n\n"
+        "[colour]\nclass((0 1)) = 1\nclass((0 1 2 3)) = 2\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "degree", str(path))
+    assert (code, err) == (0, "")
+    assert machine_block(out)["field.minpoly"] == "t - 1"

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import pickle
 
 import pytest
@@ -167,39 +168,31 @@ def test_bundle_route_matches_element_reference():
 
 
 @pytest.mark.parametrize(
-    "group, cap",
+    "group, cap, against_reference",
     [
-        (lambda: make_cyclic(24), 1),
-        (lambda: make_dihedral(12), 1),
-        (lambda: make_product(make_product(make_cyclic(2), make_cyclic(3)), make_cyclic(4)), 1),
-        (lambda: make_from_generators([[1, 2, 3, 0], [1, 0, 2, 3]]), 1),
-        (lambda: make_dihedral(8), 3),
-        (lambda: make_cyclic(16), 1),
-        (lambda: make_cyclic(9), 2),
+        (lambda: make_cyclic(24), 1, False),
+        (lambda: make_dihedral(12), 1, True),
+        (lambda: make_product(make_product(make_cyclic(2), make_cyclic(3)), make_cyclic(4)), 1, False),
+        (lambda: make_from_generators([[1, 2, 3, 0], [1, 0, 2, 3]]), 1, True),
+        (lambda: make_dihedral(8), 3, False),
+        (lambda: make_cyclic(16), 1, True),
+        (lambda: make_cyclic(9), 2, True),
     ],
     ids=[
         "cyclic:24", "dihedral:12", "product:2,3,4", "S4", "dihedral:8 --multisets 3",
         "cyclic:16", "cyclic:9 --multisets 2",
     ],
 )
-def test_transported_word_lengths_match_direct_search(monkeypatch, group, cap):
-    # The report cannot see a wrong transport: H' is the same on a whole
-    # unit orbit.  So every word-length vector the orbit memo hands out is
-    # pinned to a breadth-first search of that very support.  On the first
-    # five groups every unit permutes the bundles as an involution, so only
-    # Z16 and Z9, with units of order 4 and 3 on the bundles, tell the
-    # inverse unit from the unit itself.
+def test_word_lengths_searched_once_per_unit_orbit(monkeypatch, group, cap, against_reference):
+    # Every fact a record takes from its support is constant on the
+    # support's unit orbit, so the breadth-first search runs on each orbit's
+    # key alone.  The records are held to the element route wherever it runs
+    # in well under a second, Z16 and Z9 among them: on the first five groups
+    # every unit permutes the bundles as an involution, while on these two
+    # units act with order 4 and 3, so a support keyed to a wrong orbit
+    # would show in its records.
     G = group()
     spec = SearchSpec(G) if cap == 1 else SearchSpec(G, mode="multisets", multiplicity_cap=cap)
-    seen = {}
-    real = search_mod._Search.word_lengths
-
-    def recorded(self, images):
-        # images[0] is the support itself: units[0] = 1.
-        lengths = real(self, images)
-        seen[images[0]] = (lengths, self.products)
-        return lengths
-
     searched = []
     real_search = search_mod._word_lengths
 
@@ -207,19 +200,50 @@ def test_transported_word_lengths_match_direct_search(monkeypatch, group, cap):
         searched.append(extended)
         return real_search(products, extended)
 
-    monkeypatch.setattr(search_mod._Search, "word_lengths", recorded)
     monkeypatch.setattr(search_mod, "_word_lengths", counted)
     result = classify(spec)
     assert len(result.records) == spec.radix ** result.bundle_count - 1
     supports = {tuple(min(m, 1) for m in vector) + (0,) for vector in result.vectors()}
-    assert set(seen) == supports
-    for support, (lengths, products) in seen.items():
-        assert lengths == real_search(products, support), support
-    # The breadth-first search itself ran once per unit orbit of supports.
     orbits = {
         min(pullback(support) for pullback in fixing_tables(G).pullbacks) for support in supports
     }
     assert sorted(searched) == sorted(orbits)
+    if against_reference:
+        assert bundle_route_records(spec) == reference_records(spec)
+
+
+# Exit code and stdout sha256 of `search --group ... --jobs 1` on every
+# presentation of the benchmark's search slots and on two more multiset
+# requests, recorded while each support's word lengths were still moved to
+# it from its orbit's key.
+SEARCH_REPORTS = {
+    "cyclic:24": (0, "5564ee01b62674e497b393f54979b809af104c35fc1613c8d9225e066071c19c"),
+    "product:3,8": (0, "ec8ddd55dbc893dad54474ecf045be748ca36cda605e91a756399b6d29c8573f"),
+    "product:8,3": (0, "bf0b34b235512e3b3b6127fbd594dd0a140b74ea87832151c36771223a59a6b2"),
+    "cyclic:20": (0, "5d0fcfc177824b6f7996232b42896e2f66d98a438cbd2d7b43e7530f434b167e"),
+    "product:4,5": (0, "1956e5ae42592866493bead401af9cc5bd2de9d164750bd887acd0d1fc0ab782"),
+    "product:5,4": (0, "84e3f495d4defc4b3b5c7c0a52a1bc6092ab65abf2e4a823c443c4dcad873e32"),
+    "product:2,8": (0, "74ae2cdbe3165d7c98c7ac18fa49063c1778079c3edc72163e582ac28987eacd"),
+    "product:8,2": (0, "eaf5508d53204e715125f9e657ae9a991bd44d340d0a6b091c0197a00ec6419e"),
+    "dihedral:12": (0, "a0a30b03cf6f765f5cec93a9b4a606dbe03af6e5f1167c7bb4506ea58b7ecbb5"),
+    "dihedral:16": (0, "ea02a31966acb8f72f39b2568487bda6e9148dcd4bb6f3cc522f8bcc74115228"),
+    "cyclic:12 --multisets 2": (0, "6f361bc4d4796426a1097029fcf9fc7c3a09a9d3415ccc6f6fcbd8a3819ad201"),
+    "product:3,4 --multisets 2": (0, "ad52ac1968818cc6ea945ee39bfea4259530dd2a92fdd5b9a1ecf2f253345422"),
+    "product:4,3 --multisets 2": (0, "3f4f0fae4319c49500ea2d834d030e33a20ded4761f41a332ac3769fd7aa5b7a"),
+    "dihedral:6 --multisets 2": (0, "664753cbd366edc709476faa0c1b0a67f79802c9e599672d92cbbdc5517c9bf6"),
+    "cyclic:18 --connected": (0, "2f614d3d9b6bcc50d968e2e3f4e57cdcde73e74ae0f84e0feab607858d9c62b9"),
+    "product:2,9 --connected": (0, "e42fc2a8662198f24ae995bb0a6bfe89941295d7af95213739ce9c95cb8e036c"),
+    "product:9,2 --connected": (0, "a64d861f8e978d6d2caa4a3b1c8dffd5e61bfdd0c1186ecbfd1a5c6cb4962aeb"),
+    "dihedral:8 --multisets 3": (0, "900745e6aa654ce91d2f298c26ed0ea7fb2bbbce39e647dc0faed7bbee9a06ea"),
+    "cyclic:9 --multisets 2 --degree 3": (0, "167f58260462e123584fee1a8e519f07ed0d3b21ece1cd7010d182a1abb9afe9"),
+}
+
+
+@pytest.mark.parametrize("request_args", sorted(SEARCH_REPORTS))
+def test_search_report_pinned(capsys, request_args):
+    code = main(["search", "--group", *request_args.split(), "--jobs", "1"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SEARCH_REPORTS[request_args]
 
 
 def test_serial_search_streams_candidates(monkeypatch):
