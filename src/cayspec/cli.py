@@ -444,7 +444,7 @@ def _subgroup_section(report: Report, prefix: str, subgroup) -> None:
 def _field_section(report: Report, field_report) -> None:
     n = field_report.modulus
     report.line(
-        f"Algebraic degree: phi({n})/{len(field_report.fixing_subgroup)}"
+        f"Algebraic degree: phi({n})/{len(field_report.fixing_subgroup.members)}"
         f" = {field_report.degree}"
     )
     report.put("phi", euler_phi(n))
@@ -581,13 +581,13 @@ def cmd_search(args) -> tuple[Report, int]:
     except ParseError as err:
         # A command-line value has no line to point at.
         raise CayspecError(f"--group {args.group}: {err.reason}") from None
+    multisets = args.multisets is not None  # --multisets 0 is refused, not a sets search
     spec = SearchSpec(
         group=G,
-        mode="multisets" if args.multisets else "sets",
-        multiplicity_cap=args.multisets or 3,
+        mode="multisets" if multisets else "sets",
+        multiplicity_cap=args.multisets if multisets else 3,
         require_connected=args.connected,
         target_degree=args.degree,
-        order_limit=args.limit,
     )
     result = classify(spec, jobs=args.jobs)
     render = set_renderer(G, spec.radix)
@@ -672,7 +672,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--multisets",
         type=int,
-        default=0,
+        default=None,
         metavar="CAP",
         help="enumerate multisets with this multiplicity cap instead of sets",
     )

@@ -16,28 +16,20 @@ from cayspec.exactnum import as_fraction
 from cayspec.groups import Group, conjugacy_classes, is_normal_subset, multiplicities, power_map
 
 
-class ColourFunction:
-    """A symmetric class function with exact rational values, one per element."""
+class ColourFunction(NamedTuple):
+    """A symmetric class function with exact rational values, one per element.
 
-    __slots__ = ("group", "values")
+    Equal when the groups are the same object and the values agree.
+    """
 
-    def __init__(self, group: Group, values: tuple[Fraction, ...]):
-        self.group = group
-        self.values = values
+    group: Group
+    values: tuple[Fraction, ...]
 
     def value(self, g: int) -> Fraction:
         return self.values[g]
 
     def is_integer_valued(self) -> bool:
         return all(v.denominator == 1 for v in self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, ColourFunction):
-            return NotImplemented
-        return self.group is other.group and self.values == other.values
-
-    def __hash__(self):
-        return hash((id(self.group), self.values))
 
     def __repr__(self):
         nonzero = {

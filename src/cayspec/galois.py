@@ -116,7 +116,7 @@ def _primitive_search(
 
 def _field_of(tables: FixingTables, H: UnitSubgroup) -> FieldReport:
     n = H.modulus
-    degree = euler_phi(n) // len(H)
+    degree = euler_phi(n) // len(H.members)
     primitive, poly = _primitive_search(tables, H, degree)
     return FieldReport(
         modulus=n,
@@ -191,7 +191,7 @@ def integrality_verdict(
     are rational, so by Gauss's lemma all are integers exactly when its
     coefficients are.  Either route must find integer-valued f vanishing at
     the identity integral."""
-    if len(fixing_subgroup(f)) != euler_phi(f.group.order):
+    if len(fixing_subgroup(f).members) != euler_phi(f.group.order):
         return IntegralityVerdict(False, False, "fixing subgroup is proper")
     if spectrum is not None:
         method = "exact spectrum"

@@ -2,11 +2,11 @@
 
 Elements are dense indices 0..n-1 with the identity fixed at index 0.
 Each family multiplies one way: cyclic groups and their products by adding
-digit codes, dihedral groups and other products by their arithmetic rule,
-generated groups by composing permutations, so no family builds an n x n
-table.  Power maps g -> g**h are computed once per group and unit;
-conjugacy classes are orbits under the group's generators, and class bundles
-join each class with the class of its inverses.
+digit codes, dihedral groups by their arithmetic rule, generated groups by
+composing permutations, so no family builds an n x n table.  Power maps
+g -> g**h are computed once per group and unit; conjugacy classes are orbits
+under the group's generators, and class bundles join each class with the
+class of its inverses.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class Group:
         *,
         cyclic_orders: Optional[tuple[int, ...]] = None,
         perms: Optional[tuple[tuple[int, ...], ...]] = None,
-        factors: Optional[tuple["Group", "Group"]] = None,
         aliases: Optional[dict[str, int]] = None,
     ):
         self.order = order
@@ -64,17 +63,19 @@ class Group:
         self.family = family
         self.generators = generators
         self.cyclic_orders = cyclic_orders
-        self._code, self._reduce = _digit_codes(cyclic_orders) if cyclic_orders else (None, None)
         self._perms = perms
         self._perm_index = (
             {p: i for i, p in enumerate(perms)} if perms is not None else None
         )
-        self.factors = factors
         self._name_index = {name: i for i, name in enumerate(names)}
         if aliases:
             for alias, idx in aliases.items():
                 self._name_index.setdefault(alias, idx)
-        self._inverse = tuple(self._find_inverse(i) for i in range(order))
+        if cyclic_orders:
+            self._code, self._reduce, self._inverse = _digit_codes(cyclic_orders)
+        else:
+            self._code = self._reduce = None
+            self._inverse = tuple(self._find_inverse(i) for i in range(order))
         self._classes: Optional[ConjugacyClassPartition] = None
         self._power_maps: dict[int, tuple[int, ...]] = {}
         self._char_table = None  # filled lazily by spectra.character_table
@@ -94,25 +95,15 @@ class Group:
             if i < m:
                 return (i + j) % m if j < m else m + (j - i) % m
             return m + (i + j) % m if j < m else (j - i) % m
-        if self.family == "product":  # a dihedral or generated factor: componentwise
-            left, right = self.factors
-            nr = right.order
-            return left.mul(i // nr, j // nr) * nr + right.mul(i % nr, j % nr)
         return self._perm_index[tuple(map(self._perms[i].__getitem__, self._perms[j]))]
 
     def inv(self, i: int) -> int:
         return self._inverse[i]
 
     def _find_inverse(self, i: int) -> int:
-        if self.family == "cyclic":
-            return (-i) % self.order
         if self.family == "dihedral":
             m = self.order // 2
             return i if i >= m else (-i) % m
-        if self.family == "product":
-            left, right = self.factors
-            nr = right.order
-            return left.inv(i // nr) * nr + right.inv(i % nr)
         p = self._perms[i]
         q = [0] * len(p)
         for a, b in enumerate(p):
@@ -134,19 +125,24 @@ class Group:
         return f"<Group {self.family} order={self.order}>"
 
 
-def _digit_codes(orders: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Codes that turn multiplication in Z_n1 x ... x Z_nk into one addition.
+def _digit_codes(
+    orders: tuple[int, ...],
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Codes that turn multiplication in Z_n1 x ... x Z_nk into one addition,
+    and the inverse of each index.
 
     An index has one mixed-radix digit per factor, the last least significant;
     its code writes digit k in base 2*n_k - 1, so adding two codes never
     carries, and `reduce` maps each sum of codes to the index of the product.
+    An inverse negates each digit.
     """
-    code, reduce = [0], [0]
+    code, reduce, inverse = [0], [0], [0]
     for n in orders:
         width = 2 * n - 1
         code = [c * width + d for c in code for d in range(n)]
         reduce = [r * n + d % n for r in reduce for d in range(width)]
-    return tuple(code), tuple(reduce)
+        inverse = [i * n + (-d) % n for i in inverse for d in range(n)]
+    return tuple(code), tuple(reduce), tuple(inverse)
 
 
 # No family builds a multiplication table.  perfbench/trace_request.py counts
@@ -185,20 +181,21 @@ def make_dihedral(m: int) -> Group:
 
 
 def make_product(left: Group, right: Group) -> Group:
-    """Direct product with componentwise multiplication; names are '(x,y)'.
+    """Direct product of two cyclic groups or products of them; names are '(x,y)'.
 
     Element (x, y) has index x * |right| + y; the generators are the left
     factor's generators paired with the identity, then the right factor's.
+    Other factors are refused: build their product with make_from_generators.
     """
-    order = left.order * right.order
+    if not (left.cyclic_orders and right.cyclic_orders):
+        raise ValueError("make_product needs cyclic factors or products of them")
     nr = right.order
     names = tuple(
         f"({left.names[i]},{right.names[j]})" for i in range(left.order) for j in range(nr)
     )
     generators = tuple(g * nr for g in left.generators) + right.generators
-    abelian = left.cyclic_orders and right.cyclic_orders
-    orders = left.cyclic_orders + right.cyclic_orders if abelian else None
-    return Group(order, names, "product", generators, cyclic_orders=orders, factors=(left, right))
+    orders = left.cyclic_orders + right.cyclic_orders
+    return Group(left.order * nr, names, "product", generators, cyclic_orders=orders)
 
 
 def _cycle_name(perm: tuple[int, ...]) -> str:
@@ -219,12 +216,13 @@ def _cycle_name(perm: tuple[int, ...]) -> str:
     return "".join(cycles) if cycles else "e"
 
 
-def make_from_generators(perms: Sequence[Sequence[int]], cap: int = CLOSURE_CAP) -> Group:
+def make_from_generators(perms: Sequence[Sequence[int]]) -> Group:
     """Group generated by permutations, closed breadth-first from the identity.
 
-    Element i is the i-th permutation the closure reaches.  A product of two
-    elements is the composition of their permutations, looked up in an index
-    of the elements, so memory stays linear in the order.
+    Element i is the i-th permutation the closure reaches, and more than
+    CLOSURE_CAP elements are refused.  A product of two elements is the
+    composition of their permutations, looked up in an index of the
+    elements, so memory stays linear in the order.
     """
     gens = [tuple(p) for p in perms]
     npoints = len(gens[0]) if gens else 0
@@ -240,9 +238,9 @@ def make_from_generators(perms: Sequence[Sequence[int]], cap: int = CLOSURE_CAP)
         for g in gens:
             y = tuple(map(x.__getitem__, g))
             if y not in index:
-                if len(elements) >= cap:
+                if len(elements) >= CLOSURE_CAP:
                     raise ClosureCapExceeded(
-                        f"generator closure exceeded the cap of {cap} elements"
+                        f"generator closure exceeded the cap of {CLOSURE_CAP} elements"
                     )
                 index[y] = len(elements)
                 elements.append(y)

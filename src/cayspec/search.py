@@ -59,36 +59,14 @@ def check_order(order: int, limit: int) -> None:
         raise ValueError(f"group order {order} exceeds the search limit {limit}")
 
 
-class SearchSpec:
+class SearchSpec(NamedTuple):
     """What to enumerate: which group, sets or bounded multisets, filters."""
 
-    __slots__ = (
-        "group",
-        "mode",
-        "multiplicity_cap",
-        "require_connected",
-        "target_degree",
-    )
-
-    def __init__(
-        self,
-        group: Group,
-        mode: str = "sets",
-        multiplicity_cap: int = 3,
-        require_connected: bool = False,
-        target_degree: Optional[int] = None,
-        order_limit: int = DEFAULT_ORDER_LIMIT,
-    ):
-        if mode not in ("sets", "multisets"):
-            raise ValueError(f"unknown search mode {mode!r}")
-        if mode == "multisets" and multiplicity_cap < 1:
-            raise ValueError("multiplicity cap must be at least 1")
-        check_order(group.order, order_limit)
-        self.group = group
-        self.mode = mode
-        self.multiplicity_cap = multiplicity_cap
-        self.require_connected = require_connected
-        self.target_degree = target_degree
+    group: Group
+    mode: str = "sets"
+    multiplicity_cap: int = 3
+    require_connected: bool = False
+    target_degree: Optional[int] = None
 
     @property
     def radix(self) -> int:
@@ -319,6 +297,10 @@ def classify(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     the merged result is identical for any worker count.  More than
     MAX_CANDIDATES candidates are refused before any is classified.
     """
+    if spec.mode not in ("sets", "multisets"):
+        raise ValueError(f"unknown search mode {spec.mode!r}")
+    if spec.mode == "multisets" and spec.multiplicity_cap < 1:
+        raise ValueError("multiplicity cap must be at least 1")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     G = spec.group

@@ -15,56 +15,23 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from cayspec.errors import InternalInconsistency, NotAUnit
 from cayspec.groups import Group, class_bundles, power, power_map
 
 
-class UnitSubgroup:
+class UnitSubgroup(NamedTuple):
     """A subgroup of the units modulo n, with a best-effort short generator list.
 
-    Immutable, and equal and hashed by value: `unit_group` shares one
-    instance between all its callers, and `FixingTables.coset_forms` caches
-    one instance per fixing subgroup.
+    A value: `unit_group` shares one instance between all its callers, and
+    `FixingTables.coset_forms` caches one instance per fixing subgroup.  Its
+    order is `len(H.members)`; `len(H)` counts the three fields.
     """
 
-    __slots__ = ("modulus", "members", "generators")
-
-    def __init__(self, modulus: int, members: tuple[int, ...], generators: tuple[int, ...]):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "generators", generators)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"UnitSubgroup is immutable: cannot set {name!r}")
-
-    def __reduce__(self):
-        return UnitSubgroup, (self.modulus, self.members, self.generators)
-
-    def __eq__(self, other):
-        if not isinstance(other, UnitSubgroup):
-            return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.members == other.members
-            and self.generators == other.generators
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.members, self.generators))
-
-    def __repr__(self):
-        return (
-            f"UnitSubgroup(modulus={self.modulus!r}, members={self.members!r}, "
-            f"generators={self.generators!r})"
-        )
-
-    def __contains__(self, h: int) -> bool:
-        return h in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
+    modulus: int
+    members: tuple[int, ...]
+    generators: tuple[int, ...]
 
 
 def _closure(n: int, gens: Sequence[int]) -> set[int]:

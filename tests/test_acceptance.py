@@ -110,7 +110,7 @@ def test_criterion_03_s1_example():
         minus_one - sqrt5: 4,
     }
     assert multiset_fixing_subgroup(S1).members == (1, 9)
-    assert euler_phi(10) // len(fixing_subgroup(f)) == 2
+    assert euler_phi(10) // len(fixing_subgroup(f).members) == 2
     report(3, "doubled-rotations multiset example with surd eigenvalues", budget.check())
 
 
@@ -293,7 +293,7 @@ def test_criterion_12_dual_route_cross_checks():
             shadow = multiset_fixing_subgroup(S.shadow())
             assert set(multi.members) <= set(shadow.members)
             phi = euler_phi(G.order)
-            assert (phi // len(multi)) % (phi // len(shadow)) == 0
+            assert (phi // len(multi.members)) % (phi // len(shadow.members)) == 0
             pairs_checked += 1
         for record, vector in zip(result.records, result.vectors()):
             if record.distance_degree is not None:

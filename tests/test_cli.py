@@ -370,6 +370,22 @@ def test_search_refuses_jobs_below_one(capsys, monkeypatch):
         assert err == f"error: jobs must be at least 1, got {jobs}\n"
 
 
+def test_search_refuses_multiplicity_cap_below_one(capsys, monkeypatch):
+    # Any --multisets value asks for multisets, 0 included: it is refused,
+    # not read as "flag not given".
+    import cayspec.search as search_mod
+
+    def refuse(*args):
+        raise AssertionError("candidates enumerated before the cap was checked")
+
+    monkeypatch.setattr(search_mod, "_candidate_vectors", refuse)
+    for cap in ("0", "-1"):
+        code, out, err = run(capsys, "search", "--group", "cyclic:6", "--multisets", cap)
+        assert code == 2
+        assert out == ""
+        assert err == "error: multiplicity cap must be at least 1\n"
+
+
 def test_search_bad_group(capsys):
     code, out, err = run(capsys, "search", "--group", "foo")
     assert (code, out) == (2, "")

@@ -211,7 +211,7 @@ def test_orbit_stabilizer_and_minpoly_root(pair):
     n, x = pair
     orbit = galois_orbit(x)
     stab = stabilizer(x)
-    assert len(orbit) * len(stab) == euler_phi(n)
+    assert len(orbit) * len(stab.members) == euler_phi(n)
     poly = minimal_polynomial(x)
     assert len(poly) - 1 == len(orbit)
     assert not horner(poly, x)

@@ -11,7 +11,12 @@ import cayspec.search as search_mod
 import cayspec.spectra as spectra_mod
 import cayspec.units as units_mod
 from cayspec.cli import main
-from cayspec.colour import ConnectionMultiset, colour_from_multiset, colour_from_values
+from cayspec.colour import (
+    ColourFunction,
+    ConnectionMultiset,
+    colour_from_multiset,
+    colour_from_values,
+)
 from cayspec.errors import InternalInconsistency, NotAUnit
 from cayspec.exactnum import (
     Cyclotomic,
@@ -56,13 +61,16 @@ def test_records_are_values():
     # assigned; SetRecords cross to `--jobs` workers by pickle.
     G, alpha = d8_alpha()
     spec = spectrum_exact(alpha, character_table(G))
-    record = classify(SearchSpec(make_cyclic(6))).records[2]
+    Z6 = make_cyclic(6)
+    record = classify(SearchSpec(Z6)).records[2]
     H = unit_subgroup(16, [1, 7, 9, 15])
     cases = [
         (unit_group(16), close_generators(16, unit_group(16).generators), "members"),
         (H, UnitSubgroup(16, (1, 7, 9, 15), (7, 9)), "members"),
         (record, SetRecord(*record), "degree"),
         (spec, Spectrum(*spec), "pairs"),
+        (alpha, ColourFunction(G, tuple(alpha.values)), "values"),
+        (SearchSpec(Z6, "multisets", 2), SearchSpec(Z6, mode="multisets", multiplicity_cap=2), "mode"),
     ]
     for value, copy, field in cases:
         assert value == copy and value is not copy
@@ -70,8 +78,12 @@ def test_records_are_values():
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
     assert H != unit_subgroup(16, [1, 15])
-    assert len(unit_group(16)) == 8 and 7 in unit_group(16) and 2 not in unit_group(16)
-    assert len(H) == 4 and 9 in H and 3 not in H
+    # A colour is equal only on the same group object.
+    assert alpha != ColourFunction(d8_alpha()[0], alpha.values)
+    assert SearchSpec(Z6, "multisets", 2) != SearchSpec(Z6, "multisets", 3)
+    units = unit_group(16).members
+    assert len(units) == 8 and 7 in units and 2 not in units
+    assert len(H.members) == 4 and 9 in H.members and 3 not in H.members
     assert pickle.loads(pickle.dumps(record)) == record
     assert pickle.loads(pickle.dumps(H)) == H
     assert pickle.loads(pickle.dumps(unit_group(16))) == unit_group(16)
@@ -110,7 +122,7 @@ def test_fixing_subgroup_s1():
 
 def algebraic_degree(f):
     """phi(n) / |H_f|: the degree of the splitting field of f."""
-    return euler_phi(f.group.order) // len(fixing_subgroup(f))
+    return euler_phi(f.group.order) // len(fixing_subgroup(f).members)
 
 
 def test_algebraic_degree_examples():
@@ -173,7 +185,7 @@ def test_field_report_invariants():
             f = random_class_function(G, rng)
             report = splitting_field(f)
             n = G.order
-            assert report.degree * len(report.fixing_subgroup) == euler_phi(n)
+            assert report.degree * len(report.fixing_subgroup.members) == euler_phi(n)
             if report.primitive_element is not None:
                 assert len(report.minimal_poly) - 1 == report.degree
                 for h in report.fixing_subgroup.members:
@@ -440,7 +452,7 @@ def test_primitive_search_matches_orbit_reference(G):
     subgroups |= {close_generators(n, [u, n - 1]).members for u in units}
     for members in sorted(subgroups):
         H = unit_subgroup(n, members)
-        degree = euler_phi(n) // len(H)
+        degree = euler_phi(n) // len(H.members)
         x, poly = _primitive_search(tables, H, degree)
         assert x is not None
         assert x == reference_primitive_search(n, members, degree), members

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from cayspec import groups
 from cayspec.errors import ClosureCapExceeded
 from cayspec.groups import (
     conjugacy_classes,
@@ -97,9 +98,13 @@ def test_product_z2_z3_orders():
 
 
 def test_product_order_multiplies():
-    G = make_product(make_dihedral(3), make_cyclic(4))
+    G = make_product(make_product(make_cyclic(2), make_cyclic(3)), make_cyclic(4))
     assert G.order == 24
-    assert G.names[0] == "(1,0)"
+    assert G.names[0] == "((0,0),0)"
+    # Only cyclic factors multiply by digit codes; other products are generated.
+    for left, right in [(make_dihedral(3), make_cyclic(4)), (make_cyclic(2), make_dihedral(3))]:
+        with pytest.raises(ValueError, match="cyclic factors"):
+            make_product(left, right)
 
 
 def test_generators_transposition():
@@ -120,9 +125,11 @@ def test_generators_empty_gives_trivial_group():
     assert G.order == 1
 
 
-def test_generators_cap():
+def test_generators_cap(monkeypatch):
+    monkeypatch.setattr(groups, "CLOSURE_CAP", 3)
     with pytest.raises(ClosureCapExceeded):
-        make_from_generators([(1, 2, 3, 4, 0)], cap=3)
+        make_from_generators([(1, 2, 3, 4, 0)])
+    assert make_from_generators([(1, 2, 0)]).order == 3
 
 
 def test_permutation_action_path():
@@ -197,6 +204,15 @@ def _z2_d3_perm(g):
     return _rotation(2, x) + tuple(2 + p for p in _dihedral_perm(3, d))
 
 
+def _d6_as_z2_d3_perm(g):
+    # D6 is Z2 x D3: a -> (1, a) has order 6, b -> (0, b) inverts it.
+    eps, k = divmod(g, 6)
+    return _z2_d3_perm(k % 2 * 6 + eps * 3 + k % 3)
+
+
+Z2_D3_GENERATORS = [_z2_d3_perm(6), _z2_d3_perm(1), _z2_d3_perm(3)]
+
+
 PRODUCT_223 = make_product(make_product(make_cyclic(2), make_cyclic(2)), make_cyclic(3))
 
 
@@ -214,11 +230,7 @@ PRODUCT_223 = make_product(make_product(make_cyclic(2), make_cyclic(2)), make_cy
             _product_perm,
             [_product_perm(6), _product_perm(3), _product_perm(1)],
         ),
-        (
-            make_product(make_cyclic(2), make_dihedral(3)),
-            _z2_d3_perm,
-            [_z2_d3_perm(6), _z2_d3_perm(1), _z2_d3_perm(3)],
-        ),
+        (make_dihedral(6), _d6_as_z2_d3_perm, Z2_D3_GENERATORS),
     ],
     ids=["Z9", "D5", "Z2xZ2xZ3", "Z2xD3"],
 )
@@ -250,7 +262,7 @@ def test_arithmetic_families_match_permutation_reference(G, perm_of, gens):
         make_from_generators([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]),
         make_dihedral(6),
         PRODUCT_223,
-        make_product(make_cyclic(2), make_dihedral(3)),
+        make_from_generators(Z2_D3_GENERATORS),
     ],
     ids=["S4", "A5", "D6", "Z2xZ2xZ3", "Z2xD3"],
 )

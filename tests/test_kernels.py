@@ -8,7 +8,7 @@ import pytest
 from cayspec import _kernels
 from cayspec._kernels import jacobi_diagonalize, symmetric_eigenvalues
 from cayspec.errors import NoConvergence
-from cayspec.groups import make_cyclic, make_dihedral, make_product
+from cayspec.groups import make_cyclic, make_dihedral, make_from_generators, make_product
 from cayspec.spectra import adjacency_matrix
 from conftest import random_class_function
 
@@ -134,7 +134,8 @@ def bit_identity_corpus():
         matrices.append([[1.5] * n for _ in range(n)])
     groups = [make_cyclic(12), make_cyclic(25), make_dihedral(6), make_dihedral(10),
               make_product(make_cyclic(4), make_cyclic(6)),
-              make_product(make_cyclic(2), make_dihedral(4))]
+              # Z2 x D4: Z2 swaps {0, 1}, D4 moves the square {2, 3, 4, 5}.
+              make_from_generators([(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2), (0, 1, 2, 5, 4, 3)])]
     for G in groups:
         for _ in range(2):
             f = random_class_function(G, rng)

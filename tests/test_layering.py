@@ -9,6 +9,8 @@ names, and only `exactnum` reads the stored form of a cyclotomic value.
 kernels nor the float spectrum.  The CLI builds every group in
 `_construct_group`, which sizes it first.  Every function the package defines
 is named somewhere else in it, apart from a short list that tests keep.
+Records are `NamedTuple`s: only a short list of classes writes its own
+equality, hashing, immutability or pickling.
 """
 
 import ast
@@ -170,3 +172,35 @@ def test_every_function_is_called_in_the_package():
         )
     }
     assert uncalled == UNCALLED
+
+
+VALUE_DUNDERS = {"__eq__", "__hash__", "__setattr__", "__reduce__"}
+
+# Classes that write equality, hashing, immutability or pickling by hand; a
+# plain record is a NamedTuple, which gives all four with no code.
+HAND_WRITTEN_VALUES = {
+    # Equality reads the canonical form, and a rational value hashes as its
+    # Fraction.
+    "exactnum.Cyclotomic",
+    # Its constructor validates, so it stays a class.
+    "colour.ConnectionMultiset",
+}
+
+
+def test_records_do_not_write_value_methods():
+    hand_written = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            written = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            written |= {
+                target.id
+                for item in node.body
+                if isinstance(item, ast.Assign)
+                for target in item.targets
+                if isinstance(target, ast.Name)
+            }
+            if written & VALUE_DUNDERS:
+                hand_written.add(f"{path.stem}.{node.name}")
+    assert hand_written == HAND_WRITTEN_VALUES

@@ -324,11 +324,6 @@ def test_enumeration_multiset_count():
     )
 
 
-def test_order_limit_enforced():
-    with pytest.raises(ValueError):
-        SearchSpec(make_cyclic(10), order_limit=8)
-
-
 def test_classify_d4_has_no_degree_two():
     G = make_dihedral(4)
     result = classify(SearchSpec(G, target_degree=2))
@@ -367,6 +362,11 @@ def test_connected_records_have_distance_degree():
     assert all(r.distance_degree == r.degree for r in connected)
     # Only the three sets of rotations alone fail to generate D5.
     assert len(result.records) - len(connected) == 3
+
+
+def test_classify_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown search mode 'bags'"):
+        classify(SearchSpec(make_cyclic(6), mode="bags"))
 
 
 def test_multiset_mode_runs_shadow_containment():

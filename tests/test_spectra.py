@@ -42,6 +42,9 @@ from conftest import (
     random_class_function,
 )
 
+# D3 x Z2: D3 moves {0, 1, 2}, Z2 swaps {3, 4}.
+D3_Z2_GENERATORS = [(1, 2, 0, 3, 4), (0, 2, 1, 3, 4), (0, 1, 2, 4, 3)]
+
 
 def check_row_orthogonality(table):
     G = table.group
@@ -107,7 +110,7 @@ def test_abelian_character_count_and_orthogonality():
 
 
 def test_abelian_rejects_nonabelian_factor():
-    G = make_product(make_dihedral(3), make_cyclic(2))
+    G = make_from_generators(D3_Z2_GENERATORS)
     with pytest.raises(UnsupportedFamily):
         char_table_abelian(G)
 
@@ -311,7 +314,7 @@ def test_has_character_table_is_a_family_test():
         make_cyclic(6),
         make_dihedral(5),
         make_product(make_cyclic(2), make_cyclic(3)),
-        make_product(make_dihedral(3), make_cyclic(2)),
+        make_from_generators(D3_Z2_GENERATORS),
         make_from_generators([(1, 2, 3, 0), (2, 1, 0, 3)]),
     ]
     assert [has_character_table(G) for G in groups] == [True, True, True, False, False]
