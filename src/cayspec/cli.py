@@ -7,23 +7,20 @@ per-element multiplicities).  Reports carry a stable line-oriented
 `key = value` block between `--- report ---` and `--- end ---` markers.
 
 Exit codes: 0 success, 1 negative search verdict, 2 input error, 3 internal
-inconsistency.
+inconsistency, 141 (128 + SIGPIPE, as a shell reports) when the reader closed
+stdout before the whole report was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from cayspec.colour import (
-    ColourFunction,
-    ConnectionMultiset,
-    colour_from_multiset,
-    colour_from_values,
-)
+from cayspec.colour import ColourFunction, colour_from_multiset, colour_from_values
 from cayspec.errors import (
     CayspecError,
     ClosureCapExceeded,
@@ -72,15 +69,15 @@ from cayspec.units import close_generators
 
 
 class InstanceDocument(NamedTuple):
-    """A parsed instance: the group plus one colour or connection section."""
+    """A parsed instance: the group plus the colour of its one colour or
+    connection section; a connection multiset is its multiplicity colour."""
 
     group_kind: str
     group_params: dict[str, str]
     group: Group
     kind: str  # "colour" | "connection"
     echo_entries: list[tuple[str, str]]
-    colour: Optional[ColourFunction] = None
-    connection: Optional[ConnectionMultiset] = None
+    colour: ColourFunction
 
 
 def _split_top_level(text: str, sep: str = ",") -> list[str]:
@@ -304,7 +301,7 @@ def parse_instance(text: str, check: SizeCheck = _check_closure_cap) -> Instance
                 assignment[g] = rational
         colour = colour_from_values(G, assignment)
         echo = _echo_colour(G, colour)
-        return InstanceDocument(kind, params, G, "colour", echo, colour=colour)
+        return InstanceDocument(kind, params, G, "colour", echo, colour)
 
     counts: dict[int, int] = {}
     for key, value, lineno, vcol in connection_raw:
@@ -323,13 +320,9 @@ def parse_instance(text: str, check: SizeCheck = _check_closure_cap) -> Instance
             if mult < 0:
                 raise ParseError("negative multiplicity", lineno, vcol)
             counts[g] = counts.get(g, 0) + mult
-    connection = ConnectionMultiset.from_counts(G, counts)
-    echo = [
-        (G.names[g], str(m))
-        for g, m in enumerate(connection.multiplicity)
-        if m
-    ]
-    return InstanceDocument(kind, params, G, "connection", echo, connection=connection)
+    colour = colour_from_multiset(G, counts)
+    echo = [(G.names[g], str(m)) for g, m in enumerate(colour.values) if m]
+    return InstanceDocument(kind, params, G, "connection", echo, colour)
 
 
 def _echo_colour(G: Group, colour: ColourFunction) -> list[tuple[str, str]]:
@@ -412,12 +405,6 @@ def _echo_instance(report: Report, doc: InstanceDocument, command: str) -> None:
         report.put(f"instance.{doc.kind}.{key}", value)
 
 
-def _instance_colour(doc: InstanceDocument) -> ColourFunction:
-    if doc.colour is not None:
-        return doc.colour
-    return colour_from_multiset(doc.connection)
-
-
 def _spectrum_section(report: Report, spectrum: Spectrum) -> None:
     report.line(f"Exact spectrum ({len(spectrum.pairs)} distinct values):")
     report.line(f"  {'value':<34} {'mult':>4}   embedding")
@@ -466,7 +453,7 @@ def _field_section(report: Report, field_report) -> None:
 
 
 def cmd_spectrum(doc: InstanceDocument) -> tuple[Report, int]:
-    f = _instance_colour(doc)
+    f = doc.colour
     report = Report()
     report.line(f"Cayley colour graph on a {doc.group_kind} group of order {doc.group.order}")
     _echo_instance(report, doc, "spectrum")
@@ -506,7 +493,7 @@ def cmd_spectrum(doc: InstanceDocument) -> tuple[Report, int]:
 
 
 def cmd_degree(doc: InstanceDocument) -> tuple[Report, int]:
-    f = _instance_colour(doc)
+    f = doc.colour
     report = Report()
     report.line(f"Cayley colour graph on a {doc.group_kind} group of order {doc.group.order}")
     _echo_instance(report, doc, "degree")
@@ -524,12 +511,10 @@ def cmd_degree(doc: InstanceDocument) -> tuple[Report, int]:
 
 
 def cmd_distance(doc: InstanceDocument) -> tuple[Report, int]:
-    if doc.connection is None:
+    if doc.kind != "connection":
         raise CayspecError("distance analysis needs a [connection] section")
-    if not doc.connection.is_simple():
-        raise CayspecError("distance analysis needs a simple connection set")
     G = doc.group
-    result = distance_report(doc.connection)
+    result = distance_report(doc.colour)  # refuses a multiplicity above 1
     report = Report()
     report.line(f"Distance analysis on a {doc.group_kind} group of order {G.order}")
     _echo_instance(report, doc, "distance")
@@ -550,7 +535,7 @@ def cmd_distance(doc: InstanceDocument) -> tuple[Report, int]:
 
 
 def cmd_check(doc: InstanceDocument, subgroup_arg: str) -> tuple[Report, int]:
-    f = _instance_colour(doc)
+    f = doc.colour
     n = doc.group.order
     try:
         gens = [int(x) for x in subgroup_arg.split(",") if x.strip()]
@@ -706,9 +691,16 @@ def main(argv: Optional[list[str]] = None) -> int:
                 report.write(fh)
         else:
             report.write(sys.stdout)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
     except (InternalInconsistency, NoConvergence) as err:
         print(f"internal inconsistency: {err}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader has gone, and stderr may be the same pipe: print nothing,
+        # and point stdout at devnull so the interpreter's final flush cannot
+        # raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (CayspecError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

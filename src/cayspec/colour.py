@@ -1,19 +1,20 @@
 """Colour and connection functions on a group.
 
 A colour function assigns an exact rational to every element, is symmetric
-under inversion, and is constant on conjugacy classes.  Connection multisets
-and graph-distance functions are the two special constructors.
+under inversion, and is constant on conjugacy classes.  The multiplicity
+function of a connection multiset and the word-length function of a
+connection set are the two special constructors.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Union
 
-from cayspec.errors import Disconnected, NotClassFunction, NotNormal, NotSymmetric
+from cayspec.errors import Disconnected, NotClassFunction, NotSymmetric
 from cayspec.exactnum import as_fraction
-from cayspec.groups import Group, conjugacy_classes, is_normal_subset, multiplicities, power_map
+from cayspec.groups import Group, conjugacy_classes, power_map
 
 
 class ColourFunction(NamedTuple):
@@ -67,73 +68,21 @@ def colour_from_values(
     return ColourFunction(G, tuple(values))
 
 
-class ConnectionMultiset:
-    """An inverse-closed multiset of non-identity elements."""
+def colour_from_multiset(G: Group, counts: Mapping[int, int]) -> ColourFunction:
+    """The multiplicity colour of a connection multiset, counts[g] copies of g.
 
-    __slots__ = ("group", "multiplicity")
-
-    def __init__(self, group: Group, multiplicity: tuple[int, ...]):
-        if len(multiplicity) != group.order:
-            raise ValueError("multiplicity vector length must equal the group order")
-        if multiplicity[0] != 0:
-            raise ValueError("the identity cannot appear in a connection multiset")
-        for g, m in enumerate(multiplicity):
-            if m < 0:
-                raise ValueError(f"negative multiplicity at {group.names[g]}")
-            if m != multiplicity[group.inv(g)]:
-                raise NotSymmetric(
-                    f"multiplicity {m} at {group.names[g]} but "
-                    f"{multiplicity[group.inv(g)]} at its inverse"
-                )
-        self.group = group
-        self.multiplicity = multiplicity
-
-    @classmethod
-    def from_elements(cls, G: Group, elements: Iterable[int]) -> "ConnectionMultiset":
-        return cls(G, multiplicities(G, elements))
-
-    @classmethod
-    def from_counts(cls, G: Group, counts: Mapping[int, int]) -> "ConnectionMultiset":
-        return cls(G, multiplicities(G, counts))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(g for g, m in enumerate(self.multiplicity) if m)
-
-    def valency(self) -> int:
-        return sum(self.multiplicity)
-
-    def is_simple(self) -> bool:
-        return all(m <= 1 for m in self.multiplicity)
-
-    def shadow(self) -> "ConnectionMultiset":
-        """The simple set obtained by dropping repeated elements."""
-        return ConnectionMultiset(
-            self.group, tuple(1 if m else 0 for m in self.multiplicity)
-        )
-
-    def elements(self) -> tuple[int, ...]:
-        out = []
-        for g, m in enumerate(self.multiplicity):
-            out.extend([g] * m)
-        return tuple(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, ConnectionMultiset):
-            return NotImplemented
-        return self.group is other.group and self.multiplicity == other.multiplicity
-
-    def __hash__(self):
-        return hash((id(self.group), self.multiplicity))
-
-    def __repr__(self):
-        return f"ConnectionMultiset({[self.group.names[g] for g in self.elements()]})"
-
-
-def colour_from_multiset(S: ConnectionMultiset) -> ColourFunction:
-    """The multiplicity function of a normal connection multiset, as a colour."""
-    if not is_normal_subset(S.group, dict(enumerate(S.multiplicity))):
-        raise NotNormal("connection multiset is not closed under conjugation")
-    return ColourFunction(S.group, tuple(Fraction(m) for m in S.multiplicity))
+    A normal Cayley multigraph Cay(G, S) is the colour graph of this function.
+    Refuses an index out of range, a negative multiplicity and the identity;
+    colour_from_values checks inverse-closure and normality.
+    """
+    for g, m in counts.items():
+        if not 0 <= g < G.order:
+            raise ValueError(f"element index {g} out of range")
+        if m < 0:
+            raise ValueError(f"negative multiplicity at {G.names[g]}")
+    if counts.get(0):
+        raise ValueError("the identity cannot appear in a connection multiset")
+    return colour_from_values(G, counts)
 
 
 class DistanceLayering(NamedTuple):
@@ -144,18 +93,17 @@ class DistanceLayering(NamedTuple):
     diameter: int
 
 
-def distance_layering(S: ConnectionMultiset) -> DistanceLayering:
-    """Breadth-first distances from the identity in the Cayley graph of S.
+def distance_layering(f: ColourFunction) -> DistanceLayering:
+    """Breadth-first distances from the identity in the Cayley graph of the
+    connection set on which f is 1.
 
-    Requires a simple, normal, connecting set; layer 0 is the identity and
-    layer 1 is S itself.
+    Requires a simple connecting set, so every value 0 or 1; layer 0 is the
+    identity and layer 1 is the set itself.
     """
-    G = S.group
-    if not S.is_simple():
-        raise ValueError("distance layering needs a simple connection set")
-    if not is_normal_subset(G, dict(enumerate(S.multiplicity))):
-        raise NotNormal("connection set is not closed under conjugation")
-    support = S.support()
+    G = f.group
+    if any(v not in (0, 1) for v in f.values):
+        raise ValueError("distance analysis needs a simple connection set")
+    support = tuple(g for g, v in enumerate(f.values) if v)
     dist = [-1] * G.order
     dist[0] = 0
     queue = deque([0])

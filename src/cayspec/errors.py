@@ -21,10 +21,6 @@ class NotClassFunction(CayspecError):
     """A colour assignment differs on two conjugate elements."""
 
 
-class NotNormal(CayspecError):
-    """A connection (multi)set is not closed under conjugation."""
-
-
 class Disconnected(CayspecError):
     """The Cayley graph of a connection set does not reach every element."""
 

@@ -14,13 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from cayspec.colour import (
-    ColourFunction,
-    ConnectionMultiset,
-    DistanceLayering,
-    colour_from_multiset,
-    distance_layering,
-)
+from cayspec.colour import ColourFunction, DistanceLayering, distance_layering
 from cayspec.errors import InternalInconsistency
 from cayspec.exactnum import Cyclotomic, euler_phi, galois_apply, minimal_polynomial
 from cayspec.spectra import (
@@ -209,18 +203,18 @@ def integrality_verdict(
     return IntegralityVerdict(True, integral, method)
 
 
-def multiset_fixing_subgroup(S: ConnectionMultiset) -> UnitSubgroup:
-    """Units whose power map preserves S as a multiset: the fixing subgroup
-    of its multiplicity colour function (NotNormal for non-normal S)."""
-    return fixing_subgroup(colour_from_multiset(S))
+def multiset_fixing_subgroup(f: ColourFunction) -> UnitSubgroup:
+    """Units whose power map preserves a connection multiset: the fixing
+    subgroup of its multiplicity colour f."""
+    return fixing_subgroup(f)
 
 
 def distance_fixing_subgroup(
-    S: ConnectionMultiset,
+    f: ColourFunction,
 ) -> tuple[DistanceLayering, UnitSubgroup]:
-    """Layering of a connected normal Cayley graph and the fixing subgroup of
-    its word-length colour, which preserves every distance layer."""
-    layering = distance_layering(S)
+    """Layering of the connected normal Cayley graph on which f is 1, and the
+    fixing subgroup of its word-length colour, which preserves every layer."""
+    layering = distance_layering(f)
     return layering, fixing_subgroup(layering.colour)
 
 
@@ -258,15 +252,16 @@ def _check_layer_sum_form(
             )
 
 
-def distance_report(S: ConnectionMultiset) -> DistanceReport:
-    """Distance degree and splitting field via layers, with all cross-checks.
+def distance_report(f: ColourFunction) -> DistanceReport:
+    """Distance degree and splitting field of the simple connection set on
+    which f is 1, via layers, with all cross-checks.
 
     The field comes from the fixing subgroup of the word-length colour; exact
     distance spectra are produced whenever the family has a character table,
     validated against the layered character-sum form.
     """
-    layering, H = distance_fixing_subgroup(S)
-    G = S.group
+    layering, H = distance_fixing_subgroup(f)
+    G = f.group
     field = _field_of(fixing_tables(G), H)
     spectrum = None
     if has_character_table(G):

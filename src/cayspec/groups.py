@@ -12,13 +12,11 @@ class of its inverses.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from cayspec.errors import ClosureCapExceeded
 
 CLOSURE_CAP = 10000
-
-MultisetLike = Union[Iterable[int], Mapping[int, int]]
 
 
 class ConjugacyClassPartition(NamedTuple):
@@ -336,28 +334,3 @@ def class_bundles(G: Group) -> tuple[tuple[int, ...], ...]:
         bundles.append(tuple(sorted(members)))
     return tuple(bundles)
 
-
-def multiplicities(G: Group, S: MultisetLike) -> tuple[int, ...]:
-    """Normalize a multiset of element indices to a per-index count vector."""
-    counts = [0] * G.order
-    if isinstance(S, Mapping):
-        items = S.items()
-    else:
-        items = ((g, 1) for g in S)
-    for g, m in items:
-        if not 0 <= g < G.order:
-            raise ValueError(f"element index {g} out of range")
-        if m < 0:
-            raise ValueError(f"negative multiplicity for element {g}")
-        counts[g] += m
-    return tuple(counts)
-
-
-def is_normal_subset(G: Group, S: MultisetLike) -> bool:
-    """True iff the multiplicity function of S is constant on conjugacy classes."""
-    counts = multiplicities(G, S)
-    for cls in conjugacy_classes(G).classes:
-        first = counts[cls[0]]
-        if any(counts[g] != first for g in cls[1:]):
-            return False
-    return True

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
-from cayspec.colour import ColourFunction, colour_from_values
+from cayspec.colour import ColourFunction, colour_from_multiset, colour_from_values
 from cayspec.groups import Group, conjugacy_classes, make_cyclic, make_dihedral, make_product
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
@@ -111,12 +113,16 @@ def d8_beta():
     return G, beta
 
 
+def multiset_colour(G: Group, elements: Iterable[int]) -> ColourFunction:
+    """The multiplicity colour of a connection multiset listed element by
+    element, an element repeated once per copy."""
+    return colour_from_multiset(G, Counter(elements))
+
+
 def d5_s1():
     """Doubled rotations a^2, a^3 plus all reflections on the order-10 dihedral."""
-    from cayspec.colour import ConnectionMultiset
-
     G = make_dihedral(5)
-    S = ConnectionMultiset.from_counts(
+    S = colour_from_multiset(
         G,
         {
             G.element_index("a^2"): 2,
@@ -132,10 +138,8 @@ def d5_s1():
 
 def d5_s2():
     """Every nontrivial rotation doubled on the order-10 dihedral."""
-    from cayspec.colour import ConnectionMultiset
-
     G = make_dihedral(5)
-    S = ConnectionMultiset.from_counts(
+    S = colour_from_multiset(
         G, {G.element_index(nm): 2 for nm in ("a", "a^2", "a^3", "a^4")}
     )
     return G, S

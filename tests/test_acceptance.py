@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from cayspec.cli import main
-from cayspec.colour import ConnectionMultiset, colour_from_multiset
+from cayspec.colour import colour_from_multiset
 from cayspec.exactnum import Cyclotomic, divisors, euler_phi
 from cayspec.galois import (
     check_fixing_subgroup_equals_stabilizers,
@@ -96,8 +96,7 @@ def test_criterion_02_beta_example():
 
 def test_criterion_03_s1_example():
     budget = Budget(1.0)
-    G, S1 = d5_s1()
-    f = colour_from_multiset(S1)
+    G, f = d5_s1()
     spec = spectrum_exact(f, character_table(G))
     # sqrt(5) inside the conductor-10 field: 1 + 2*(z^2 + z^8)
     sqrt5 = Cyclotomic.from_exponents(10, {0: 1, 2: 2, 8: 2})
@@ -109,15 +108,14 @@ def test_criterion_03_s1_example():
         minus_one + sqrt5: 4,
         minus_one - sqrt5: 4,
     }
-    assert multiset_fixing_subgroup(S1).members == (1, 9)
+    assert multiset_fixing_subgroup(f).members == (1, 9)
     assert euler_phi(10) // len(fixing_subgroup(f).members) == 2
     report(3, "doubled-rotations multiset example with surd eigenvalues", budget.check())
 
 
 def test_criterion_04_s2_example():
     budget = Budget(1.0)
-    G, S2 = d5_s2()
-    f = colour_from_multiset(S2)
+    G, f = d5_s2()
     spec = spectrum_exact(f, character_table(G))
     assert dict(spec.pairs) == {
         Cyclotomic.from_rational(10, 8): 2,
@@ -288,9 +286,10 @@ def test_criterion_12_dual_route_cross_checks():
             for bundle, m in zip(bundles, vector):
                 for g in bundle:
                     counts[g] = m
-            S = ConnectionMultiset(G, tuple(counts))
-            multi = multiset_fixing_subgroup(S)
-            shadow = multiset_fixing_subgroup(S.shadow())
+            multi = multiset_fixing_subgroup(colour_from_multiset(G, dict(enumerate(counts))))
+            shadow = multiset_fixing_subgroup(
+                colour_from_multiset(G, {g: min(m, 1) for g, m in enumerate(counts)})
+            )
             assert set(multi.members) <= set(shadow.members)
             phi = euler_phi(G.order)
             assert (phi // len(multi.members)) % (phi // len(shadow.members)) == 0
@@ -301,7 +300,7 @@ def test_criterion_12_dual_route_cross_checks():
                 for bundle, m in zip(bundles, vector):
                     for g in bundle:
                         counts[g] = min(m, 1)
-                distance_fixing_subgroup(ConnectionMultiset(G, tuple(counts)))
+                distance_fixing_subgroup(colour_from_multiset(G, dict(enumerate(counts))))
     report(
         12,
         f"dual-route subgroup identities agree; {pairs_checked} shadow containments",

@@ -107,7 +107,8 @@ def test_parse_generated_group():
     )
     doc = parse_instance(text)
     assert doc.group.order == 8
-    assert doc.connection.valency() == 1
+    assert doc.kind == "connection"
+    assert sum(doc.colour.values) == 1  # the valency
 
 
 def test_parse_refuses_negative_points():
@@ -243,10 +244,45 @@ def test_distance_disconnected(capsys, tmp_path):
     assert "does not reach" in err
 
 
-def test_distance_rejects_multiset(capsys):
+def test_distance_rejects_multiset(capsys, tmp_path):
     code, _, err = run(capsys, "distance", instance_path("d5_s1.txt"))
     assert code == 2
     assert "simple" in err
+    path = tmp_path / "doubled.txt"
+    path.write_text("[group]\nkind = cyclic\nn = 5\n\n[connection]\n1 = 2\n4 = 2\n", encoding="utf-8")
+    message = "error: distance analysis needs a simple connection set\n"
+    assert run(capsys, "distance", str(path)) == (2, "", message)
+
+
+# Connection sections every command refuses at parse time, each with its
+# stderr: not normal, not inverse-closed, the identity, negative multiplicities.
+REFUSED_CONNECTIONS = {
+    "not-normal": (
+        "[group]\nkind = dihedral\nm = 4\n\n[connection]\nelements = b\n",
+        "error: conjugate elements b and b*a^2 carry different values 1 and 0\n",
+    ),
+    "not-inverse-closed": (
+        "[group]\nkind = cyclic\nn = 5\n\n[connection]\nelements = 1\n",
+        "error: f(1) = 1 but f(4) = 0\n",
+    ),
+    "identity": (
+        "[group]\nkind = cyclic\nn = 5\n\n[connection]\nelements = 0, 1, 4\n",
+        "error: the identity cannot appear in a connection multiset\n",
+    ),
+    "negative": (
+        "[group]\nkind = cyclic\nn = 5\n\n[connection]\n1 = -1\n4 = -1\n",
+        "error: line 6, column 5: negative multiplicity\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "degree", "distance", "check"])
+@pytest.mark.parametrize("case", sorted(REFUSED_CONNECTIONS))
+def test_connection_files_are_refused(capsys, tmp_path, case, command):
+    text, message = REFUSED_CONNECTIONS[case]
+    path = tmp_path / "connection.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, command, str(path)) == (2, "", message)
 
 
 def test_check_subgroup(capsys):
@@ -793,6 +829,35 @@ def test_cli_import_loads_no_dataclass_machinery():
     # `ast` and `dis` modules it pulls in cost about 10 ms to import, and
     # each decorated class more to build.
     assert _loaded_by_cli_import(("dataclasses", "inspect")) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        # The cyclic:24 report is about 700 KB, more than a pipe holds, so
+        # writing it fails once the reader has read a line and gone.
+        (["search", "--group", "cyclic:24", "--jobs", "1"], True),
+        # A short report sits in the stdout buffer: flushing it must fail
+        # inside the CLI, not at interpreter exit.
+        (["degree", instance_path("z5_pentagon.txt")], False),
+    ],
+    ids=["search", "degree"],
+)
+def test_closed_stdout_exits_141_quietly(argv, read):
+    src = str(Path(cayspec.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cayspec.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": src},
+    )
+    if read:
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 EMPTY_SHA = hashlib.sha256(b"").hexdigest()

@@ -4,21 +4,20 @@ from fractions import Fraction
 import pytest
 
 from cayspec.colour import (
-    ConnectionMultiset,
     class_weight_vector,
     colour_from_multiset,
     colour_from_values,
     distance_layering,
     power_pullback,
 )
-from cayspec.errors import Disconnected, NotClassFunction, NotNormal, NotSymmetric
+from cayspec.errors import Disconnected, NotClassFunction, NotSymmetric
 from cayspec.groups import make_cyclic, make_dihedral
-from conftest import d8_alpha, random_class_function
+from conftest import d8_alpha, multiset_colour, random_class_function
 
 
 def d5_multiset(counts):
     G = make_dihedral(5)
-    return G, ConnectionMultiset.from_counts(
+    return G, colour_from_multiset(
         G, {G.element_index(name): m for name, m in counts.items()}
     )
 
@@ -48,57 +47,60 @@ def test_non_symmetric_rejected():
 
 
 def test_multiset_s1():
-    G, S1 = d5_multiset({"a^2": 2, "a^3": 2, "b": 1, "b*a": 1, "b*a^2": 1, "b*a^3": 1, "b*a^4": 1})
-    f = colour_from_multiset(S1)
+    G, f = d5_multiset({"a^2": 2, "a^3": 2, "b": 1, "b*a": 1, "b*a^2": 1, "b*a^3": 1, "b*a^4": 1})
     assert f.value(G.element_index("a^2")) == 2
-    assert S1.valency() == 9
+    assert f.value(G.element_index("b*a^3")) == 1
+    assert sum(f.values) == 9  # the valency
 
 
 def test_multiset_s2():
-    G, S2 = d5_multiset({"a": 2, "a^2": 2, "a^3": 2, "a^4": 2})
-    f = colour_from_multiset(S2)
+    G, f = d5_multiset({"a": 2, "a^2": 2, "a^3": 2, "a^4": 2})
     assert f.value(G.element_index("a^4")) == 2
 
 
 def test_empty_multiset_gives_zero_colour():
     G = make_cyclic(4)
-    f = colour_from_multiset(ConnectionMultiset.from_elements(G, []))
+    f = colour_from_multiset(G, {})
     assert not any(f.values)
 
 
 def test_multiset_validation():
     G = make_dihedral(4)
-    with pytest.raises(ValueError):
-        ConnectionMultiset.from_elements(G, [0])
+    with pytest.raises(ValueError, match="^the identity cannot appear"):
+        colour_from_multiset(G, {0: 1, 1: 1, 3: 1})
+    with pytest.raises(ValueError, match="^negative multiplicity at a$"):
+        colour_from_multiset(G, {1: -1, 3: -1})
+    with pytest.raises(ValueError, match="^element index 8 out of range$"):
+        colour_from_multiset(G, {8: 1})
+    # A multiplicity of 0 at the identity is no copy of it.
+    assert colour_from_multiset(G, {0: 0}) == colour_from_multiset(G, {})
     Z5 = make_cyclic(5)
-    with pytest.raises(NotSymmetric):
-        ConnectionMultiset.from_counts(Z5, {1: 1})
-    with pytest.raises(NotNormal):
-        colour_from_multiset(
-            ConnectionMultiset.from_elements(G, [G.element_index("b")])
-        )
+    with pytest.raises(NotSymmetric, match=r"^f\(1\) = 1 but f\(4\) = 0$"):
+        colour_from_multiset(Z5, {1: 1})
+    with pytest.raises(NotClassFunction, match="^conjugate elements b and b\\*a\\^2"):
+        colour_from_multiset(G, {G.element_index("b"): 1})
 
 
 def test_multiset_roundtrip():
-    G, S1 = d5_multiset({"a^2": 2, "a^3": 2, "b": 1, "b*a": 1, "b*a^2": 1, "b*a^3": 1, "b*a^4": 1})
-    f = colour_from_multiset(S1)
-    recovered = ConnectionMultiset.from_counts(
+    G, f = d5_multiset({"a^2": 2, "a^3": 2, "b": 1, "b*a": 1, "b*a^2": 1, "b*a^3": 1, "b*a^4": 1})
+    recovered = colour_from_multiset(
         G, {g: int(v) for g, v in enumerate(f.values) if v}
     )
-    assert recovered == S1
+    assert recovered == f
+    elements = [g for g, v in enumerate(f.values) for _ in range(int(v))]
+    assert multiset_colour(G, elements) == f
 
 
 def test_distance_complete_graph():
     G = make_dihedral(3)
-    S = ConnectionMultiset.from_elements(G, range(1, G.order))
-    layering = distance_layering(S)
+    layering = distance_layering(multiset_colour(G, range(1, G.order)))
     assert layering.diameter == 1
     assert all(layering.colour.value(g) == 1 for g in range(1, G.order))
 
 
 def test_distance_pentagon():
     Z5 = make_cyclic(5)
-    layering = distance_layering(ConnectionMultiset.from_elements(Z5, [1, 4]))
+    layering = distance_layering(multiset_colour(Z5, [1, 4]))
     assert layering.layers == ((0,), (1, 4), (2, 3))
     assert layering.diameter == 2
     assert [int(layering.colour.value(g)) for g in range(5)] == [0, 1, 2, 2, 1]
@@ -107,26 +109,26 @@ def test_distance_pentagon():
 def test_distance_disconnected():
     Z6 = make_cyclic(6)
     with pytest.raises(Disconnected) as err:
-        distance_layering(ConnectionMultiset.from_elements(Z6, [2, 4]))
+        distance_layering(multiset_colour(Z6, [2, 4]))
     assert set(err.value.unreached) == {"1", "3", "5"}
 
 
 def test_distance_needs_simple_set():
     Z5 = make_cyclic(5)
-    with pytest.raises(ValueError):
-        distance_layering(ConnectionMultiset.from_counts(Z5, {1: 2, 4: 2}))
+    with pytest.raises(ValueError, match="needs a simple connection set"):
+        distance_layering(colour_from_multiset(Z5, {1: 2, 4: 2}))
 
 
 def test_distance_layer_invariants():
     G = make_dihedral(6)
-    S = ConnectionMultiset.from_elements(
+    S = multiset_colour(
         G, [G.element_index(n) for n in ("a", "a^5", "b", "b*a^2", "b*a^4")]
     )
     layering = distance_layering(S)
     ell = layering.colour
     assert all(ell.value(g) == ell.value(G.inv(g)) for g in range(G.order))
     assert sorted(g for layer in layering.layers for g in layer) == list(range(G.order))
-    assert layering.layers[1] == S.support()
+    assert layering.layers[1] == tuple(g for g, v in enumerate(S.values) if v)
 
 
 def test_pullback_identity_and_inverse():
@@ -162,8 +164,7 @@ def test_class_weight_vector():
     G = make_cyclic(3)
     zero = colour_from_values(G, {})
     assert class_weight_vector(zero) == (0, 0, 0)
-    D5, S2 = d5_multiset({"a": 2, "a^2": 2, "a^3": 2, "a^4": 2})
-    f = colour_from_multiset(S2)
+    D5, f = d5_multiset({"a": 2, "a^2": 2, "a^3": 2, "a^4": 2})
     assert class_weight_vector(f) == (0, 4, 4, 0)
 
 

@@ -11,12 +11,7 @@ import cayspec.search as search_mod
 import cayspec.spectra as spectra_mod
 import cayspec.units as units_mod
 from cayspec.cli import main
-from cayspec.colour import (
-    ColourFunction,
-    ConnectionMultiset,
-    colour_from_multiset,
-    colour_from_values,
-)
+from cayspec.colour import ColourFunction, colour_from_values
 from cayspec.errors import InternalInconsistency, NotAUnit
 from cayspec.exactnum import (
     Cyclotomic,
@@ -40,7 +35,15 @@ from cayspec.groups import make_cyclic, make_dihedral, make_from_generators, pow
 from cayspec.search import SearchSpec, SetRecord, classify
 from cayspec.spectra import Spectrum, character_table, spectrum_exact
 from cayspec.units import UnitSubgroup, close_generators, fixing_tables, unit_group, unit_subgroup
-from conftest import d5_s1, d5_s2, d8_alpha, d8_beta, instance_path, random_class_function
+from conftest import (
+    d5_s1,
+    d5_s2,
+    d8_alpha,
+    d8_beta,
+    instance_path,
+    multiset_colour,
+    random_class_function,
+)
 
 
 def test_unit_subgroup_validation():
@@ -115,8 +118,7 @@ def test_fixing_subgroup_constant():
 
 
 def test_fixing_subgroup_s1():
-    _, S1 = d5_s1()
-    f = colour_from_multiset(S1)
+    _, f = d5_s1()
     assert fixing_subgroup(f).members == (1, 9)
 
 
@@ -129,11 +131,9 @@ def test_algebraic_degree_examples():
     _, alpha = d8_alpha()
     assert algebraic_degree(alpha) == 2
     _, S1 = d5_s1()
-    assert algebraic_degree(colour_from_multiset(S1)) == 2
+    assert algebraic_degree(S1) == 2
     Z7 = make_cyclic(7)
-    complete = colour_from_multiset(
-        ConnectionMultiset.from_elements(Z7, range(1, 7))
-    )
+    complete = multiset_colour(Z7, range(1, 7))
     assert algebraic_degree(complete) == 1
     assert splitting_field(complete).degree == 1
 
@@ -164,7 +164,7 @@ def test_splitting_field_alpha():
 
 def test_splitting_field_s1():
     _, S1 = d5_s1()
-    report = splitting_field(colour_from_multiset(S1))
+    report = splitting_field(S1)
     assert report.degree == 2
     assert len(report.minimal_poly) - 1 == 2
 
@@ -262,8 +262,7 @@ def test_integrality_verdicts():
     verdict = integrality_verdict(beta, spec)
     assert verdict.rational and verdict.integral
 
-    G2, S2 = d5_s2()
-    f2 = colour_from_multiset(S2)
+    G2, f2 = d5_s2()
     verdict2 = integrality_verdict(f2, spectrum_exact(f2, character_table(G2)))
     assert verdict2.integral
 
@@ -320,7 +319,7 @@ def test_multiset_fixing_subgroup_examples():
     _, S2 = d5_s2()
     assert multiset_fixing_subgroup(S2).members == unit_group(10).members
     Z5 = make_cyclic(5)
-    power_closed = ConnectionMultiset.from_elements(Z5, [1, 2, 3, 4])
+    power_closed = multiset_colour(Z5, [1, 2, 3, 4])
     assert multiset_fixing_subgroup(power_closed).members == unit_group(5).members
 
 
@@ -402,7 +401,7 @@ def test_layer_sum_form_raises_on_injected_mismatch(monkeypatch, capsys):
         return spec._replace(per_irreducible=((label, deg, lam + 1), *rest))
 
     monkeypatch.setattr(galois_mod, "spectrum_exact", shifted)
-    pentagon = ConnectionMultiset.from_elements(make_cyclic(5), [1, 4])
+    pentagon = multiset_colour(make_cyclic(5), [1, 4])
     with pytest.raises(InternalInconsistency) as info:
         distance_report(pentagon)
     assert "chi0 is 6, the character sum gives 7" in str(info.value)
@@ -418,7 +417,7 @@ def test_orbit_image_units_checked_by_the_layer_sum(monkeypatch, capsys):
     monkeypatch.setattr(
         spectra_mod, "galois_apply", lambda h, x: real(h * h % x.conductor, x)
     )
-    pentagon = ConnectionMultiset.from_elements(make_cyclic(5), [1, 4])
+    pentagon = multiset_colour(make_cyclic(5), [1, 4])
     with pytest.raises(InternalInconsistency, match="layered distance eigenvalue of chi2"):
         distance_report(pentagon)
     assert main(["distance", instance_path("z5_pentagon.txt")]) == 3
@@ -477,17 +476,17 @@ def test_shadow_containment_raises_on_injected_mismatch(monkeypatch):
 
 def test_distance_report_complete_graph():
     G = make_dihedral(4)
-    S = ConnectionMultiset.from_elements(G, range(1, 8))
+    S = multiset_colour(G, range(1, 8))
     report = distance_report(S)
     assert report.layering.diameter == 1
-    adj_spec = spectrum_exact(colour_from_multiset(S), character_table(G))
+    adj_spec = spectrum_exact(S, character_table(G))
     assert report.spectrum.pairs == adj_spec.pairs
-    assert report.field.degree == algebraic_degree(colour_from_multiset(S))
+    assert report.field.degree == algebraic_degree(S)
 
 
 def test_distance_report_pentagon():
     Z5 = make_cyclic(5)
-    report = distance_report(ConnectionMultiset.from_elements(Z5, [1, 4]))
+    report = distance_report(multiset_colour(Z5, [1, 4]))
     assert [int(v) for v in report.layering.colour.values] == [0, 1, 2, 2, 1]
     assert report.field.fixing_subgroup.members == (1, 4)
     assert report.field.degree == 2

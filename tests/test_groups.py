@@ -3,10 +3,10 @@ import tracemalloc
 import pytest
 
 from cayspec import groups
-from cayspec.errors import ClosureCapExceeded
+from cayspec.colour import colour_from_multiset
+from cayspec.errors import ClosureCapExceeded, NotClassFunction
 from cayspec.groups import (
     conjugacy_classes,
-    is_normal_subset,
     make_cyclic,
     make_dihedral,
     make_from_generators,
@@ -328,7 +328,7 @@ def test_normal_subset_checks():
     D4 = make_dihedral(4)
     part = conjugacy_classes(D4)
     union = list(part.classes[1]) + list(part.classes[3])
-    assert is_normal_subset(D4, union)
-    assert not is_normal_subset(D4, [D4.element_index("a")])
-    Z6 = make_cyclic(6)
-    assert is_normal_subset(Z6, [1, 3, 3, 5])
+    colour_from_multiset(D4, dict.fromkeys(union, 1))
+    with pytest.raises(NotClassFunction):
+        colour_from_multiset(D4, {D4.element_index("a"): 1})
+    colour_from_multiset(make_cyclic(6), {1: 1, 3: 2, 5: 1})

@@ -2,8 +2,8 @@
 
 Imports are read from the source with `ast`, so nothing is imported and no
 module runs.  `units` builds on the group engine alone, `exactnum` on the units
-engine, and `search`, which classifies candidates on the units engine, needs
-nothing above it.  No module reaches into another's private, `_`-prefixed
+engine, `colour` on the group engine and exact rationals, and `search`, which
+classifies candidates on the units engine, needs nothing above it.  No module reaches into another's private, `_`-prefixed
 names, and only `exactnum` reads the stored form of a cyclotomic value.
 `galois` decides integrality exactly, so it reaches neither the Jacobi
 kernels nor the float spectrum.  The CLI builds every group in
@@ -21,6 +21,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cayspec"
 
 ALLOWED = {
+    "colour": {"errors", "exactnum", "groups"},
     "exactnum": {"errors", "units"},
     "units": {"errors", "groups"},
     "search": {"errors", "groups", "units"},
@@ -118,16 +119,13 @@ UNCALLED = {
     # scanning every unit.
     "colour.power_pullback",
     "exactnum.stabilizer",
-    # Traced by perfbench/trace_request.py, which must keep resolving every
-    # name it wraps (tests/test_trace_names.py).
+    # The fixing subgroup of a multiplicity colour, so just fixing_subgroup;
+    # kept under its own name because perfbench/trace_request.py traces it,
+    # and must keep resolving every name it wraps (tests/test_trace_names.py).
     "galois.multiset_fixing_subgroup",
     # Counted by name in perfbench/trace_request.py (`groups.table_cells`),
     # although no family builds a multiplication table.
     "groups._table_from_rule",
-    # The tests' constructor of connection sets and their reference helpers.
-    "colour.ConnectionMultiset.from_elements",
-    "colour.ConnectionMultiset.shadow",
-    "colour.ConnectionMultiset.valency",
 }
 
 
@@ -182,8 +180,6 @@ HAND_WRITTEN_VALUES = {
     # Equality reads the canonical form, and a rational value hashes as its
     # Fraction.
     "exactnum.Cyclotomic",
-    # Its constructor validates, so it stays a class.
-    "colour.ConnectionMultiset",
 }
 
 

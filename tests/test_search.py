@@ -6,13 +6,12 @@ import pytest
 
 import cayspec.search as search_mod
 from cayspec.cli import main
-from cayspec.colour import ConnectionMultiset, distance_layering
+from cayspec.colour import colour_from_multiset, distance_layering
 from cayspec.errors import InternalInconsistency
 from cayspec.exactnum import euler_phi
 from cayspec.groups import (
     Group,
     class_bundles,
-    is_normal_subset,
     make_cyclic,
     make_dihedral,
     make_from_generators,
@@ -29,16 +28,15 @@ from cayspec.units import fixing_tables, unit_group
 # distance layers), connectivity and layers by search over group elements.
 
 
-def reference_multiset_fixing_members(S: ConnectionMultiset) -> tuple[int, ...]:
-    G = S.group
+def reference_multiset_fixing_members(G: Group, counts: tuple[int, ...]) -> tuple[int, ...]:
     members = []
     for h in unit_group(G.order).members:
         pm = power_map(G, h)
         image = [0] * G.order
-        for g, m in enumerate(S.multiplicity):
+        for g, m in enumerate(counts):
             if m:
                 image[pm[g]] += m
-        if tuple(image) == S.multiplicity:
+        if tuple(image) == counts:
             members.append(h)
     return tuple(members)
 
@@ -55,13 +53,14 @@ def reference_layer_fixing_members(G: Group, layers) -> tuple[int, ...]:
 
 def multiset_from_vector(
     G: Group, bundles: tuple[tuple[int, ...], ...], vector: tuple[int, ...]
-) -> ConnectionMultiset:
-    """The connection multiset taking each bundle as often as its entry says."""
+) -> tuple[int, ...]:
+    """Per element, how often the connection multiset taking each bundle as
+    often as its entry says takes it."""
     counts = [0] * G.order
     for b, mult in enumerate(vector):
         for g in bundles[b]:
             counts[g] = mult
-    return ConnectionMultiset(G, tuple(counts))
+    return tuple(counts)
 
 
 def reference_candidate_vectors(num_bundles, mode, cap):
@@ -99,26 +98,27 @@ def reference_classify_one(
     index: int,
 ) -> tuple:
     """(index, vector, elements, valency, connected, degree, distance degree)."""
-    S = multiset_from_vector(G, bundles, vector)
+    counts = multiset_from_vector(G, bundles, vector)
     phi = euler_phi(G.order)
-    H_star = reference_multiset_fixing_members(S)
+    H_star = reference_multiset_fixing_members(G, counts)
     degree = phi // len(H_star)
-    if not S.is_simple():
+    shadow = tuple(min(m, 1) for m in counts)
+    if counts != shadow:
         # Dropping repeats can only grow the fixing subgroup, so the simple
         # graph's degree divides the multigraph's.
-        shadow_members = reference_multiset_fixing_members(S.shadow())
+        shadow_members = reference_multiset_fixing_members(G, shadow)
         if not set(H_star) <= set(shadow_members):
             raise InternalInconsistency(
                 "multiset fixing subgroup escapes its shadow's fixing subgroup"
             )
-    connected = reference_is_connected(G, S.support())
+    connected = reference_is_connected(G, tuple(g for g, m in enumerate(counts) if m))
     distance_degree = None
     if connected:
-        layers = distance_layering(S.shadow()).layers
+        layers = distance_layering(colour_from_multiset(G, dict(enumerate(shadow)))).layers
         H_prime = reference_layer_fixing_members(G, layers)
         distance_degree = phi // len(H_prime)
-    elements = ";".join(G.names[g] for g in S.elements())
-    return (index, vector, elements, S.valency(), connected, degree, distance_degree)
+    elements = ";".join(G.names[g] for g, m in enumerate(counts) for _ in range(m))
+    return (index, vector, elements, sum(counts), connected, degree, distance_degree)
 
 
 def reference_records(spec: SearchSpec) -> tuple[tuple, ...]:
@@ -300,7 +300,7 @@ def test_bundles_cyclic_pairs():
         assert len(bundles) == (n - 1 + 1) // 2
 
 
-def enumerated_multisets(spec: SearchSpec) -> list[ConnectionMultiset]:
+def enumerated_multisets(spec: SearchSpec) -> list[tuple[int, ...]]:
     bundles = class_bundles(spec.group)
     return [multiset_from_vector(spec.group, bundles, v) for v in classify(spec).vectors()]
 
@@ -309,9 +309,9 @@ def test_enumeration_count_and_normality():
     G = make_dihedral(4)
     sets = enumerated_multisets(SearchSpec(G))
     assert len(sets) == 15
-    assert len({s.multiplicity for s in sets}) == 15
+    assert len(set(sets)) == 15
     for s in sets:
-        assert is_normal_subset(G, dict(enumerate(s.multiplicity)))
+        colour_from_multiset(G, dict(enumerate(s)))  # refuses a set that is not normal
 
 
 def test_enumeration_multiset_count():
@@ -319,7 +319,7 @@ def test_enumeration_multiset_count():
     spec = SearchSpec(G, mode="multisets", multiplicity_cap=2)
     sets = enumerated_multisets(spec)
     assert len(sets) == 3**2 - 1
-    assert sorted(s.multiplicity for s in sets) == sorted(
+    assert sorted(sets) == sorted(
         (0, a, b, b, a) for a in range(3) for b in range(3) if a or b
     )
 

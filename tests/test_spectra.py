@@ -7,9 +7,7 @@ import pytest
 import cayspec.spectra as spectra_mod
 from cayspec.cli import load_instance, main
 from cayspec.colour import (
-    ConnectionMultiset,
     class_weight_vector,
-    colour_from_multiset,
     colour_from_values,
 )
 from cayspec.errors import InternalInconsistency, UnsupportedFamily
@@ -39,6 +37,7 @@ from conftest import (
     d8_alpha,
     d8_beta,
     instance_path,
+    multiset_colour,
     random_class_function,
 )
 
@@ -222,7 +221,7 @@ def test_shared_value_tables_match_reference(group, orders):
 def test_spectrum_exact_rejects_non_real_eigenvalue():
     # The trivial row with z_5 swapped in on a weighted class gives 1 + z_5.
     Z5 = make_cyclic(5)
-    f = colour_from_multiset(ConnectionMultiset.from_elements(Z5, [1, 4]))
+    f = multiset_colour(Z5, [1, 4])
     table = character_table(Z5)
     weighted = next(ci for ci, rep in enumerate(table.partition.representatives) if rep == 1)
     values = list(table.rows[0].values)
@@ -365,7 +364,7 @@ def test_spectrum_beta_pairs():
 
 def test_spectrum_s2_pairs():
     G, S2 = d5_s2()
-    spec = spectrum_exact(colour_from_multiset(S2), character_table(G))
+    spec = spectrum_exact(S2, character_table(G))
     assert dict(spec.pairs) == {
         Cyclotomic.from_rational(10, 8): 2,
         Cyclotomic.from_rational(10, -2): 8,
@@ -374,7 +373,7 @@ def test_spectrum_s2_pairs():
 
 def test_spectrum_sorted_descending():
     G, S1 = d5_s1()
-    spec = spectrum_exact(colour_from_multiset(S1), character_table(G))
+    spec = spectrum_exact(S1, character_table(G))
     embeddings = [v.real_embedding() for v, _ in spec.pairs]
     assert embeddings == sorted(embeddings, reverse=True)
 
@@ -384,8 +383,7 @@ def test_adjacency_matrix_properties():
     zero = colour_from_values(G, {})
     assert all(not any(row) for row in adjacency_matrix(zero))
 
-    Gd, S1 = d5_s1()
-    f = colour_from_multiset(S1)
+    Gd, f = d5_s1()
     rows = adjacency_matrix(f)
     bag = sorted(f.values)
     for row in rows:
@@ -395,7 +393,7 @@ def test_adjacency_matrix_properties():
 
 def test_numeric_pentagon_closed_form():
     Z5 = make_cyclic(5)
-    f = colour_from_multiset(ConnectionMultiset.from_elements(Z5, [1, 4]))
+    f = multiset_colour(Z5, [1, 4])
     numeric = spectrum_numeric(f)
     expected = sorted(
         (2 * math.cos(2 * math.pi * k / 5) for k in range(5)), reverse=True
@@ -465,10 +463,9 @@ def test_spectrum_multiplicity_total():
 def table_family_colours(corpus):
     """The oracle corpus, the conftest examples and the colours of instances/*."""
     colours = list(corpus) + [d8_alpha()[1], d8_beta()[1]]
-    colours += [colour_from_multiset(S) for _, S in (d5_s1(), d5_s2())]
+    colours += [d5_s1()[1], d5_s2()[1]]
     for path in sorted(INSTANCE_DIR.glob("*.txt")):
-        doc = load_instance(str(path))
-        colours.append(doc.colour or colour_from_multiset(doc.connection))
+        colours.append(load_instance(str(path)).colour)
     return colours
 
 
