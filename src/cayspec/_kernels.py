@@ -19,7 +19,7 @@ from array import array
 from math import sqrt
 from typing import Sequence
 
-from cayspec.errors import NoConvergence
+from cayspec.errors import InternalInconsistency
 
 REL_TOL = 1e-12
 MAX_SWEEPS = 100
@@ -88,12 +88,12 @@ def jacobi_diagonalize(a, n: int, rel_tol: float, max_sweeps: int) -> int:
 def symmetric_eigenvalues(rows: Sequence[Sequence[float]]) -> list[float]:
     """Eigenvalues of a dense symmetric matrix, sorted descending.
 
-    Raises NoConvergence when MAX_SWEEPS sweeps do not reach REL_TOL.
+    Raises InternalInconsistency when MAX_SWEEPS sweeps do not reach REL_TOL.
     """
     n = len(rows)
     buf = array("d", (float(v) for row in rows for v in row))
     if jacobi_diagonalize(buf, n, REL_TOL, MAX_SWEEPS) < 0:
-        raise NoConvergence(
+        raise InternalInconsistency(
             f"Jacobi sweeps did not converge within {MAX_SWEEPS} sweeps"
         )
     return sorted((buf[i * n + i] for i in range(n)), reverse=True)

@@ -21,13 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from cayspec.colour import ColourFunction, colour_from_multiset, colour_from_values
-from cayspec.errors import (
-    CayspecError,
-    ClosureCapExceeded,
-    InternalInconsistency,
-    NoConvergence,
-    ParseError,
-)
+from cayspec.errors import InternalInconsistency, ParseError
 from cayspec.exactnum import euler_phi, format_polynomial
 from cayspec.galois import (
     check_fixing_subgroup_equals_stabilizers,
@@ -155,7 +149,7 @@ SizeCheck = Callable[[int], None]  # raises on a group order it refuses
 def _check_closure_cap(order: int) -> None:
     """Refuse an order above CLOSURE_CAP, which generator closure also meets."""
     if order > CLOSURE_CAP:
-        raise ClosureCapExceeded(f"group order {order} exceeds the cap of {CLOSURE_CAP} elements")
+        raise ValueError(f"group order {order} exceeds the cap of {CLOSURE_CAP} elements")
 
 
 def _construct_group(
@@ -167,6 +161,8 @@ def _construct_group(
     linear in its order, so the order is read off the parameters and checked
     first; a generated group is checked once closed, which CLOSURE_CAP bounds.
     `line` and `column` locate the value of the first parameter in an instance.
+    Parameter errors are reworded as ParseErrors; the closure cap's refusal
+    is not, so the closure runs outside the `try`.
     """
     try:
         if kind == "generated":
@@ -177,7 +173,6 @@ def _construct_group(
                 offset += len(chunk) + 1
             width = max((len(p) for p in perms), default=0)
             perms = [p + list(range(len(p), width)) for p in perms]
-            group = make_from_generators(perms)
         else:
             if kind == "product":
                 factors = [int(x) for x in params["factors"].split(",") if x.strip()]
@@ -194,6 +189,7 @@ def _construct_group(
     except ValueError as bad:
         raise ParseError(f"bad group parameter: {bad}", line, 1) from None
     if kind == "generated":
+        group = make_from_generators(perms)
         check(group.order)
         return group
     check(math.prod(factors) * (2 if kind == "dihedral" else 1))
@@ -512,7 +508,7 @@ def cmd_degree(doc: InstanceDocument) -> tuple[Report, int]:
 
 def cmd_distance(doc: InstanceDocument) -> tuple[Report, int]:
     if doc.kind != "connection":
-        raise CayspecError("distance analysis needs a [connection] section")
+        raise ValueError("distance analysis needs a [connection] section")
     G = doc.group
     result = distance_report(doc.colour)  # refuses a multiplicity above 1
     report = Report()
@@ -540,7 +536,7 @@ def cmd_check(doc: InstanceDocument, subgroup_arg: str) -> tuple[Report, int]:
     try:
         gens = [int(x) for x in subgroup_arg.split(",") if x.strip()]
     except ValueError:
-        raise CayspecError(f"--subgroup {subgroup_arg}: generators must be integers") from None
+        raise ValueError(f"--subgroup {subgroup_arg}: generators must be integers") from None
     H_K = close_generators(n, gens)
     verdict = is_algebraically_integral_over(f, H_K)
     report = Report()
@@ -559,13 +555,13 @@ def cmd_check(doc: InstanceDocument, subgroup_arg: str) -> tuple[Report, int]:
 def cmd_search(args) -> tuple[Report, int]:
     kind, _, param = args.group.partition(":")
     if kind not in _GROUP_KEYS or not param:
-        raise CayspecError(f"bad --group value {args.group!r} (expected kind:params)")
+        raise ValueError(f"bad --group value {args.group!r} (expected kind:params)")
     params = dict.fromkeys(_GROUP_KEYS[kind], param)  # one parameter per kind
     try:
         G = _construct_group(kind, params, lambda order: check_order(order, args.limit))
     except ParseError as err:
         # A command-line value has no line to point at.
-        raise CayspecError(f"--group {args.group}: {err.reason}") from None
+        raise ValueError(f"--group {args.group}: {err.reason}") from None
     multisets = args.multisets is not None  # --multisets 0 is refused, not a sets search
     spec = SearchSpec(
         group=G,
@@ -692,7 +688,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             report.write(sys.stdout)
             sys.stdout.flush()  # a closed pipe raises here, not at exit
-    except (InternalInconsistency, NoConvergence) as err:
+    except InternalInconsistency as err:
         print(f"internal inconsistency: {err}", file=sys.stderr)
         return 3
     except BrokenPipeError:
@@ -701,7 +697,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (CayspecError, ValueError, OSError) as err:
+    except (ParseError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except MemoryError:

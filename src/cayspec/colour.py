@@ -12,9 +12,8 @@ from collections import deque
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
-from cayspec.errors import Disconnected, NotClassFunction, NotSymmetric
 from cayspec.exactnum import as_fraction
-from cayspec.groups import Group, conjugacy_classes, power_map
+from cayspec.groups import Group, conjugacy_classes
 
 
 class ColourFunction(NamedTuple):
@@ -25,9 +24,6 @@ class ColourFunction(NamedTuple):
 
     group: Group
     values: tuple[Fraction, ...]
-
-    def value(self, g: int) -> Fraction:
-        return self.values[g]
 
     def is_integer_valued(self) -> bool:
         return all(v.denominator == 1 for v in self.values)
@@ -44,7 +40,7 @@ def colour_from_values(
 ) -> ColourFunction:
     """Validate and build a colour function; unmentioned elements default to 0.
 
-    Raises NotSymmetric or NotClassFunction naming a violating element pair.
+    Raises ValueError naming an element pair that breaks normality or symmetry.
     """
     values = [Fraction(0)] * G.order
     for g, v in assignment.items():
@@ -55,13 +51,13 @@ def colour_from_values(
         first = values[cls[0]]
         for g in cls[1:]:
             if values[g] != first:
-                raise NotClassFunction(
+                raise ValueError(
                     f"conjugate elements {G.names[cls[0]]} and {G.names[g]} "
                     f"carry different values {first} and {values[g]}"
                 )
     for g in range(G.order):
         if values[g] != values[G.inv(g)]:
-            raise NotSymmetric(
+            raise ValueError(
                 f"f({G.names[g]}) = {values[g]} but "
                 f"f({G.names[G.inv(g)]}) = {values[G.inv(g)]}"
             )
@@ -116,9 +112,7 @@ def distance_layering(f: ColourFunction) -> DistanceLayering:
                 queue.append(w)
     unreached = [G.names[g] for g, d in enumerate(dist) if d == -1]
     if unreached:
-        raise Disconnected(
-            f"connection set does not reach: {', '.join(unreached)}", unreached
-        )
+        raise ValueError(f"connection set does not reach: {', '.join(unreached)}")
     diameter = max(dist)
     layers = tuple(
         tuple(g for g in range(G.order) if dist[g] == level)
@@ -126,12 +120,6 @@ def distance_layering(f: ColourFunction) -> DistanceLayering:
     )
     colour = colour_from_values(G, {g: Fraction(d) for g, d in enumerate(dist)})
     return DistanceLayering(colour=colour, layers=layers, diameter=diameter)
-
-
-def power_pullback(f: ColourFunction, k: int) -> ColourFunction:
-    """The colour g -> f(g**k); stays a symmetric class function."""
-    pm = power_map(f.group, k)
-    return colour_from_values(f.group, {g: f.values[gk] for g, gk in enumerate(pm)})
 
 
 def class_weight_vector(f: ColourFunction) -> tuple[Fraction, ...]:

@@ -16,8 +16,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from cayspec.errors import CoefficientBudgetExceeded, InternalInconsistency, NotAUnit
-from cayspec.units import UnitSubgroup, unit_group, unit_subgroup
+from cayspec.errors import InternalInconsistency
+from cayspec.units import unit_group
 
 RationalLike = Union[int, str, Fraction]
 
@@ -35,36 +35,37 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _factor(n: int) -> dict[int, int]:
+    """The prime factorization {p: exponent} of n, by trial division; {} for n < 2."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    """Euler totient via trial-division factorization."""
+    """Euler totient, from the primes of n."""
     if n < 1:
         raise ValueError(f"euler_phi needs n >= 1, got {n}")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    for p in _factor(n):
+        result -= result // p
     return result
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
+    """All positive divisors of n, ascending; none for n < 1."""
+    out = [1] if n >= 1 else []
+    for p, e in _factor(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return tuple(sorted(out))
 
 
 def _poly_divexact(num: Sequence[int], den: Sequence[int]) -> list[int]:
@@ -125,16 +126,8 @@ def _power_residues(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def _mobius(m: int) -> int:
-    result = 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1 if p == 2 else 2
-    return -result if m > 1 else result
+    exponents = _factor(m).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 @lru_cache(maxsize=None)
@@ -176,7 +169,7 @@ class Cyclotomic:
         # their numerator bits plus those of D, and 1 for each zero.
         bits = len(numerators) - len(terms) + len(terms) * denominator.bit_length()
         if bits + sum(a.bit_length() for _, a in terms) > COEFFICIENT_BIT_BUDGET:
-            raise CoefficientBudgetExceeded(
+            raise ValueError(
                 f"canonical residue exceeds the {COEFFICIENT_BIT_BUDGET}-bit coefficient budget"
             )
         self.conductor = conductor
@@ -371,19 +364,13 @@ def galois_apply(h: int, x: Cyclotomic) -> Cyclotomic:
     """Image of x under the field automorphism sending z to z^h (h a unit mod n)."""
     n = x.conductor
     if gcd(h, n) != 1:
-        raise NotAUnit(f"{h} is not a unit modulo {n}")
+        raise ValueError(f"{h} is not a unit modulo {n}")
     rows = _power_residues(n)
     acc = [0] * euler_phi(n)
     for i, a in x.terms:
         for j, r in rows[i * h % n]:
             acc[j] += a * r
     return Cyclotomic(n, acc, x.denominator)
-
-
-def stabilizer(x: Cyclotomic) -> UnitSubgroup:
-    """All units h with galois_apply(h, x) == x; always a subgroup."""
-    n = x.conductor
-    return unit_subgroup(n, [h for h in unit_group(n).members if galois_apply(h, x) == x])
 
 
 def galois_orbit(x: Cyclotomic) -> tuple[Cyclotomic, ...]:

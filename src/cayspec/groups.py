@@ -14,8 +14,6 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple, Optional, Sequence
 
-from cayspec.errors import ClosureCapExceeded
-
 CLOSURE_CAP = 10000
 
 
@@ -237,9 +235,7 @@ def make_from_generators(perms: Sequence[Sequence[int]]) -> Group:
             y = tuple(map(x.__getitem__, g))
             if y not in index:
                 if len(elements) >= CLOSURE_CAP:
-                    raise ClosureCapExceeded(
-                        f"generator closure exceeded the cap of {CLOSURE_CAP} elements"
-                    )
+                    raise ValueError(f"generator closure exceeded the cap of {CLOSURE_CAP} elements")
                 index[y] = len(elements)
                 elements.append(y)
                 queue.append(y)

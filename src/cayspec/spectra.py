@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from cayspec._kernels import symmetric_eigenvalues
 from cayspec.colour import ColourFunction, class_weight_vector
-from cayspec.errors import InternalInconsistency, UnsupportedFamily
+from cayspec.errors import InternalInconsistency
 from cayspec.exactnum import Cyclotomic, galois_apply
 from cayspec.groups import Group, ConjugacyClassPartition, conjugacy_classes
 from cayspec.units import unit_group
@@ -108,9 +108,7 @@ def char_table_abelian(G: Group) -> CharacterTable:
     """
     orders = G.cyclic_orders
     if orders is None:
-        raise UnsupportedFamily(
-            "character table needs a product of cyclic groups"
-        )
+        raise ValueError("character table needs a product of cyclic groups")
     N = G.order
     part = conjugacy_classes(G)
     rep_coords = [_mixed_radix(rep, orders) for rep in part.representatives]
@@ -140,7 +138,7 @@ def char_table_dihedral(G: Group) -> CharacterTable:
     dim2_j, whose values are z^(2kj) + z^(-2kj), to dim2_{hj mod m} up to sign.
     """
     if G.family != "dihedral":
-        raise UnsupportedFamily(f"expected a dihedral group, got {G.family}")
+        raise ValueError(f"expected a dihedral group, got {G.family}")
     m = G.order // 2
     n = G.order
     part = conjugacy_classes(G)
@@ -201,7 +199,7 @@ def character_table(G: Group) -> CharacterTable:
     """Dispatch on the group family; cached on the group object."""
     if G._char_table is None:
         if not has_character_table(G):
-            raise UnsupportedFamily(f"no exact character table for family {G.family!r}")
+            raise ValueError(f"no exact character table for family {G.family!r}")
         build = char_table_dihedral if G.family == "dihedral" else char_table_abelian
         G._char_table = build(G)
     return G._char_table

@@ -17,7 +17,7 @@ from math import gcd
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from cayspec.errors import InternalInconsistency, NotAUnit
+from cayspec.errors import InternalInconsistency
 from cayspec.groups import Group, class_bundles, power, power_map
 
 
@@ -87,7 +87,7 @@ def unit_subgroup(n: int, members: Sequence[int]) -> UnitSubgroup:
     units = set(unit_group(n).members)
     for h in ms:
         if h not in units:
-            raise NotAUnit(f"{h} is not a unit modulo {n}")
+            raise ValueError(f"{h} is not a unit modulo {n}")
     gens, closure = _find_generators(n, ms)
     escaped = closure.difference(ms)
     if escaped:
@@ -99,7 +99,7 @@ def close_generators(n: int, gens: Sequence[int]) -> UnitSubgroup:
     """The subgroup of units modulo n generated by the given unit labels."""
     for g in gens:
         if gcd(g, n) != 1:
-            raise NotAUnit(f"{g} is not a unit modulo {n}")
+            raise ValueError(f"{g} is not a unit modulo {n}")
     if n == 1:
         return UnitSubgroup(1, (1,), ())
     reduced = [g % n for g in gens]
@@ -175,7 +175,7 @@ def coset_form(tables: FixingTables, members: tuple[int, ...]) -> tuple:
         G = tables.group
         n = G.order
         try:
-            H = unit_subgroup(n, members)
+            H = unit_subgroup(n, members)  # members are units: only closure can fail
         except ValueError as err:
             raise InternalInconsistency(
                 f"bundle route: fixing set {members} is not a subgroup of the "

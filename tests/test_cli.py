@@ -85,8 +85,8 @@ def test_parse_quoted_class_key():
     text = '[group]\nkind = dihedral\nm = 4\n\n[colour]\nclass("a") = 1\nclass(b) = 2\nclass(b*a) = 3\n'
     doc = parse_instance(text)
     G = doc.group
-    assert doc.colour.value(G.element_index("a^3")) == 1
-    assert doc.colour.value(G.element_index("b*a^2")) == 2
+    assert doc.colour.values[G.element_index("a^3")] == 1
+    assert doc.colour.values[G.element_index("b*a^2")] == 2
 
 
 def test_search_multisets(capsys):
@@ -377,6 +377,59 @@ def test_no_convergence_exits_three(capsys, monkeypatch):
     code, _, err = run(capsys, "spectrum", instance_path("d8_alpha.txt"))
     assert code == 3
     assert "internal inconsistency" in err
+
+
+S8_GENERATORS = "(0 1 2 3 4 5 6 7);(0 1)"  # 40,320 elements, past the closure cap
+REFUSAL_INSTANCES = {
+    "d4-b": "[group]\nkind = dihedral\nm = 4\n\n[connection]\nelements = b\n",
+    "z5-1": "[group]\nkind = cyclic\nn = 5\n\n[connection]\nelements = 1\n",
+    "z6-2-4": "[group]\nkind = cyclic\nn = 6\n\n[connection]\nelements = 2, 4\n",
+    "z20000": "[group]\nkind = cyclic\nn = 20000\n\n[connection]\nelements = 1, 19999\n",
+    "s8": f"[group]\nkind = generated\ngenerators = {S8_GENERATORS}\n\n[colour]\nclass(e) = 1\n",
+}
+CLOSURE_REFUSAL = "error: generator closure exceeded the cap of 10000 elements\n"
+
+
+# Each refusal with its exit code and whole stderr, one case per exception
+# class that the merge into ValueError and InternalInconsistency removed.
+# "{d8_alpha}" names that instance file and "{name}" one of REFUSAL_INSTANCES;
+# a patch (dotted name, value) is set for the one request.
+@pytest.mark.parametrize(
+    "argv, patch, code, err",
+    [
+        (["degree", "{d4-b}"], None, 2,
+         "error: conjugate elements b and b*a^2 carry different values 1 and 0\n"),
+        (["degree", "{z5-1}"], None, 2, "error: f(1) = 1 but f(4) = 0\n"),
+        (["distance", "{z6-2-4}"], None, 2, "error: connection set does not reach: 1, 3, 5\n"),
+        (["check", "{d8_alpha}", "--subgroup", "2"], None, 2, "error: 2 is not a unit modulo 16\n"),
+        (["check", "{d8_alpha}", "--subgroup", "x"], None, 2,
+         "error: --subgroup x: generators must be integers\n"),
+        (["degree", "{z20000}"], None, 2, "error: group order 20000 exceeds the cap of 10000 elements\n"),
+        (["degree", "{s8}"], None, 2, CLOSURE_REFUSAL),
+        (["search", "--group", f"generated:{S8_GENERATORS}", "--limit", "100000"], None, 2,
+         CLOSURE_REFUSAL),
+        (["distance", "{d8_alpha}"], None, 2, "error: distance analysis needs a [connection] section\n"),
+        (["search", "--group", "foo"], None, 2, "error: bad --group value 'foo' (expected kind:params)\n"),
+        (["search", "--group", "generated:(0 1 2);(0 1 1)"], None, 2,
+         "error: --group generated:(0 1 2);(0 1 1): point 1 appears twice in one permutation\n"),
+        (["spectrum", "{d8_alpha}"], ("cayspec._kernels.MAX_SWEEPS", 0), 3,
+         "internal inconsistency: Jacobi sweeps did not converge within 0 sweeps\n"),
+        (["degree", "{d8_alpha}"], ("cayspec.exactnum.COEFFICIENT_BIT_BUDGET", 16), 2,
+         "error: canonical residue exceeds the 16-bit coefficient budget\n"),
+    ],
+    ids=["not-normal", "not-symmetric", "disconnected", "not-a-unit", "malformed-subgroup",
+         "order-cap", "closure-cap", "search-closure-cap", "distance-on-colour", "search-bad-group",
+         "search-bad-cycles", "no-convergence", "coefficient-budget"],
+)
+def test_refusals_pin_stderr_and_exit_code(capsys, monkeypatch, tmp_path, argv, patch, code, err):
+    files = {"d8_alpha": instance_path("d8_alpha.txt")}
+    for name, text in REFUSAL_INSTANCES.items():
+        files[name] = str(tmp_path / f"{name}.txt")
+        Path(files[name]).write_text(text, encoding="utf-8")
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    argv = [files[arg[1:-1]] if arg.startswith("{") else arg for arg in argv]
+    assert run(capsys, *argv) == (code, "", err)
 
 
 def test_out_of_memory_exits_two(capsys, monkeypatch):

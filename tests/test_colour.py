@@ -8,10 +8,8 @@ from cayspec.colour import (
     colour_from_multiset,
     colour_from_values,
     distance_layering,
-    power_pullback,
 )
-from cayspec.errors import Disconnected, NotClassFunction, NotSymmetric
-from cayspec.groups import make_cyclic, make_dihedral
+from cayspec.groups import make_cyclic, make_dihedral, power_map
 from conftest import d8_alpha, multiset_colour, random_class_function
 
 
@@ -22,10 +20,16 @@ def d5_multiset(counts):
     )
 
 
+def power_pullback(f, k):
+    # The colour g -> f(g**k), rebuilt by the constructor that checks it.
+    pm = power_map(f.group, k)
+    return colour_from_values(f.group, {g: f.values[gk] for g, gk in enumerate(pm)})
+
+
 def test_alpha_is_accepted():
     G, alpha = d8_alpha()
-    assert alpha.value(G.element_index("a^3")) == Fraction(3, 5)
-    assert alpha.value(0) == 0
+    assert alpha.values[G.element_index("a^3")] == Fraction(3, 5)
+    assert alpha.values[0] == 0
 
 
 def test_zero_assignment_accepted():
@@ -36,26 +40,26 @@ def test_zero_assignment_accepted():
 
 def test_non_class_function_rejected():
     G = make_dihedral(4)
-    with pytest.raises(NotClassFunction):
+    with pytest.raises(ValueError, match="^conjugate elements a and a\\^3 carry different values 1 and 0$"):
         colour_from_values(G, {G.element_index("a"): 1})
 
 
 def test_non_symmetric_rejected():
     G = make_cyclic(5)
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(ValueError, match=r"^f\(1\) = 1 but f\(4\) = 0$"):
         colour_from_values(G, {1: 1})
 
 
 def test_multiset_s1():
     G, f = d5_multiset({"a^2": 2, "a^3": 2, "b": 1, "b*a": 1, "b*a^2": 1, "b*a^3": 1, "b*a^4": 1})
-    assert f.value(G.element_index("a^2")) == 2
-    assert f.value(G.element_index("b*a^3")) == 1
+    assert f.values[G.element_index("a^2")] == 2
+    assert f.values[G.element_index("b*a^3")] == 1
     assert sum(f.values) == 9  # the valency
 
 
 def test_multiset_s2():
     G, f = d5_multiset({"a": 2, "a^2": 2, "a^3": 2, "a^4": 2})
-    assert f.value(G.element_index("a^4")) == 2
+    assert f.values[G.element_index("a^4")] == 2
 
 
 def test_empty_multiset_gives_zero_colour():
@@ -75,9 +79,9 @@ def test_multiset_validation():
     # A multiplicity of 0 at the identity is no copy of it.
     assert colour_from_multiset(G, {0: 0}) == colour_from_multiset(G, {})
     Z5 = make_cyclic(5)
-    with pytest.raises(NotSymmetric, match=r"^f\(1\) = 1 but f\(4\) = 0$"):
+    with pytest.raises(ValueError, match=r"^f\(1\) = 1 but f\(4\) = 0$"):
         colour_from_multiset(Z5, {1: 1})
-    with pytest.raises(NotClassFunction, match="^conjugate elements b and b\\*a\\^2"):
+    with pytest.raises(ValueError, match="^conjugate elements b and b\\*a\\^2"):
         colour_from_multiset(G, {G.element_index("b"): 1})
 
 
@@ -95,7 +99,7 @@ def test_distance_complete_graph():
     G = make_dihedral(3)
     layering = distance_layering(multiset_colour(G, range(1, G.order)))
     assert layering.diameter == 1
-    assert all(layering.colour.value(g) == 1 for g in range(1, G.order))
+    assert all(layering.colour.values[g] == 1 for g in range(1, G.order))
 
 
 def test_distance_pentagon():
@@ -103,14 +107,13 @@ def test_distance_pentagon():
     layering = distance_layering(multiset_colour(Z5, [1, 4]))
     assert layering.layers == ((0,), (1, 4), (2, 3))
     assert layering.diameter == 2
-    assert [int(layering.colour.value(g)) for g in range(5)] == [0, 1, 2, 2, 1]
+    assert [int(layering.colour.values[g]) for g in range(5)] == [0, 1, 2, 2, 1]
 
 
 def test_distance_disconnected():
     Z6 = make_cyclic(6)
-    with pytest.raises(Disconnected) as err:
+    with pytest.raises(ValueError, match="^connection set does not reach: 1, 3, 5$"):
         distance_layering(multiset_colour(Z6, [2, 4]))
-    assert set(err.value.unreached) == {"1", "3", "5"}
 
 
 def test_distance_needs_simple_set():
@@ -126,7 +129,7 @@ def test_distance_layer_invariants():
     )
     layering = distance_layering(S)
     ell = layering.colour
-    assert all(ell.value(g) == ell.value(G.inv(g)) for g in range(G.order))
+    assert all(ell.values[g] == ell.values[G.inv(g)] for g in range(G.order))
     assert sorted(g for layer in layering.layers for g in layer) == list(range(G.order))
     assert layering.layers[1] == tuple(g for g, v in enumerate(S.values) if v)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import cayspec.exactnum as ex
 from cayspec.cli import main
-from cayspec.errors import CoefficientBudgetExceeded, InternalInconsistency, NotAUnit
+from cayspec.errors import InternalInconsistency
 from cayspec.exactnum import (
     Cyclotomic,
     cyclotomic_polynomial,
@@ -15,9 +15,8 @@ from cayspec.exactnum import (
     galois_apply,
     galois_orbit,
     minimal_polynomial,
-    stabilizer,
 )
-from cayspec.units import unit_group
+from cayspec.units import unit_group, unit_subgroup
 from conftest import instance_path
 
 
@@ -27,6 +26,12 @@ def poly_mul(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
+
+
+def stabilizer(x):
+    # All units h with galois_apply(h, x) == x, found by scanning every unit.
+    n = x.conductor
+    return unit_subgroup(n, [h for h in unit_group(n).members if galois_apply(h, x) == x])
 
 
 def test_euler_phi_values():
@@ -78,7 +83,7 @@ def test_galois_apply_is_homomorphism():
 
 
 def test_galois_apply_rejects_non_units():
-    with pytest.raises(NotAUnit):
+    with pytest.raises(ValueError, match="^4 is not a unit modulo 16$"):
         galois_apply(4, Cyclotomic.from_exponents(16, {1: 1}))
 
 
@@ -242,6 +247,10 @@ def test_unit_group_sizes():
         assert len(unit_group(n).members) == euler_phi(n)
 
 
+def over_budget(bits):
+    return f"^canonical residue exceeds the {bits}-bit coefficient budget$"
+
+
 def test_coefficient_budget_guardrail(monkeypatch):
     big = Fraction(2**64, 3)
     one = Cyclotomic.one(8)
@@ -253,7 +262,7 @@ def test_coefficient_budget_guardrail(monkeypatch):
     )
     monkeypatch.setattr(ex, "COEFFICIENT_BIT_BUDGET", 16)
     for build in constructions:
-        with pytest.raises(CoefficientBudgetExceeded):
+        with pytest.raises(ValueError, match=over_budget(16)):
             build()
 
 
@@ -328,9 +337,9 @@ def test_coeffs_view_and_budget_never_looser(monkeypatch, n, exps):
     # each reduced coefficient, 1 bit for each zero.
     dense_bits = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in x.coeffs)
     monkeypatch.setattr(ex, "COEFFICIENT_BIT_BUDGET", dense_bits - 1)
-    with pytest.raises(CoefficientBudgetExceeded):
+    with pytest.raises(ValueError, match=over_budget(dense_bits - 1)):
         Cyclotomic.from_exponents(n, exps)
-    with pytest.raises(CoefficientBudgetExceeded):
+    with pytest.raises(ValueError, match=over_budget(dense_bits - 1)):
         Cyclotomic.linear_combination(n, [(1, x)])
 
 

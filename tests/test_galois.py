@@ -12,7 +12,7 @@ import cayspec.spectra as spectra_mod
 import cayspec.units as units_mod
 from cayspec.cli import main
 from cayspec.colour import ColourFunction, colour_from_values
-from cayspec.errors import InternalInconsistency, NotAUnit
+from cayspec.errors import InternalInconsistency
 from cayspec.exactnum import (
     Cyclotomic,
     euler_phi,
@@ -49,7 +49,7 @@ from conftest import (
 def test_unit_subgroup_validation():
     H = unit_subgroup(16, [1, 7, 9, 15])
     assert H.members == (1, 7, 9, 15)
-    with pytest.raises(NotAUnit):
+    with pytest.raises(ValueError, match="^2 is not a unit modulo 16$"):
         unit_subgroup(16, [1, 2])
     with pytest.raises(ValueError):
         unit_subgroup(16, [1, 3])  # 3*3 = 9 escapes
@@ -96,7 +96,7 @@ def test_close_generators():
     assert close_generators(16, [7, 9]).members == (1, 7, 9, 15)
     assert close_generators(16, [3]).members == (1, 3, 9, 11)
     assert close_generators(16, []).members == (1,)
-    with pytest.raises(NotAUnit):
+    with pytest.raises(ValueError, match="^6 is not a unit modulo 16$"):
         close_generators(16, [6])
 
 
@@ -456,6 +456,43 @@ def test_primitive_search_matches_orbit_reference(G):
         assert x is not None
         assert x == reference_primitive_search(n, members, degree), members
         assert poly == minimal_polynomial(x)
+
+
+def unit_subgroups(n):
+    """Every subgroup of the units modulo n, each found by joining one unit to
+    a subgroup already found, starting from the trivial one."""
+    units = unit_group(n).members
+    found = {(1,): close_generators(n, [])}
+    frontier = [found[(1,)]]
+    while frontier:
+        H = frontier.pop()
+        for u in units:
+            if u not in H.members:
+                K = close_generators(n, list(H.generators) + [u])
+                if K.members not in found:
+                    found[K.members] = K
+                    frontier.append(K)
+    return list(found.values())
+
+
+def test_primitive_search_finds_a_single_period_for_every_subgroup():
+    # Evidence, not proof, that the pairs of periods are never reached: for
+    # squarefree n the periods of H generate its fixed field (the primitive
+    # n-th roots of unity are a normal basis), but for other n nothing here
+    # proves it, so the search keeps its pairs.
+    swept = 0
+    for n in range(3, 61):
+        tables = fixing_tables(make_cyclic(n))
+        for H in unit_subgroups(n):
+            swept += 1
+            degree = euler_phi(n) // len(H.members)
+            x, _ = _primitive_search(tables, H, degree)
+            if degree == 1:
+                assert x == 1
+            else:
+                periods = {_gauss_period(n, H.members, k) for k in range(1, n)}
+                assert x in periods, (n, H.members)
+    assert swept == 520
 
 
 def test_shadow_containment_raises_on_injected_mismatch(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from cayspec import _kernels
 from cayspec._kernels import jacobi_diagonalize, symmetric_eigenvalues
-from cayspec.errors import NoConvergence
+from cayspec.errors import InternalInconsistency
 from cayspec.groups import make_cyclic, make_dihedral, make_from_generators, make_product
 from cayspec.spectra import adjacency_matrix
 from conftest import random_class_function
@@ -46,7 +46,7 @@ def test_no_convergence_signalled(monkeypatch):
     buf = array("d", [0.0, 1.0, 1.0, 0.0])
     assert jacobi_diagonalize(buf, 2, 1e-12, 0) == -1
     monkeypatch.setattr(_kernels, "MAX_SWEEPS", 0)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(InternalInconsistency, match="^Jacobi sweeps did not converge within 0 sweeps$"):
         symmetric_eigenvalues([[0.0, 1.0], [1.0, 0.0]])
 
 

@@ -1,19 +1,23 @@
 """Layering guard: the units engine sits below the field layer.
 
 Imports are read from the source with `ast`, so nothing is imported and no
-module runs.  `units` builds on the group engine alone, `exactnum` on the units
-engine, `colour` on the group engine and exact rationals, and `search`, which
-classifies candidates on the units engine, needs nothing above it.  No module reaches into another's private, `_`-prefixed
-names, and only `exactnum` reads the stored form of a cyclotomic value.
+module runs.  The group engine imports no other module, `units` builds on the
+group engine alone, `exactnum` on the units engine, `colour` on the group
+engine and exact rationals, and `search`, which classifies candidates on the
+units engine, needs nothing above it.  No module reaches into another's
+private, `_`-prefixed names, and only `exactnum` reads the stored form of a
+cyclotomic value.
 `galois` decides integrality exactly, so it reaches neither the Jacobi
 kernels nor the float spectrum.  The CLI builds every group in
 `_construct_group`, which sizes it first.  Every function the package defines
 is named somewhere else in it, apart from a short list that tests keep.
 Records are `NamedTuple`s: only a short list of classes writes its own
-equality, hashing, immutability or pickling.
+equality, hashing, immutability or pickling.  The package has two exception
+types, both in `errors`; every other refusal is a ValueError.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -21,8 +25,9 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cayspec"
 
 ALLOWED = {
-    "colour": {"errors", "exactnum", "groups"},
+    "colour": {"exactnum", "groups"},
     "exactnum": {"errors", "units"},
+    "groups": set(),
     "units": {"errors", "groups"},
     "search": {"errors", "groups", "units"},
 }
@@ -114,11 +119,6 @@ def test_cli_builds_groups_in_one_routine():
 # Functions and public methods that no line of the package names, each kept
 # for the tests: a name listed here with no reason to stay should be deleted.
 UNCALLED = {
-    # Independent references the tests compare the engine against: a colour
-    # pulled back along a power map, and the stabilizer of one value found by
-    # scanning every unit.
-    "colour.power_pullback",
-    "exactnum.stabilizer",
     # The fixing subgroup of a multiplicity colour, so just fixing_subgroup;
     # kept under its own name because perfbench/trace_request.py traces it,
     # and must keep resolving every name it wraps (tests/test_trace_names.py).
@@ -200,3 +200,26 @@ def test_records_do_not_write_value_methods():
             if written & VALUE_DUNDERS:
                 hand_written.add(f"{path.stem}.{node.name}")
     assert hand_written == HAND_WRITTEN_VALUES
+
+
+EXCEPTION_TYPES = {"InternalInconsistency", "ParseError"}
+BUILTIN_EXCEPTIONS = {
+    name
+    for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def test_errors_defines_the_only_two_exception_types():
+    # A class is an exception type when a base, by name or as an attribute,
+    # is a builtin exception or one of the package's own.
+    defined = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+                if bases & (BUILTIN_EXCEPTIONS | EXCEPTION_TYPES):
+                    defined.add(f"{path.stem}.{node.name}")
+    assert defined == {f"errors.{name}" for name in EXCEPTION_TYPES}
+    tree = parse(PACKAGE / "errors.py")
+    assert {node.name for node in tree.body if isinstance(node, ast.ClassDef)} == EXCEPTION_TYPES
