@@ -15,8 +15,8 @@ count and the result are the same bit for bit.
 
 from __future__ import annotations
 
-from array import array
 from math import sqrt
+from numbers import Real
 from typing import Sequence
 
 from cayspec.errors import InternalInconsistency
@@ -25,17 +25,15 @@ REL_TOL = 1e-12
 MAX_SWEEPS = 100
 
 
-def jacobi_diagonalize(a, n: int, rel_tol: float, max_sweeps: int) -> int:
-    """Run cyclic Jacobi sweeps on the row-major n*n array("d") buffer `a`.
+def jacobi_diagonalize(a: list[float], n: int, rel_tol: float, max_sweeps: int) -> int:
+    """Run cyclic Jacobi sweeps on the row-major n*n float list `a`, in place.
 
-    The rotated matrix is written back into `a`.  Sweeps stop once the
-    off-diagonal Frobenius mass drops to rel_tol * ||A||_F.  Returns the
-    number of sweeps used, or -1 when the budget of max_sweeps is exhausted
-    first.  `a` must be exactly symmetric.
+    Sweeps stop once the off-diagonal Frobenius mass drops to
+    rel_tol * ||A||_F.  Returns the number of sweeps used, or -1 when the
+    budget of max_sweeps is exhausted first.  `a` must be exactly symmetric.
     """
-    m = list(a)
     norm_f = 0.0
-    for v in m:
+    for v in a:
         norm_f += v * v
     norm_f = sqrt(norm_f)
     threshold = rel_tol * norm_f
@@ -43,7 +41,7 @@ def jacobi_diagonalize(a, n: int, rel_tol: float, max_sweeps: int) -> int:
     def off_mass() -> float:
         total = 0.0
         for p in range(n):
-            for v in m[p * n + p + 1 : p * n + n]:
+            for v in a[p * n + p + 1 : p * n + n]:
                 total += 2.0 * v * v
         return sqrt(total)
 
@@ -54,11 +52,11 @@ def jacobi_diagonalize(a, n: int, rel_tol: float, max_sweeps: int) -> int:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = m[p * n + q]
+                apq = a[p * n + q]
                 if apq == 0.0:
                     continue
-                app = m[p * n + p]
-                aqq = m[q * n + q]
+                app = a[p * n + p]
+                aqq = a[q * n + q]
                 tau = (aqq - app) / (2.0 * apq)
                 if tau >= 0.0:
                     t = 1.0 / (tau + sqrt(1.0 + tau * tau))
@@ -66,32 +64,32 @@ def jacobi_diagonalize(a, n: int, rel_tol: float, max_sweeps: int) -> int:
                     t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
                 c = 1.0 / sqrt(1.0 + t * t)
                 s = t * c
-                row_p = m[p * n : p * n + n]
-                row_q = m[q * n : q * n + n]
+                row_p = a[p * n : p * n + n]
+                row_q = a[q * n : q * n + n]
                 new_p = [c * x - s * y for x, y in zip(row_p, row_q)]
                 new_q = [s * x + c * y for x, y in zip(row_p, row_q)]
                 new_p[p] = app - t * apq
                 new_q[q] = aqq + t * apq
                 new_p[q] = 0.0
                 new_q[p] = 0.0
-                m[p * n : p * n + n] = new_p
-                m[q * n : q * n + n] = new_q
-                m[p::n] = new_p
-                m[q::n] = new_q
+                a[p * n : p * n + n] = new_p
+                a[q * n : q * n + n] = new_q
+                a[p::n] = new_p
+                a[q::n] = new_q
     else:  # the budget is used up: one last test
         if off_mass() <= threshold:
             result = max_sweeps
-    a[:] = array("d", m)
     return result
 
 
-def symmetric_eigenvalues(rows: Sequence[Sequence[float]]) -> list[float]:
-    """Eigenvalues of a dense symmetric matrix, sorted descending.
+def symmetric_eigenvalues(rows: Sequence[Sequence[Real]]) -> list[float]:
+    """Eigenvalues of a dense symmetric matrix, sorted descending; each entry
+    is converted to float once.
 
     Raises InternalInconsistency when MAX_SWEEPS sweeps do not reach REL_TOL.
     """
     n = len(rows)
-    buf = array("d", (float(v) for row in rows for v in row))
+    buf = [float(v) for row in rows for v in row]
     if jacobi_diagonalize(buf, n, REL_TOL, MAX_SWEEPS) < 0:
         raise InternalInconsistency(
             f"Jacobi sweeps did not converge within {MAX_SWEEPS} sweeps"

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from cayspec.colour import ColourFunction, colour_from_multiset, colour_from_values
 from cayspec.errors import InternalInconsistency, ParseError
@@ -43,14 +43,13 @@ from cayspec.search import (
     DEFAULT_ORDER_LIMIT,
     SearchResult,
     SearchSpec,
-    check_order,
     classify,
     set_renderer,
 )
 from cayspec.spectra import (
+    NUMERIC_ORDER_LIMIT,
     Spectrum,
     character_table,
-    check_numeric_order,
     compare_spectra,
     has_character_table,
     spectrum_exact,
@@ -143,26 +142,28 @@ def _parse_cycles(text: str, line: int, column: int) -> list[int]:
     return perm
 
 
-SizeCheck = Callable[[int], None]  # raises on a group order it refuses
+class Bound(NamedTuple):
+    """The largest group order a command admits, and the words its refusal
+    names it by; the default is the closure cap, which every command meets."""
 
-
-def _check_closure_cap(order: int) -> None:
-    """Refuse an order above CLOSURE_CAP, which generator closure also meets."""
-    if order > CLOSURE_CAP:
-        raise ValueError(f"group order {order} exceeds the cap of {CLOSURE_CAP} elements")
+    order: int = CLOSURE_CAP
+    name: str = f"the cap of {CLOSURE_CAP} elements"
 
 
 def _construct_group(
-    kind: str, params: dict[str, str], check: SizeCheck, line: int = 0, column: int = 1
+    kind: str, params: dict[str, str], bound: Bound, line: int = 0, column: int = 1
 ) -> Group:
-    """The group a family and its parameters name, sized by `check` before it is built.
+    """The group a family and its parameters name, refused above `bound`
+    before it is built.
 
     The parameters are parsed once.  Building an arithmetic family costs memory
-    linear in its order, so the order is read off the parameters and checked
-    first; a generated group is checked once closed, which CLOSURE_CAP bounds.
+    linear in its order, so the order is read off the parameters and compared
+    with the bound first.  A generated group's order is known only once it is
+    closed, so the closure stops at the tighter of the bound and the closure
+    cap, one element past it.
     `line` and `column` locate the value of the first parameter in an instance.
-    Parameter errors are reworded as ParseErrors; the closure cap's refusal
-    is not, so the closure runs outside the `try`.
+    Parameter errors are reworded as ParseErrors; a size refusal is not, so
+    the closure runs outside the `try`.
     """
     try:
         if kind == "generated":
@@ -189,10 +190,15 @@ def _construct_group(
     except ValueError as bad:
         raise ParseError(f"bad group parameter: {bad}", line, 1) from None
     if kind == "generated":
-        group = make_from_generators(perms)
-        check(group.order)
-        return group
-    check(math.prod(factors) * (2 if kind == "dihedral" else 1))
+        if bound.order > CLOSURE_CAP:
+            bound = Bound()
+        try:
+            return make_from_generators(perms, bound.order)
+        except ValueError:  # the parsed cycles are permutations: only the cap is left
+            raise ValueError(f"generator closure exceeded {bound.name}") from None
+    order = math.prod(factors) * (2 if kind == "dihedral" else 1)
+    if order > bound.order:
+        raise ValueError(f"group order {order} exceeds {bound.name}")
     group = make(factors[0])
     for n in factors[1:]:
         group = make_product(group, make_cyclic(n))
@@ -207,12 +213,14 @@ _GROUP_KEYS = {
 }
 
 
-def parse_instance(text: str, check: SizeCheck = _check_closure_cap) -> InstanceDocument:
+def parse_instance(text: str, bound: Bound = Bound()) -> InstanceDocument:
     """Parse an instance document; raises ParseError with line and column.
 
-    `check` sizes the group before it is built, as `_construct_group` says.
+    A group above `bound` is refused before it is built, as `_construct_group`
+    says.
     """
     section = None
+    headers: dict[str, tuple[int, int]] = {}  # where each section is first opened
     group_raw: dict[str, tuple[str, int, int]] = {}
     colour_raw: list[tuple[str, str, int, int]] = []
     connection_raw: list[tuple[str, str, int, int]] = []
@@ -229,6 +237,7 @@ def parse_instance(text: str, check: SizeCheck = _check_closure_cap) -> Instance
             if name not in ("group", "colour", "connection"):
                 raise ParseError(f"unknown section [{name}]", lineno, col)
             section = name
+            headers.setdefault(name, (lineno, col))
             continue
         if section is None:
             raise ParseError("content before any section header", lineno, col)
@@ -259,15 +268,16 @@ def parse_instance(text: str, check: SizeCheck = _check_closure_cap) -> Instance
             raise ParseError(f"unknown group parameter {key!r}", lineno, 1)
     params = {key: value for key, (value, _, _) in group_raw.items()}
     _, first_line, first_col = min(group_raw.values(), key=lambda raw: raw[1], default=("", 1, 1))
-    G = _construct_group(kind, params, check, first_line, first_col)
+    G = _construct_group(kind, params, bound, first_line, first_col)
 
-    if colour_raw and connection_raw:
+    # A section is present once its header is seen: an empty [colour] is the
+    # zero colour, an empty [connection] the empty set.
+    if "colour" in headers and "connection" in headers:
         raise ParseError(
             "an instance carries either a [colour] or a [connection] section, not both",
-            connection_raw[0][2],
-            1,
+            *max(headers["colour"], headers["connection"]),
         )
-    if not colour_raw and not connection_raw:
+    if "colour" not in headers and "connection" not in headers:
         raise ParseError("missing [colour] or [connection] section", 1, 1)
 
     def resolve(name: str, lineno: int, column: int) -> int:
@@ -276,7 +286,7 @@ def parse_instance(text: str, check: SizeCheck = _check_closure_cap) -> Instance
         except KeyError:
             raise ParseError(f"unknown element name {name!r}", lineno, column) from None
 
-    if colour_raw:
+    if "colour" in headers:
         part = conjugacy_classes(G)
         assignment: dict[int, Fraction] = {}
         for key, value, lineno, vcol in colour_raw:
@@ -331,9 +341,9 @@ def _echo_colour(G: Group, colour: ColourFunction) -> list[tuple[str, str]]:
     return entries
 
 
-def load_instance(path: str, check: SizeCheck = _check_closure_cap) -> InstanceDocument:
+def load_instance(path: str, bound: Bound = Bound()) -> InstanceDocument:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read(), check)
+        return parse_instance(fh.read(), bound)
 
 
 # -- report assembly ---------------------------------------------------------
@@ -558,7 +568,7 @@ def cmd_search(args) -> tuple[Report, int]:
         raise ValueError(f"bad --group value {args.group!r} (expected kind:params)")
     params = dict.fromkeys(_GROUP_KEYS[kind], param)  # one parameter per kind
     try:
-        G = _construct_group(kind, params, lambda order: check_order(order, args.limit))
+        G = _construct_group(kind, params, Bound(args.limit, f"the search limit {args.limit}"))
     except ParseError as err:
         # A command-line value has no line to point at.
         raise ValueError(f"--group {args.group}: {err.reason}") from None
@@ -671,9 +681,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "search":
             report, code = cmd_search(args)
         else:
-            # Every spectrum request runs the numeric oracle on the n x n matrix.
-            check = check_numeric_order if args.command == "spectrum" else _check_closure_cap
-            doc = load_instance(args.file, check)
+            bound = Bound()
+            if args.command == "spectrum":
+                # Every spectrum request runs the numeric oracle on the n x n matrix.
+                bound = Bound(NUMERIC_ORDER_LIMIT, f"the numeric oracle limit {NUMERIC_ORDER_LIMIT}")
+            doc = load_instance(args.file, bound)
             if args.command == "spectrum":
                 report, code = cmd_spectrum(doc)
             elif args.command == "degree":

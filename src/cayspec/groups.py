@@ -212,14 +212,17 @@ def _cycle_name(perm: tuple[int, ...]) -> str:
     return "".join(cycles) if cycles else "e"
 
 
-def make_from_generators(perms: Sequence[Sequence[int]]) -> Group:
+def make_from_generators(perms: Sequence[Sequence[int]], cap: Optional[int] = None) -> Group:
     """Group generated by permutations, closed breadth-first from the identity.
 
-    Element i is the i-th permutation the closure reaches, and more than
-    CLOSURE_CAP elements are refused.  A product of two elements is the
-    composition of their permutations, looked up in an index of the
-    elements, so memory stays linear in the order.
+    Element i is the i-th permutation the closure reaches.  More than `cap`
+    elements (default CLOSURE_CAP, read at call time) are refused as soon as
+    the closure meets one more, so no more than cap + 1 are ever built.  A
+    product of two elements is the composition of their permutations, looked
+    up in an index of the elements, so memory stays linear in the order.
     """
+    if cap is None:
+        cap = CLOSURE_CAP
     gens = [tuple(p) for p in perms]
     npoints = len(gens[0]) if gens else 0
     for g in gens:
@@ -234,8 +237,8 @@ def make_from_generators(perms: Sequence[Sequence[int]]) -> Group:
         for g in gens:
             y = tuple(map(x.__getitem__, g))
             if y not in index:
-                if len(elements) >= CLOSURE_CAP:
-                    raise ValueError(f"generator closure exceeded the cap of {CLOSURE_CAP} elements")
+                if len(elements) >= cap:
+                    raise ValueError(f"generator closure exceeded the cap of {cap} elements")
                 index[y] = len(elements)
                 elements.append(y)
                 queue.append(y)

@@ -53,12 +53,6 @@ DEFAULT_ORDER_LIMIT = 64
 MAX_CANDIDATES = 2**20
 
 
-def check_order(order: int, limit: int) -> None:
-    """Refuse a group order above the search limit."""
-    if order > limit:
-        raise ValueError(f"group order {order} exceeds the search limit {limit}")
-
-
 class SearchSpec(NamedTuple):
     """What to enumerate: which group, sets or bounded multisets, filters."""
 

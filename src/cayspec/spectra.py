@@ -212,7 +212,6 @@ class Spectrum(NamedTuple):
     as (label, degree, value) triples.
     """
 
-    order: int
     pairs: tuple[tuple[Cyclotomic, int], ...]
     per_irreducible: tuple[tuple[str, int, Cyclotomic], ...]
 
@@ -273,7 +272,7 @@ def spectrum_exact(f: ColourFunction, table: CharacterTable) -> Spectrum:
     )
     if sum(m for _, m in pairs) != n:
         raise InternalInconsistency("spectrum multiplicities do not sum to |G|")
-    return Spectrum(order=n, pairs=pairs, per_irreducible=tuple(per_irr))
+    return Spectrum(pairs=pairs, per_irreducible=tuple(per_irr))
 
 
 def adjacency_matrix(f: ColourFunction) -> list[list[Fraction]]:
@@ -318,14 +317,6 @@ def adjacency_minimal_polynomial(f: ColourFunction) -> tuple[Fraction, ...]:
         vector = [sum(w * vector[d] for d, w in pairs) for pairs in index]
 
 
-def check_numeric_order(order: int) -> None:
-    """Refuse a group order above NUMERIC_ORDER_LIMIT."""
-    if order > NUMERIC_ORDER_LIMIT:
-        raise ValueError(
-            f"group order {order} exceeds the numeric oracle limit {NUMERIC_ORDER_LIMIT}"
-        )
-
-
 def spectrum_numeric(f: ColourFunction) -> list[float]:
     """Adjacency eigenvalues in double precision, sorted descending.
 
@@ -333,16 +324,16 @@ def spectrum_numeric(f: ColourFunction) -> list[float]:
     with cyclic Jacobi rotations.  Orders above NUMERIC_ORDER_LIMIT are
     refused before the matrix is built.
     """
-    check_numeric_order(f.group.order)
-    rows = [[float(v) for v in row] for row in adjacency_matrix(f)]
-    return symmetric_eigenvalues(rows)
+    n = f.group.order
+    if n > NUMERIC_ORDER_LIMIT:
+        raise ValueError(f"group order {n} exceeds the numeric oracle limit {NUMERIC_ORDER_LIMIT}")
+    return symmetric_eigenvalues(adjacency_matrix(f))
 
 
 class SpectrumComparison(NamedTuple):
     matches: bool
     max_deviation: float
     threshold: float
-    worst_pair: Optional[tuple[float, float]]
 
 
 def compare_spectra(exact: Spectrum, numeric: Sequence[float]) -> SpectrumComparison:
@@ -358,16 +349,7 @@ def compare_spectra(exact: Spectrum, numeric: Sequence[float]) -> SpectrumCompar
             f"{len(expanded)} exact eigenvalues against {len(numeric_sorted)} numeric"
         )
     threshold = MATCH_TOL * (1.0 + exact.frobenius_norm())
-    worst = None
-    max_dev = 0.0
-    for e, v in zip(expanded, numeric_sorted):
-        dev = abs(e - v)
-        if dev > max_dev:
-            max_dev = dev
-            worst = (e, v)
+    max_dev = max([0.0] + [abs(e - v) for e, v in zip(expanded, numeric_sorted)])
     return SpectrumComparison(
-        matches=max_dev <= threshold,
-        max_deviation=max_dev,
-        threshold=threshold,
-        worst_pair=worst,
+        matches=max_dev <= threshold, max_deviation=max_dev, threshold=threshold
     )

@@ -599,10 +599,9 @@ def test_spectrum_refuses_orders_above_the_numeric_limit(capsys, monkeypatch, tm
     # Refused before any exact work, with exit 2 and nothing written.  The
     # limit sits above every spectrum the benchmark asks for (n = 64).
     import cayspec.cli as cli_mod
-    from cayspec.spectra import NUMERIC_ORDER_LIMIT, check_numeric_order
+    from cayspec.spectra import NUMERIC_ORDER_LIMIT
 
     assert NUMERIC_ORDER_LIMIT >= 64
-    check_numeric_order(NUMERIC_ORDER_LIMIT)
 
     def refuse(*args):
         raise AssertionError("exact work began before the order was checked")
@@ -610,6 +609,12 @@ def test_spectrum_refuses_orders_above_the_numeric_limit(capsys, monkeypatch, tm
     monkeypatch.setattr(cli_mod, "character_table", refuse)
     monkeypatch.setattr(cli_mod, "spectrum_exact", refuse)
     monkeypatch.setattr(cli_mod, "spectrum_numeric", refuse)
+    # The limit admits its own order: the group is parsed and exact work begins.
+    n = NUMERIC_ORDER_LIMIT
+    path = tmp_path / "limit.txt"
+    path.write_text(f"[group]\nkind = cyclic\nn = {n}\n\n[connection]\nelements = 1, {n - 1}\n")
+    with pytest.raises(AssertionError, match="^exact work began"):
+        main(["spectrum", str(path)])
     n = NUMERIC_ORDER_LIMIT + 1
     path = tmp_path / "big.txt"
     path.write_text(f"[group]\nkind = cyclic\nn = {n}\n\n[connection]\nelements = 1, {n - 1}\n")
@@ -663,6 +668,90 @@ def test_commands_refuse_orders_above_the_closure_cap(capsys, monkeypatch, tmp_p
 def test_closure_cap_admits_its_own_order():
     doc = parse_instance("[group]\nkind = dihedral\nm = 5000\n\n[colour]\nclass(b) = 1\n")
     assert doc.group.order == 10000
+
+
+S7_GENERATORS = "(0 1 2 3 4 5 6);(0 1)"  # 5,040 elements
+
+
+def closure_spy(monkeypatch):
+    """The elements each generator closure queues, the identity aside."""
+    from collections import deque
+
+    import cayspec.groups as groups_mod
+
+    queued = []
+
+    class Spy(deque):
+        def append(self, x):
+            queued.append(x)
+            super().append(x)
+
+    monkeypatch.setattr(groups_mod, "deque", Spy)
+    return queued
+
+
+@pytest.mark.parametrize("generators", [S7_GENERATORS, S8_GENERATORS], ids=["s7", "s8"])
+@pytest.mark.parametrize(
+    "argv, bound, name",
+    [
+        (["search", "--limit", "64"], 64, "the search limit 64"),
+        (["search"], 64, "the search limit 64"),
+        (["spectrum"], 192, "the numeric oracle limit 192"),
+    ],
+    ids=["search-limit-64", "search-default", "spectrum"],
+)
+def test_generated_groups_stop_closing_at_the_command_bound(
+    capsys, monkeypatch, tmp_path, generators, argv, bound, name
+):
+    # The closure stops at the command's own bound, not at CLOSURE_CAP, and
+    # the refusal names that bound.
+    queued = closure_spy(monkeypatch)
+    if argv[0] == "search":
+        argv = [*argv, "--group", f"generated:{generators}"]
+    else:
+        path = tmp_path / "big.txt"
+        path.write_text(f"[group]\nkind = generated\ngenerators = {generators}\n\n[colour]\nclass(e) = 1\n")
+        argv = [*argv, str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: generator closure exceeded {name}\n"
+    # The identity and the queued elements fill the bound at most; the one
+    # element past it is refused as soon as it is met.
+    assert 1 + len(queued) <= bound
+
+
+def test_empty_colour_section_is_the_zero_colour(capsys, tmp_path):
+    reports = []
+    for body in ("", "class(1) = 0\n"):
+        path = tmp_path / f"z5_{len(body)}.txt"
+        path.write_text(f"[group]\nkind = cyclic\nn = 5\n\n[colour]\n{body}")
+        reports.append(
+            [run(capsys, *argv) for argv in (
+                ["spectrum", str(path)], ["degree", str(path)], ["check", str(path), "--subgroup", "2"]
+            )]
+        )
+    assert reports[0] == reports[1]
+    assert [code for code, _, _ in reports[0]] == [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "colour, connection",
+    [("", "elements = 1, 4\n"), ("class(1) = 1\n", ""), ("", ""), ("class(1) = 1\n", "1 = 1\n")],
+    ids=["empty-colour", "empty-connection", "both-empty", "both-filled"],
+)
+def test_both_section_headers_are_refused(capsys, tmp_path, colour, connection):
+    # Either header counts once it is seen, with or without entries; the
+    # error points at the later of the two.
+    text = f"[group]\nkind = cyclic\nn = 5\n\n[colour]\n{colour}\n[connection]\n{connection}"
+    line = text.splitlines().index("[connection]") + 1
+    path = tmp_path / "both.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "degree", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: line {line}, column 1: an instance carries either a [colour]"
+        " or a [connection] section, not both\n"
+    )
 
 
 def test_degree_never_runs_the_oracle(capsys, monkeypatch, tmp_path):
@@ -755,7 +844,7 @@ def test_stabilizer_identity_mismatch_exits_three(capsys, monkeypatch, command, 
 
     def injected(f, table):
         spec = real(f, table)
-        n = spec.order
+        n = f.group.order
         if command == "spectrum":
             (value, mult), *rest = spec.pairs
             pairs = ((value + Cyclotomic.from_exponents(n, {1: 1}), mult), *rest)

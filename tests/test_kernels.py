@@ -43,7 +43,7 @@ def test_pentagon_closed_form():
 
 
 def test_no_convergence_signalled(monkeypatch):
-    buf = array("d", [0.0, 1.0, 1.0, 0.0])
+    buf = [0.0, 1.0, 1.0, 0.0]
     assert jacobi_diagonalize(buf, 2, 1e-12, 0) == -1
     monkeypatch.setattr(_kernels, "MAX_SWEEPS", 0)
     with pytest.raises(InternalInconsistency, match="^Jacobi sweeps did not converge within 0 sweeps$"):
@@ -58,14 +58,14 @@ def test_trace_preserved():
 
 
 def test_python_backend_direct_call():
-    buf = array("d", [2.0, 1.0, 1.0, 2.0])
+    buf = [2.0, 1.0, 1.0, 2.0]
     sweeps = jacobi_diagonalize(buf, 2, 1e-12, 100)
     assert sweeps >= 0
     assert sorted([buf[0], buf[3]]) == pytest.approx([1.0, 3.0], abs=1e-12)
 
 
 def reference_jacobi_diagonalize(a, n: int, rel_tol: float, max_sweeps: int) -> int:
-    """The flat-buffer cyclic Jacobi loop the row-form kernel must match bit for bit."""
+    """The element-wise cyclic Jacobi loop the row-form kernel must match bit for bit."""
     norm_f = 0.0
     for i in range(n):
         base = i * n
@@ -148,8 +148,10 @@ def test_row_form_matches_flat_reference_bit_for_bit():
         n = len(rows)
         flat = [v for row in rows for v in row]
         for max_sweeps in (100, 1):
-            buf = array("d", flat)
+            # The kernel rotates a float list in place; the reference, an
+            # array("d") whose bytes are those of the doubles.
+            buf = list(flat)
             ref = array("d", flat)
             got = jacobi_diagonalize(buf, n, 1e-12, max_sweeps)
             assert got == reference_jacobi_diagonalize(ref, n, 1e-12, max_sweeps), n
-            assert buf.tobytes() == ref.tobytes(), n
+            assert array("d", buf).tobytes() == ref.tobytes(), n

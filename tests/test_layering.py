@@ -9,8 +9,9 @@ private, `_`-prefixed names, and only `exactnum` reads the stored form of a
 cyclotomic value.
 `galois` decides integrality exactly, so it reaches neither the Jacobi
 kernels nor the float spectrum.  The CLI builds every group in
-`_construct_group`, which sizes it first.  Every function the package defines
-is named somewhere else in it, apart from a short list that tests keep.
+`_construct_group`, which sizes it first and caps the generator closure.
+Every function the package defines is named somewhere else in it, apart
+from a short list that tests keep.
 Records are `NamedTuple`s: only a short list of classes writes its own
 equality, hashing, immutability or pickling.  The package has two exception
 types, both in `errors`; every other refusal is a ValueError.
@@ -94,6 +95,15 @@ def test_galois_reaches_no_numeric_oracle():
 CONSTRUCTORS = {"make_cyclic", "make_dihedral", "make_product", "make_from_generators"}
 
 
+def construct_group(tree):
+    (routine,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_construct_group"
+    ]
+    return routine
+
+
 def test_cli_builds_groups_in_one_routine():
     tree = parse(PACKAGE / "cli.py")
 
@@ -105,15 +115,22 @@ def test_cli_builds_groups_in_one_routine():
             or (isinstance(node, ast.Attribute) and node.attr in CONSTRUCTORS)
         ]
 
-    (routine,) = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "_construct_group"
-    ]
+    routine = construct_group(tree)
     inside = {id(node) for node in uses(ast.walk(routine))}
     assert {node.id for node in uses(ast.walk(routine))} == CONSTRUCTORS
     stray = [f"cli.py:{node.lineno}" for node in uses(ast.walk(tree)) if id(node) not in inside]
     assert stray == []
+
+
+def test_cli_caps_the_generator_closure():
+    # Without a cap the closure runs to CLOSURE_CAP before any command's
+    # bound is compared, so the one call passes one.
+    calls = [
+        node
+        for node in ast.walk(construct_group(parse(PACKAGE / "cli.py")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "make_from_generators"
+    ]
+    assert [len(call.args) + len(call.keywords) for call in calls] == [2]
 
 
 # Functions and public methods that no line of the package names, each kept
