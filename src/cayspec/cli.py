@@ -442,17 +442,13 @@ def _field_section(report: Report, field_report) -> None:
     )
     report.put("phi", euler_phi(n))
     report.put("degree", field_report.degree)
-    if field_report.primitive_element is not None:
-        poly = format_polynomial(field_report.minimal_poly)
-        report.line(
-            f"Primitive element: {field_report.primitive_element}"
-            f"  with minimal polynomial {poly}"
-        )
-        report.put("field.primitive", field_report.primitive_element)
-        report.put("field.minpoly", poly)
-    else:
-        report.line("Primitive element: not found (degree and subgroup authoritative)")
-        report.put("field.primitive", "none")
+    poly = format_polynomial(field_report.minimal_poly)
+    report.line(
+        f"Primitive element: {field_report.primitive_element}"
+        f"  with minimal polynomial {poly}"
+    )
+    report.put("field.primitive", field_report.primitive_element)
+    report.put("field.minpoly", poly)
 
 
 # -- subcommands --------------------------------------------------------------

@@ -49,18 +49,14 @@ def fixing_subgroup(f: ColourFunction) -> UnitSubgroup:
 
 
 class FieldReport(NamedTuple):
-    """A splitting field described by its fixing subgroup of units.
-
-    The primitive element is best-effort: present only when a candidate with
-    Galois orbit of exactly the right size was found, in which case its
-    minimal polynomial certifies the degree.
-    """
+    """A splitting field described by its fixing subgroup of units, with a
+    primitive element whose minimal polynomial certifies the degree."""
 
     modulus: int
     fixing_subgroup: UnitSubgroup
     degree: int
-    primitive_element: Optional[Cyclotomic]
-    minimal_poly: Optional[tuple[Fraction, ...]]
+    primitive_element: Cyclotomic
+    minimal_poly: tuple[Fraction, ...]
 
 
 def _gauss_period(n: int, members: Sequence[int], k: int) -> Cyclotomic:
@@ -73,30 +69,32 @@ def _gauss_period(n: int, members: Sequence[int], k: int) -> Cyclotomic:
 
 def _primitive_search(
     tables: FixingTables, H: UnitSubgroup, degree: int
-) -> tuple[Optional[Cyclotomic], Optional[tuple[Fraction, ...]]]:
-    """The first candidate whose stabilizer is exactly H, and its minimal polynomial.
+) -> tuple[Cyclotomic, tuple[Fraction, ...]]:
+    """The first period eta_k = sum of z^(k*h) over h in H, k = 1..n-1, whose
+    stabilizer is exactly H (H fixes each period, so the coset form decides),
+    and its minimal polynomial.
 
-    Candidates are the periods of H, sum of z^(k*h) over h in H for
-    k = 1..n-1, built as they are reached, and then small integer
-    combinations of two periods.  Each is fixed by H by construction, so the
-    coset form tells whether its stabilizer is exactly H.
+    The search ends by k = n/f, for f the least divisor of n such that H holds
+    every unit = 1 (mod f), the conductor; f = 1 is degree 1.  Proof: let Hf
+    be H mod f in A = (Z/f)^x, so H is its full preimage and eta_{n/f} is a
+    positive multiple of T = sum of w^a over a in Hf, w = z^(n/f).  The
+    rational relations among the w^a (a in A) are spanned by the sums over
+    cosets of U_p = {a = 1 (mod f/p)}, of order p, one per prime p with
+    p^2 | f (compare dimensions prime by prime); so a coefficient vector on
+    A is a relation iff its Fourier transform vanishes on each character
+    non-trivial on every U_p.  The transform of 1_{aHf} - 1_{Hf} is
+    (chi(a) - 1)|Hf| on the annihilator Q of Hf, 0 elsewhere: a fixes T iff
+    chi(a) = 1 for each such chi in Q.  As f is least, no U_p lies in Hf, so
+    the chi in Q trivial on U_p form a subgroup B_p of index p; the primes
+    differ, so Q/(meet of the B_p) is cyclic, and the chi outside every B_p,
+    the preimages of its generators, generate Q.  So a lies in Hf.
     """
     n = H.modulus
     if degree == 1:
         # 1 is rational: its minimal polynomial is t - 1.
         return Cyclotomic.one(n), (Fraction(-1), Fraction(1))
-
-    def candidates():
-        periods = []
-        for k in range(1, n):
-            periods.append(_gauss_period(n, H.members, k))
-            yield periods[-1]
-        for i in range(len(periods)):
-            for j in range(i + 1, len(periods)):
-                for c in range(1, 9):
-                    yield periods[i] + periods[j] * c
-
-    for x in candidates():
+    for k in range(1, n):
+        x = _gauss_period(n, H.members, k)
         if _coset_split(tables, H.members, (x,)) is None:
             poly = minimal_polynomial(x)
             if len(poly) - 1 != degree:
@@ -105,7 +103,10 @@ def _primitive_search(
                     f"orbit has {len(poly) - 1} elements, not {degree}"
                 )
             return x, poly
-    return None, None
+    raise InternalInconsistency(
+        f"primitive search: no period of H = {H.members} modulo {n} "
+        f"has stabilizer exactly H"
+    )
 
 
 def _field_of(tables: FixingTables, H: UnitSubgroup) -> FieldReport:
@@ -122,12 +123,9 @@ def _field_of(tables: FixingTables, H: UnitSubgroup) -> FieldReport:
 
 
 def splitting_field(f: ColourFunction) -> FieldReport:
-    """Fixing subgroup, degree, and a best-effort primitive element for f.
-
-    Candidate primitive elements are the subgroup periods sum of z^(k*h) for
-    k = 1..n-1 and then small integer combinations of two periods; the first
-    candidate whose Galois orbit has exactly `degree` distinct images wins.
-    """
+    """Fixing subgroup, degree, and a primitive element for f: the first
+    period sum of z^(k*h) over h in H, for k = 1..n-1, whose stabilizer is
+    exactly H (one always is; see `_primitive_search`)."""
     return _field_of(fixing_tables(f.group), fixing_subgroup(f))
 
 

@@ -302,8 +302,9 @@ def classify(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     stop = spec.radix**num_bundles
     count = stop - 1
     if count > MAX_CANDIDATES:
+        # The count itself can run to more digits than int formatting allows.
         raise ValueError(
-            f"{count} candidates exceed the search cap {MAX_CANDIDATES}"
+            f"{spec.radix}^{num_bundles} - 1 candidates exceed the search cap {MAX_CANDIDATES}"
         )
     jobs = min(jobs, count, os.cpu_count() or 1)
     if jobs <= 1:

@@ -367,7 +367,11 @@ def test_search_refuses_too_many_candidates(capsys, monkeypatch):
     monkeypatch.setattr(search_mod, "_candidate_vectors", refuse)
     code, _, err = run(capsys, "search", "--group", "cyclic:64")
     assert code == 2
-    assert "4294967295 candidates exceed" in err
+    assert "2^32 - 1 candidates exceed" in err
+    # 2^10000 - 1 has 3,011 digits: the refusal names it by its power.
+    code, _, err = run(capsys, "search", "--group", "cyclic:20000", "--limit", "1000000")
+    assert code == 2
+    assert err == "error: 2^10000 - 1 candidates exceed the search cap 1048576\n"
 
 
 def test_no_convergence_exits_three(capsys, monkeypatch):

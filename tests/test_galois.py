@@ -10,7 +10,7 @@ import cayspec.galois as galois_mod
 import cayspec.search as search_mod
 import cayspec.spectra as spectra_mod
 import cayspec.units as units_mod
-from cayspec.cli import main
+from cayspec.cli import load_instance, main
 from cayspec.colour import ColourFunction, colour_from_values
 from cayspec.errors import InternalInconsistency
 from cayspec.exactnum import (
@@ -186,10 +186,9 @@ def test_field_report_invariants():
             report = splitting_field(f)
             n = G.order
             assert report.degree * len(report.fixing_subgroup.members) == euler_phi(n)
-            if report.primitive_element is not None:
-                assert len(report.minimal_poly) - 1 == report.degree
-                for h in report.fixing_subgroup.members:
-                    assert galois_apply(h, report.primitive_element) == report.primitive_element
+            assert len(report.minimal_poly) - 1 == report.degree
+            for h in report.fixing_subgroup.members:
+                assert galois_apply(h, report.primitive_element) == report.primitive_element
 
 
 def test_eigenvalues_fixed_by_fixing_subgroup():
@@ -475,23 +474,38 @@ def unit_subgroups(n):
     return list(found.values())
 
 
+def conductor(n, members):
+    """The least divisor f of n such that every unit = 1 (mod f) is in H."""
+    units = unit_group(n).members
+    return next(
+        f for f in range(1, n + 1)
+        if n % f == 0 and all(u in members for u in units if u % f == 1 % f)
+    )
+
+
 def test_primitive_search_finds_a_single_period_for_every_subgroup():
-    # Evidence, not proof, that the pairs of periods are never reached: for
-    # squarefree n the periods of H generate its fixed field (the primitive
-    # n-th roots of unity are a normal basis), but for other n nothing here
-    # proves it, so the search keeps its pairs.
+    # The theorem behind the search: with f the conductor of the fixed field
+    # of H, the period eta_{n/f} is fixed by exactly H (proof in the
+    # docstring of `_primitive_search`), so the search stops at some k <= n/f
+    # and never runs out.  Checked here by the Galois action itself, unit by
+    # unit, not by the coset form the search uses.
     swept = 0
     for n in range(3, 61):
         tables = fixing_tables(make_cyclic(n))
+        units = unit_group(n).members
         for H in unit_subgroups(n):
             swept += 1
             degree = euler_phi(n) // len(H.members)
+            f = conductor(n, H.members)
             x, _ = _primitive_search(tables, H, degree)
             if degree == 1:
+                assert f == 1
                 assert x == 1
-            else:
-                periods = {_gauss_period(n, H.members, k) for k in range(1, n)}
-                assert x in periods, (n, H.members)
+                continue
+            eta = _gauss_period(n, H.members, n // f)
+            assert tuple(u for u in units if galois_apply(u, eta) == eta) == H.members, (n, H.members)
+            periods = {_gauss_period(n, H.members, k) for k in range(1, n // f + 1)}
+            assert x in periods, (n, H.members)
     assert swept == 520
 
 
@@ -585,3 +599,12 @@ def test_transfer_check_random_pairs():
                 checked += 1
     assert checked >= 20
     assert verdicts == {True, False}
+
+
+def test_primitive_search_running_out_is_an_inconsistency(monkeypatch):
+    # The theorem says a period always has stabilizer exactly H; if the coset
+    # test rejected every one, the search must say so, naming n and H.
+    f = load_instance(instance_path("z5_pentagon.txt")).colour
+    monkeypatch.setattr(galois_mod, "_coset_split", lambda tables, members, values: "split")
+    with pytest.raises(InternalInconsistency, match=r"H = \(1, 4\) modulo 5"):
+        splitting_field(f)
