@@ -39,13 +39,7 @@ from cayspec.groups import (
     make_from_generators,
     make_product,
 )
-from cayspec.search import (
-    DEFAULT_ORDER_LIMIT,
-    SearchResult,
-    SearchSpec,
-    classify,
-    set_renderer,
-)
+from cayspec.search import DEFAULT_ORDER_LIMIT, SearchResult, classify, set_renderer
 from cayspec.spectra import (
     NUMERIC_ORDER_LIMIT,
     Spectrum,
@@ -73,15 +67,15 @@ class InstanceDocument(NamedTuple):
     colour: ColourFunction
 
 
-def _split_top_level(text: str, sep: str = ",") -> list[str]:
-    # Split on sep outside parentheses, so product names like (0,1) survive.
+def _split_top_level(text: str) -> list[str]:
+    # Split on commas outside parentheses, so product names like (0,1) survive.
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth = max(0, depth - 1)
-        if ch == sep and depth == 0:
+        if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
@@ -334,7 +328,7 @@ def parse_instance(text: str, bound: Bound = Bound()) -> InstanceDocument:
 def _echo_colour(G: Group, colour: ColourFunction) -> list[tuple[str, str]]:
     part = conjugacy_classes(G)
     entries = []
-    for cls, rep in zip(part.classes, part.representatives):
+    for rep in part.representatives:
         value = colour.values[rep]
         if value:
             entries.append((f"class({G.names[rep]})", str(value)))
@@ -569,27 +563,20 @@ def cmd_search(args) -> tuple[Report, int]:
         # A command-line value has no line to point at.
         raise ValueError(f"--group {args.group}: {err.reason}") from None
     multisets = args.multisets is not None  # --multisets 0 is refused, not a sets search
-    spec = SearchSpec(
-        group=G,
-        mode="multisets" if multisets else "sets",
-        multiplicity_cap=args.multisets if multisets else 3,
-        require_connected=args.connected,
-        target_degree=args.degree,
-    )
-    result = classify(spec, jobs=args.jobs)
-    render = set_renderer(G, spec.radix)
+    result = classify(G, args.multisets if multisets else 1, args.connected, args.jobs)
+    render = set_renderer(G)
+    mode = "multisets" if multisets else "sets"
     report = Report()
     report.line(
-        f"Search over {kind} group of order {G.order}: {len(result.records)} "
-        f"normal {'multisets' if spec.mode == 'multisets' else 'sets'}"
-        + (" (connected only)" if spec.require_connected else "")
+        f"Search over {kind} group of order {G.order}: {len(result.records)} normal {mode}"
+        + (" (connected only)" if args.connected else "")
     )
     report.put("command", "search")
     report.put("search.group", args.group)
-    report.put("search.mode", spec.mode)
-    if spec.mode == "multisets":
-        report.put("search.multiplicity_cap", spec.multiplicity_cap)
-    report.put("search.connected_only", spec.require_connected)
+    report.put("search.mode", mode)
+    if multisets:
+        report.put("search.multiplicity_cap", args.multisets)
+    report.put("search.connected_only", args.connected)
     report.put("search.count", len(result.records))
     report.put("search.bundles", result.bundle_count)
     hist = ",".join(f"{d}:{c}" for d, c in result.degree_counts)
@@ -600,15 +587,16 @@ def cmd_search(args) -> tuple[Report, int]:
     report.put("search.degree_histogram.connected", hist_conn)
     report.stream(_set_lines(result, render))
     exit_code = 0
-    if spec.target_degree is not None:
-        if result.witness_index is None:
-            report.line(f"No instance of degree {spec.target_degree} exists")
+    if args.degree is not None:
+        witness = next((r.index for r in result.records if r.degree == args.degree), None)
+        if witness is None:
+            report.line(f"No instance of degree {args.degree} exists")
             report.put("search.witness", "none")
             exit_code = 1
         else:
-            names, _ = render(result.vector(result.witness_index))
-            report.line(f"Witness of degree {spec.target_degree}: {{{names}}}")
-            report.put("search.witness", result.witness_index)
+            names, _ = render(result.vector(witness))
+            report.line(f"Witness of degree {args.degree}: {{{names}}}")
+            report.put("search.witness", witness)
     return report, exit_code
 
 

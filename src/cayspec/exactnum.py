@@ -420,7 +420,7 @@ def minimal_polynomial(x: Cyclotomic) -> tuple[Fraction, ...]:
     return coeffs
 
 
-def format_polynomial(coeffs: Sequence[Fraction], var: str = "t") -> str:
+def format_polynomial(coeffs: Sequence[Fraction]) -> str:
     """Human form of an exact polynomial, highest power first, e.g. 't^2 - 8'."""
     parts = []
     for i in range(len(coeffs) - 1, -1, -1):
@@ -431,9 +431,9 @@ def format_polynomial(coeffs: Sequence[Fraction], var: str = "t") -> str:
         if i == 0:
             term = str(mag)
         elif i == 1:
-            term = var if mag == 1 else f"{mag}*{var}"
+            term = "t" if mag == 1 else f"{mag}*t"
         else:
-            term = f"{var}^{i}" if mag == 1 else f"{mag}*{var}^{i}"
+            term = f"t^{i}" if mag == 1 else f"{mag}*t^{i}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:

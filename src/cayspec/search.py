@@ -2,9 +2,9 @@
 
 Normality is enforced by construction: candidates are unions of inverse-closed
 conjugacy-class bundles, so a candidate is a vector of bundle multiplicities
-and the search space is (cap+1)^bundles rather than 2^(n-1).  Candidate
-code c stands for the vector of c's digits in base cap+1, bundle 0 least
-significant; vectors are generated in code order by `itertools.product`.
+and the search space is (cap+1)^bundles rather than 2^(n-1), cap 1 for sets.
+Candidate code c stands for the vector of c's digits in base cap+1, bundle 0
+least significant; vectors are generated in code order by `itertools.product`.
 
 Candidates are classified on bundles.  The fixing subgroup of a vector v
 is {h : v o pi_h = v}, read off the group's `units.FixingTables` and checked
@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from itertools import islice, product
-from operator import getitem, itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from cayspec.errors import InternalInconsistency
@@ -51,21 +51,7 @@ from cayspec.units import FixingTables, check_coset_form, fixing_tables, fixing_
 
 DEFAULT_ORDER_LIMIT = 64
 MAX_CANDIDATES = 2**20
-
-
-class SearchSpec(NamedTuple):
-    """What to enumerate: which group, sets or bounded multisets, filters."""
-
-    group: Group
-    mode: str = "sets"
-    multiplicity_cap: int = 3
-    require_connected: bool = False
-    target_degree: Optional[int] = None
-
-    @property
-    def radix(self) -> int:
-        """Number of multiplicities a bundle may take, zero included."""
-        return 2 if self.mode == "sets" else self.multiplicity_cap + 1
+MAX_ELEMENT_COPIES = 2**27
 
 
 class SetRecord(NamedTuple):
@@ -79,14 +65,13 @@ class SetRecord(NamedTuple):
 
 
 class SearchResult(NamedTuple):
-    """Records and histograms of one search; the spec says what was searched."""
+    """Records and histograms of one search; vector entries lie below `radix`."""
 
     bundle_count: int
     radix: int
     records: tuple[SetRecord, ...]
     degree_counts: tuple[tuple[int, int], ...]
     degree_counts_connected: tuple[tuple[int, int], ...]
-    witness_index: Optional[int]
 
     def vector(self, index: int) -> tuple[int, ...]:
         """The bundle vector of the candidate with this index."""
@@ -138,17 +123,16 @@ def _candidate_vectors(
     return map(_REVERSED, islice(digits, start, stop))
 
 
-def set_renderer(G: Group, radix: int) -> Callable[[tuple[int, ...]], tuple[str, int]]:
+def set_renderer(G: Group) -> Callable[[tuple[int, ...]], tuple[str, int]]:
     """A function from a non-zero bundle vector to its elements and its
     valency: the element names in index order, each repeated by its
     multiplicity and joined by ';'."""
     read_off = fixing_tables(G).read_off
-    # pieces[g][m]: element g taken m times, each copy followed by ';'.
-    pieces = tuple(tuple((name + ";") * m for m in range(radix)) for name in G.names)
+    pieces = tuple(name + ";" for name in G.names)
 
     def render(vector):
         multiplicity = read_off(vector + (0,))
-        return "".join(map(getitem, pieces, multiplicity))[:-1], sum(multiplicity)
+        return "".join(map(mul, pieces, multiplicity))[:-1], sum(multiplicity)
 
     return render
 
@@ -282,40 +266,48 @@ def _classify_range(args) -> list[SetRecord]:
     return records
 
 
-def classify(spec: SearchSpec, jobs: int = 1) -> SearchResult:
-    """Classify every enumerated candidate by degree and distance degree.
+def classify(
+    G: Group, multiplicity_cap: int = 1, require_connected: bool = False, jobs: int = 1
+) -> SearchResult:
+    """Classify every bundle vector with entries up to `multiplicity_cap` by
+    degree and distance degree; a cap of 1 searches the connection sets.
 
     Candidate codes 1..count are classified one at a time, never listed.
     With jobs > 1 they are split into contiguous ranges, one per worker
     process and at most one worker per CPU, each building its own tables;
     the merged result is identical for any worker count.  More than
-    MAX_CANDIDATES candidates are refused before any is classified.
+    MAX_CANDIDATES candidates, or more than MAX_ELEMENT_COPIES element
+    copies over all of them (what a report would list), are refused before
+    any is classified.
     """
-    if spec.mode not in ("sets", "multisets"):
-        raise ValueError(f"unknown search mode {spec.mode!r}")
-    if spec.mode == "multisets" and spec.multiplicity_cap < 1:
+    if multiplicity_cap < 1:
         raise ValueError("multiplicity cap must be at least 1")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    G = spec.group
+    radix = multiplicity_cap + 1
     num_bundles = len(class_bundles(G))
-    stop = spec.radix**num_bundles
+    stop = radix**num_bundles
     count = stop - 1
     if count > MAX_CANDIDATES:
         # The count itself can run to more digits than int formatting allows.
         raise ValueError(
-            f"{spec.radix}^{num_bundles} - 1 candidates exceed the search cap {MAX_CANDIDATES}"
+            f"{radix}^{num_bundles} - 1 candidates exceed the search cap {MAX_CANDIDATES}"
         )
+    # Each of the n - 1 non-identity elements takes each multiplicity m below
+    # the radix in radix^(B-1) candidates: m copies in the report each time.
+    copies = (G.order - 1) * stop * (radix - 1) // 2
+    if copies > MAX_ELEMENT_COPIES:
+        raise ValueError(f"{copies} element copies exceed the report cap {MAX_ELEMENT_COPIES}")
     jobs = min(jobs, count, os.cpu_count() or 1)
     if jobs <= 1:
-        records = _classify_range((G, spec.radix, 1, stop, spec.require_connected))
+        records = _classify_range((G, radix, 1, stop, require_connected))
     else:
         # Imported here: only a parallel search pays for multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         size = (count + jobs - 1) // jobs
         ranges = [
-            (G, spec.radix, start, min(start + size, stop), spec.require_connected)
+            (G, radix, start, min(start + size, stop), require_connected)
             for start in range(1, stop, size)
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -323,15 +315,10 @@ def classify(spec: SearchSpec, jobs: int = 1) -> SearchResult:
         records = [record for part in parts for record in part]
     counts = Counter(r.degree for r in records)
     counts_connected = Counter(r.degree for r in records if r.distance_degree is not None)
-    witness = None
-    if spec.target_degree is not None:
-        witness = next((r.index for r in records if r.degree == spec.target_degree), None)
     return SearchResult(
         bundle_count=num_bundles,
-        radix=spec.radix,
+        radix=radix,
         records=tuple(records),
         degree_counts=tuple(sorted(counts.items())),
         degree_counts_connected=tuple(sorted(counts_connected.items())),
-        witness_index=witness,
     )
-

@@ -21,7 +21,7 @@ from cayspec.galois import (
     splitting_field,
 )
 from cayspec.groups import class_bundles, make_cyclic, make_dihedral
-from cayspec.search import SearchSpec, classify
+from cayspec.search import classify
 from cayspec.spectra import (
     character_table,
     compare_spectra,
@@ -229,12 +229,12 @@ def test_criterion_10_degree_divides_and_witnesses():
     checked = 0
     for G in search_corpus_groups():
         half = euler_phi(G.order) // 2
-        result = classify(SearchSpec(G))
+        result = classify(G)
         for record in result.records:
             assert half % record.degree == 0
             checked += 1
     for n in (5, 8, 11, 12, 16):
-        result = classify(SearchSpec(make_cyclic(n)))
+        result = classify(make_cyclic(n))
         degrees = {r.degree for r in result.records}
         for d in divisors(euler_phi(n) // 2):
             assert d in degrees, f"no circulant of order {n} with degree {d}"
@@ -245,7 +245,7 @@ def test_criterion_11_degree_equals_distance_degree():
     budget = Budget(120.0)
     total_connected = 0
     for G in search_corpus_groups():
-        records = classify(SearchSpec(G, require_connected=True)).records
+        records = classify(G, require_connected=True).records
         mismatched = [r for r in records if r.distance_degree != r.degree]
         assert not mismatched, f"counterexamples on order {G.order}: {mismatched}"
         total_connected += len(records)
@@ -272,12 +272,11 @@ def test_criterion_12_dual_route_cross_checks():
     # (multiplicity and word-length vectors) on elements in coset form and
     # raises on any disagreement, so a completed pass is the verification.
     for G in search_corpus_groups():
-        classify(SearchSpec(G))
+        classify(G)
     # Multisets: same identities, plus explicit shadow containment.
     pairs_checked = 0
     for G, cap in multiset_corpus():
-        spec = SearchSpec(G, mode="multisets", multiplicity_cap=cap)
-        result = classify(spec)
+        result = classify(G, cap)
         bundles = class_bundles(G)
         for record, vector in zip(result.records, result.vectors()):
             if all(m <= 1 for m in vector):

@@ -439,7 +439,7 @@ def test_refusals_pin_stderr_and_exit_code(capsys, monkeypatch, tmp_path, argv, 
 def test_out_of_memory_exits_two(capsys, monkeypatch):
     import cayspec.cli as cli_mod
 
-    def exhausted(spec, jobs=1):
+    def exhausted(G, multiplicity_cap=1, require_connected=False, jobs=1):
         raise MemoryError
 
     monkeypatch.setattr(cli_mod, "classify", exhausted)
@@ -477,6 +477,39 @@ def test_search_refuses_multiplicity_cap_below_one(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert err == "error: multiplicity cap must be at least 1\n"
+
+
+def test_search_refuses_a_report_too_large_to_write(capsys, monkeypatch):
+    # Z3 has one bundle, so a cap of 10^6 makes 10^6 candidates, under the
+    # candidate cap; the report would list (3 - 1) * radix * cap / 2 element
+    # copies, 10^12 here.  Cap 11,584 lists 134,200,640 copies, under 2^27.
+    import cayspec.search as search_mod
+    from cayspec.groups import make_cyclic
+
+    def refuse(*args):
+        raise AssertionError("candidates enumerated before the report size was checked")
+
+    monkeypatch.setattr(search_mod, "_candidate_vectors", refuse)
+    for cap, copies in (("1000000", 1000001000000), ("11586", 134246982)):
+        code, out, err = run(capsys, "search", "--group", "cyclic:3", "--multisets", cap)
+        assert (code, out) == (2, "")
+        assert err == f"error: {copies} element copies exceed the report cap 134217728\n"
+    with pytest.raises(AssertionError, match="before the report size was checked"):
+        search_mod.classify(make_cyclic(3), 11584)
+
+
+def test_search_multisets_of_cap_one_are_the_sets(capsys):
+    # A set is a multiset of cap 1: the records are the same, and only the
+    # header word and the mode keys differ.
+    code, sets, _ = run(capsys, "search", "--group", "dihedral:4")
+    assert code == 0
+    code, multisets, _ = run(capsys, "search", "--group", "dihedral:4", "--multisets", "1")
+    assert code == 0
+    expected = sets.replace("15 normal sets", "15 normal multisets").replace(
+        "search.mode = sets\n", "search.mode = multisets\nsearch.multiplicity_cap = 1\n"
+    )
+    assert expected != sets
+    assert multisets == expected
 
 
 def test_search_bad_group(capsys):

@@ -32,7 +32,7 @@ from cayspec.galois import (
     splitting_field,
 )
 from cayspec.groups import make_cyclic, make_dihedral, make_from_generators, power_map
-from cayspec.search import SearchSpec, SetRecord, classify
+from cayspec.search import SetRecord, classify
 from cayspec.spectra import Spectrum, character_table, spectrum_exact
 from cayspec.units import UnitSubgroup, close_generators, fixing_tables, unit_group, unit_subgroup
 from conftest import (
@@ -64,8 +64,7 @@ def test_records_are_values():
     # assigned; SetRecords cross to `--jobs` workers by pickle.
     G, alpha = d8_alpha()
     spec = spectrum_exact(alpha, character_table(G))
-    Z6 = make_cyclic(6)
-    record = classify(SearchSpec(Z6)).records[2]
+    record = classify(make_cyclic(6)).records[2]
     H = unit_subgroup(16, [1, 7, 9, 15])
     cases = [
         (unit_group(16), close_generators(16, unit_group(16).generators), "members"),
@@ -73,7 +72,6 @@ def test_records_are_values():
         (record, SetRecord(*record), "degree"),
         (spec, Spectrum(*spec), "pairs"),
         (alpha, ColourFunction(G, tuple(alpha.values)), "values"),
-        (SearchSpec(Z6, "multisets", 2), SearchSpec(Z6, mode="multisets", multiplicity_cap=2), "mode"),
     ]
     for value, copy, field in cases:
         assert value == copy and value is not copy
@@ -83,7 +81,6 @@ def test_records_are_values():
     assert H != unit_subgroup(16, [1, 15])
     # A colour is equal only on the same group object.
     assert alpha != ColourFunction(d8_alpha()[0], alpha.values)
-    assert SearchSpec(Z6, "multisets", 2) != SearchSpec(Z6, "multisets", 3)
     units = unit_group(16).members
     assert len(units) == 8 and 7 in units and 2 not in units
     assert len(H.members) == 4 and 9 in H.members and 3 not in H.members
@@ -520,9 +517,8 @@ def test_shadow_containment_raises_on_injected_mismatch(monkeypatch):
         return tables.units if extended == (2, 0, 0) else real(tables, extended)
 
     monkeypatch.setattr(search_mod, "fixing_units", escaping)
-    spec = SearchSpec(make_cyclic(5), mode="multisets", multiplicity_cap=2)
     with pytest.raises(InternalInconsistency, match="set 1: multiset fixing subgroup escapes"):
-        classify(spec)
+        classify(make_cyclic(5), 2)
 
 
 def test_distance_report_complete_graph():

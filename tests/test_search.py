@@ -18,7 +18,7 @@ from cayspec.groups import (
     make_product,
     power_map,
 )
-from cayspec.search import SearchSpec, classify, set_renderer
+from cayspec.search import classify, set_renderer
 from cayspec.units import fixing_tables, unit_group
 
 
@@ -63,8 +63,8 @@ def multiset_from_vector(
     return tuple(counts)
 
 
-def reference_candidate_vectors(num_bundles, mode, cap):
-    if mode == "sets":
+def reference_candidate_vectors(num_bundles, cap):
+    if cap == 1:
         for mask in range(1, 1 << num_bundles):
             yield tuple((mask >> b) & 1 for b in range(num_bundles))
         return
@@ -121,21 +121,22 @@ def reference_classify_one(
     return (index, vector, elements, sum(counts), connected, degree, distance_degree)
 
 
-def reference_records(spec: SearchSpec) -> tuple[tuple, ...]:
-    bundles = class_bundles(spec.group)
-    vectors = reference_candidate_vectors(len(bundles), spec.mode, spec.multiplicity_cap)
+def reference_records(G: Group, cap: int = 1, require_connected: bool = False) -> tuple[tuple, ...]:
+    bundles = class_bundles(G)
+    vectors = reference_candidate_vectors(len(bundles), cap)
     records = [
-        reference_classify_one(spec.group, bundles, vector, index)
-        for index, vector in enumerate(vectors)
+        reference_classify_one(G, bundles, vector, index) for index, vector in enumerate(vectors)
     ]
-    return tuple(r for r in records if r[4] or not spec.require_connected)
+    return tuple(r for r in records if r[4] or not require_connected)
 
 
-def bundle_route_records(spec: SearchSpec) -> tuple[tuple, ...]:
+def bundle_route_records(
+    G: Group, cap: int = 1, require_connected: bool = False
+) -> tuple[tuple, ...]:
     """The compact records of `classify`, each with its vector, elements and
     valency rendered as the report renders them."""
-    result = classify(spec)
-    render = set_renderer(spec.group, spec.radix)
+    result = classify(G, cap, require_connected)
+    render = set_renderer(G)
     rows = []
     for record, vector in zip(result.records, result.vectors()):
         elements, valency = render(vector)
@@ -148,23 +149,24 @@ def bundle_route_records(spec: SearchSpec) -> tuple[tuple, ...]:
 
 def test_bundle_route_matches_element_reference():
     s4 = make_from_generators([[1, 2, 3, 0], [1, 0, 2, 3]])
-    specs = [
-        SearchSpec(make_cyclic(12)),
-        SearchSpec(make_product(make_cyclic(3), make_cyclic(4))),
-        SearchSpec(make_dihedral(6)),
-        SearchSpec(make_dihedral(8)),
-        SearchSpec(s4),
-        SearchSpec(make_cyclic(10), mode="multisets", multiplicity_cap=2),
-        SearchSpec(make_dihedral(5), mode="multisets", multiplicity_cap=2),
-        SearchSpec(make_cyclic(9), require_connected=True),
+    # (group, multiplicity cap, connected only)
+    cases = [
+        (make_cyclic(12), 1, False),
+        (make_product(make_cyclic(3), make_cyclic(4)), 1, False),
+        (make_dihedral(6), 1, False),
+        (make_dihedral(8), 1, False),
+        (s4, 1, False),
+        (make_cyclic(10), 2, False),
+        (make_dihedral(5), 2, False),
+        (make_cyclic(9), 1, True),
     ]
     assert s4.order == 24
-    for spec in specs:
-        records = bundle_route_records(spec)
-        assert records, spec
-        assert records == reference_records(spec), spec
-    for spec in specs[-3:]:
-        assert classify(spec, jobs=2) == classify(spec, jobs=1)
+    for case in cases:
+        records = bundle_route_records(*case)
+        assert records, case
+        assert records == reference_records(*case), case
+    for case in cases[-3:]:
+        assert classify(*case, jobs=2) == classify(*case, jobs=1)
 
 
 @pytest.mark.parametrize(
@@ -192,7 +194,6 @@ def test_word_lengths_searched_once_per_unit_orbit(monkeypatch, group, cap, agai
     # units act with order 4 and 3, so a support keyed to a wrong orbit
     # would show in its records.
     G = group()
-    spec = SearchSpec(G) if cap == 1 else SearchSpec(G, mode="multisets", multiplicity_cap=cap)
     searched = []
     real_search = search_mod._word_lengths
 
@@ -201,15 +202,15 @@ def test_word_lengths_searched_once_per_unit_orbit(monkeypatch, group, cap, agai
         return real_search(products, extended)
 
     monkeypatch.setattr(search_mod, "_word_lengths", counted)
-    result = classify(spec)
-    assert len(result.records) == spec.radix ** result.bundle_count - 1
+    result = classify(G, cap)
+    assert len(result.records) == (cap + 1) ** result.bundle_count - 1
     supports = {tuple(min(m, 1) for m in vector) + (0,) for vector in result.vectors()}
     orbits = {
         min(pullback(support) for pullback in fixing_tables(G).pullbacks) for support in supports
     }
     assert sorted(searched) == sorted(orbits)
     if against_reference:
-        assert bundle_route_records(spec) == reference_records(spec)
+        assert bundle_route_records(G, cap) == reference_records(G, cap)
 
 
 # Exit code and stdout sha256 of `search --group ... --jobs 1` on every
@@ -262,7 +263,7 @@ def test_serial_search_streams_candidates(monkeypatch):
 
     monkeypatch.setattr(search_mod, "_candidate_vectors", vectors)
     monkeypatch.setattr(search_mod, "_classify_one", classify_one)
-    assert len(classify(SearchSpec(make_cyclic(7))).records) == 7
+    assert len(classify(make_cyclic(7)).records) == 7
     assert events == ["vector", "classify"] * 7
 
 
@@ -300,14 +301,14 @@ def test_bundles_cyclic_pairs():
         assert len(bundles) == (n - 1 + 1) // 2
 
 
-def enumerated_multisets(spec: SearchSpec) -> list[tuple[int, ...]]:
-    bundles = class_bundles(spec.group)
-    return [multiset_from_vector(spec.group, bundles, v) for v in classify(spec).vectors()]
+def enumerated_multisets(G: Group, cap: int = 1) -> list[tuple[int, ...]]:
+    bundles = class_bundles(G)
+    return [multiset_from_vector(G, bundles, v) for v in classify(G, cap).vectors()]
 
 
 def test_enumeration_count_and_normality():
     G = make_dihedral(4)
-    sets = enumerated_multisets(SearchSpec(G))
+    sets = enumerated_multisets(G)
     assert len(sets) == 15
     assert len(set(sets)) == 15
     for s in sets:
@@ -316,8 +317,7 @@ def test_enumeration_count_and_normality():
 
 def test_enumeration_multiset_count():
     G = make_cyclic(5)
-    spec = SearchSpec(G, mode="multisets", multiplicity_cap=2)
-    sets = enumerated_multisets(spec)
+    sets = enumerated_multisets(G, 2)
     assert len(sets) == 3**2 - 1
     assert sorted(sets) == sorted(
         (0, a, b, b, a) for a in range(3) for b in range(3) if a or b
@@ -326,53 +326,52 @@ def test_enumeration_multiset_count():
 
 def test_classify_d4_has_no_degree_two():
     G = make_dihedral(4)
-    result = classify(SearchSpec(G, target_degree=2))
+    result = classify(G)
     assert len(result.records) == 15
-    assert result.witness_index is None
+    assert all(r.degree != 2 for r in result.records)
     assert result.degree_counts == ((1, 15),)
-    connected = classify(SearchSpec(G, target_degree=2, require_connected=True))
-    assert connected.witness_index is None
+    connected = classify(G, require_connected=True)
+    assert connected.records
+    assert all(r.degree != 2 for r in connected.records)
 
 
-def test_classify_finds_circulant_witnesses():
-    Z16 = make_cyclic(16)
-    for target in (1, 2, 4):
-        result = classify(SearchSpec(Z16, target_degree=target))
-        assert result.witness_index is not None
+def test_classify_finds_circulant_witnesses(capsys):
+    degrees = {r.degree for r in classify(make_cyclic(16)).records}
+    assert {1, 2, 4} <= degrees
 
+    # The witness is the first record of the degree asked for.
     Z5 = make_cyclic(5)
-    result = classify(SearchSpec(Z5, target_degree=2))
-    witness = next(r for r in result.records if r.index == result.witness_index)
+    result = classify(Z5)
+    witness = next(r for r in result.records if r.degree == 2)
+    assert witness.index == 0
     assert result.vector(witness.index) == (1, 0)
-    assert set_renderer(Z5, 2)(result.vector(witness.index)) == ("1;4", 2)
-    assert witness.degree == 2
+    assert set_renderer(Z5)(result.vector(witness.index)) == ("1;4", 2)
+    assert main(["search", "--group", "cyclic:5", "--degree", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "Witness of degree 2: {1;4}\n" in out
+    assert out.endswith("search.witness = 0\n--- end ---\n")
 
 
 def test_degrees_divide_half_totient():
     for G in (make_cyclic(12), make_dihedral(6)):
         half = euler_phi(G.order) // 2
-        result = classify(SearchSpec(G))
+        result = classify(G)
         for record in result.records:
             assert half % record.degree == 0
 
 
 def test_connected_records_have_distance_degree():
-    result = classify(SearchSpec(make_dihedral(5)))
+    result = classify(make_dihedral(5))
     connected = [r for r in result.records if r.distance_degree is not None]
     assert all(r.distance_degree == r.degree for r in connected)
     # Only the three sets of rotations alone fail to generate D5.
     assert len(result.records) - len(connected) == 3
 
 
-def test_classify_refuses_an_unknown_mode():
-    with pytest.raises(ValueError, match="unknown search mode 'bags'"):
-        classify(SearchSpec(make_cyclic(6), mode="bags"))
-
-
 def test_multiset_mode_runs_shadow_containment():
     # every record construction asserts the multiset subgroup sits inside
     # the shadow's subgroup; a full pass means no assertion fired
-    result = classify(SearchSpec(make_dihedral(5), mode="multisets", multiplicity_cap=2))
+    result = classify(make_dihedral(5), 2)
     assert len(result.records) == 3**3 - 1
     multi = [v for v in result.vectors() if any(m > 1 for m in v)]
     assert multi
@@ -380,12 +379,11 @@ def test_multiset_mode_runs_shadow_containment():
 
 def test_classify_deterministic_across_workers():
     G = make_cyclic(12)
-    spec = SearchSpec(G)
-    serial = classify(spec, jobs=1)
+    serial = classify(G, jobs=1)
     # Workers build their own fixing tables; none travel with the group.
     assert G._fixing_tables is not None
     assert pickle.loads(pickle.dumps(G))._fixing_tables is None
-    assert classify(spec, jobs=3) == serial
+    assert classify(G, jobs=3) == serial
 
 
 def test_classify_clamps_jobs_to_cpus(monkeypatch):
@@ -408,19 +406,19 @@ def test_classify_clamps_jobs_to_cpus(monkeypatch):
     # classify imports the pool from concurrent.futures when it needs one.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
-    spec = SearchSpec(make_cyclic(12))
-    serial = classify(spec, jobs=1)
-    assert classify(spec, jobs=100000) == serial
+    G = make_cyclic(12)
+    serial = classify(G, jobs=1)
+    assert classify(G, jobs=100000) == serial
     assert requested == [2]
     monkeypatch.setattr(search_mod.os, "cpu_count", lambda: None)
-    assert classify(spec, jobs=100000) == serial
+    assert classify(G, jobs=100000) == serial
     assert requested == [2]
 
 
 def test_complete_graph_record():
     G = make_cyclic(7)
-    result = classify(SearchSpec(G))
-    render = set_renderer(G, 2)
+    result = classify(G)
+    render = set_renderer(G)
     full = next(r for r, v in zip(result.records, result.vectors()) if render(v)[1] == 6)
     assert full.index == 2**3 - 2
     assert full.degree == 1 and full.distance_degree == 1
