@@ -150,11 +150,11 @@ def _construct_group(
     """The group a family and its parameters name, refused above `bound`
     before it is built.
 
-    The parameters are parsed once.  Building an arithmetic family costs memory
-    linear in its order, so the order is read off the parameters and compared
-    with the bound first.  A generated group's order is known only once it is
-    closed, so the closure stops at the tighter of the bound and the closure
-    cap, one element past it.
+    The parameters are parsed once, and a bound above the closure cap is
+    lowered to it for every family.  Building an arithmetic family costs
+    memory linear in its order, so the order is read off the parameters and
+    compared with the bound first.  A generated group's order is known only
+    once it is closed, so the closure stops one element past the bound.
     `line` and `column` locate the value of the first parameter in an instance.
     Parameter errors are reworded as ParseErrors; a size refusal is not, so
     the closure runs outside the `try`.
@@ -183,9 +183,9 @@ def _construct_group(
         raise ParseError(f"group kind {kind!r} needs parameter {missing}", line, 1) from None
     except ValueError as bad:
         raise ParseError(f"bad group parameter: {bad}", line, 1) from None
+    if bound.order > CLOSURE_CAP:
+        bound = Bound()
     if kind == "generated":
-        if bound.order > CLOSURE_CAP:
-            bound = Bound()
         try:
             return make_from_generators(perms, bound.order)
         except ValueError:  # the parsed cycles are permutations: only the cap is left

@@ -5,8 +5,8 @@ function under power pullbacks is exactly the subgroup of the cyclotomic
 Galois group fixing every eigenvalue.  Degrees therefore come from subgroup
 orders, with no eigenvalue computation required.
 
-Every fixing subgroup is read off the group's class bundles by the engine in
-`cayspec.units` and checked there on the values per element in coset form.
+Every fixing subgroup is read off the group's class bundles, and checked on
+the values per element in coset form, by one call into `cayspec.units`.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from cayspec.spectra import (
 from cayspec.units import (
     FixingTables,
     UnitSubgroup,
-    check_coset_form,
     coset_form,
     fixing_tables,
-    fixing_units,
+    read_fixing_subgroup,
 )
 
 
@@ -44,8 +43,7 @@ def fixing_subgroup(f: ColourFunction) -> UnitSubgroup:
     tables = fixing_tables(f.group)
     values = f.values
     extended = tuple(values[bundle[0]] for bundle in tables.bundles) + (values[0],)
-    members = fixing_units(tables, extended)
-    return check_coset_form(tables, "colour function", members, extended, values)
+    return read_fixing_subgroup(tables, extended, values, "colour function")[0]
 
 
 class FieldReport(NamedTuple):

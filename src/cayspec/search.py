@@ -6,29 +6,30 @@ and the search space is (cap+1)^bundles rather than 2^(n-1), cap 1 for sets.
 Candidate code c stands for the vector of c's digits in base cap+1, bundle 0
 least significant; vectors are generated in code order by `itertools.product`.
 
-Candidates are classified on bundles.  The fixing subgroup of a vector v
-is {h : v o pi_h = v}, read off the group's `units.FixingTables` and checked
-there on elements in coset form.  The product of two bundles is a union of
-bundles, kept as a bitmask; connectivity and the word length of every bundle
-come from one breadth-first search over bundle masks, and the distance
-fixing subgroup H' is that of the word-length vector.
+Candidates are classified on bundles.  `units.read_fixing_subgroup` reads
+the fixing subgroup of a vector v, {h : v o pi_h = v}, off the group's
+`units.FixingTables`, checks it there on elements in coset form, and gives
+the key of v's unit orbit, the least image v o pi_h.  The product of two
+bundles is a union of bundles, kept as a bitmask; connectivity and the word
+length of every bundle come from one breadth-first search over bundle masks,
+and the distance fixing subgroup H' is that of the word-length vector.
 
-Per candidate: its own fixing subgroup H and its check on elements, which
-decide its degree; for a multiset, the containment of H in its shadow's
-fixing subgroup; for a connected simple set, the assertion that its degree
-equals its distance degree.
+Every candidate takes one path: its fixing subgroup H, which decides its
+degree, and its key are read once; a multiset takes its support's key
+instead, read the first time the search meets that support; the facts of
+the key's orbit are looked up; H must lie in the orbit's fixing subgroup,
+since dropping repeats can only grow it and the orbit shares its support's;
+and a connected simple set must have degree equal to its distance degree.
 
-Once per unit orbit of supports: everything else.  The units commute, so
-v o pi_h has the fixing subgroup of v.  Sending each class sum to the class
-sum of its h-th powers is a ring automorphism of the centre of Q[G] (sigma_h
-on the central characters), so the word-length vector of v o pi_h is that
-of v composed with pi_h, with the same fixing subgroup, and v o pi_h
+The facts are computed once per unit orbit of supports.  The units commute,
+so v o pi_h has the fixing subgroup of v.  Sending each class sum to the
+class sum of its h-th powers is a ring automorphism of the centre of Q[G]
+(sigma_h on the central characters), so the word-length vector of v o pi_h
+is that of v composed with pi_h, with the same fixing subgroup, and v o pi_h
 generates the group when v does.  So a support's fixing subgroup, its
 connectivity and its distance degree are constant on its orbit: they are
-computed, and checked on elements, on the orbit's key, the least image
-v o pi_h, for the first candidate to meet it.  A set finds its key among
-the images that give its H; a multiset looks its support up, and computes
-the support's images only the first time it meets that support.
+computed, and checked on elements, on the orbit's key for the first
+candidate to meet it.
 
 A record keeps the candidate's index, its degree and its distance degree;
 elements and valency are rendered from the bundle vector when the record is
@@ -47,7 +48,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from cayspec.errors import InternalInconsistency
 from cayspec.groups import Group, class_bundles
-from cayspec.units import FixingTables, check_coset_form, fixing_tables, fixing_units
+from cayspec.units import FixingTables, fixing_tables, read_fixing_subgroup
 
 DEFAULT_ORDER_LIMIT = 64
 MAX_CANDIDATES = 2**20
@@ -173,7 +174,7 @@ def _word_lengths(
 class _Search:
     """One process's classification state: the group's tables, its bundle
     products, the facts of each unit orbit of supports met so far and, for
-    multisets, the orbit facts of each support met so far."""
+    multisets, the orbit key of each support met so far."""
 
     __slots__ = ("tables", "products", "phi", "orbits", "supports")
 
@@ -183,7 +184,7 @@ class _Search:
         self.products = _bundle_products(tables)
         self.phi = len(tables.units)
         self.orbits: dict[tuple[int, ...], tuple[frozenset[int], Optional[int]]] = {}
-        self.supports: dict[tuple[bool, ...], tuple[frozenset[int], Optional[int]]] = {}
+        self.supports: dict[tuple[bool, ...], tuple[int, ...]] = {}
 
     def orbit(self, key: tuple[int, ...], index: int) -> tuple[frozenset[int], Optional[int]]:
         """The fixing subgroup and the distance degree (None when the support
@@ -194,53 +195,44 @@ class _Search:
         facts = self.orbits.get(key)
         if facts is None:
             tables = self.tables
-            H = fixing_units(tables, key)
-            check_coset_form(tables, "set {}, shadow vector", H, key, tables.read_off(key), index)
+            H = read_fixing_subgroup(
+                tables, key, tables.read_off(key), "set {}, shadow vector", index
+            )[0]
             lengths = _word_lengths(self.products, key)
             distance_degree = None
             if lengths is not None:
-                H_prime = fixing_units(tables, lengths)
-                check_coset_form(
-                    tables, "set {}, word-length vector", H_prime, lengths,
-                    tables.read_off(lengths), index,
-                )
-                distance_degree = self.phi // len(H_prime)
-            facts = self.orbits[key] = (frozenset(H), distance_degree)
+                H_prime = read_fixing_subgroup(
+                    tables, lengths, tables.read_off(lengths), "set {}, word-length vector", index
+                )[0]
+                distance_degree = self.phi // len(H_prime.members)
+            facts = self.orbits[key] = (frozenset(H.members), distance_degree)
         return facts
 
 
 def _classify_one(search: _Search, vector: tuple[int, ...], index: int) -> SetRecord:
     tables = search.tables
     extended = vector + (0,)
+    H, key = read_fixing_subgroup(
+        tables, extended, tables.read_off(extended), "set {}, multiplicity vector", index
+    )
     simple = max(vector) <= 1
-    if simple:
-        # A set is its own support: the images that give its H give its key.
-        images = [pullback(extended) for pullback in tables.pullbacks]
-        H = tuple([h for h, image in zip(tables.units, images) if image == extended])
-        check_coset_form(
-            tables, "set {}, multiplicity vector", H, extended, tables.read_off(extended), index
-        )
-        distance_degree = search.orbit(min(images), index)[1]
-    else:
-        H = fixing_units(tables, extended)
+    if not simple:
         support = tuple(map(bool, extended))
-        facts = search.supports.get(support)
-        if facts is None:
+        key = search.supports.get(support)
+        if key is None:
             shadow = tuple(map(int, support))
-            key = min([pullback(shadow) for pullback in tables.pullbacks])
-            facts = search.supports[support] = search.orbit(key, index)
-        shadow_H, distance_degree = facts
-        # Dropping repeats can only grow the fixing subgroup, so the simple
-        # graph's degree divides the multigraph's.
-        if not shadow_H.issuperset(H):
-            raise InternalInconsistency(
-                f"set {index}: multiset fixing subgroup escapes its shadow's "
-                f"fixing subgroup"
-            )
-        check_coset_form(
-            tables, "set {}, multiplicity vector", H, extended, tables.read_off(extended), index
+            key = search.supports[support] = read_fixing_subgroup(
+                tables, shadow, tables.read_off(shadow), "set {}, shadow vector", index
+            )[1]
+    shadow_H, distance_degree = search.orbit(key, index)
+    # Dropping repeats can only grow the fixing subgroup, so the simple
+    # graph's degree divides the multigraph's; a set is its own shadow.
+    if not shadow_H.issuperset(H.members):
+        raise InternalInconsistency(
+            f"set {index}: multiset fixing subgroup escapes its shadow's "
+            f"fixing subgroup"
         )
-    degree = search.phi // len(H)
+    degree = search.phi // len(H.members)
     # The distance degree is the orbit's and the degree the candidate's own,
     # so this also tests that the orbit shares its key's distance degree.
     if simple and distance_degree is not None and distance_degree != degree:

@@ -1,18 +1,20 @@
 """Units modulo n: their subgroups, and the engine that reads fixing subgroups.
 
 Every subgroup of units, the full group included, is one `UnitSubgroup`
-value.  Every fixing subgroup comes from one routine and is checked by one
-other.  `FixingTables`, built once per group, reads a class function on its
-class bundles, which each power map g -> g**h permutes (pi_h): the fixing
-subgroup of a bundle vector v is {h : v o pi_h = v} (`fixing_units`).  The
-check shares only the group engine: on the values per element, the
+value.  Every fixing subgroup comes from one call, `read_fixing_subgroup`.
+`FixingTables`, built once per group, reads a class function on its class
+bundles, which each power map g -> g**h permutes (pi_h): the fixing subgroup
+of a bundle vector v is {h : v o pi_h = v}, and the least image v o pi_h
+keys v's unit orbit.  The same call checks the subgroup on the values per
+element, sharing only the group engine with the bundle route: the
 generators of the subgroup must fix them under `power_map` and one
-representative of each non-trivial coset must move them (`check_coset_form`).
+representative of each non-trivial coset must move them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -159,13 +161,6 @@ def fixing_tables(G: Group) -> FixingTables:
     return G._fixing_tables
 
 
-def fixing_units(tables: FixingTables, extended: tuple) -> tuple[int, ...]:
-    """The units h with v o pi_h = v for the extended vector v, ascending."""
-    return tuple(
-        [h for h, pullback in zip(tables.units, tables.pullbacks) if pullback(extended) == extended]
-    )
-
-
 def coset_form(tables: FixingTables, members: tuple[int, ...]) -> tuple:
     """(subgroup, generators, coset representatives) of a fixing set, each
     unit paired with its pullback on elements, validating on first sight that
@@ -194,13 +189,26 @@ def coset_form(tables: FixingTables, members: tuple[int, ...]) -> tuple:
     return form
 
 
-def check_coset_form(
+def read_fixing_subgroup(
+    tables: FixingTables, extended: tuple, values: tuple, label: str, *label_args
+) -> tuple[UnitSubgroup, tuple]:
+    """The fixing subgroup of the extended vector v, {h : v o pi_h = v},
+    checked on `values`, v per element, in coset form; and the key of v's
+    unit orbit, the least image v o pi_h.  Both come from one pass over the
+    pullbacks.  A failed check names the vector by `label.format(*label_args)`.
+    """
+    images = [pullback(extended) for pullback in tables.pullbacks]
+    members = tuple(compress(tables.units, map(extended.__eq__, images)))
+    return _check_coset_form(tables, members, extended, values, label, label_args), min(images)
+
+
+def _check_coset_form(
     tables: FixingTables,
-    label: str,
     members: tuple[int, ...],
     extended: tuple,
     values: tuple,
-    *label_args,
+    label: str,
+    label_args: tuple,
 ) -> UnitSubgroup:
     """Check on elements that members is the fixing subgroup of a vector.
 

@@ -368,10 +368,12 @@ def test_search_refuses_too_many_candidates(capsys, monkeypatch):
     code, _, err = run(capsys, "search", "--group", "cyclic:64")
     assert code == 2
     assert "2^32 - 1 candidates exceed" in err
-    # 2^10000 - 1 has 3,011 digits: the refusal names it by its power.
-    code, _, err = run(capsys, "search", "--group", "cyclic:20000", "--limit", "1000000")
+    # 4^5000 - 1 has 3,011 digits: the refusal names it by its power.
+    code, _, err = run(
+        capsys, "search", "--group", "cyclic:10000", "--limit", "10000", "--multisets", "3"
+    )
     assert code == 2
-    assert err == "error: 2^10000 - 1 candidates exceed the search cap 1048576\n"
+    assert err == "error: 4^5000 - 1 candidates exceed the search cap 1048576\n"
 
 
 def test_no_convergence_exits_three(capsys, monkeypatch):
@@ -409,6 +411,8 @@ CLOSURE_REFUSAL = "error: generator closure exceeded the cap of 10000 elements\n
         (["check", "{d8_alpha}", "--subgroup", "x"], None, 2,
          "error: --subgroup x: generators must be integers\n"),
         (["degree", "{z20000}"], None, 2, "error: group order 20000 exceeds the cap of 10000 elements\n"),
+        (["search", "--group", "cyclic:20000", "--limit", "1000000"], None, 2,
+         "error: group order 20000 exceeds the cap of 10000 elements\n"),
         (["degree", "{s8}"], None, 2, CLOSURE_REFUSAL),
         (["search", "--group", f"generated:{S8_GENERATORS}", "--limit", "100000"], None, 2,
          CLOSURE_REFUSAL),
@@ -422,8 +426,8 @@ CLOSURE_REFUSAL = "error: generator closure exceeded the cap of 10000 elements\n
          "error: canonical residue exceeds the 16-bit coefficient budget\n"),
     ],
     ids=["not-normal", "not-symmetric", "disconnected", "not-a-unit", "malformed-subgroup",
-         "order-cap", "closure-cap", "search-closure-cap", "distance-on-colour", "search-bad-group",
-         "search-bad-cycles", "no-convergence", "coefficient-budget"],
+         "order-cap", "search-order-cap", "closure-cap", "search-closure-cap", "distance-on-colour",
+         "search-bad-group", "search-bad-cycles", "no-convergence", "coefficient-budget"],
 )
 def test_refusals_pin_stderr_and_exit_code(capsys, monkeypatch, tmp_path, argv, patch, code, err):
     files = {"d8_alpha": instance_path("d8_alpha.txt")}
@@ -700,6 +704,19 @@ def test_commands_refuse_orders_above_the_closure_cap(capsys, monkeypatch, tmp_p
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert (code, out) == (2, "")
     assert err == f"error: group order {n} exceeds the cap of 10000 elements\n"
+
+
+@pytest.mark.parametrize(
+    "group, order",
+    [("cyclic:2000000", 2000000), ("dihedral:6000", 12000), ("product:200,100", 20000)],
+)
+def test_search_limit_is_clamped_at_the_closure_cap(capsys, monkeypatch, group, order):
+    # A --limit past the closure cap admits no larger group of any family,
+    # and the order is refused before anything is built.
+    refuse_construction(monkeypatch)
+    code, out, err = run(capsys, "search", "--group", group, "--limit", "100000000")
+    assert (code, out) == (2, "")
+    assert err == f"error: group order {order} exceeds the cap of 10000 elements\n"
 
 
 def test_closure_cap_admits_its_own_order():

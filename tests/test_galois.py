@@ -507,18 +507,23 @@ def test_primitive_search_finds_a_single_period_for_every_subgroup():
 
 
 def test_shadow_containment_raises_on_injected_mismatch(monkeypatch):
-    # A multiset whose fixing subgroup escapes its shadow's must be refused,
-    # by the containment check itself: the bundle route here claims every
-    # unit fixes {1, 4} taken twice (set 1), while its shadow {1, 4} is
-    # fixed by the units 1 and 4 only.
-    real = search_mod.fixing_units
+    # A candidate whose fixing subgroup escapes its shadow's must be refused,
+    # by the containment check itself, for multisets and sets alike: the
+    # orbit facts here claim that only the unit 1 fixes the shadow {1, 4} of
+    # the candidate, {1, 4} taken twice (set 1 at cap 2) or once (set 0 at
+    # cap 1), while the units 1 and 4 fix the candidate itself.
+    real = search_mod._Search.orbit
+    for cap, index in ((2, 1), (1, 0)):
 
-    def escaping(tables, extended):
-        return tables.units if extended == (2, 0, 0) else real(tables, extended)
+        def shrunk(self, key, i):
+            facts = real(self, key, i)
+            return (frozenset({1}), facts[1]) if i == index else facts
 
-    monkeypatch.setattr(search_mod, "fixing_units", escaping)
-    with pytest.raises(InternalInconsistency, match="set 1: multiset fixing subgroup escapes"):
-        classify(make_cyclic(5), 2)
+        monkeypatch.setattr(search_mod._Search, "orbit", shrunk)
+        with pytest.raises(
+            InternalInconsistency, match=f"set {index}: multiset fixing subgroup escapes"
+        ):
+            classify(make_cyclic(5), cap)
 
 
 def test_distance_report_complete_graph():

@@ -5,8 +5,9 @@ module runs.  The group engine imports no other module, `units` builds on the
 group engine alone, `exactnum` on the units engine, `colour` on the group
 engine and exact rationals, and `search`, which classifies candidates on the
 units engine, needs nothing above it.  No module reaches into another's
-private, `_`-prefixed names, and only `exactnum` reads the stored form of a
-cyclotomic value.
+private, `_`-prefixed names, only `exactnum` reads the stored form of a
+cyclotomic value, and only `units` reads the bundle pullbacks or checks a
+fixing subgroup on elements in coset form.
 `galois` decides integrality exactly, so it reaches neither the Jacobi
 kernels nor the float spectrum.  The CLI builds every group in
 `_construct_group`, which sizes it first and caps the generator closure.
@@ -75,6 +76,24 @@ def test_only_exactnum_reads_the_stored_terms():
                 if isinstance(node, ast.Attribute) and node.attr == "terms"
             ]
     assert readers == []
+
+
+def test_only_units_reads_pullbacks_and_checks_coset_forms():
+    # Every other module obtains a fixing subgroup, already checked, from
+    # units.read_fixing_subgroup.
+    guarded = {"pullbacks", "_check_coset_form"}
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "units.py":
+            readers += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(parse(path))
+                if (isinstance(node, ast.Attribute) and node.attr in guarded)
+                or (isinstance(node, ast.Name) and node.id in guarded)
+            ]
+    assert readers == []
+    units_names = {node.name for node in parse(PACKAGE / "units.py").body if hasattr(node, "name")}
+    assert "_check_coset_form" in units_names
 
 
 def test_galois_reaches_no_numeric_oracle():

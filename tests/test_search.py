@@ -213,6 +213,39 @@ def test_word_lengths_searched_once_per_unit_orbit(monkeypatch, group, cap, agai
         assert bundle_route_records(G, cap) == reference_records(G, cap)
 
 
+def cycle(n: int) -> list[int]:
+    """The n-cycle (0 1 ... n-1) as a permutation list."""
+    return list(range(1, n)) + [0]
+
+
+# Presentations of one group each: the histograms are invariants of the
+# isomorphism class, so they must agree although the element orders, names,
+# classes and bundles of the families differ.
+Z24 = [lambda: make_cyclic(24), lambda: make_product(make_cyclic(3), make_cyclic(8)),
+       lambda: make_product(make_cyclic(8), make_cyclic(3)),
+       lambda: make_from_generators([cycle(24)])]
+Z12 = [lambda: make_cyclic(12), lambda: make_product(make_cyclic(3), make_cyclic(4)),
+       lambda: make_product(make_cyclic(4), make_cyclic(3)),
+       lambda: make_from_generators([cycle(12)])]
+D5 = [lambda: make_dihedral(5), lambda: make_from_generators([cycle(5), [0, 4, 3, 2, 1]])]
+D6 = [lambda: make_dihedral(6), lambda: make_from_generators([cycle(6), [0, 5, 4, 3, 2, 1]])]
+
+
+@pytest.mark.parametrize(
+    "cap, presentations", [(1, Z24), (2, Z12), (1, D5), (2, D5), (1, D6), (2, D6)],
+    ids=["Z24", "Z12 --multisets 2", "D5", "D5 --multisets 2", "D6", "D6 --multisets 2"],
+)
+def test_histograms_agree_across_presentations(cap, presentations):
+    groups = [make() for make in presentations]
+    assert len({G.order for G in groups}) == 1
+    results = [classify(G, cap) for G in groups]
+    first = results[0]
+    assert first.degree_counts_connected
+    for G, result in zip(groups[1:], results[1:]):
+        assert result.degree_counts == first.degree_counts, G.family
+        assert result.degree_counts_connected == first.degree_counts_connected, G.family
+
+
 # Exit code and stdout sha256 of `search --group ... --jobs 1` on every
 # presentation of the benchmark's search slots and on two more multiset
 # requests, recorded while each support's word lengths were still moved to
