@@ -26,6 +26,7 @@ from cayspec.exactnum import euler_phi, format_polynomial
 from cayspec.galois import (
     check_fixing_subgroup_equals_stabilizers,
     distance_report,
+    fixing_subgroup,
     integrality_verdict,
     is_algebraically_integral_over,
     splitting_field,
@@ -429,7 +430,7 @@ def _subgroup_section(report: Report, prefix: str, subgroup) -> None:
 
 
 def _field_section(report: Report, field_report) -> None:
-    n = field_report.modulus
+    n = field_report.fixing_subgroup.modulus
     report.line(
         f"Algebraic degree: phi({n})/{len(field_report.fixing_subgroup.members)}"
         f" = {field_report.degree}"
@@ -453,10 +454,11 @@ def cmd_spectrum(doc: InstanceDocument) -> tuple[Report, int]:
     report = Report()
     report.line(f"Cayley colour graph on a {doc.group_kind} group of order {doc.group.order}")
     _echo_instance(report, doc, "spectrum")
+    H = fixing_subgroup(f)
     exact = None
     if has_character_table(doc.group):
         exact = spectrum_exact(f, character_table(doc.group))
-        check_fixing_subgroup_equals_stabilizers(f, exact)
+        check_fixing_subgroup_equals_stabilizers(f, H, exact)
         _spectrum_section(report, exact)
     else:
         print(
@@ -478,7 +480,7 @@ def cmd_spectrum(doc: InstanceDocument) -> tuple[Report, int]:
         report.put("spectrum.match", comparison.matches)
         if not comparison.matches:
             exit_code = 3
-    verdict = integrality_verdict(f, exact)
+    verdict = integrality_verdict(f, H, exact)
     report.line(
         f"Rational: {'yes' if verdict.rational else 'no'}   "
         f"Integral: {'yes' if verdict.integral else 'no'}"
@@ -499,8 +501,8 @@ def cmd_degree(doc: InstanceDocument) -> tuple[Report, int]:
     exact = None
     if has_character_table(doc.group):
         exact = spectrum_exact(f, character_table(doc.group))
-        check_fixing_subgroup_equals_stabilizers(f, exact)
-    verdict = integrality_verdict(f, exact)
+        check_fixing_subgroup_equals_stabilizers(f, field_report.fixing_subgroup, exact)
+    verdict = integrality_verdict(f, field_report.fixing_subgroup, exact)
     report.put("verdict.rational", verdict.rational)
     report.put("verdict.integral", verdict.integral)
     return report, 0

@@ -50,7 +50,6 @@ class FieldReport(NamedTuple):
     """A splitting field described by its fixing subgroup of units, with a
     primitive element whose minimal polynomial certifies the degree."""
 
-    modulus: int
     fixing_subgroup: UnitSubgroup
     degree: int
     primitive_element: Cyclotomic
@@ -108,11 +107,9 @@ def _primitive_search(
 
 
 def _field_of(tables: FixingTables, H: UnitSubgroup) -> FieldReport:
-    n = H.modulus
-    degree = euler_phi(n) // len(H.members)
+    degree = euler_phi(H.modulus) // len(H.members)
     primitive, poly = _primitive_search(tables, H, degree)
     return FieldReport(
-        modulus=n,
         fixing_subgroup=H,
         degree=degree,
         primitive_element=primitive,
@@ -144,13 +141,13 @@ def _coset_split(tables: FixingTables, members: tuple[int, ...], values) -> Opti
 
 
 def check_fixing_subgroup_equals_stabilizers(
-    f: ColourFunction, spectrum: Spectrum
+    f: ColourFunction, H: UnitSubgroup, spectrum: Spectrum
 ) -> None:
     """Raise InternalInconsistency, naming the unit at which they part, unless
-    the eigenvalue stabilizers intersect in exactly the fixing subgroup of f:
-    the paper's main identity."""
+    the eigenvalue stabilizers of f intersect in exactly H, its fixing
+    subgroup as the caller read it: the paper's main identity."""
     values = [value for value, _ in spectrum.pairs]
-    split = _coset_split(fixing_tables(f.group), fixing_subgroup(f).members, values)
+    split = _coset_split(fixing_tables(f.group), H.members, values)
     if split is not None:
         raise InternalInconsistency(f"stabilizer identity: {split}")
 
@@ -174,14 +171,14 @@ class IntegralityVerdict(NamedTuple):
 
 
 def integrality_verdict(
-    f: ColourFunction, spectrum: Optional[Spectrum] = None
+    f: ColourFunction, H: UnitSubgroup, spectrum: Optional[Spectrum] = None
 ) -> IntegralityVerdict:
-    """Rationality from the fixing subgroup; integrality from the exact spectrum
-    or, without one, the adjacency minimal polynomial: for rational f its roots
-    are rational, so by Gauss's lemma all are integers exactly when its
-    coefficients are.  Either route must find integer-valued f vanishing at
-    the identity integral."""
-    if len(fixing_subgroup(f).members) != euler_phi(f.group.order):
+    """Rationality from H, the fixing subgroup of f as the caller read it;
+    integrality from the exact spectrum or, without one, the adjacency
+    minimal polynomial: for rational f its roots are rational, so by Gauss's
+    lemma all are integers exactly when its coefficients are.  Either route
+    must find integer-valued f vanishing at the identity integral."""
+    if len(H.members) != euler_phi(f.group.order):
         return IntegralityVerdict(False, False, "fixing subgroup is proper")
     if spectrum is not None:
         method = "exact spectrum"

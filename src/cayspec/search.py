@@ -15,11 +15,12 @@ length of every bundle come from one breadth-first search over bundle masks,
 and the distance fixing subgroup H' is that of the word-length vector.
 
 Every candidate takes one path: its fixing subgroup H, which decides its
-degree, and its key are read once; a multiset takes its support's key
-instead, read the first time the search meets that support; the facts of
-the key's orbit are looked up; H must lie in the orbit's fixing subgroup,
-since dropping repeats can only grow it and the orbit shares its support's;
-and a connected simple set must have degree equal to its distance degree.
+degree, and its key are read once; a multiset takes its support's fixing
+subgroup and key instead, read the first time the search meets that
+support; the facts of the key's orbit are looked up; H must lie in the
+orbit's fixing subgroup, since dropping repeats can only grow it and the
+orbit shares its support's; and a connected simple set must have degree
+equal to its distance degree.
 
 The facts are computed once per unit orbit of supports.  The units commute,
 so v o pi_h has the fixing subgroup of v.  Sending each class sum to the
@@ -27,9 +28,9 @@ class sum of its h-th powers is a ring automorphism of the centre of Q[G]
 (sigma_h on the central characters), so the word-length vector of v o pi_h
 is that of v composed with pi_h, with the same fixing subgroup, and v o pi_h
 generates the group when v does.  So a support's fixing subgroup, its
-connectivity and its distance degree are constant on its orbit: they are
-computed, and checked on elements, on the orbit's key for the first
-candidate to meet it.
+connectivity and its distance degree are constant on its orbit: the orbit
+takes the fixing subgroup already read for the first support to meet it,
+and its distance degree is computed, and checked on elements, on its key.
 
 A record keeps the candidate's index, its degree and its distance degree;
 elements and valency are rendered from the bundle vector when the record is
@@ -48,7 +49,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from cayspec.errors import InternalInconsistency
 from cayspec.groups import Group, class_bundles
-from cayspec.units import FixingTables, fixing_tables, read_fixing_subgroup
+from cayspec.units import FixingTables, UnitSubgroup, fixing_tables, read_fixing_subgroup
 
 DEFAULT_ORDER_LIMIT = 64
 MAX_CANDIDATES = 2**20
@@ -174,7 +175,7 @@ def _word_lengths(
 class _Search:
     """One process's classification state: the group's tables, its bundle
     products, the facts of each unit orbit of supports met so far and, for
-    multisets, the orbit key of each support met so far."""
+    multisets, the fixing subgroup and orbit key of each support met so far."""
 
     __slots__ = ("tables", "products", "phi", "orbits", "supports")
 
@@ -184,20 +185,17 @@ class _Search:
         self.products = _bundle_products(tables)
         self.phi = len(tables.units)
         self.orbits: dict[tuple[int, ...], tuple[frozenset[int], Optional[int]]] = {}
-        self.supports: dict[tuple[bool, ...], tuple[int, ...]] = {}
+        self.supports: dict[tuple[bool, ...], tuple[UnitSubgroup, tuple[int, ...]]] = {}
 
-    def orbit(self, key: tuple[int, ...], index: int) -> tuple[frozenset[int], Optional[int]]:
+    def orbit(self, key: tuple, H: UnitSubgroup, index: int) -> tuple[frozenset, Optional[int]]:
         """The fixing subgroup and the distance degree (None when the support
         does not generate the group) shared by every support in the unit
-        orbit whose key is `key`, computed on the key and checked there on
-        elements for the first candidate (`index`) to meet the orbit.  The
-        support is the shadow of every candidate on it, hence the label."""
+        orbit whose key is `key`.  The first candidate (`index`) to meet the
+        orbit gives it H, its support's fixing subgroup as already read; the
+        word-length vector is computed on the key and read here."""
         facts = self.orbits.get(key)
         if facts is None:
             tables = self.tables
-            H = read_fixing_subgroup(
-                tables, key, tables.read_off(key), "set {}, shadow vector", index
-            )[0]
             lengths = _word_lengths(self.products, key)
             distance_degree = None
             if lengths is not None:
@@ -215,19 +213,21 @@ def _classify_one(search: _Search, vector: tuple[int, ...], index: int) -> SetRe
     H, key = read_fixing_subgroup(
         tables, extended, tables.read_off(extended), "set {}, multiplicity vector", index
     )
+    shadow_H = H  # a set is its own shadow
     simple = max(vector) <= 1
     if not simple:
         support = tuple(map(bool, extended))
-        key = search.supports.get(support)
-        if key is None:
+        read = search.supports.get(support)
+        if read is None:
             shadow = tuple(map(int, support))
-            key = search.supports[support] = read_fixing_subgroup(
+            read = search.supports[support] = read_fixing_subgroup(
                 tables, shadow, tables.read_off(shadow), "set {}, shadow vector", index
-            )[1]
-    shadow_H, distance_degree = search.orbit(key, index)
+            )
+        shadow_H, key = read
+    orbit_members, distance_degree = search.orbit(key, shadow_H, index)
     # Dropping repeats can only grow the fixing subgroup, so the simple
-    # graph's degree divides the multigraph's; a set is its own shadow.
-    if not shadow_H.issuperset(H.members):
+    # graph's degree divides the multigraph's.
+    if not orbit_members.issuperset(H.members):
         raise InternalInconsistency(
             f"set {index}: multiset fixing subgroup escapes its shadow's "
             f"fixing subgroup"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ from typing import Iterable
 
 import pytest
 
+import cayspec.units as units_mod
 from cayspec.colour import ColourFunction, colour_from_multiset, colour_from_values
 from cayspec.groups import Group, conjugacy_classes, make_cyclic, make_dihedral, make_product
 
@@ -37,6 +39,28 @@ def symmetric_bundles(G: Group) -> list[tuple[int, ...]]:
         used.add(inverse_ci)
         bundles.append(tuple(sorted(set(cls) | set(part.classes[inverse_ci]))))
     return bundles
+
+
+@pytest.fixture
+def reads(monkeypatch) -> Counter:
+    """Calls of `units.read_fixing_subgroup`, counted by label: the function
+    is wrapped at every name a cayspec module binds it to."""
+    counts: Counter = Counter()
+    real = units_mod.read_fixing_subgroup
+
+    def counted(tables, extended, values, label, *label_args):
+        counts[label] += 1
+        return real(tables, extended, values, label, *label_args)
+
+    bound = [
+        module
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("cayspec") and vars(module).get("read_fixing_subgroup") is real
+    ]
+    assert {module.__name__ for module in bound} >= {"cayspec.galois", "cayspec.search"}
+    for module in bound:
+        monkeypatch.setattr(module, "read_fixing_subgroup", counted)
+    return counts
 
 
 def random_class_function(G: Group, rng: random.Random) -> ColourFunction:

@@ -89,7 +89,7 @@ def test_criterion_02_beta_example():
         Cyclotomic.from_rational(16, -6): 4,
         Cyclotomic.zero(16): 8,
     }
-    verdict = integrality_verdict(beta, spec)
+    verdict = integrality_verdict(beta, fixing_subgroup(beta), spec)
     assert verdict.rational and verdict.integral
     report(2, "integer dihedral-16 example integral with exact spectrum", budget.check())
 
@@ -121,7 +121,7 @@ def test_criterion_04_s2_example():
         Cyclotomic.from_rational(10, 8): 2,
         Cyclotomic.from_rational(10, -2): 8,
     }
-    assert integrality_verdict(f, spec).integral
+    assert integrality_verdict(f, fixing_subgroup(f), spec).integral
     report(4, "doubled all-rotations multiset example integral", budget.check())
 
 
@@ -129,7 +129,7 @@ def test_criterion_05_stabilizer_identity(oracle_corpus):
     budget = Budget(30.0)
     for f in oracle_corpus:
         spec = spectrum_exact(f, character_table(f.group))
-        check_fixing_subgroup_equals_stabilizers(f, spec)
+        check_fixing_subgroup_equals_stabilizers(f, fixing_subgroup(f), spec)
     report(
         5,
         f"stabilizer intersection equals fixing subgroup on {len(oracle_corpus)} "

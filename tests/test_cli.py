@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,20 @@ from pathlib import Path
 import pytest
 
 import cayspec
-from cayspec.cli import main, parse_instance
+from cayspec.cli import InstanceDocument, cmd_check, cmd_degree, cmd_distance, main, parse_instance
+from cayspec.colour import colour_from_multiset, colour_from_values
 from cayspec.errors import ParseError
-from conftest import instance_path
+from cayspec.groups import (
+    class_bundles,
+    make_cyclic,
+    make_dihedral,
+    make_from_generators,
+    make_product,
+    power_map,
+)
+from cayspec.spectra import has_character_table
+from cayspec.units import unit_group
+from conftest import instance_path, random_class_function
 
 
 def machine_block(text: str) -> dict[str, str]:
@@ -283,6 +295,24 @@ def test_connection_files_are_refused(capsys, tmp_path, case, command):
     path = tmp_path / "connection.txt"
     path.write_text(text, encoding="utf-8")
     assert run(capsys, command, str(path)) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["degree"], "d8_alpha.txt"),
+        (["spectrum"], "d8_alpha.txt"),
+        (["check", "--subgroup", "7"], "d8_alpha.txt"),
+        (["distance"], "z5_pentagon.txt"),
+    ],
+)
+def test_each_command_reads_its_colour_once(capsys, reads, argv, name):
+    # `degree` takes H from its splitting field and `spectrum` reads it once;
+    # both pass it to the stabilizer identity and the integrality verdict,
+    # which read it 3 and 2 times over when each read its own.
+    code, _, _ = run(capsys, *argv, instance_path(name))
+    assert code == 0
+    assert reads == {"colour function": 1}
 
 
 def test_check_subgroup(capsys):
@@ -1148,3 +1178,127 @@ def test_degree_one_field_skips_the_minimal_polynomial(capsys, tmp_path, monkeyp
     code, out, err = run(capsys, "degree", str(path))
     assert (code, err) == (0, "")
     assert machine_block(out)["field.minpoly"] == "t - 1"
+
+
+# -- isomorphic presentations ----------------------------------------------------
+
+
+def isomorphism(source, target, images):
+    """The map of source onto target that sends the generators of source to
+    the elements `images` and each product to the product of the images, as
+    a list by element; asserts that it is a bijective homomorphism."""
+    image = {0: 0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for s, t in zip(source.generators, images):
+            y = source.mul(x, s)
+            if y not in image:
+                image[y] = target.mul(image[x], t)
+                frontier.append(y)
+    iso = [image[g] for g in range(source.order)]
+    assert sorted(iso) == list(range(target.order))
+    for x in range(source.order):
+        for y in range(source.order):
+            assert iso[source.mul(x, y)] == target.mul(iso[x], iso[y])
+    return iso
+
+
+def invariant_block(report, rename=str):
+    """The machine block of a report without the lines that name the
+    presentation (group, instance echo, and the exact spectrum, which only a
+    family with a character table prints); each distance layer is the set of
+    its element names, passed through `rename`."""
+    block = {}
+    for key, value in report.machine:
+        if key.startswith(("group.", "instance.", "spectrum.")):
+            continue
+        if key.startswith("distance.layer."):
+            value = frozenset(map(rename, value.split(";")))
+        block[key] = value
+    return block
+
+
+def symmetrised(f):
+    """f summed over the power maps of every unit: a rational colour, which
+    the integrality routes decide."""
+    G = f.group
+    maps = [power_map(G, h) for h in unit_group(G.order).members]
+    return colour_from_values(G, {g: sum(f.values[pm[g]] for pm in maps) for g in range(G.order)})
+
+
+# Each source group with other presentations of it, and the images there of
+# the source's generators: 1 in Z12, and a, b in D6.
+PRESENTATIONS = {
+    "cyclic:12": (
+        lambda: make_cyclic(12),
+        [
+            (lambda: make_product(make_cyclic(3), make_cyclic(4)), ["(1,1)"]),
+            (lambda: make_product(make_cyclic(4), make_cyclic(3)), ["(1,1)"]),
+            (lambda: make_from_generators([list(range(1, 12)) + [0]]),
+             ["(0 1 2 3 4 5 6 7 8 9 10 11)"]),
+        ],
+    ),
+    "dihedral:6": (
+        lambda: make_dihedral(6),
+        [(lambda: make_from_generators([[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]]),
+          ["(0 1 2 3 4 5)", "(1 5)(2 4)"])],
+    ),
+}
+
+
+@pytest.mark.parametrize("source, targets", PRESENTATIONS.values(), ids=list(PRESENTATIONS))
+def test_isomorphic_presentations_print_the_same_invariants(source, targets):
+    # `degree`, `distance` and `check` print invariants of the isomorphism
+    # class: H and its degree, the primitive element and its minimal
+    # polynomial, H', the distance degree and layers, and the verdicts.  A
+    # colour moved through an isomorphism must get the same report, although
+    # element order, names, classes and bundles differ.  A generated group
+    # has no character table, so its integrality verdict comes from the
+    # adjacency minimal polynomial and the source's from the exact spectrum.
+    rng = random.Random(67)
+    S = source()
+    bundles = class_bundles(S)
+    connections = []
+    for _ in range(10):
+        chosen = [bundle for bundle in bundles if rng.random() < 0.5] or [bundles[0]]
+        connections.append(colour_from_multiset(S, {g: 1 for b in chosen for g in b}))
+    colours = [random_class_function(S, rng) for _ in range(10)] + connections
+    colours += [symmetrised(f) for f in colours]
+    unit_args = [""] + [str(h) for h in unit_group(S.order).members[1:]]
+    assert has_character_table(S)
+
+    def document(G, kind, colour):
+        return InstanceDocument(G.family, {}, G, kind, [], colour)
+
+    verdicts, connected = set(), 0
+    for make, names in targets:
+        T = make()
+        iso = isomorphism(S, T, [T.element_index(name) for name in names])
+        assert has_character_table(T) == (T.family != "generated")
+
+        def rename(name):
+            return T.names[iso[S.element_index(name)]]
+
+        for f in colours:
+            moved = colour_from_values(T, {iso[g]: v for g, v in enumerate(f.values)})
+            block = invariant_block(cmd_degree(document(S, "colour", f))[0])
+            assert invariant_block(cmd_degree(document(T, "colour", moved))[0]) == block
+            verdicts.add((block["verdict.rational"], block["verdict.integral"]))
+            for arg in unit_args:
+                block = invariant_block(cmd_check(document(S, "colour", f), arg)[0])
+                assert invariant_block(cmd_check(document(T, "colour", moved), arg)[0]) == block
+        for c in connections:
+            moved = colour_from_multiset(T, {iso[g]: m for g, m in enumerate(c.values) if m})
+            try:
+                block = invariant_block(cmd_distance(document(S, "connection", c))[0], rename)
+            except ValueError as refusal:
+                assert "does not reach" in str(refusal)
+                with pytest.raises(ValueError, match="does not reach"):
+                    cmd_distance(document(T, "connection", moved))
+                continue
+            connected += 1
+            assert invariant_block(cmd_distance(document(T, "connection", moved))[0]) == block
+    # Both integrality routes met rational colours of either verdict.
+    assert {("true", "false"), ("true", "true")} <= verdicts
+    assert connected

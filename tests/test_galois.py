@@ -155,7 +155,7 @@ def test_splitting_field_alpha():
     assert not _gauss_period(16, (1, 7, 9, 15), 1)
     assert report.primitive_element == Cyclotomic.from_exponents(16, {2: 2, 14: 2})
     assert report.minimal_poly == (Fraction(-8), Fraction(0), Fraction(1))
-    verdict = integrality_verdict(alpha)
+    verdict = integrality_verdict(alpha, fixing_subgroup(alpha))
     assert verdict.rational is False and verdict.integral is False
 
 
@@ -200,27 +200,24 @@ def test_eigenvalues_fixed_by_fixing_subgroup():
 def test_stabilizer_identity_alpha():
     G, alpha = d8_alpha()
     spec = spectrum_exact(alpha, character_table(G))
-    check_fixing_subgroup_equals_stabilizers(alpha, spec)
+    check_fixing_subgroup_equals_stabilizers(alpha, fixing_subgroup(alpha), spec)
 
 
 def test_stabilizer_identity_rational_spectrum():
     G, beta = d8_beta()
     spec = spectrum_exact(beta, character_table(G))
-    check_fixing_subgroup_equals_stabilizers(beta, spec)
+    check_fixing_subgroup_equals_stabilizers(beta, fixing_subgroup(beta), spec)
 
 
-def test_stabilizer_identity_refuses_a_wrong_subgroup(monkeypatch):
+def test_stabilizer_identity_refuses_a_wrong_subgroup():
     # H = {1} leaves unit 7 as a coset representative, and 7 fixes every
     # eigenvalue; H = all units has generator 3, which moves the surds.
     G, alpha = d8_alpha()
     spec = spectrum_exact(alpha, character_table(G))
-    check_fixing_subgroup_equals_stabilizers(alpha, spec)
+    check_fixing_subgroup_equals_stabilizers(alpha, fixing_subgroup(alpha), spec)
     for wrong, split in (((1,), "unit 7 moves"), (unit_group(16).members, "unit 3 fixes")):
-        monkeypatch.setattr(
-            galois_mod, "fixing_subgroup", lambda f, wrong=wrong: unit_subgroup(16, wrong)
-        )
         with pytest.raises(InternalInconsistency, match=f"^stabilizer identity: {split} "):
-            check_fixing_subgroup_equals_stabilizers(alpha, spec)
+            check_fixing_subgroup_equals_stabilizers(alpha, unit_subgroup(16, wrong), spec)
 
 
 def test_stabilizer_identity_random():
@@ -232,7 +229,8 @@ def test_stabilizer_identity_random():
         table = character_table(G)
         for _ in range(4):
             f = random_class_function(G, rng)
-            check_fixing_subgroup_equals_stabilizers(f, spectrum_exact(f, table))
+            spec = spectrum_exact(f, table)
+            check_fixing_subgroup_equals_stabilizers(f, fixing_subgroup(f), spec)
             count += 1
     assert count >= 50
 
@@ -255,15 +253,16 @@ def test_integral_over_examples():
 def test_integrality_verdicts():
     G, beta = d8_beta()
     spec = spectrum_exact(beta, character_table(G))
-    verdict = integrality_verdict(beta, spec)
+    verdict = integrality_verdict(beta, fixing_subgroup(beta), spec)
     assert verdict.rational and verdict.integral
 
     G2, f2 = d5_s2()
-    verdict2 = integrality_verdict(f2, spectrum_exact(f2, character_table(G2)))
+    spec2 = spectrum_exact(f2, character_table(G2))
+    verdict2 = integrality_verdict(f2, fixing_subgroup(f2), spec2)
     assert verdict2.integral
 
     _, alpha = d8_alpha()
-    assert not integrality_verdict(alpha).rational
+    assert not integrality_verdict(alpha, fixing_subgroup(alpha)).rational
 
 
 def test_integrality_without_characters():
@@ -271,14 +270,14 @@ def test_integrality_without_characters():
     # polynomial decides, and the integer rule checks it.
     G = make_from_generators([(1, 2, 3, 0), (2, 1, 0, 3)])
     complete = colour_from_values(G, {g: 1 for g in range(1, G.order)})
-    verdict = integrality_verdict(complete)
+    verdict = integrality_verdict(complete, fixing_subgroup(complete))
     assert verdict.rational and verdict.integral
     assert verdict.method == "adjacency minimal polynomial"
 
     halves = colour_from_values(
         G, {g: Fraction(1, 2) for g in range(1, G.order)}
     )
-    verdict_halves = integrality_verdict(halves)
+    verdict_halves = integrality_verdict(halves, fixing_subgroup(halves))
     assert verdict_halves.rational
     assert verdict_halves.integral is False
     assert verdict_halves.method == "adjacency minimal polynomial"
@@ -295,7 +294,7 @@ def test_integer_rule_checks_both_integrality_routes(monkeypatch, capsys):
     G = make_from_generators([(1, 2, 3, 0), (2, 1, 0, 3)])
     complete = colour_from_values(G, {g: 1 for g in range(1, G.order)})
     with pytest.raises(InternalInconsistency, match="^adjacency minimal polynomial: integer"):
-        integrality_verdict(complete)
+        integrality_verdict(complete, fixing_subgroup(complete))
 
     real = cli_mod.spectrum_exact
 
@@ -515,8 +514,8 @@ def test_shadow_containment_raises_on_injected_mismatch(monkeypatch):
     real = search_mod._Search.orbit
     for cap, index in ((2, 1), (1, 0)):
 
-        def shrunk(self, key, i):
-            facts = real(self, key, i)
+        def shrunk(self, key, H, i):
+            facts = real(self, key, H, i)
             return (frozenset({1}), facts[1]) if i == index else facts
 
         monkeypatch.setattr(search_mod._Search, "orbit", shrunk)

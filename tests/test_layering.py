@@ -7,7 +7,9 @@ engine and exact rationals, and `search`, which classifies candidates on the
 units engine, needs nothing above it.  No module reaches into another's
 private, `_`-prefixed names, only `exactnum` reads the stored form of a
 cyclotomic value, and only `units` reads the bundle pullbacks or checks a
-fixing subgroup on elements in coset form.
+fixing subgroup on elements in coset form.  The galois checks take the
+fixing subgroup they test from their caller, and in `search` each read
+label names one call.
 `galois` decides integrality exactly, so it reaches neither the Jacobi
 kernels nor the float spectrum.  The CLI builds every group in
 `_construct_group`, which sizes it first and caps the generator closure.
@@ -94,6 +96,27 @@ def test_only_units_reads_pullbacks_and_checks_coset_forms():
     assert readers == []
     units_names = {node.name for node in parse(PACKAGE / "units.py").body if hasattr(node, "name")}
     assert "_check_coset_form" in units_names
+
+
+def test_galois_checks_take_the_fixing_subgroup_from_their_caller():
+    # The caller has read H already; a second read would check it twice.
+    tree = parse(PACKAGE / "galois.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("check_fixing_subgroup_equals_stabilizers", "integrality_verdict"):
+        named = {ref for ref, _, _ in references(functions[name])}
+        assert not named & {"fixing_subgroup", "read_fixing_subgroup"}, name
+
+
+def test_search_reads_each_vector_at_one_call():
+    # A failed check names the vector by the label of its call, so a label
+    # shared by two calls would name the wrong vector at one of them.
+    labels = [
+        node.args[3].value
+        for node in ast.walk(parse(PACKAGE / "search.py"))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "read_fixing_subgroup"
+    ]
+    vectors = ("multiplicity vector", "shadow vector", "word-length vector")
+    assert sorted(labels) == [f"set {{}}, {vector}" for vector in vectors]
 
 
 def test_galois_reaches_no_numeric_oracle():

@@ -213,6 +213,37 @@ def test_word_lengths_searched_once_per_unit_orbit(monkeypatch, group, cap, agai
         assert bundle_route_records(G, cap) == reference_records(G, cap)
 
 
+@pytest.mark.parametrize(
+    "group, cap, counts",
+    [
+        (lambda: make_cyclic(24), 1, (4095, 0, 1288)),
+        (lambda: make_cyclic(12), 2, (728, 63, 38)),
+        (lambda: make_dihedral(6), 2, (242, 31, 20)),
+    ],
+    ids=["cyclic:24", "cyclic:12 --multisets 2", "dihedral:6 --multisets 2"],
+)
+def test_each_vector_is_read_once(reads, group, cap, counts):
+    # One checked read per candidate, per multiset support and per connected
+    # orbit's word-length vector, and none of an orbit's key: a new orbit
+    # takes the fixing subgroup of the read that met it.  Re-reading each
+    # new orbit's key made 6,726, 876 and 324 reads here.
+    G = group()
+    result = classify(G, cap)
+    vectors = list(result.vectors())
+    supports = {tuple(min(m, 1) for m in v) + (0,) for v in vectors if max(v) > 1}
+    connected = {
+        tuple(min(m, 1) for m in v) + (0,)
+        for v, record in zip(vectors, result.records)
+        if record.distance_degree is not None
+    }
+    pullbacks = fixing_tables(G).pullbacks
+    orbits = {min(pullback(support) for pullback in pullbacks) for support in connected}
+    assert (len(vectors), len(supports), len(orbits)) == counts
+    labels = ("multiplicity vector", "shadow vector", "word-length vector")
+    expected = {f"set {{}}, {label}": count for label, count in zip(labels, counts) if count}
+    assert reads == expected
+
+
 def cycle(n: int) -> list[int]:
     """The n-cycle (0 1 ... n-1) as a permutation list."""
     return list(range(1, n)) + [0]
