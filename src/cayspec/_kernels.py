@@ -25,18 +25,18 @@ REL_TOL = 1e-12
 MAX_SWEEPS = 100
 
 
-def jacobi_diagonalize(a: list[float], n: int, rel_tol: float, max_sweeps: int) -> int:
+def jacobi_diagonalize(a: list[float], n: int, max_sweeps: int) -> int:
     """Run cyclic Jacobi sweeps on the row-major n*n float list `a`, in place.
 
     Sweeps stop once the off-diagonal Frobenius mass drops to
-    rel_tol * ||A||_F.  Returns the number of sweeps used, or -1 when the
+    REL_TOL * ||A||_F.  Returns the number of sweeps used, or -1 when the
     budget of max_sweeps is exhausted first.  `a` must be exactly symmetric.
     """
     norm_f = 0.0
     for v in a:
         norm_f += v * v
     norm_f = sqrt(norm_f)
-    threshold = rel_tol * norm_f
+    threshold = REL_TOL * norm_f
 
     def off_mass() -> float:
         total = 0.0
@@ -90,7 +90,7 @@ def symmetric_eigenvalues(rows: Sequence[Sequence[Real]]) -> list[float]:
     """
     n = len(rows)
     buf = [float(v) for row in rows for v in row]
-    if jacobi_diagonalize(buf, n, REL_TOL, MAX_SWEEPS) < 0:
+    if jacobi_diagonalize(buf, n, MAX_SWEEPS) < 0:
         raise InternalInconsistency(
             f"Jacobi sweeps did not converge within {MAX_SWEEPS} sweeps"
         )

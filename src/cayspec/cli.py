@@ -24,7 +24,7 @@ from cayspec.colour import ColourFunction, colour_from_multiset, colour_from_val
 from cayspec.errors import InternalInconsistency, ParseError
 from cayspec.exactnum import euler_phi, format_polynomial
 from cayspec.galois import (
-    check_fixing_subgroup_equals_stabilizers,
+    checked_spectrum,
     distance_report,
     fixing_subgroup,
     integrality_verdict,
@@ -41,15 +41,7 @@ from cayspec.groups import (
     make_product,
 )
 from cayspec.search import DEFAULT_ORDER_LIMIT, SearchResult, classify, set_renderer
-from cayspec.spectra import (
-    NUMERIC_ORDER_LIMIT,
-    Spectrum,
-    character_table,
-    compare_spectra,
-    has_character_table,
-    spectrum_exact,
-    spectrum_numeric,
-)
+from cayspec.spectra import NUMERIC_ORDER_LIMIT, Spectrum, compare_spectra, spectrum_numeric
 from cayspec.units import close_generators
 
 
@@ -180,8 +172,6 @@ def _construct_group(
             for n in factors:
                 if n < 1:
                     make(n)  # refuses n in the family's own words, building nothing
-    except KeyError as missing:
-        raise ParseError(f"group kind {kind!r} needs parameter {missing}", line, 1) from None
     except ValueError as bad:
         raise ParseError(f"bad group parameter: {bad}", line, 1) from None
     if bound.order > CLOSURE_CAP:
@@ -255,12 +245,15 @@ def parse_instance(text: str, bound: Bound = Bound()) -> InstanceDocument:
 
     if "kind" not in group_raw:
         raise ParseError("missing [group] section with a 'kind' entry", 1, 1)
-    kind = group_raw.pop("kind")[0]
+    kind, *kind_at = group_raw.pop("kind")
     if kind not in _GROUP_KEYS:
-        raise ParseError(f"unknown group kind {kind!r}", 1, 1)
+        raise ParseError(f"unknown group kind {kind!r}", *kind_at)
     for key, (_, lineno, _) in group_raw.items():
         if key not in _GROUP_KEYS[kind]:
             raise ParseError(f"unknown group parameter {key!r}", lineno, 1)
+    (needed,) = _GROUP_KEYS[kind]
+    if needed not in group_raw:
+        raise ParseError(f"group kind {kind!r} needs parameter {needed!r}", *kind_at)
     params = {key: value for key, (value, _, _) in group_raw.items()}
     _, first_line, first_col = min(group_raw.values(), key=lambda raw: raw[1], default=("", 1, 1))
     G = _construct_group(kind, params, bound, first_line, first_col)
@@ -455,10 +448,8 @@ def cmd_spectrum(doc: InstanceDocument) -> tuple[Report, int]:
     report.line(f"Cayley colour graph on a {doc.group_kind} group of order {doc.group.order}")
     _echo_instance(report, doc, "spectrum")
     H = fixing_subgroup(f)
-    exact = None
-    if has_character_table(doc.group):
-        exact = spectrum_exact(f, character_table(doc.group))
-        check_fixing_subgroup_equals_stabilizers(f, H, exact)
+    exact = checked_spectrum(f, H)
+    if exact is not None:
         _spectrum_section(report, exact)
     else:
         print(
@@ -498,10 +489,7 @@ def cmd_degree(doc: InstanceDocument) -> tuple[Report, int]:
     field_report = splitting_field(f)
     _subgroup_section(report, "H", field_report.fixing_subgroup)
     _field_section(report, field_report)
-    exact = None
-    if has_character_table(doc.group):
-        exact = spectrum_exact(f, character_table(doc.group))
-        check_fixing_subgroup_equals_stabilizers(f, field_report.fixing_subgroup, exact)
+    exact = checked_spectrum(f, field_report.fixing_subgroup)
     verdict = integrality_verdict(f, field_report.fixing_subgroup, exact)
     report.put("verdict.rational", verdict.rational)
     report.put("verdict.integral", verdict.integral)

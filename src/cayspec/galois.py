@@ -140,16 +140,19 @@ def _coset_split(tables: FixingTables, members: tuple[int, ...], values) -> Opti
     return None
 
 
-def check_fixing_subgroup_equals_stabilizers(
-    f: ColourFunction, H: UnitSubgroup, spectrum: Spectrum
-) -> None:
-    """Raise InternalInconsistency, naming the unit at which they part, unless
-    the eigenvalue stabilizers of f intersect in exactly H, its fixing
-    subgroup as the caller read it: the paper's main identity."""
+def checked_spectrum(f: ColourFunction, H: UnitSubgroup) -> Optional[Spectrum]:
+    """The exact spectrum of f, or None when its family has no character
+    table.  Raises InternalInconsistency, naming the unit at which they part,
+    unless the eigenvalue stabilizers intersect in exactly H, the fixing
+    subgroup of f as the caller read it: the paper's main identity."""
+    if not has_character_table(f.group):
+        return None
+    spectrum = spectrum_exact(f, character_table(f.group))
     values = [value for value, _ in spectrum.pairs]
     split = _coset_split(fixing_tables(f.group), H.members, values)
     if split is not None:
         raise InternalInconsistency(f"stabilizer identity: {split}")
+    return spectrum
 
 
 def is_algebraically_integral_over(f: ColourFunction, H_K: UnitSubgroup) -> bool:
@@ -219,13 +222,12 @@ class DistanceReport(NamedTuple):
     spectrum: Optional[Spectrum]
 
 
-def _check_layer_sum_form(
-    spectrum: Spectrum, table, layering: DistanceLayering
-) -> None:
+def _check_layer_sum_form(spectrum: Spectrum, layering: DistanceLayering) -> None:
     # Distance eigenvalues restated as weighted layer character sums must
     # reproduce the character-sum route exactly.  The sum runs element by
     # element over the layers, never through the class weights the other
     # route uses.
+    table = character_table(layering.colour.group)
     n = table.group.order
     for row_index, (label, deg, lam) in enumerate(spectrum.per_irreducible):
         scale = [Fraction(level, deg) for level in range(len(layering.layers))]
@@ -249,17 +251,21 @@ def distance_report(f: ColourFunction) -> DistanceReport:
     """Distance degree and splitting field of the simple connection set on
     which f is 1, via layers, with all cross-checks.
 
-    The field comes from the fixing subgroup of the word-length colour; exact
-    distance spectra are produced whenever the family has a character table,
-    validated against the layered character-sum form.
+    The field comes from H', the fixing subgroup of the word-length colour,
+    which must equal the set's own fixing subgroup H: the graph is normal, so
+    its degree is its distance degree.  Exact distance spectra are produced
+    whenever the family has a character table, checked against H' and
+    against the layered character-sum form.
     """
-    layering, H = distance_fixing_subgroup(f)
-    G = f.group
-    field = _field_of(fixing_tables(G), H)
-    spectrum = None
-    if has_character_table(G):
-        table = character_table(G)
-        spectrum = spectrum_exact(layering.colour, table)
-        _check_layer_sum_form(spectrum, table, layering)
+    layering, H_prime = distance_fixing_subgroup(f)
+    H = fixing_subgroup(f)
+    if H.members != H_prime.members:
+        raise InternalInconsistency(
+            f"distance degree: the set is fixed by units {H.members}, "
+            f"its word-length colour by {H_prime.members}"
+        )
+    field = _field_of(fixing_tables(f.group), H_prime)
+    spectrum = checked_spectrum(layering.colour, H_prime)
+    if spectrum is not None:
+        _check_layer_sum_form(spectrum, layering)
     return DistanceReport(layering=layering, field=field, spectrum=spectrum)
-

@@ -37,8 +37,6 @@ class UnitSubgroup(NamedTuple):
 
 
 def _closure(n: int, gens: Sequence[int]) -> set[int]:
-    if n == 1:
-        return {1}
     out = {1}
     frontier = [1]
     while frontier:

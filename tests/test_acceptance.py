@@ -13,7 +13,7 @@ from cayspec.cli import main
 from cayspec.colour import colour_from_multiset
 from cayspec.exactnum import Cyclotomic, divisors, euler_phi
 from cayspec.galois import (
-    check_fixing_subgroup_equals_stabilizers,
+    checked_spectrum,
     distance_fixing_subgroup,
     fixing_subgroup,
     integrality_verdict,
@@ -128,8 +128,7 @@ def test_criterion_04_s2_example():
 def test_criterion_05_stabilizer_identity(oracle_corpus):
     budget = Budget(30.0)
     for f in oracle_corpus:
-        spec = spectrum_exact(f, character_table(f.group))
-        check_fixing_subgroup_equals_stabilizers(f, fixing_subgroup(f), spec)
+        assert checked_spectrum(f, fixing_subgroup(f)) is not None
     report(
         5,
         f"stabilizer intersection equals fixing subgroup on {len(oracle_corpus)} "

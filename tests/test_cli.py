@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 import cayspec
-from cayspec.cli import InstanceDocument, cmd_check, cmd_degree, cmd_distance, main, parse_instance
+from cayspec.cli import (
+    InstanceDocument,
+    cmd_check,
+    cmd_degree,
+    cmd_distance,
+    cmd_spectrum,
+    main,
+    parse_instance,
+)
 from cayspec.colour import colour_from_multiset, colour_from_values
 from cayspec.errors import ParseError
 from cayspec.groups import (
@@ -146,6 +154,55 @@ def test_parse_refuses_repeated_group_keys(text, line):
         parse_instance(text)
     assert err.value.line == line
     assert err.value.reason.startswith("repeated [group] key")
+
+
+# Instance files refused at parse time, each with its reason, line and column.
+REFUSED_PARSES = {
+    "malformed-rational": (
+        "[group]\nkind = cyclic\nn = 4\n[colour]\nclass(1) = 1.5\n",
+        "malformed rational '1.5'", 5, 12,
+    ),
+    "cycle-without-paren": (
+        "[group]\nkind = generated\ngenerators = (0 1) x\n",
+        "expected '(' in permutation, found 'x'", 3, 20,
+    ),
+    "cycle-not-integer": (
+        "[group]\nkind = generated\ngenerators = (0 a)\n",
+        "cycle entries must be integers", 3, 14,
+    ),
+    "unknown-kind": ("[group]\nkind = klein\n", "unknown group kind 'klein'", 2, 8),
+    "missing-parameter": (
+        "[group]\nkind = dihedral\n", "group kind 'dihedral' needs parameter 'm'", 2, 8,
+    ),
+    "unterminated-header": ("[group\nkind = cyclic\n", "unterminated section header", 1, 1),
+    "no-equals": ("[group]\nkind cyclic\n", "expected 'key = value'", 2, 1),
+    "empty-key": ("[group]\n = cyclic\n", "empty key", 2, 2),
+    "missing-kind": (
+        "[group]\nn = 4\n[colour]\n", "missing [group] section with a 'kind' entry", 1, 1,
+    ),
+    "multiplicity-not-integer": (
+        "[group]\nkind = cyclic\nn = 5\n[connection]\n1 = two\n",
+        "multiplicity must be an integer, got 'two'", 5, 5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_PARSES))
+def test_parse_refusals_pin_reason_and_position(capsys, tmp_path, case):
+    text, reason, line, column = REFUSED_PARSES[case]
+    path = tmp_path / "refused.txt"
+    path.write_text(text, encoding="utf-8")
+    message = f"error: line {line}, column {column}: {reason}\n"
+    assert run(capsys, "degree", str(path)) == (2, "", message)
+
+
+def test_element_names_resolve_without_spaces():
+    # A product element written with a space after its comma is found by
+    # its name with the spaces taken out.
+    text = "[group]\nkind = product\nfactors = 2,4\n\n[connection]\nelements = (0, 1), (0, 3)\n"
+    doc = parse_instance(text)
+    G = doc.group
+    assert [G.names[g] for g, m in enumerate(doc.colour.values) if m] == ["(0,1)", "(0,3)"]
 
 
 @pytest.mark.parametrize(
@@ -309,10 +366,12 @@ def test_connection_files_are_refused(capsys, tmp_path, case, command):
 def test_each_command_reads_its_colour_once(capsys, reads, argv, name):
     # `degree` takes H from its splitting field and `spectrum` reads it once;
     # both pass it to the stabilizer identity and the integrality verdict,
-    # which read it 3 and 2 times over when each read its own.
+    # which read it 3 and 2 times over when each read its own.  `distance`
+    # reads two colours once each: the set's, for H, and its word-length
+    # colour's, for H'.
     code, _, _ = run(capsys, *argv, instance_path(name))
     assert code == 0
-    assert reads == {"colour function": 1}
+    assert reads == {"colour function": 2 if argv == ["distance"] else 1}
 
 
 def test_check_subgroup(capsys):
@@ -409,7 +468,7 @@ def test_search_refuses_too_many_candidates(capsys, monkeypatch):
 def test_no_convergence_exits_three(capsys, monkeypatch):
     import cayspec._kernels as kernels_mod
 
-    monkeypatch.setattr(kernels_mod, "jacobi_diagonalize", lambda a, n, rel_tol, max_sweeps: -1)
+    monkeypatch.setattr(kernels_mod, "jacobi_diagonalize", lambda a, n, max_sweeps: -1)
     code, _, err = run(capsys, "spectrum", instance_path("d8_alpha.txt"))
     assert code == 3
     assert "internal inconsistency" in err
@@ -670,6 +729,7 @@ def test_spectrum_refuses_orders_above_the_numeric_limit(capsys, monkeypatch, tm
     # Refused before any exact work, with exit 2 and nothing written.  The
     # limit sits above every spectrum the benchmark asks for (n = 64).
     import cayspec.cli as cli_mod
+    import cayspec.galois as galois_mod
     from cayspec.spectra import NUMERIC_ORDER_LIMIT
 
     assert NUMERIC_ORDER_LIMIT >= 64
@@ -677,8 +737,8 @@ def test_spectrum_refuses_orders_above_the_numeric_limit(capsys, monkeypatch, tm
     def refuse(*args):
         raise AssertionError("exact work began before the order was checked")
 
-    monkeypatch.setattr(cli_mod, "character_table", refuse)
-    monkeypatch.setattr(cli_mod, "spectrum_exact", refuse)
+    monkeypatch.setattr(galois_mod, "character_table", refuse)
+    monkeypatch.setattr(galois_mod, "spectrum_exact", refuse)
     monkeypatch.setattr(cli_mod, "spectrum_numeric", refuse)
     # The limit admits its own order: the group is parsed and exact work begins.
     n = NUMERIC_ORDER_LIMIT
@@ -921,10 +981,10 @@ def test_exact_numeric_mismatch_exits_three(capsys, monkeypatch):
     ],
 )
 def test_stabilizer_identity_mismatch_exits_three(capsys, monkeypatch, command, name, unit, part):
-    import cayspec.cli as cli_mod
+    import cayspec.galois as galois_mod
     from cayspec.exactnum import Cyclotomic
 
-    real = cli_mod.spectrum_exact
+    real = galois_mod.spectrum_exact
 
     def injected(f, table):
         spec = real(f, table)
@@ -938,7 +998,7 @@ def test_stabilizer_identity_mismatch_exits_three(capsys, monkeypatch, command, 
             )
         return spec._replace(pairs=pairs)
 
-    monkeypatch.setattr(cli_mod, "spectrum_exact", injected)
+    monkeypatch.setattr(galois_mod, "spectrum_exact", injected)
     code, out, err = run(capsys, command, instance_path(name))
     assert code == 3
     assert out == ""
@@ -996,9 +1056,9 @@ def test_tableless_rational_colour_runs_jacobi_once(capsys, monkeypatch, tmp_pat
     real = kernels_mod.jacobi_diagonalize
     calls = []
 
-    def counted(a, n, rel_tol, max_sweeps):
+    def counted(a, n, max_sweeps):
         calls.append(n)
-        return real(a, n, rel_tol, max_sweeps)
+        return real(a, n, max_sweeps)
 
     monkeypatch.setattr(kernels_mod, "jacobi_diagonalize", counted)
     path = tmp_path / "s4_half.txt"
@@ -1204,14 +1264,17 @@ def isomorphism(source, target, images):
     return iso
 
 
-def invariant_block(report, rename=str):
+def invariant_block(report, rename=str, exact=False):
     """The machine block of a report without the lines that name the
-    presentation (group, instance echo, and the exact spectrum, which only a
-    family with a character table prints); each distance layer is the set of
-    its element names, passed through `rename`."""
+    presentation: group, instance echo, the numeric spectrum, whose float
+    text follows the element order, and unless `exact` the exact spectrum,
+    which only a family with a character table prints.  Each distance layer
+    is the set of its element names, passed through `rename`."""
     block = {}
     for key, value in report.machine:
-        if key.startswith(("group.", "instance.", "spectrum.")):
+        if key.startswith(("group.", "instance.", "spectrum.numeric")):
+            continue
+        if key.startswith("spectrum.") and not exact:
             continue
         if key.startswith("distance.layer."):
             value = frozenset(map(rename, value.split(";")))
@@ -1256,6 +1319,8 @@ def test_isomorphic_presentations_print_the_same_invariants(source, targets):
     # element order, names, classes and bundles differ.  A generated group
     # has no character table, so its integrality verdict comes from the
     # adjacency minimal polynomial and the source's from the exact spectrum.
+    # Where both have a table, both compute in the same cyclotomic field, so
+    # `spectrum` and `distance` print the same exact spectra too.
     rng = random.Random(67)
     S = source()
     bundles = class_bundles(S)
@@ -1275,7 +1340,8 @@ def test_isomorphic_presentations_print_the_same_invariants(source, targets):
     for make, names in targets:
         T = make()
         iso = isomorphism(S, T, [T.element_index(name) for name in names])
-        assert has_character_table(T) == (T.family != "generated")
+        exact = has_character_table(T)
+        assert exact == (T.family != "generated")
 
         def rename(name):
             return T.names[iso[S.element_index(name)]]
@@ -1285,20 +1351,27 @@ def test_isomorphic_presentations_print_the_same_invariants(source, targets):
             block = invariant_block(cmd_degree(document(S, "colour", f))[0])
             assert invariant_block(cmd_degree(document(T, "colour", moved))[0]) == block
             verdicts.add((block["verdict.rational"], block["verdict.integral"]))
+            if exact:
+                block = invariant_block(cmd_spectrum(document(S, "colour", f))[0], exact=True)
+                spectrum = cmd_spectrum(document(T, "colour", moved))[0]
+                assert invariant_block(spectrum, exact=True) == block
             for arg in unit_args:
                 block = invariant_block(cmd_check(document(S, "colour", f), arg)[0])
                 assert invariant_block(cmd_check(document(T, "colour", moved), arg)[0]) == block
         for c in connections:
             moved = colour_from_multiset(T, {iso[g]: m for g, m in enumerate(c.values) if m})
             try:
-                block = invariant_block(cmd_distance(document(S, "connection", c))[0], rename)
+                source_report = cmd_distance(document(S, "connection", c))[0]
+                block = invariant_block(source_report, rename, exact)
             except ValueError as refusal:
                 assert "does not reach" in str(refusal)
                 with pytest.raises(ValueError, match="does not reach"):
                     cmd_distance(document(T, "connection", moved))
                 continue
             connected += 1
-            assert invariant_block(cmd_distance(document(T, "connection", moved))[0]) == block
+            assert ("spectrum.exact.count" in block) == exact
+            moved_report = cmd_distance(document(T, "connection", moved))[0]
+            assert invariant_block(moved_report, exact=exact) == block
     # Both integrality routes met rational colours of either verdict.
     assert {("true", "false"), ("true", "true")} <= verdicts
     assert connected

@@ -23,7 +23,7 @@ from cayspec.exactnum import (
 from cayspec.galois import (
     _gauss_period,
     _primitive_search,
-    check_fixing_subgroup_equals_stabilizers,
+    checked_spectrum,
     distance_report,
     fixing_subgroup,
     integrality_verdict,
@@ -200,24 +200,23 @@ def test_eigenvalues_fixed_by_fixing_subgroup():
 def test_stabilizer_identity_alpha():
     G, alpha = d8_alpha()
     spec = spectrum_exact(alpha, character_table(G))
-    check_fixing_subgroup_equals_stabilizers(alpha, fixing_subgroup(alpha), spec)
+    assert checked_spectrum(alpha, fixing_subgroup(alpha)) == spec
 
 
 def test_stabilizer_identity_rational_spectrum():
     G, beta = d8_beta()
     spec = spectrum_exact(beta, character_table(G))
-    check_fixing_subgroup_equals_stabilizers(beta, fixing_subgroup(beta), spec)
+    assert checked_spectrum(beta, fixing_subgroup(beta)) == spec
 
 
 def test_stabilizer_identity_refuses_a_wrong_subgroup():
     # H = {1} leaves unit 7 as a coset representative, and 7 fixes every
     # eigenvalue; H = all units has generator 3, which moves the surds.
-    G, alpha = d8_alpha()
-    spec = spectrum_exact(alpha, character_table(G))
-    check_fixing_subgroup_equals_stabilizers(alpha, fixing_subgroup(alpha), spec)
+    _, alpha = d8_alpha()
+    assert checked_spectrum(alpha, fixing_subgroup(alpha)) is not None
     for wrong, split in (((1,), "unit 7 moves"), (unit_group(16).members, "unit 3 fixes")):
         with pytest.raises(InternalInconsistency, match=f"^stabilizer identity: {split} "):
-            check_fixing_subgroup_equals_stabilizers(alpha, unit_subgroup(16, wrong), spec)
+            checked_spectrum(alpha, unit_subgroup(16, wrong))
 
 
 def test_stabilizer_identity_random():
@@ -226,11 +225,9 @@ def test_stabilizer_identity_random():
     for G in [make_cyclic(n) for n in range(3, 13)] + [
         make_dihedral(m) for m in range(2, 7)
     ]:
-        table = character_table(G)
         for _ in range(4):
             f = random_class_function(G, rng)
-            spec = spectrum_exact(f, table)
-            check_fixing_subgroup_equals_stabilizers(f, fixing_subgroup(f), spec)
+            assert checked_spectrum(f, fixing_subgroup(f)) is not None
             count += 1
     assert count >= 50
 
@@ -286,8 +283,6 @@ def test_integrality_without_characters():
 def test_integer_rule_checks_both_integrality_routes(monkeypatch, capsys):
     # An integer colour vanishing at the identity has integer eigenvalues; a
     # route that finds otherwise must exit 3 and name itself.
-    import cayspec.cli as cli_mod
-
     monkeypatch.setattr(
         galois_mod, "adjacency_minimal_polynomial", lambda f: (Fraction(1, 2), Fraction(1))
     )
@@ -296,13 +291,13 @@ def test_integer_rule_checks_both_integrality_routes(monkeypatch, capsys):
     with pytest.raises(InternalInconsistency, match="^adjacency minimal polynomial: integer"):
         integrality_verdict(complete, fixing_subgroup(complete))
 
-    real = cli_mod.spectrum_exact
+    real = galois_mod.spectrum_exact
 
     def halved(f, table):
         spec = real(f, table)
         return spec._replace(pairs=tuple((v + Fraction(1, 2), m) for v, m in spec.pairs))
 
-    monkeypatch.setattr(cli_mod, "spectrum_exact", halved)
+    monkeypatch.setattr(galois_mod, "spectrum_exact", halved)
     assert main(["degree", instance_path("d8_beta.txt")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal inconsistency: exact spectrum: integer colours"), err
@@ -608,3 +603,45 @@ def test_primitive_search_running_out_is_an_inconsistency(monkeypatch):
     monkeypatch.setattr(galois_mod, "_coset_split", lambda tables, members, values: "split")
     with pytest.raises(InternalInconsistency, match=r"H = \(1, 4\) modulo 5"):
         splitting_field(f)
+
+
+def test_distance_refuses_an_unchecked_spectrum(monkeypatch, capsys):
+    # z5 added to the first distance eigenvalue of the pentagon: unit 4, the
+    # generator of H' = {1, 4}, moves it, so the stabilizer identity fails
+    # before the layered character sum runs.
+    real = galois_mod.spectrum_exact
+
+    def moved(f, table):
+        spec = real(f, table)
+        (value, mult), *rest = spec.pairs
+        z5 = Cyclotomic.from_exponents(5, {1: 1})
+        return spec._replace(pairs=((value + z5, mult), *rest))
+
+    monkeypatch.setattr(galois_mod, "spectrum_exact", moved)
+    assert main(["distance", instance_path("z5_pentagon.txt")]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "internal inconsistency: stabilizer identity: unit 4 fixes the colour "
+        "function but moves the eigenvalue 6 + z5^1\n",
+    )
+
+
+def test_distance_degree_equals_degree(monkeypatch, capsys):
+    # A word-length colour of 1 on every non-identity element is fixed by
+    # every unit, while the pentagon's set {1, 4} is fixed by {1, 4} alone:
+    # the degree of a normal Cayley graph is its distance degree.
+    real = galois_mod.distance_layering
+
+    def flattened(f):
+        layering = real(f)
+        G = f.group
+        colour = colour_from_values(G, {g: 1 for g in range(1, G.order)})
+        return layering._replace(colour=colour)
+
+    monkeypatch.setattr(galois_mod, "distance_layering", flattened)
+    assert main(["distance", instance_path("z5_pentagon.txt")]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "internal inconsistency: distance degree: the set is fixed by units (1, 4), "
+        "its word-length colour by (1, 2, 3, 4)\n",
+    )

@@ -44,7 +44,7 @@ def test_pentagon_closed_form():
 
 def test_no_convergence_signalled(monkeypatch):
     buf = [0.0, 1.0, 1.0, 0.0]
-    assert jacobi_diagonalize(buf, 2, 1e-12, 0) == -1
+    assert jacobi_diagonalize(buf, 2, 0) == -1
     monkeypatch.setattr(_kernels, "MAX_SWEEPS", 0)
     with pytest.raises(InternalInconsistency, match="^Jacobi sweeps did not converge within 0 sweeps$"):
         symmetric_eigenvalues([[0.0, 1.0], [1.0, 0.0]])
@@ -59,7 +59,7 @@ def test_trace_preserved():
 
 def test_python_backend_direct_call():
     buf = [2.0, 1.0, 1.0, 2.0]
-    sweeps = jacobi_diagonalize(buf, 2, 1e-12, 100)
+    sweeps = jacobi_diagonalize(buf, 2, 100)
     assert sweeps >= 0
     assert sorted([buf[0], buf[3]]) == pytest.approx([1.0, 3.0], abs=1e-12)
 
@@ -152,6 +152,6 @@ def test_row_form_matches_flat_reference_bit_for_bit():
             # array("d") whose bytes are those of the doubles.
             buf = list(flat)
             ref = array("d", flat)
-            got = jacobi_diagonalize(buf, n, 1e-12, max_sweeps)
+            got = jacobi_diagonalize(buf, n, max_sweeps)
             assert got == reference_jacobi_diagonalize(ref, n, 1e-12, max_sweeps), n
             assert array("d", buf).tobytes() == ref.tobytes(), n

@@ -8,8 +8,8 @@ units engine, needs nothing above it.  No module reaches into another's
 private, `_`-prefixed names, only `exactnum` reads the stored form of a
 cyclotomic value, and only `units` reads the bundle pullbacks or checks a
 fixing subgroup on elements in coset form.  The galois checks take the
-fixing subgroup they test from their caller, and in `search` each read
-label names one call.
+fixing subgroup they test from their caller, only `galois` builds exact
+spectra, and in `search` each read label names one call.
 `galois` decides integrality exactly, so it reaches neither the Jacobi
 kernels nor the float spectrum.  The CLI builds every group in
 `_construct_group`, which sizes it first and caps the generator closure.
@@ -102,9 +102,23 @@ def test_galois_checks_take_the_fixing_subgroup_from_their_caller():
     # The caller has read H already; a second read would check it twice.
     tree = parse(PACKAGE / "galois.py")
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("check_fixing_subgroup_equals_stabilizers", "integrality_verdict"):
+    for name in ("checked_spectrum", "integrality_verdict"):
         named = {ref for ref, _, _ in references(functions[name])}
         assert not named & {"fixing_subgroup", "read_fixing_subgroup"}, name
+
+
+def test_only_galois_builds_exact_spectra():
+    # Every exact spectrum a command prints comes from galois.checked_spectrum,
+    # which checks the stabilizer identity on it.
+    guarded = {"spectrum_exact", "character_table", "has_character_table"}
+    namers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        named = {ref for ref, _, _ in references(tree)}
+        named.update(name for _, names in imports(ast.walk(tree)) for name in names)
+        if named & guarded:
+            namers.add(path.name)
+    assert namers - {"spectra.py"} == {"galois.py"}
 
 
 def test_search_reads_each_vector_at_one_call():
