@@ -3,14 +3,18 @@
 This is the numeric oracle: it diagonalizes an explicit matrix and shares
 nothing with the exact character-sum route it is there to check.
 
-The matrix is held as one flat row-major list while it is rotated.  A
-rotation builds the new rows p and q from two row slices in two list
-comprehensions, and writes each back twice by slice assignment: as its row,
-and as its column (every n-th entry from p or q); since the matrix stays
-exactly symmetric, row p is column p.  The rotations, and every float
-operation in each, come in the same order as in the element-wise loop over
-the buffer (kept as the reference in tests/test_kernels.py), so the sweep
-count and the result are the same bit for bit.
+The matrix is held as one flat row-major list while it is rotated.  Row p
+is kept in a local for the whole loop over q: after each rotation it is the
+new row p, and it is written back as its row once, when the loop ends.  A
+rotation builds the new rows p and q from that local and a slice of row q in
+two list comprehensions; it writes row q back as its row, and both as their
+columns (every n-th entry from p or q); since the matrix stays exactly
+symmetric, row p is column p.  The rows read before row p is written back
+lie below it and meet it only in column p, which is kept current.  The
+rotations, and every float operation in each, come in the same order as in
+the element-wise loop over the buffer (kept as the reference in
+tests/test_kernels.py), so the sweep count and the result are the same bit
+for bit.
 """
 
 from __future__ import annotations
@@ -51,11 +55,12 @@ def jacobi_diagonalize(a: list[float], n: int, max_sweeps: int) -> int:
             result = sweep
             break
         for p in range(n - 1):
+            row_p = a[p * n : p * n + n]
             for q in range(p + 1, n):
-                apq = a[p * n + q]
+                apq = row_p[q]
                 if apq == 0.0:
                     continue
-                app = a[p * n + p]
+                app = row_p[p]
                 aqq = a[q * n + q]
                 tau = (aqq - app) / (2.0 * apq)
                 if tau >= 0.0:
@@ -64,7 +69,6 @@ def jacobi_diagonalize(a: list[float], n: int, max_sweeps: int) -> int:
                     t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
                 c = 1.0 / sqrt(1.0 + t * t)
                 s = t * c
-                row_p = a[p * n : p * n + n]
                 row_q = a[q * n : q * n + n]
                 new_p = [c * x - s * y for x, y in zip(row_p, row_q)]
                 new_q = [s * x + c * y for x, y in zip(row_p, row_q)]
@@ -72,10 +76,11 @@ def jacobi_diagonalize(a: list[float], n: int, max_sweeps: int) -> int:
                 new_q[q] = aqq + t * apq
                 new_p[q] = 0.0
                 new_q[p] = 0.0
-                a[p * n : p * n + n] = new_p
                 a[q * n : q * n + n] = new_q
                 a[p::n] = new_p
                 a[q::n] = new_q
+                row_p = new_p
+            a[p * n : p * n + n] = row_p
     else:  # the budget is used up: one last test
         if off_mass() <= threshold:
             result = max_sweeps

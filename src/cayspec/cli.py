@@ -138,24 +138,24 @@ class Bound(NamedTuple):
 
 
 def _construct_group(
-    kind: str, params: dict[str, str], bound: Bound, line: int = 0, column: int = 1
+    kind: str, value: str, bound: Bound, line: int = 0, column: int = 1
 ) -> Group:
-    """The group a family and its parameters name, refused above `bound`
-    before it is built.
+    """The group a family and the value of its one parameter name, refused
+    above `bound` before it is built.
 
-    The parameters are parsed once, and a bound above the closure cap is
-    lowered to it for every family.  Building an arithmetic family costs
-    memory linear in its order, so the order is read off the parameters and
-    compared with the bound first.  A generated group's order is known only
-    once it is closed, so the closure stops one element past the bound.
-    `line` and `column` locate the value of the first parameter in an instance.
-    Parameter errors are reworded as ParseErrors; a size refusal is not, so
-    the closure runs outside the `try`.
+    The value is parsed once, and a bound above the closure cap is lowered
+    to it for every family.  Building an arithmetic family costs memory
+    linear in its order, so the order is read off the value and compared
+    with the bound first.  A generated group's order is known only once it
+    is closed, so the closure stops one element past the bound.  `line` and
+    `column` locate the value in an instance.  Parameter errors are reworded
+    as ParseErrors at the value; a size refusal is not, so the closure runs
+    outside the `try`.
     """
     try:
         if kind == "generated":
             perms, offset = [], column
-            for chunk in params["generators"].split(";"):
+            for chunk in value.split(";"):
                 if chunk.strip():
                     perms.append(_parse_cycles(chunk, line, offset))
                 offset += len(chunk) + 1
@@ -163,17 +163,17 @@ def _construct_group(
             perms = [p + list(range(len(p), width)) for p in perms]
         else:
             if kind == "product":
-                factors = [int(x) for x in params["factors"].split(",") if x.strip()]
+                factors = [int(x) for x in value.split(",") if x.strip()]
                 if len(factors) < 2:
-                    raise ParseError("product needs at least two factors", line, 1)
+                    raise ParseError("product needs at least two factors", line, column)
             else:
-                factors = [int(params["m" if kind == "dihedral" else "n"])]
+                factors = [int(value)]
             make = make_dihedral if kind == "dihedral" else make_cyclic
             for n in factors:
                 if n < 1:
                     make(n)  # refuses n in the family's own words, building nothing
     except ValueError as bad:
-        raise ParseError(f"bad group parameter: {bad}", line, 1) from None
+        raise ParseError(f"bad group parameter: {bad}", line, column) from None
     if bound.order > CLOSURE_CAP:
         bound = Bound()
     if kind == "generated":
@@ -190,12 +190,8 @@ def _construct_group(
     return group
 
 
-_GROUP_KEYS = {
-    "cyclic": {"n"},
-    "dihedral": {"m"},
-    "product": {"factors"},
-    "generated": {"generators"},
-}
+# The one parameter each kind takes.
+_GROUP_KEYS = {"cyclic": "n", "dihedral": "m", "product": "factors", "generated": "generators"}
 
 
 def parse_instance(text: str, bound: Bound = Bound()) -> InstanceDocument:
@@ -206,9 +202,10 @@ def parse_instance(text: str, bound: Bound = Bound()) -> InstanceDocument:
     """
     section = None
     headers: dict[str, tuple[int, int]] = {}  # where each section is first opened
-    group_raw: dict[str, tuple[str, int, int]] = {}
-    colour_raw: list[tuple[str, str, int, int]] = []
-    connection_raw: list[tuple[str, str, int, int]] = []
+    # Each entry keeps its line, its key's column and its value's column.
+    group_raw: dict[str, tuple[str, int, int, int]] = {}
+    colour_raw: list[tuple[str, str, int, int, int]] = []
+    connection_raw: list[tuple[str, str, int, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -237,26 +234,26 @@ def parse_instance(text: str, bound: Bound = Bound()) -> InstanceDocument:
         if section == "group":
             if key in group_raw:
                 raise ParseError(f"repeated [group] key {key!r}", lineno, col)
-            group_raw[key] = (value, lineno, value_col)
+            group_raw[key] = (value, lineno, col, value_col)
         elif section == "colour":
-            colour_raw.append((key, value, lineno, value_col))
+            colour_raw.append((key, value, lineno, col, value_col))
         else:
-            connection_raw.append((key, value, lineno, value_col))
+            connection_raw.append((key, value, lineno, col, value_col))
 
     if "kind" not in group_raw:
         raise ParseError("missing [group] section with a 'kind' entry", 1, 1)
-    kind, *kind_at = group_raw.pop("kind")
+    kind, kind_line, _, kind_col = group_raw.pop("kind")
     if kind not in _GROUP_KEYS:
-        raise ParseError(f"unknown group kind {kind!r}", *kind_at)
-    for key, (_, lineno, _) in group_raw.items():
-        if key not in _GROUP_KEYS[kind]:
-            raise ParseError(f"unknown group parameter {key!r}", lineno, 1)
-    (needed,) = _GROUP_KEYS[kind]
+        raise ParseError(f"unknown group kind {kind!r}", kind_line, kind_col)
+    needed = _GROUP_KEYS[kind]
+    for key, (_, lineno, key_col, _) in group_raw.items():
+        if key != needed:
+            raise ParseError(f"unknown group parameter {key!r}", lineno, key_col)
     if needed not in group_raw:
-        raise ParseError(f"group kind {kind!r} needs parameter {needed!r}", *kind_at)
-    params = {key: value for key, (value, _, _) in group_raw.items()}
-    _, first_line, first_col = min(group_raw.values(), key=lambda raw: raw[1], default=("", 1, 1))
-    G = _construct_group(kind, params, bound, first_line, first_col)
+        raise ParseError(f"group kind {kind!r} needs parameter {needed!r}", kind_line, kind_col)
+    value, value_line, _, value_col = group_raw[needed]
+    params = {needed: value}
+    G = _construct_group(kind, value, bound, value_line, value_col)
 
     # A section is present once its header is seen: an empty [colour] is the
     # zero colour, an empty [connection] the empty set.
@@ -277,20 +274,20 @@ def parse_instance(text: str, bound: Bound = Bound()) -> InstanceDocument:
     if "colour" in headers:
         part = conjugacy_classes(G)
         assignment: dict[int, Fraction] = {}
-        for key, value, lineno, vcol in colour_raw:
+        for key, value, lineno, kcol, vcol in colour_raw:
             rational = _parse_rational(value, lineno, vcol)
             if key.startswith("class(") and key.endswith(")"):
                 name = key[6:-1].strip().strip('"').strip("'")
-                rep = resolve(name, lineno, 1)
+                rep = resolve(name, lineno, kcol)
                 targets = part.classes[part.class_of[rep]]
             else:
-                targets = (resolve(key, lineno, 1),)
+                targets = (resolve(key, lineno, kcol),)
             for g in targets:
                 if g in assignment and assignment[g] != rational:
                     raise ParseError(
                         f"conflicting assignment for element {G.names[g]!r}",
                         lineno,
-                        1,
+                        kcol,
                     )
                 assignment[g] = rational
         colour = colour_from_values(G, assignment)
@@ -298,13 +295,13 @@ def parse_instance(text: str, bound: Bound = Bound()) -> InstanceDocument:
         return InstanceDocument(kind, params, G, "colour", echo, colour)
 
     counts: dict[int, int] = {}
-    for key, value, lineno, vcol in connection_raw:
+    for key, value, lineno, kcol, vcol in connection_raw:
         if key == "elements":
             for name in _split_top_level(value):
                 g = resolve(name, lineno, vcol)
                 counts[g] = counts.get(g, 0) + 1
         else:
-            g = resolve(key, lineno, 1)
+            g = resolve(key, lineno, kcol)
             try:
                 mult = int(value)
             except ValueError:
@@ -546,9 +543,8 @@ def cmd_search(args) -> tuple[Report, int]:
     kind, _, param = args.group.partition(":")
     if kind not in _GROUP_KEYS or not param:
         raise ValueError(f"bad --group value {args.group!r} (expected kind:params)")
-    params = dict.fromkeys(_GROUP_KEYS[kind], param)  # one parameter per kind
     try:
-        G = _construct_group(kind, params, Bound(args.limit, f"the search limit {args.limit}"))
+        G = _construct_group(kind, param, Bound(args.limit, f"the search limit {args.limit}"))
     except ParseError as err:
         # A command-line value has no line to point at.
         raise ValueError(f"--group {args.group}: {err.reason}") from None

@@ -3,10 +3,11 @@
 Elements are dense indices 0..n-1 with the identity fixed at index 0.
 Each family multiplies one way: cyclic groups and their products by adding
 digit codes, dihedral groups by their arithmetic rule, generated groups by
-composing permutations, so no family builds an n x n table.  Power maps
-g -> g**h are computed once per group and unit; conjugacy classes are orbits
-under the group's generators, and class bundles join each class with the
-class of its inverses.
+composing permutations, so no family builds an n x n table.  Powers and
+inverses are read off walks through cyclic subgroups, taken once when the
+group is built, with no product and no power-map cache; conjugacy classes
+are orbits under the group's generators, and class bundles join each class
+with the class of its inverses.
 """
 
 from __future__ import annotations
@@ -37,10 +38,15 @@ class Group:
     factor orders of a cyclic group or a product of cyclic groups, else None;
     `perms` lists the permutation of each element of a generated group, which
     multiplies by composing them.
+    In index order, each element g that no earlier walk met walks its
+    powers c = (identity, g, g**2, ...); every element met first on that
+    walk keeps (c, j) with c[j] itself, so its k-th power is c[j*k % len(c)]
+    and its inverse c[-j % len(c)], in every family.  No cyclic subgroup is
+    walked twice, and one inside a walked one is not walked at all.
     Instances are immutable after construction apart from their caches
-    (classes, power maps, character table, fixing tables), and safe to pickle
-    into workers, which rebuild the fixing tables; construct through the
-    make_* functions.
+    (classes, character table, fixing tables), and safe to pickle into
+    workers, which rebuild the fixing tables; construct through the make_*
+    functions.
     """
 
     def __init__(
@@ -67,13 +73,21 @@ class Group:
         if aliases:
             for alias, idx in aliases.items():
                 self._name_index.setdefault(alias, idx)
-        if cyclic_orders:
-            self._code, self._reduce, self._inverse = _digit_codes(cyclic_orders)
-        else:
-            self._code = self._reduce = None
-            self._inverse = tuple(self._find_inverse(i) for i in range(order))
+        self._code, self._reduce = _digit_codes(cyclic_orders) if cyclic_orders else (None, None)
+        walks: list = [None] * order
+        for g in range(order):
+            if walks[g] is None:
+                c, x = [0], g
+                while x:
+                    c.append(x)
+                    x = self.mul(x, g)
+                c = tuple(c)
+                for j, x in enumerate(c):
+                    if walks[x] is None:
+                        walks[x] = (c, j)
+        self._walks = tuple(walks)
+        self._inverse = tuple(c[-j % len(c)] for c, j in walks)
         self._classes: Optional[ConjugacyClassPartition] = None
-        self._power_maps: dict[int, tuple[int, ...]] = {}
         self._char_table = None  # filled lazily by spectra.character_table
         self._fixing_tables = None  # filled lazily by units.fixing_tables
 
@@ -96,16 +110,6 @@ class Group:
     def inv(self, i: int) -> int:
         return self._inverse[i]
 
-    def _find_inverse(self, i: int) -> int:
-        if self.family == "dihedral":
-            m = self.order // 2
-            return i if i >= m else (-i) % m
-        p = self._perms[i]
-        q = [0] * len(p)
-        for a, b in enumerate(p):
-            q[b] = a
-        return self._perm_index[tuple(q)]
-
     # -- names --------------------------------------------------------------
 
     def element_index(self, name: str) -> int:
@@ -121,24 +125,19 @@ class Group:
         return f"<Group {self.family} order={self.order}>"
 
 
-def _digit_codes(
-    orders: tuple[int, ...],
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Codes that turn multiplication in Z_n1 x ... x Z_nk into one addition,
-    and the inverse of each index.
+def _digit_codes(orders: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Codes that turn multiplication in Z_n1 x ... x Z_nk into one addition.
 
     An index has one mixed-radix digit per factor, the last least significant;
     its code writes digit k in base 2*n_k - 1, so adding two codes never
     carries, and `reduce` maps each sum of codes to the index of the product.
-    An inverse negates each digit.
     """
-    code, reduce, inverse = [0], [0], [0]
+    code, reduce = [0], [0]
     for n in orders:
         width = 2 * n - 1
         code = [c * width + d for c in code for d in range(n)]
         reduce = [r * n + d % n for r in reduce for d in range(width)]
-        inverse = [i * n + (-d) % n for i in inverse for d in range(n)]
-    return tuple(code), tuple(reduce), tuple(inverse)
+    return tuple(code), tuple(reduce)
 
 
 # No family builds a multiplication table.  perfbench/trace_request.py counts
@@ -248,32 +247,14 @@ def make_from_generators(perms: Sequence[Sequence[int]], cap: Optional[int] = No
 
 
 def power(G: Group, g: int, k: int) -> int:
-    """g**k by square and multiply; k may be negative or zero."""
-    if k < 0:
-        g = G.inv(g)
-        k = -k
-    result = 0
-    base = g
-    while k:
-        if k & 1:
-            result = G.mul(result, base)
-        base = G.mul(base, base)
-        k >>= 1
-    return result
+    """g**k read off g's walk; k may be negative or zero."""
+    c, j = G._walks[g]
+    return c[j * k % len(c)]
 
 
 def power_map(G: Group, h: int) -> tuple[int, ...]:
-    """The map g -> g**h as a tuple indexed by g, cached on the group.
-
-    Exponents are taken modulo the group order, which every element order
-    divides.
-    """
-    h %= G.order
-    pm = G._power_maps.get(h)
-    if pm is None:
-        pm = tuple(power(G, g, h) for g in range(G.order))
-        G._power_maps[h] = pm
-    return pm
+    """The map g -> g**h as a tuple indexed by g, read off the walks."""
+    return tuple(c[j * h % len(c)] for c, j in G._walks)
 
 
 def conjugacy_classes(G: Group) -> ConjugacyClassPartition:

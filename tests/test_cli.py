@@ -20,6 +20,7 @@ from cayspec.cli import (
 from cayspec.colour import colour_from_multiset, colour_from_values
 from cayspec.errors import ParseError
 from cayspec.groups import (
+    Group,
     class_bundles,
     make_cyclic,
     make_dihedral,
@@ -183,6 +184,31 @@ REFUSED_PARSES = {
     "multiplicity-not-integer": (
         "[group]\nkind = cyclic\nn = 5\n[connection]\n1 = two\n",
         "multiplicity must be an integer, got 'two'", 5, 5,
+    ),
+    # Group-parameter refusals point at the value, key-level ones at the key.
+    "product-one-factor": (
+        "[group]\nkind = product\nfactors = 4\n[colour]\n",
+        "product needs at least two factors", 3, 11,
+    ),
+    "parameter-not-integer": (
+        "[group]\nkind = cyclic\nn = x\n[colour]\n",
+        "bad group parameter: invalid literal for int() with base 10: 'x'", 3, 5,
+    ),
+    "indented-unknown-class": (
+        "[group]\nkind = cyclic\nn = 4\n[colour]\n  class(q) = 1\n",
+        "unknown element name 'q'", 5, 3,
+    ),
+    "indented-unknown-connection-key": (
+        "[group]\nkind = cyclic\nn = 4\n[connection]\n  q = 1\n",
+        "unknown element name 'q'", 5, 3,
+    ),
+    "indented-unknown-parameter": (
+        "[group]\nkind = cyclic\nn = 4\n  m = 4\n[colour]\n",
+        "unknown group parameter 'm'", 4, 3,
+    ),
+    "indented-conflicting-assignment": (
+        "[group]\nkind = cyclic\nn = 4\n[colour]\n1 = 1\n  class(1) = 2\n",
+        "conflicting assignment for element '1'", 6, 3,
     ),
 }
 
@@ -1217,6 +1243,36 @@ def test_generated_s6_z4_report_pinned(capsys, tmp_path, command):
     code, out, err = run(capsys, command, str(path), *extra)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == S6_Z4_REPORTS[command]
     assert err == ""
+
+
+DIHEDRAL_1000 = "[group]\nkind = dihedral\nm = 1000\n\n[colour]\nclass(a) = 1\nclass(b) = 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv, most",
+    [
+        (S6_Z4, ["check", "--subgroup", "7"], 30_000),
+        (DIHEDRAL_1000, ["degree"], 20_000),
+    ],
+    ids=["check-S6xZ4", "degree-D1000"],
+)
+def test_powers_cost_no_products(capsys, tmp_path, monkeypatch, text, argv, most):
+    # Powers and inverses are read off the cyclic-subgroup walks, so a
+    # request multiplies about once per element and per class conjugation,
+    # not once per power read.
+    calls = [0]
+    real = Group.mul
+
+    def counted(self, i, j):
+        calls[0] += 1
+        return real(self, i, j)
+
+    monkeypatch.setattr(Group, "mul", counted)
+    path = tmp_path / "instance.txt"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, err) == (0, "")
+    assert calls[0] <= most
 
 
 def test_degree_one_field_skips_the_minimal_polynomial(capsys, tmp_path, monkeypatch):

@@ -287,10 +287,19 @@ def test_power_examples():
     assert power(D5, D5.element_index("b"), 2) == 0
 
 
+S4 = make_from_generators([(1, 2, 3, 0), (1, 0, 2, 3)])
+
+
 @pytest.mark.parametrize(
     "G",
-    [make_cyclic(7), make_dihedral(4), make_product(make_cyclic(2), make_cyclic(4))],
-    ids=["Z7", "D4", "Z2xZ4"],
+    [
+        make_cyclic(7),
+        make_dihedral(4),
+        make_product(make_cyclic(2), make_cyclic(4)),
+        S4,
+        PRODUCT_223,
+    ],
+    ids=["Z7", "D4", "Z2xZ4", "S4", "Z2xZ2xZ3"],
 )
 def test_group_axioms_exhaustive(G):
     n = G.order
@@ -300,6 +309,26 @@ def test_group_axioms_exhaustive(G):
         for j in range(n):
             for k in range(n):
                 assert G.mul(G.mul(i, j), k) == G.mul(i, G.mul(j, k))
+
+
+@pytest.mark.parametrize(
+    "G",
+    [make_cyclic(9), make_dihedral(5), PRODUCT_223, S4],
+    ids=["Z9", "D5", "Z2xZ2xZ3", "S4"],
+)
+def test_power_matches_repeated_multiplication(G):
+    # g**k from the walks against |k|-fold products of g, or of its inverse
+    # for k < 0, over two periods either side of 0.
+    for g in range(G.order):
+        ord_g = element_order(G, g)
+        for k in range(-2 * ord_g, 2 * ord_g + 1):
+            step = g if k >= 0 else G.inv(g)
+            ref = 0
+            for _ in range(abs(k)):
+                ref = G.mul(ref, step)
+            assert power(G, g, k) == ref
+    for h in range(-G.order, G.order + 1):
+        assert power_map(G, h) == tuple(power(G, g, h) for g in range(G.order))
 
 
 @pytest.mark.parametrize(
