@@ -185,10 +185,16 @@ class Cyclotomic:
         return tuple(out)
 
     @classmethod
-    def from_exponents(cls, n: int, exponent_coeffs: Mapping[int, RationalLike]) -> "Cyclotomic":
-        """Build sum_e c_e * z^e with exponents taken modulo n, then canonicalize."""
+    def from_exponents(
+        cls, n: int, exponent_coeffs: Mapping[int, RationalLike], denominator: int = 1
+    ) -> "Cyclotomic":
+        """Build (sum_e c_e * z^e) / denominator with exponents taken modulo n,
+        then canonicalize.  An int coefficient is read as it is, with no
+        Fraction built for it."""
         rows = _power_residues(n)
-        items = [(e, as_fraction(c)) for e, c in exponent_coeffs.items()]
+        items = [
+            (e, c if isinstance(c, int) else as_fraction(c)) for e, c in exponent_coeffs.items()
+        ]
         D = lcm(*(c.denominator for _, c in items))
         acc = [0] * euler_phi(n)
         for e, c in items:
@@ -196,7 +202,7 @@ class Cyclotomic:
             if k:
                 for i, r in rows[e % n]:
                     acc[i] += k * r
-        return cls(n, acc, D)
+        return cls(n, acc, D * denominator)
 
     @classmethod
     def from_rational(cls, n: int, value: RationalLike) -> "Cyclotomic":
@@ -232,10 +238,6 @@ class Cyclotomic:
             for i, a in pairs:
                 acc[i] += k * a
         return cls(n, acc, D)
-
-    @classmethod
-    def zero(cls, n: int) -> "Cyclotomic":
-        return cls.from_rational(n, 0)
 
     @classmethod
     def one(cls, n: int) -> "Cyclotomic":

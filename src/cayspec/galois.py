@@ -225,21 +225,21 @@ class DistanceReport(NamedTuple):
 def _check_layer_sum_form(spectrum: Spectrum, layering: DistanceLayering) -> None:
     # Distance eigenvalues restated as weighted layer character sums must
     # reproduce the character-sum route exactly.  The sum runs element by
-    # element over the layers, never through the class weights the other
-    # route uses.
+    # element over the layers, with the integer level as the weight, never
+    # through the class weights the other route uses; the two share only the
+    # table's exponent rule and `Cyclotomic.from_exponents`.
     table = character_table(layering.colour.group)
     n = table.group.order
-    for row_index, (label, deg, lam) in enumerate(spectrum.per_irreducible):
-        scale = [Fraction(level, deg) for level in range(len(layering.layers))]
-        layered = Cyclotomic.linear_combination(
-            n,
-            [
-                (scale[level], table.value(row_index, g))
-                for level, layer in enumerate(layering.layers)
-                if level
-                for g in layer
-            ],
-        )
+    class_of = table.partition.class_of
+    exponents = table.exponents
+    for r, (label, degree, lam) in enumerate(spectrum.per_irreducible):
+        counts: dict[int, int] = {}
+        for level, layer in enumerate(layering.layers):
+            if level:
+                for g in layer:
+                    for e in exponents(r, class_of[g]):
+                        counts[e] = counts.get(e, 0) + level
+        layered = Cyclotomic.from_exponents(n, counts, degree)
         if layered != lam:
             raise InternalInconsistency(
                 f"layered distance eigenvalue of {label} is {layered}, "

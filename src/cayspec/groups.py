@@ -92,7 +92,9 @@ class Group:
         self._fixing_tables = None  # filled lazily by units.fixing_tables
 
     def __getstate__(self):
-        return {**self.__dict__, "_fixing_tables": None}
+        # Both caches are rebuilt on demand; a character table's exponent rule
+        # closes over local data and does not pickle.
+        return {**self.__dict__, "_char_table": None, "_fixing_tables": None}
 
     # -- arithmetic --------------------------------------------------------
 

@@ -1,29 +1,29 @@
 """Exact spectra of Cayley colour graphs via character sums, plus a numeric oracle.
 
 Character tables are built for the cyclic, product-of-cyclic and dihedral
-families; each distinct character value is built once and shared by every
-cell that takes it, and each table knows how the Galois group permutes its
-rows.  The eigenvalue of each irreducible row is the class-weighted character
-sum divided by the row degree, carried with multiplicity degree squared: it
-is built as one rational combination of residues for one row per Galois
-orbit, and as that value's Galois image for the other rows.  Its realness is
-tested exactly, as invariance under complex conjugation.  The oracle
-diagonalizes the explicit adjacency matrix with cyclic Jacobi rotations and
-never touches the character machinery.
+families as exponent rules: every character value is a sum of |G|-th roots of
+unity, and a family's rule gives the exponents of those roots for a row and a
+class, so no value is stored.  The eigenvalue of each irreducible row is the
+class-weighted character sum divided by the row degree, carried with
+multiplicity degree squared: it is built on its own for every row, from the
+exponent counts over the classes f weights, as one canonical residue.  Its
+realness is tested exactly, as invariance under complex conjugation.  The
+oracle diagonalizes the explicit adjacency matrix with cyclic Jacobi rotations
+and never touches the character machinery.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, NamedTuple, Optional, Sequence
+from operator import mul
+from typing import Callable, NamedTuple, Sequence
 
 from cayspec._kernels import symmetric_eigenvalues
 from cayspec.colour import ColourFunction, class_weight_vector
 from cayspec.errors import InternalInconsistency
 from cayspec.exactnum import Cyclotomic, galois_apply
 from cayspec.groups import Group, ConjugacyClassPartition, conjugacy_classes
-from cayspec.units import unit_group
 
 MATCH_TOL = 1e-8
 # Largest group order whose n x n adjacency matrix the Jacobi oracle is asked
@@ -33,62 +33,19 @@ MATCH_TOL = 1e-8
 NUMERIC_ORDER_LIMIT = 192
 
 
-class CharacterRow(NamedTuple):
-    """One irreducible character: its degree and one exact value per class."""
-
-    label: str
-    degree: int
-    values: tuple[Cyclotomic, ...]
-
-
 class CharacterTable(NamedTuple):
-    """All irreducible characters of a group, with values in the order-|G| field.
+    """All irreducible characters of a group, as one exponent rule.
 
-    `row_orbits` holds the orbits of the rows under the Galois group, each as
-    (row, h) pairs, representative first with h = 1: sigma_h, which sends z to
-    z^h, maps the representative's row to that row.
+    Row r is the character `labels[r]` of degree `degrees[r]`; its value on
+    class c is the sum of z^e over the exponents e in `exponents(r, c)`, a
+    multiset, with z = exp(2*pi*i/|G|).
     """
 
     group: Group
     partition: ConjugacyClassPartition
-    rows: tuple[CharacterRow, ...]
-    row_orbits: tuple[tuple[tuple[int, int], ...], ...]
-
-    def value(self, row: int, element: int) -> Cyclotomic:
-        return self.rows[row].values[self.partition.class_of[element]]
-
-
-def _finish_table(
-    G: Group, rows: list[CharacterRow], row_image: Callable[[int, int], int]
-) -> CharacterTable:
-    """Validate the rows and group them into Galois orbits, where row_image(h, r)
-    is the index of the row that sigma_h maps row r to."""
-    part = conjugacy_classes(G)
-    if len(rows) != len(part.classes):
-        raise InternalInconsistency(
-            f"{len(rows)} irreducibles against {len(part.classes)} classes"
-        )
-    if sum(r.degree**2 for r in rows) != G.order:
-        raise InternalInconsistency("degree squares do not sum to the group order")
-    units = unit_group(G.order).members
-    placed = [False] * len(rows)
-    orbits = []
-    for r in range(len(rows)):
-        if placed[r]:
-            continue
-        orbit = []
-        for h in units:
-            image = row_image(h, r)
-            if not placed[image]:
-                placed[image] = True
-                orbit.append((image, h))
-        orbits.append(tuple(orbit))
-    return CharacterTable(
-        group=G,
-        partition=part,
-        rows=tuple(rows),
-        row_orbits=tuple(orbits),
-    )
+    labels: tuple[str, ...]
+    degrees: tuple[int, ...]
+    exponents: Callable[[int, int], Sequence[int]]
 
 
 def _mixed_radix(index: int, orders: Sequence[int]) -> list[int]:
@@ -102,92 +59,57 @@ def char_table_abelian(G: Group) -> CharacterTable:
     """Tensor-product characters of a cyclic group or a product of cyclic groups.
 
     A cyclic group of order n is the one-factor case: row j takes k to
-    z^(jk).  Values are expressed as powers of the order-|G| root of unity
-    through the embedding z_m = z_N^(N/m).  sigma_h maps the row with
-    coordinates u to the row with coordinates h*u, reduced modulo each factor.
+    z^(jk).  Through the embedding z_m = z_N^(N/m), the row with coordinates
+    u takes the element with coordinates x to the one exponent
+    sum of (N/m_i) * u_i * x_i mod N.
     """
     orders = G.cyclic_orders
     if orders is None:
         raise ValueError("character table needs a product of cyclic groups")
     N = G.order
     part = conjugacy_classes(G)
-    rep_coords = [_mixed_radix(rep, orders) for rep in part.representatives]
-    roots = [Cyclotomic.from_exponents(N, {e: 1}) for e in range(N)]
-    rows = []
+    rep_coords = [
+        [(N // m) * x for m, x in zip(orders, _mixed_radix(rep, orders))]
+        for rep in part.representatives
+    ]
     row_coords = [_mixed_radix(j, orders) for j in range(N)]
-    for j, u in enumerate(row_coords):
-        values = tuple(
-            roots[sum((N // m) * ui * xi for m, ui, xi in zip(orders, u, coords)) % N]
-            for coords in rep_coords
-        )
-        rows.append(CharacterRow(label=f"chi{j}", degree=1, values=values))
 
-    def row_image(h: int, j: int) -> int:
-        index = 0
-        for m, ui in zip(orders, row_coords[j]):
-            index = index * m + h * ui % m
-        return index
+    def exponents(r: int, c: int) -> tuple[int]:
+        return (sum(map(mul, row_coords[r], rep_coords[c])) % N,)
 
-    return _finish_table(G, rows, row_image)
+    return CharacterTable(G, part, tuple(f"chi{j}" for j in range(N)), (1,) * N, exponents)
 
 
 def char_table_dihedral(G: Group) -> CharacterTable:
     """Linear plus two-dimensional characters of the dihedral group of order 2m.
 
-    The linear rows are rational, so every sigma_h fixes them; sigma_h maps
-    dim2_j, whose values are z^(2kj) + z^(-2kj), to dim2_{hj mod m} up to sign.
+    A linear row is +1 or -1 on each class, the exponent 0 or m.  dim2_h is
+    z^(2kh) + z^(-2kh) on a^k and 0 on the reflections.
     """
     if G.family != "dihedral":
         raise ValueError(f"expected a dihedral group, got {G.family}")
     m = G.order // 2
     n = G.order
     part = conjugacy_classes(G)
+    # Index k is a^k and m+k is b*a^k: reps[c] is (eps, k) for class c.
+    reps = [divmod(rep, m) for rep in part.representatives]
+    # Linear row r is (-1)^(s*k + t*eps) for (s, t) = linear[r].
+    linear = [(0, 0), (0, 1)] + ([(1, 0), (1, 1)] if m % 2 == 0 else [])
+    h_max = (m - 1) // 2
 
-    def decode(i: int) -> tuple[int, int]:
-        return divmod(i, m)
+    def exponents(r: int, c: int) -> tuple[int, ...]:
+        eps, k = reps[c]
+        if r < len(linear):
+            s, t = linear[r]
+            return ((s * k + t * eps) % 2 * m,)
+        if eps:
+            return ()
+        a = 2 * k * (r - len(linear) + 1) % n
+        return (a, -a % n)
 
-    signs = {1: Cyclotomic.one(n), -1: Cyclotomic.from_rational(n, -1)}
-    zero = Cyclotomic.zero(n)
-    cosines: dict[int, Cyclotomic] = {}
-
-    def two_cos(a: int) -> Cyclotomic:
-        # z^a + z^-a, built once per a up to sign; a and -a can coincide mod n
-        a = min(a % n, -a % n)
-        if a not in cosines:
-            exps = {a: 2} if a == -a % n else {a: 1, n - a: 1}
-            cosines[a] = Cyclotomic.from_exponents(n, exps)
-        return cosines[a]
-
-    def lin_row(label: str, on_rot, on_ref) -> CharacterRow:
-        values = []
-        for rep in part.representatives:
-            eps, k = decode(rep)
-            values.append(signs[on_rot(k) if eps == 0 else on_ref(k)])
-        return CharacterRow(label=label, degree=1, values=tuple(values))
-
-    rows = [
-        lin_row("lin0", lambda k: 1, lambda k: 1),
-        lin_row("lin1", lambda k: 1, lambda k: -1),
-    ]
-    if m % 2 == 0:
-        rows.append(lin_row("lin2", lambda k: (-1) ** k, lambda k: (-1) ** k))
-        rows.append(lin_row("lin3", lambda k: (-1) ** k, lambda k: (-1) ** (k + 1)))
-    h_max = (m - 1) // 2 if m % 2 else m // 2 - 1
-    for h in range(1, h_max + 1):
-        values = tuple(
-            zero if eps == 1 else two_cos(2 * k * h)
-            for eps, k in map(decode, part.representatives)
-        )
-        rows.append(CharacterRow(label=f"dim2_{h}", degree=2, values=values))
-    linear = len(rows) - h_max
-
-    def row_image(h: int, r: int) -> int:
-        if r < linear:
-            return r
-        j = h * (r - linear + 1) % m
-        return linear + min(j, m - j) - 1
-
-    return _finish_table(G, rows, row_image)
+    labels = [f"lin{i}" for i in range(len(linear))]
+    labels += [f"dim2_{h}" for h in range(1, h_max + 1)]
+    return CharacterTable(G, part, tuple(labels), (1,) * len(linear) + (2,) * h_max, exponents)
 
 
 def has_character_table(G: Group) -> bool:
@@ -196,12 +118,20 @@ def has_character_table(G: Group) -> bool:
 
 
 def character_table(G: Group) -> CharacterTable:
-    """Dispatch on the group family; cached on the group object."""
+    """Dispatch on the group family, check the row count and the degrees;
+    cached on the group object."""
     if G._char_table is None:
         if not has_character_table(G):
             raise ValueError(f"no exact character table for family {G.family!r}")
         build = char_table_dihedral if G.family == "dihedral" else char_table_abelian
-        G._char_table = build(G)
+        table = build(G)
+        if len(table.labels) != len(table.partition.classes):
+            raise InternalInconsistency(
+                f"{len(table.labels)} irreducibles against {len(table.partition.classes)} classes"
+            )
+        if sum(d**2 for d in table.degrees) != G.order:
+            raise InternalInconsistency("degree squares do not sum to the group order")
+        G._char_table = table
     return G._char_table
 
 
@@ -231,39 +161,37 @@ def spectrum_exact(f: ColourFunction, table: CharacterTable) -> Spectrum:
     """One eigenvalue per irreducible with multiplicity its degree squared.
 
     The eigenvalue of a row of degree d is sum over classes of
-    ((class size) * f / d) * (character value).  It is built as one rational
-    combination of canonical residues for the first row of each Galois orbit
-    of rows; since f is rational, sigma_h of that value is the eigenvalue of
-    the row sigma_h maps the first row to.  Equal values across rows are
-    merged.  Each distinct eigenvalue must be fixed by complex conjugation
-    (z -> z^(n-1)), an exact realness test.
+    ((class size) * f / d) * (character value).  With the class weights
+    scaled by D, the lcm of their denominators, to integers k_c, each row's
+    eigenvalue is built on its own: the sum over the classes f weights of
+    k_c * z^e for e in the rule's exponents, divided by D * d.  Equal values
+    across rows are merged.  Each distinct eigenvalue must be fixed by complex
+    conjugation (z -> z^(n-1)), an exact realness test.
     """
     if table.group is not f.group:
         raise ValueError("colour function and character table disagree on the group")
     n = f.group.order
-    weights = class_weight_vector(f)
-    values: list[Optional[Cyclotomic]] = [None] * len(table.rows)
-    for (first, _), *rest in table.row_orbits:
-        row = table.rows[first]
-        lam = values[first] = Cyclotomic.linear_combination(
-            n,
-            [(w / row.degree, chi) for w, chi in zip(weights, row.values) if w],
-        )
-        for r, h in rest:
-            values[r] = galois_apply(h, lam)
+    support = [(c, w) for c, w in enumerate(class_weight_vector(f)) if w]
+    D = lcm(*(w.denominator for _, w in support))
+    scaled = [(c, w.numerator * (D // w.denominator)) for c, w in support]
+    exponents = table.exponents
     per_irr = []
     merged: dict[Cyclotomic, int] = {}
-    for row, lam in zip(table.rows, values):
+    for r, (label, degree) in enumerate(zip(table.labels, table.degrees)):
+        counts: dict[int, int] = {}
+        for c, k in scaled:
+            for e in exponents(r, c):
+                counts[e] = counts.get(e, 0) + k
+        lam = Cyclotomic.from_exponents(n, counts, D * degree)
         count = merged.get(lam)
         if count is None:
             if galois_apply(n - 1, lam) != lam:
                 raise InternalInconsistency(
-                    f"eigenvalue {lam} of {row.label} is not real: "
-                    "complex conjugation moves it"
+                    f"eigenvalue {lam} of {label} is not real: complex conjugation moves it"
                 )
             count = 0
-        per_irr.append((row.label, row.degree, lam))
-        merged[lam] = count + row.degree**2
+        per_irr.append((label, degree, lam))
+        merged[lam] = count + degree**2
     pairs = tuple(
         sorted(
             merged.items(),

@@ -13,6 +13,7 @@ import pytest
 
 import cayspec.units as units_mod
 from cayspec.colour import ColourFunction, colour_from_multiset, colour_from_values
+from cayspec.exactnum import Cyclotomic
 from cayspec.groups import Group, conjugacy_classes, make_cyclic, make_dihedral, make_product
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
@@ -39,6 +40,17 @@ def symmetric_bundles(G: Group) -> list[tuple[int, ...]]:
         used.add(inverse_ci)
         bundles.append(tuple(sorted(set(cls) | set(part.classes[inverse_ci]))))
     return bundles
+
+
+def character_values(table) -> list[list[Cyclotomic]]:
+    """The table's values, row by row and class by class, each the sum of the
+    roots of unity whose exponents its rule gives."""
+    n = table.group.order
+    classes = range(len(table.partition.classes))
+    return [
+        [Cyclotomic.from_exponents(n, Counter(table.exponents(r, c))) for c in classes]
+        for r in range(len(table.labels))
+    ]
 
 
 @pytest.fixture

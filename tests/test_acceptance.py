@@ -29,6 +29,7 @@ from cayspec.spectra import (
     spectrum_numeric,
 )
 from conftest import (
+    character_values,
     d5_s1,
     d5_s2,
     d8_alpha,
@@ -87,7 +88,7 @@ def test_criterion_02_beta_example():
         Cyclotomic.from_rational(16, -14): 1,
         Cyclotomic.from_rational(16, -38): 1,
         Cyclotomic.from_rational(16, -6): 4,
-        Cyclotomic.zero(16): 8,
+        Cyclotomic.from_rational(16, 0): 8,
     }
     verdict = integrality_verdict(beta, fixing_subgroup(beta), spec)
     assert verdict.rational and verdict.integral
@@ -155,8 +156,8 @@ def test_criterion_07_trace_and_frobenius(oracle_corpus):
     for f in oracle_corpus:
         n = f.group.order
         spec = spectrum_exact(f, character_table(f.group))
-        total = Cyclotomic.zero(n)
-        total_sq = Cyclotomic.zero(n)
+        total = Cyclotomic.from_rational(n, 0)
+        total_sq = Cyclotomic.from_rational(n, 0)
         for _, degree, lam in spec.per_irreducible:
             total = total + lam * degree**2
             total_sq = total_sq + lam * lam * degree**2
@@ -192,20 +193,21 @@ def test_criterion_08_character_table_invariants():
         table = character_table(G)
         n = G.order
         part = table.partition
-        assert sum(row.degree**2 for row in table.rows) == n
+        assert sum(d**2 for d in table.degrees) == n
         sizes = [len(c) for c in part.classes]
         inv_class = [part.class_of[G.inv(rep)] for rep in part.representatives]
-        for i, row_i in enumerate(table.rows):
-            for j, row_j in enumerate(table.rows):
-                total = Cyclotomic.zero(n)
+        values = character_values(table)
+        for i, row_i in enumerate(values):
+            for j, row_j in enumerate(values):
+                total = Cyclotomic.from_rational(n, 0)
                 for ci in range(len(sizes)):
-                    total = total + row_i.values[ci] * row_j.values[inv_class[ci]] * sizes[ci]
+                    total = total + row_i[ci] * row_j[inv_class[ci]] * sizes[ci]
                 assert total == (n if i == j else 0)
         for ci in range(len(part.classes)):
             for cj in range(len(part.classes)):
-                total = Cyclotomic.zero(n)
-                for row in table.rows:
-                    total = total + row.values[ci] * row.values[inv_class[cj]]
+                total = Cyclotomic.from_rational(n, 0)
+                for row in values:
+                    total = total + row[ci] * row[inv_class[cj]]
                 assert total == (n // sizes[ci] if ci == cj else 0)
         count += 1
     report(8, f"orthogonality exact for {count} tables of order <= 40", budget.check())

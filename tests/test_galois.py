@@ -8,7 +8,6 @@ import pytest
 
 import cayspec.galois as galois_mod
 import cayspec.search as search_mod
-import cayspec.spectra as spectra_mod
 import cayspec.units as units_mod
 from cayspec.cli import load_instance, main
 from cayspec.colour import ColourFunction, colour_from_values
@@ -399,21 +398,6 @@ def test_layer_sum_form_raises_on_injected_mismatch(monkeypatch, capsys):
     assert "internal inconsistency" in capsys.readouterr().err
 
 
-def test_orbit_image_units_checked_by_the_layer_sum(monkeypatch, capsys):
-    # Each orbit image built with the square of the right unit: on Z5 chi2
-    # gets sigma_4 of chi1's eigenvalue, which is chi1's own, and the layered
-    # character sum must refuse it (exit 3).
-    real = spectra_mod.galois_apply
-    monkeypatch.setattr(
-        spectra_mod, "galois_apply", lambda h, x: real(h * h % x.conductor, x)
-    )
-    pentagon = multiset_colour(make_cyclic(5), [1, 4])
-    with pytest.raises(InternalInconsistency, match="layered distance eigenvalue of chi2"):
-        distance_report(pentagon)
-    assert main(["distance", instance_path("z5_pentagon.txt")]) == 3
-    assert "internal inconsistency" in capsys.readouterr().err
-
-
 def reference_primitive_search(n, members, degree):
     # The search the coset test replaced: every period built up front, each
     # candidate accepted on the size of its whole Galois orbit.
@@ -603,6 +587,32 @@ def test_primitive_search_running_out_is_an_inconsistency(monkeypatch):
     monkeypatch.setattr(galois_mod, "_coset_split", lambda tables, members, values: "split")
     with pytest.raises(InternalInconsistency, match=r"H = \(1, 4\) modulo 5"):
         splitting_field(f)
+
+
+def test_degree_reads_rows_times_support_classes_from_the_rule(monkeypatch, capsys, tmp_path):
+    # The circulant {1, 1999} on cyclic 2,000 weights two classes, so its
+    # exact spectrum reads each of the 2,000 rows on those two classes only:
+    # 4,000 cells, where a stored table held 2,000 x 2,000.
+    real = galois_mod.character_table
+    cells = []
+
+    def counted(G):
+        table = real(G)
+
+        def exponents(r, c):
+            cells.append((r, c))
+            return table.exponents(r, c)
+
+        return table._replace(exponents=exponents)
+
+    monkeypatch.setattr(galois_mod, "character_table", counted)
+    n = 2000
+    path = tmp_path / "circulant.txt"
+    path.write_text(f"[group]\nkind = cyclic\nn = {n}\n\n[connection]\nelements = 1, {n - 1}\n")
+    assert main(["degree", str(path)]) == 0
+    assert "degree = 400" in capsys.readouterr().out
+    assert len(cells) == len(set(cells)) == 4000
+    assert {c for _, c in cells} == {1, n - 1}
 
 
 def test_distance_refuses_an_unchecked_spectrum(monkeypatch, capsys):

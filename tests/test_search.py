@@ -19,6 +19,7 @@ from cayspec.groups import (
     power_map,
 )
 from cayspec.search import classify, set_renderer
+from cayspec.spectra import character_table
 from cayspec.units import fixing_tables, unit_group
 
 
@@ -448,6 +449,15 @@ def test_classify_deterministic_across_workers():
     assert G._fixing_tables is not None
     assert pickle.loads(pickle.dumps(G))._fixing_tables is None
     assert classify(G, jobs=3) == serial
+
+
+def test_classify_across_workers_after_a_character_table():
+    # A table's exponent rule closes over local data and does not pickle, so
+    # the table stays behind with the group's other caches.
+    G = make_dihedral(6)
+    character_table(G)
+    assert pickle.loads(pickle.dumps(G))._char_table is None
+    assert classify(G, 1, False, 2) == classify(G, 1, False, 1)
 
 
 def test_classify_clamps_jobs_to_cpus(monkeypatch):

@@ -32,6 +32,7 @@ from cayspec.spectra import (
 from cayspec.units import unit_group
 from conftest import (
     INSTANCE_DIR,
+    character_values,
     d5_s1,
     d5_s2,
     d8_alpha,
@@ -53,11 +54,12 @@ def check_row_orthogonality(table):
     inv_class = [
         part.class_of[G.inv(rep)] for rep in part.representatives
     ]
-    for i, row_i in enumerate(table.rows):
-        for j, row_j in enumerate(table.rows):
-            total = Cyclotomic.zero(n)
+    values = character_values(table)
+    for i, row_i in enumerate(values):
+        for j, row_j in enumerate(values):
+            total = Cyclotomic.from_rational(n, 0)
             for ci in range(len(sizes)):
-                total = total + row_i.values[ci] * row_j.values[inv_class[ci]] * sizes[ci]
+                total = total + row_i[ci] * row_j[inv_class[ci]] * sizes[ci]
             assert total == (n if i == j else 0)
 
 
@@ -66,25 +68,29 @@ def check_column_orthogonality(table):
     n = G.order
     part = table.partition
     inv_class = [part.class_of[G.inv(rep)] for rep in part.representatives]
+    values = character_values(table)
     for ci in range(len(part.classes)):
         for cj in range(len(part.classes)):
-            total = Cyclotomic.zero(n)
-            for row in table.rows:
-                total = total + row.values[ci] * row.values[inv_class[cj]]
+            total = Cyclotomic.from_rational(n, 0)
+            for row in values:
+                total = total + row[ci] * row[inv_class[cj]]
             expected = n // len(part.classes[ci]) if ci == cj else 0
             assert total == expected
 
 
 def test_cyclic_trivial_table():
     table = char_table_abelian(make_cyclic(1))
-    assert len(table.rows) == 1
-    assert table.rows[0].values[0] == 1
+    assert (table.labels, table.degrees) == (("chi0",), (1,))
+    assert character_values(table) == [[1]]
 
 
 def test_cyclic_table_values():
     table = char_table_abelian(make_cyclic(4))
-    assert table.rows[1].values[1] == Cyclotomic.from_exponents(4, {1: 1})
-    assert table.rows[2].values[2] == 1  # z^(2*2) = z^4 = 1
+    assert table.exponents(1, 1) == (1,)
+    assert table.exponents(2, 2) == (0,)  # z^(2*2) = z^4 = 1
+    values = character_values(table)
+    assert values[1][1] == Cyclotomic.from_exponents(4, {1: 1})
+    assert values[2][2] == 1
 
 
 @pytest.mark.parametrize("n", range(1, 25))
@@ -95,15 +101,15 @@ def test_cyclic_orthogonality(n):
 def test_abelian_product_table():
     G = make_product(make_cyclic(2), make_cyclic(2))
     table = char_table_abelian(G)
-    assert len(table.rows) == 4
-    values = {row.values[g] for row in table.rows for g in range(4)}
+    assert len(table.labels) == 4
+    values = {value for row in character_values(table) for value in row}
     assert values == {Cyclotomic.one(4), Cyclotomic.from_rational(4, -1)}
 
 
 def test_abelian_character_count_and_orthogonality():
     G = make_product(make_cyclic(2), make_cyclic(3))
     table = char_table_abelian(G)
-    assert len(table.rows) == G.order
+    assert len(table.labels) == G.order
     check_row_orthogonality(table)
     check_column_orthogonality(table)
 
@@ -117,24 +123,26 @@ def test_abelian_rejects_nonabelian_factor():
 def test_dihedral_tables():
     D8 = make_dihedral(8)
     table = char_table_dihedral(D8)
-    degrees = sorted(row.degree for row in table.rows)
+    degrees = sorted(table.degrees)
     assert degrees == [1, 1, 1, 1, 2, 2, 2]
     assert sum(d * d for d in degrees) == 16
 
     D5 = make_dihedral(5)
     table5 = char_table_dihedral(D5)
-    assert sorted(row.degree for row in table5.rows) == [1, 1, 2, 2]
+    assert sorted(table5.degrees) == [1, 1, 2, 2]
 
 
 def test_dihedral_sign_character_on_reflections():
     for m in (3, 4, 5, 8):
         G = make_dihedral(m)
         table = char_table_dihedral(G)
-        sign_row = table.rows[1]
+        assert table.labels[1] == "lin1"
+        sign_row = character_values(table)[1]
         part = table.partition
         for ci, rep in enumerate(part.representatives):
             if rep >= m:
-                assert sign_row.values[ci] == -1
+                assert table.exponents(1, ci) == (m,)
+                assert sign_row[ci] == -1
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -185,7 +193,7 @@ def dihedral_reference(m):
         ref["lin2"] = linear(lambda k: (-1) ** k, lambda k: (-1) ** k)
         ref["lin3"] = linear(lambda k: (-1) ** k, lambda k: -((-1) ** k))
     for h in range(1, (m - 1) // 2 + 1):
-        ref[f"dim2_{h}"] = lambda g, h=h: Cyclotomic.zero(n) if g >= m else rot(g, h)
+        ref[f"dim2_{h}"] = lambda g, h=h: Cyclotomic.from_rational(n, 0) if g >= m else rot(g, h)
     return ref
 
 
@@ -195,57 +203,63 @@ def dihedral_reference(m):
         (lambda: make_cyclic(12), (12,)),
         (lambda: make_product(make_cyclic(4), make_cyclic(6)), (4, 6)),
         (lambda: make_product(make_cyclic(3), make_cyclic(8)), (3, 8)),
+        (lambda: make_product(make_product(make_cyclic(2), make_cyclic(2)), make_cyclic(3)),
+         (2, 2, 3)),
+        (lambda: make_dihedral(1), None),
+        (lambda: make_dihedral(2), None),
         (lambda: make_dihedral(5), None),
         (lambda: make_dihedral(6), None),
         (lambda: make_dihedral(8), None),
     ],
-    ids=["cyclic:12", "product:4,6", "product:3,8", "dihedral:5", "dihedral:6", "dihedral:8"],
+    ids=[
+        "cyclic:12", "product:4,6", "product:3,8", "product:2,2,3",
+        "dihedral:1", "dihedral:2", "dihedral:5", "dihedral:6", "dihedral:8",
+    ],
 )
 def test_shared_value_tables_match_reference(group, orders):
+    # The exponent rule and from_exponents are all that spectrum_exact and the
+    # layered distance check share: the rule's values must match a reference
+    # built element by element.
     G = group()
     table = character_table(G)
     ref = dihedral_reference(G.order // 2) if orders is None else abelian_reference(G, orders)
-    assert sorted(row.label for row in table.rows) == sorted(ref)
-    for row in table.rows:
+    assert sorted(table.labels) == sorted(ref)
+    for label, row in zip(table.labels, character_values(table)):
         for ci, cls in enumerate(table.partition.classes):
             for g in cls:
-                assert row.values[ci] == ref[row.label](g), (row.label, g)
-    # every cell refers to one of a few shared values
-    if orders is None:
-        two_dim = {id(v) for row in table.rows if row.degree == 2 for v in row.values}
-        assert len(two_dim) <= G.order // 4 + 2
-    else:
-        assert len({id(v) for row in table.rows for v in row.values}) <= G.order
+                assert row[ci] == ref[label](g), (label, g)
 
 
 def test_spectrum_exact_rejects_non_real_eigenvalue():
-    # The trivial row with z_5 swapped in on a weighted class gives 1 + z_5.
+    # A z_5 exponent added to the trivial row on a weighted class makes its
+    # value 1 + z_5 there, and chi0's eigenvalue 2 + z_5.
     Z5 = make_cyclic(5)
     f = multiset_colour(Z5, [1, 4])
     table = character_table(Z5)
     weighted = next(ci for ci, rep in enumerate(table.partition.representatives) if rep == 1)
-    values = list(table.rows[0].values)
-    values[weighted] = Cyclotomic.from_exponents(5, {1: 1})
-    rows = (table.rows[0]._replace(values=tuple(values)),) + table.rows[1:]
-    with pytest.raises(InternalInconsistency, match="chi0 is not real"):
-        spectrum_exact(f, table._replace(rows=rows))
+
+    def exponents(r, c):
+        return table.exponents(r, c) + ((1,) if (r, c) == (0, weighted) else ())
+
+    with pytest.raises(InternalInconsistency, match="of chi0 is not real"):
+        spectrum_exact(f, table._replace(exponents=exponents))
     spectrum_exact(f, table)
 
 
 def reference_spectrum(f, table):
-    # The per-row loop the Galois orbits replaced: one character sum and one
-    # realness test per row.
+    # One character sum per row, as a rational combination of the row's
+    # values, and one realness test per row.
     n = f.group.order
     weights = class_weight_vector(f)
     per_irr = []
     merged = {}
-    for row in table.rows:
+    for label, degree, row in zip(table.labels, table.degrees, character_values(table)):
         lam = Cyclotomic.linear_combination(
-            n, [(w / row.degree, chi) for w, chi in zip(weights, row.values) if w]
+            n, [(w / degree, chi) for w, chi in zip(weights, row) if w]
         )
         assert galois_apply(n - 1, lam) == lam
-        per_irr.append((row.label, row.degree, lam))
-        merged[lam] = merged.get(lam, 0) + row.degree**2
+        per_irr.append((label, degree, lam))
+        merged[lam] = merged.get(lam, 0) + degree**2
     pairs = tuple(
         sorted(merged.items(), key=lambda item: (-item[0].real_embedding(), item[0].coeffs))
     )
@@ -259,7 +273,7 @@ def orbit_groups():
         make_product(c(4), c(6)),
         make_product(c(3), c(8)),
         make_product(make_product(c(2), c(2)), c(3)),
-    ] + [make_dihedral(m) for m in (3, 4, 5, 6, 8, 16)]
+    ] + [make_dihedral(m) for m in (1, 2, 3, 4, 5, 6, 8, 16)]
 
 
 def group_id(G):
@@ -270,34 +284,61 @@ def group_id(G):
 
 @pytest.mark.parametrize("G", orbit_groups(), ids=group_id)
 def test_spectrum_orbits_match_per_row_reference(G):
+    # Every row's eigenvalue is built on its own, so the spectrum of a
+    # rational colour must come out as whole Galois orbits, each value with
+    # the multiplicity of its conjugates.
     table = character_table(G)
-    rows = [r for orbit in table.row_orbits for r, _ in orbit]
-    assert sorted(rows) == list(range(len(table.rows)))
-    if G.order <= 32:
-        # Each orbit is the whole Galois orbit of its first row, and sigma_h
-        # maps the first row's values to row r's.
-        units = unit_group(G.order).members
-        for (first, _), *rest in table.row_orbits:
-            values = table.rows[first].values
-            fixing = [h for h in units if tuple(galois_apply(h, v) for v in values) == values]
-            assert (len(rest) + 1) * len(fixing) == len(units)
-            for r, h in rest:
-                assert table.rows[r].values == tuple(galois_apply(h, v) for v in values)
+    units = unit_group(G.order).members
     rng = random.Random(G.order)
     colours = [random_class_function(G, rng) for _ in range(3)]
     colours.append(colour_from_values(G, {g: 1 for g in range(1, G.order)}))
     for f in colours:
         spec = spectrum_exact(f, table)
         assert (spec.pairs, spec.per_irreducible) == reference_spectrum(f, table)
+        if G.order <= 32:
+            for h in units:
+                assert {galois_apply(h, v): m for v, m in spec.pairs} == dict(spec.pairs)
 
 
 def test_orbit_images_checked_by_the_numeric_oracle(monkeypatch, capsys):
-    # Every row's eigenvalue wrongly its orbit representative's own value:
-    # on D8 dim2_3 takes dim2_1's sqrt 2 term unchanged, and the Jacobi
+    # On D8 dim2_3, the image of dim2_1 under sigma_3, wrongly given dim2_1's
+    # exponents: its eigenvalue takes dim2_1's sqrt 2 term unchanged.  The
+    # stabilizer identity cannot see it, as H still fixes every value and
+    # each non-trivial coset representative still moves sqrt 2; the Jacobi
     # cross-check must refuse the spectrum (exit 3).
-    monkeypatch.setattr(spectra_mod, "galois_apply", lambda h, x: x)
+    real = spectra_mod.char_table_dihedral
+
+    def faulted(G):
+        table = real(G)
+        first, third = table.labels.index("dim2_1"), table.labels.index("dim2_3")
+
+        def exponents(r, c):
+            return table.exponents(first if r == third else r, c)
+
+        return table._replace(exponents=exponents)
+
+    monkeypatch.setattr(spectra_mod, "char_table_dihedral", faulted)
     assert main(["spectrum", instance_path("d8_alpha.txt")]) == 3
     assert "spectrum.match = false" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda t: t._replace(labels=t.labels[:-1], degrees=t.degrees[:-1]),
+         "^5 irreducibles against 6 classes$"),
+        (lambda t: t._replace(degrees=(2,) + t.degrees[1:]),
+         "^degree squares do not sum to the group order$"),
+    ],
+    ids=["row count", "degrees"],
+)
+def test_character_table_checks_its_rows(monkeypatch, damage, message):
+    real = spectra_mod.char_table_abelian
+    monkeypatch.setattr(spectra_mod, "char_table_abelian", lambda G: damage(real(G)))
+    G = make_cyclic(6)
+    with pytest.raises(InternalInconsistency, match=message):
+        character_table(G)
+    assert G._char_table is None
 
 
 def test_character_table_dispatch_unsupported():
@@ -320,7 +361,7 @@ def test_has_character_table_is_a_family_test():
     assert all(G._char_table is None for G in groups)
     for G in groups:
         if has_character_table(G):
-            assert sum(row.degree**2 for row in character_table(G).rows) == G.order
+            assert sum(d**2 for d in character_table(G).degrees) == G.order
         else:
             with pytest.raises(ValueError, match="^no exact character table for family 'generated'$"):
                 character_table(G)
@@ -330,7 +371,7 @@ def test_spectrum_zero_colour():
     G = make_dihedral(4)
     f = colour_from_values(G, {})
     spec = spectrum_exact(f, character_table(G))
-    assert spec.pairs == ((Cyclotomic.zero(8), 8),)
+    assert spec.pairs == ((Cyclotomic.from_rational(8, 0), 8),)
 
 
 def test_spectrum_alpha_pairs():
@@ -420,8 +461,8 @@ def test_compare_flags_perturbation():
 
 def trace_identities(f, spec):
     n = f.group.order
-    total = Cyclotomic.zero(n)
-    total_sq = Cyclotomic.zero(n)
+    total = Cyclotomic.from_rational(n, 0)
+    total_sq = Cyclotomic.from_rational(n, 0)
     for _, degree, lam in spec.per_irreducible:
         total = total + lam * degree**2
         total_sq = total_sq + lam * lam * degree**2
@@ -477,7 +518,7 @@ def test_adjacency_minimal_polynomial_has_the_distinct_eigenvalues_as_roots(orac
         spec = spectrum_exact(f, character_table(f.group))
         assert (len(poly) - 1, poly[-1]) == (len(spec.pairs), 1), f
         for value, _ in spec.pairs:
-            total = Cyclotomic.zero(value.conductor)
+            total = Cyclotomic.from_rational(value.conductor, 0)
             for c in reversed(poly):
                 total = total * value + c
             assert not total, (f, value)
