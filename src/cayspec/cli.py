@@ -401,9 +401,10 @@ def _spectrum_section(report: Report, spectrum: Spectrum) -> None:
     report.line(f"  {'value':<34} {'mult':>4}   embedding")
     report.put("spectrum.exact.count", len(spectrum.pairs))
     for i, (value, mult) in enumerate(spectrum.pairs, start=1):
+        text = str(value)  # rendered once, for both lines
         emb = _fmt_float(value.real_embedding())
-        report.line(f"  {str(value):<34} {mult:>4}   {emb}")
-        report.put(f"spectrum.exact.{i}.value", value)
+        report.line(f"  {text:<34} {mult:>4}   {emb}")
+        report.put(f"spectrum.exact.{i}.value", text)
         report.put(f"spectrum.exact.{i}.embedding", emb)
         report.put(f"spectrum.exact.{i}.multiplicity", mult)
 

@@ -5,7 +5,9 @@ primitive n-th root of unity, stored as its residue modulo the n-th cyclotomic
 polynomial over the power basis {z^0, ..., z^{phi(n)-1}}: integer numerators of
 the non-zero coefficients over one common denominator, in lowest terms.  This
 canonical form makes equality and hashing a comparison of integers, which is
-what stabilizer and orbit computations need; no other module reads it.
+what stabilizer and orbit computations need; no other module reads it.  One
+fold, `_fold`, reduces every value built from powers of z: exponent sums,
+Galois images and products; a sum of two reduced values needs no reduction.
 """
 
 from __future__ import annotations
@@ -142,6 +144,21 @@ def _ramanujan_sums(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _fold(n: int, acc: list[int], pairs: Iterable[tuple[int, int]]) -> list[int]:
+    # Add k times the canonical residue of z^e to the power-basis accumulator
+    # for each (e, k) pair, 0 <= e < max(n, 2 * phi(n) - 1): the one reader of
+    # the `_power_residues` table, built only at the first non-zero exponent.
+    rows = None
+    for e, k in pairs:
+        if not e:
+            acc[0] += k
+        elif k:
+            rows = rows or _power_residues(n)
+            for i, r in rows[e]:
+                acc[i] += k * r
+    return acc
+
+
 _ZERO = Fraction(0)
 
 
@@ -191,113 +208,63 @@ class Cyclotomic:
         """Build (sum_e c_e * z^e) / denominator with exponents taken modulo n,
         then canonicalize.  An int coefficient is read as it is, with no
         Fraction built for it."""
-        rows = _power_residues(n)
         items = [
             (e, c if isinstance(c, int) else as_fraction(c)) for e, c in exponent_coeffs.items()
         ]
         D = lcm(*(c.denominator for _, c in items))
-        acc = [0] * euler_phi(n)
-        for e, c in items:
-            k = c.numerator * (D // c.denominator)
-            if k:
-                for i, r in rows[e % n]:
-                    acc[i] += k * r
-        return cls(n, acc, D * denominator)
+        pairs = [(e % n, c.numerator * (D // c.denominator)) for e, c in items]
+        return cls(n, _fold(n, [0] * euler_phi(n), pairs), D * denominator)
 
     @classmethod
     def from_rational(cls, n: int, value: RationalLike) -> "Cyclotomic":
-        value = as_fraction(value)
-        acc = [0] * euler_phi(n)
-        acc[0] = value.numerator
-        return cls(n, acc, value.denominator)
-
-    @classmethod
-    def linear_combination(
-        cls, n: int, terms: Iterable[tuple[RationalLike, "Cyclotomic"]]
-    ) -> "Cyclotomic":
-        """Build sum c * x over the (c, x) pairs as one canonical residue.
-
-        Every x is already reduced modulo the n-th cyclotomic polynomial, and a
-        rational combination of reduced residues is reduced, so the sum is
-        accumulated coefficient by coefficient with no convolution and no
-        reduction, and only the result is constructed.
-        """
-        scaled = []
-        D = 1
-        for c, x in terms:
-            if x.conductor != n:
-                raise ValueError(f"mixed conductors {n} and {x.conductor}")
-            c = as_fraction(c)
-            if c:
-                d = c.denominator * x.denominator
-                D = lcm(D, d)
-                scaled.append((c.numerator, d, x.terms))
-        acc = [0] * euler_phi(n)
-        for num, d, pairs in scaled:
-            k = num * (D // d)
-            for i, a in pairs:
-                acc[i] += k * a
-        return cls(n, acc, D)
+        return cls.from_exponents(n, {0: value})
 
     @classmethod
     def one(cls, n: int) -> "Cyclotomic":
-        return cls.from_rational(n, 1)
+        return cls.from_exponents(n, {0: 1})
 
-    def _coerce(self, other):
+    def _parts(self, other):
+        # (terms, denominator) of a rational or a value of this conductor; else None.
         if isinstance(other, Cyclotomic):
             if other.conductor != self.conductor:
-                raise ValueError(
-                    f"mixed conductors {self.conductor} and {other.conductor}"
-                )
-            return other
+                raise ValueError(f"mixed conductors {self.conductor} and {other.conductor}")
+            return other.terms, other.denominator
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(self.conductor, other)
+            return ((0, other.numerator),) if other else (), other.denominator
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        # Reduced residues add coefficient by coefficient, with no fold.
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return Cyclotomic.linear_combination(self.conductor, ((1, self), (1, other)))
-
-    __radd__ = __add__
+        terms, d = parts
+        D = lcm(self.denominator, d)
+        acc = [0] * euler_phi(self.conductor)
+        for pairs, k in ((self.terms, D // self.denominator), (terms, D // d)):
+            for i, a in pairs:
+                acc[i] += k * a
+        return Cyclotomic(self.conductor, acc, D)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Cyclotomic.linear_combination(self.conductor, ((1, self), (-1, other)))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return self + -other
 
     def __neg__(self):
-        return Cyclotomic.linear_combination(self.conductor, ((-1, self),))
+        return self * -1
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.linear_combination(self.conductor, ((other, self),))
-        other = self._coerce(other)
-        if other is None:
+        # The convolution's low half is already reduced; its high half is folded.
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        phi = euler_phi(self.conductor)
+        terms, d = parts
+        n = self.conductor
+        phi = euler_phi(n)
         conv = [0] * (2 * phi - 1)
         for i, ai in self.terms:
-            for j, bj in other.terms:
+            for j, bj in terms:
                 conv[i + j] += ai * bj
-        rows = _power_residues(self.conductor)
-        acc = conv[:phi]
-        for e in range(phi, 2 * phi - 1):
-            ce = conv[e]
-            if ce:
-                for i, r in rows[e]:
-                    acc[i] += ce * r
-        return Cyclotomic(self.conductor, acc, self.denominator * other.denominator)
-
-    __rmul__ = __mul__
+        return Cyclotomic(n, _fold(n, conv[:phi], enumerate(conv[phi:], phi)), self.denominator * d)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -328,11 +295,8 @@ class Cyclotomic:
         return Fraction(self.terms[0][1], self.denominator) if self.terms else _ZERO
 
     def to_complex(self) -> complex:
-        """Double-precision embedding z = exp(2*pi*i/n).
-
-        Int true division is correctly rounded, so a / D is the float of the
-        reduced coefficient.
-        """
+        """Double-precision embedding z = exp(2*pi*i/n); int true division is
+        correctly rounded, so a / D is the float of the reduced coefficient."""
         n = self.conductor
         D = self.denominator
         total = 0j
@@ -346,12 +310,13 @@ class Cyclotomic:
     def __str__(self):
         if self.is_rational():
             return str(self.rational_value())
+        D = self.denominator
         parts = []
         for i, a in self.terms:
-            mag = Fraction(abs(a), self.denominator)
-            term = str(mag) if i == 0 else (
-                f"z{self.conductor}^{i}" if mag == 1 else f"{mag}*z{self.conductor}^{i}"
-            )
+            g = gcd(a, D)
+            mag = str(abs(a) // g) if g == D else f"{abs(a) // g}/{D // g}"
+            z = f"z{self.conductor}^{i}"
+            term = mag if i == 0 else (z if mag == "1" else f"{mag}*{z}")
             if not parts:
                 parts.append(term if a > 0 else f"-{term}")
             else:
@@ -367,11 +332,7 @@ def galois_apply(h: int, x: Cyclotomic) -> Cyclotomic:
     n = x.conductor
     if gcd(h, n) != 1:
         raise ValueError(f"{h} is not a unit modulo {n}")
-    rows = _power_residues(n)
-    acc = [0] * euler_phi(n)
-    for i, a in x.terms:
-        for j, r in rows[i * h % n]:
-            acc[j] += a * r
+    acc = _fold(n, [0] * euler_phi(n), [(i * h % n, a) for i, a in x.terms])
     return Cyclotomic(n, acc, x.denominator)
 
 

@@ -27,7 +27,7 @@ from cayspec.spectra import (
 from cayspec.units import (
     FixingTables,
     UnitSubgroup,
-    coset_form,
+    coset_split,
     fixing_tables,
     read_fixing_subgroup,
 )
@@ -125,19 +125,15 @@ def splitting_field(f: ColourFunction) -> FieldReport:
 
 
 def _coset_split(tables: FixingTables, members: tuple[int, ...], values) -> Optional[str]:
-    """Where the stabilizer of the values and the subgroup H with these members
-    part, or None: in coset form, the generators of H fix every value and one
-    representative of each non-trivial coset moves one.  H is validated, so
-    this pins the stabilizer down."""
-    _, generators, reps = coset_form(tables, members)
-    for h, _ in generators:
-        for value in values:
-            if galois_apply(h, value) != value:
-                return f"unit {h} fixes the colour function but moves the eigenvalue {value}"
-    for h, _ in reps:
-        if all(galois_apply(h, value) == value for value in values):
-            return f"unit {h} moves the colour function but fixes every eigenvalue"
-    return None
+    """Where the stabilizer of the values and H part, by `units.coset_split`, or None."""
+    split = coset_split(tables, members, lambda h, _: all(galois_apply(h, v) == v for v in values))
+    if split is None:
+        return None
+    h, moves = split
+    if not moves:
+        return f"unit {h} moves the colour function but fixes every eigenvalue"
+    value = next(v for v in values if galois_apply(h, v) != v)
+    return f"unit {h} fixes the colour function but moves the eigenvalue {value}"
 
 
 def checked_spectrum(f: ColourFunction, H: UnitSubgroup) -> Optional[Spectrum]:

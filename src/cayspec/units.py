@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import compress
 from math import gcd
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from cayspec.errors import InternalInconsistency
 from cayspec.groups import Group, class_bundles, power, power_map
@@ -187,6 +187,16 @@ def coset_form(tables: FixingTables, members: tuple[int, ...]) -> tuple:
     return form
 
 
+def coset_split(tables: FixingTables, members: tuple[int, ...], fixes) -> Optional[tuple]:
+    """Where the validated subgroup H with these members and the stabilizer of
+    some values, tested by `fixes(h, pullback)`, part: (h, True) for a generator
+    of H that moves them, (h, False) for a coset representative that fixes
+    them; None, as each generator fixes and each representative moves them, pins it to H."""
+    _, generators, reps = coset_form(tables, members)
+    tests = [(h, p, True) for h, p in generators] + [(h, p, False) for h, p in reps]
+    return next(((h, moves) for h, p, moves in tests if fixes(h, p) != moves), None)
+
+
 def read_fixing_subgroup(
     tables: FixingTables, extended: tuple, values: tuple, label: str, *label_args
 ) -> tuple[UnitSubgroup, tuple]:
@@ -208,32 +218,26 @@ def _check_coset_form(
     label: str,
     label_args: tuple,
 ) -> UnitSubgroup:
-    """Check on elements that members is the fixing subgroup of a vector.
-
-    `values` is the vector per element; the generators of the subgroup must
-    fix it under the power map and one representative of each non-trivial
-    coset must move it, which together pin the subgroup down.  Returns the
-    validated subgroup.  A failure names the vector by
-    `label.format(*label_args)`, formatted only then.
-    """
+    """Check by `coset_split` that members is the fixing subgroup of `values`,
+    a vector per element, and return it validated.  A failure names the vector
+    by `label.format(*label_args)`, formatted only then."""
     G = tables.group
-    H, generators, reps = coset_form(tables, members)
-    for h, pullback in generators:
-        if pullback(values) != values:
-            pm = power_map(G, h)
-            g = next(g for g, gh in enumerate(pm) if values[gh] != values[g])
-            raise InternalInconsistency(
-                f"{label.format(*label_args)}: the bundle route fixes it by unit {h}, "
-                f"the element route moves it at {G.names[g]} "
-                f"({values[g]} there, {values[pm[g]]} at {G.names[g]}**{h})"
-            )
-    for h, pullback in reps:
-        if pullback(values) == values:
-            moved = tables.pullbacks[tables.units.index(h)](extended)
-            b = next(b for b, m in enumerate(moved) if m != extended[b])
-            raise InternalInconsistency(
-                f"{label.format(*label_args)}: the bundle route moves it by unit {h} "
-                f"at {G.names[tables.bundles[b][0]]}, the element route finds it "
-                f"fixed at every element"
-            )
-    return H
+    split = coset_split(tables, members, lambda h, pullback: pullback(values) == values)
+    if split is None:
+        return coset_form(tables, members)[0]
+    h, moves = split
+    if moves:
+        pm = power_map(G, h)
+        g = next(g for g, gh in enumerate(pm) if values[gh] != values[g])
+        raise InternalInconsistency(
+            f"{label.format(*label_args)}: the bundle route fixes it by unit {h}, "
+            f"the element route moves it at {G.names[g]} "
+            f"({values[g]} there, {values[pm[g]]} at {G.names[g]}**{h})"
+        )
+    moved = tables.pullbacks[tables.units.index(h)](extended)
+    b = next(b for b, m in enumerate(moved) if m != extended[b])
+    raise InternalInconsistency(
+        f"{label.format(*label_args)}: the bundle route moves it by unit {h} "
+        f"at {G.names[tables.bundles[b][0]]}, the element route finds it "
+        f"fixed at every element"
+    )

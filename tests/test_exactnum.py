@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from cayspec.exactnum import (
     minimal_polynomial,
 )
 from cayspec.units import unit_group, unit_subgroup
-from conftest import instance_path
+from conftest import INSTANCE_DIR, instance_path
 
 
 def poly_mul(a, b):
@@ -60,6 +61,15 @@ def test_from_exponents_reductions():
     assert Cyclotomic.from_exponents(4, {2: 1}) == -1
     assert Cyclotomic.from_exponents(16, {8: 1}) == -1
     assert Cyclotomic.from_exponents(9, {0: 1}) == 1
+
+
+def test_rationals_build_no_power_residues(monkeypatch):
+    # z^0 = 1 needs no table of reduced powers, whose build at a conductor such
+    # as 2,880 takes a good part of a second: a degree-1 field prints 1.
+    monkeypatch.setattr(ex, "_power_residues", lambda n: pytest.fail(f"table built for {n}"))
+    x = Cyclotomic.from_rational(2880, Fraction(-3, 4))
+    assert str(Cyclotomic.one(2880)) == "1"
+    assert x * 2 + 1 == Fraction(-1, 2) and not x + Fraction(3, 4)
 
 
 def test_galois_apply_fixes_rationals():
@@ -233,6 +243,27 @@ def test_to_complex_respects_addition(pair):
     assert abs(lhs - rhs) < 1e-12
 
 
+def reference_str(x):
+    # The rendering with one Fraction per term that __str__ replaced.
+    if x.is_rational():
+        return str(x.rational_value())
+    parts = []
+    for i, c in enumerate(x.coeffs):
+        if c:
+            mag = abs(c)
+            z = f"z{x.conductor}^{i}"
+            term = str(mag) if i == 0 else (z if mag == 1 else f"{mag}*{z}")
+            sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+            parts.append(sign + term)
+    return " ".join(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 8, 12, 15]).flatmap(cyclotomics))
+def test_str_matches_fraction_rendering(x):
+    assert str(x) == reference_str(x)
+
+
 def test_to_complex_basics():
     assert Cyclotomic.one(6).to_complex() == pytest.approx(1 + 0j)
     i_val = Cyclotomic.from_exponents(4, {1: 1}).to_complex()
@@ -254,11 +285,14 @@ def over_budget(bits):
 def test_coefficient_budget_guardrail(monkeypatch):
     big = Fraction(2**64, 3)
     one = Cyclotomic.one(8)
+    z = Cyclotomic.from_exponents(8, {1: 1})
     constructions = (
         lambda: Cyclotomic.from_rational(8, big),
-        lambda: Cyclotomic.linear_combination(8, [(big, one)]),
+        lambda: Cyclotomic.from_exponents(8, {0: big}),
+        lambda: Cyclotomic.from_exponents(8, {5: big, 3: 1}),
         lambda: one * big,
-        lambda: big * one,
+        lambda: one + big,
+        lambda: z * big,
     )
     monkeypatch.setattr(ex, "COEFFICIENT_BIT_BUDGET", 16)
     for build in constructions:
@@ -280,7 +314,8 @@ def test_equal_values_share_one_stored_form():
     rational_routes = [
         Cyclotomic.from_exponents(8, {0: Fraction(2, 4)}),
         Cyclotomic.from_rational(8, half),
-        Cyclotomic.linear_combination(8, [(Fraction(1, 6), z[0]), (Fraction(1, 3), z[0])]),
+        Cyclotomic.from_exponents(8, {0: Fraction(1, 6), 8: Fraction(1, 3)}),
+        z[0] * Fraction(1, 6) + z[0] * Fraction(1, 3),
         Cyclotomic.from_exponents(8, {1: Fraction(3, 4)})
         * Cyclotomic.from_exponents(8, {7: Fraction(2, 3)}),
         galois_apply(3, Cyclotomic.from_exponents(8, {4: Fraction(-3, 6)})),
@@ -288,7 +323,7 @@ def test_equal_values_share_one_stored_form():
     # z/2 + z^3/3; exponent 9 is exponent 1, and z -> z^3 swaps z and z^3.
     value_routes = [
         Cyclotomic.from_exponents(8, {1: Fraction(1, 4), 9: Fraction(1, 4), 3: Fraction(2, 6)}),
-        Cyclotomic.linear_combination(8, [(half, z[1]), (Fraction(1, 3), z[3])]),
+        z[1] * half + z[3] * Fraction(1, 3),
         Cyclotomic.from_exponents(8, {0: half, 2: Fraction(1, 3)}) * z[1],
         galois_apply(3, Cyclotomic.from_exponents(8, {3: half, 1: Fraction(1, 3)})),
     ]
@@ -340,48 +375,121 @@ def test_coeffs_view_and_budget_never_looser(monkeypatch, n, exps):
     with pytest.raises(ValueError, match=over_budget(dense_bits - 1)):
         Cyclotomic.from_exponents(n, exps)
     with pytest.raises(ValueError, match=over_budget(dense_bits - 1)):
-        Cyclotomic.linear_combination(n, [(1, x)])
+        x + 0
+    with pytest.raises(ValueError, match=over_budget(dense_bits - 1)):
+        x * 1
 
 
-def reference_combination(n, terms):
-    # The fold the sparse path replaced: one full product per term.
-    return sum(
-        (Cyclotomic.from_rational(n, c) * x for c, x in terms), Cyclotomic.from_rational(n, 0)
-    )
+def reference_fold(n, pairs):
+    """Reduced Fraction coefficients of sum c * z^e over the (e, c) pairs, by
+    the long division of `reference_coeffs`."""
+    exps = {}
+    for e, c in pairs:
+        exps[e % n] = exps.get(e % n, 0) + Fraction(c)
+    return reference_coeffs(n, exps)
 
 
-COMBINATION_COEFFS = (0, 1, -3, Fraction(5, 7), Fraction(-2, 9), 4, Fraction(0, 5))
+COMBINATION_COEFFS = st.sampled_from(
+    [0, 1, -3, Fraction(5, 7), Fraction(-2, 9), 4, Fraction(0, 5)]
+)
 
 
 @pytest.mark.parametrize("n", [1, 2, 15, 21, 48, 60, 128])
-def test_linear_combination_matches_reference_fold(n):
-    rng = random.Random(n)
-    values = [Cyclotomic.from_exponents(n, {e: 1}) for e in rng.sample(range(n), min(n, 4))]
-    # dense residues: many exponents, including ones at or above phi(n)
-    for _ in range(3):
-        exps = {rng.randrange(n): rng.choice(COMBINATION_COEFFS[1:]) for _ in range(6)}
-        values.append(Cyclotomic.from_exponents(n, exps))
-    values.append(Cyclotomic.from_rational(n, 0))
-    terms = [(rng.choice(COMBINATION_COEFFS), x) for x in values for _ in range(2)]
-    assert Cyclotomic.linear_combination(n, terms) == reference_combination(n, terms)
-    assert Cyclotomic.linear_combination(n, []) == Cyclotomic.from_rational(n, 0)
-    for c in COMBINATION_COEFFS:
-        for x in values:
-            expected = reference_combination(n, [(c, x)])
-            assert x * c == expected
-            assert c * x == expected
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_linear_combination_matches_reference_fold(n, data):
+    # Values from from_exponents, with exponents up to 2n (many at or above
+    # phi(n)), combined by +, * and galois_apply, against the reference fold.
+    exps = st.dictionaries(
+        st.integers(min_value=-n, max_value=2 * n), COMBINATION_COEFFS, max_size=6
+    )
+    a, b = data.draw(exps), data.draw(exps)
+    c = data.draw(COMBINATION_COEFFS)
+    h = data.draw(st.sampled_from(unit_group(n).members))
+    x, y = Cyclotomic.from_exponents(n, a), Cyclotomic.from_exponents(n, b)
+    assert x.coeffs == reference_fold(n, a.items())
+    assert (x + y).coeffs == reference_fold(n, [*a.items(), *b.items()])
+    assert (x + c).coeffs == reference_fold(n, [*a.items(), (0, c)])
+    product = [(e + f, u * v) for e, u in a.items() for f, v in b.items()]
+    assert (x * y).coeffs == reference_fold(n, product)
+    scaled = [(e, u * c) for e, u in a.items()]
+    assert (x * c).coeffs == reference_fold(n, scaled)
+    assert (x * c + y).coeffs == reference_fold(n, [*scaled, *b.items()])
+    assert galois_apply(h, x).coeffs == reference_fold(n, [(e * h, u) for e, u in a.items()])
+    assert Cyclotomic.from_exponents(n, {}) == Cyclotomic.from_rational(n, 0) == 0
 
 
 def test_linear_combination_rejects_mixed_conductors():
-    with pytest.raises(ValueError):
-        Cyclotomic.linear_combination(12, [(1, Cyclotomic.one(12)), (2, Cyclotomic.one(6))])
-    with pytest.raises(ValueError):
-        Cyclotomic.linear_combination(12, [(1, Cyclotomic.one(6))])
-    with pytest.raises(TypeError):
-        Cyclotomic.linear_combination(12, [(0.5, Cyclotomic.one(12))])
+    # Sums and products need one conductor and a value or a rational operand.
+    x, y = Cyclotomic.one(12), Cyclotomic.one(6)
+    for op in (operator.add, operator.mul):
+        with pytest.raises(ValueError, match="^mixed conductors 12 and 6$"):
+            op(x, y)
+        with pytest.raises(ValueError, match="^mixed conductors 6 and 12$"):
+            op(y, x)
+        with pytest.raises(TypeError):
+            op(x, 0.5)
+        # No reflected operators: a rational operand goes on the right.
+        with pytest.raises(TypeError):
+            op(2, x)
+        with pytest.raises(TypeError):
+            op(Fraction(1, 2), x)
 
 
 def test_format_polynomial():
     assert ex.format_polynomial((Fraction(-8), Fraction(0), Fraction(1))) == "t^2 - 8"
     assert ex.format_polynomial((Fraction(-3, 5), Fraction(1))) == "t - 3/5"
     assert ex.format_polynomial((Fraction(0),)) == "0"
+
+
+# Methods that operator syntax reaches: binary arithmetic, plain, reflected
+# and in-place; unary arithmetic; comparisons; hashing and truth testing.
+BINARY_OPERATORS = (
+    "add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow",
+    "lshift", "rshift", "and", "xor", "or",
+)
+OPERATOR_DUNDERS = {f"__{side}{op}__" for op in BINARY_OPERATORS for side in ("", "r", "i")}
+OPERATOR_DUNDERS |= {
+    f"__{op}__"
+    for op in ("neg", "pos", "abs", "invert", "eq", "ne", "lt", "le", "gt", "ge", "hash", "bool")
+}
+
+# Operators that no command reaches on the shipped instances, each kept for a
+# reason; any other unreached operator should be deleted.
+UNREACHED_OPERATORS = {
+    # -x states ring identities in these tests, e.g. galois_apply(7, x) == -x;
+    # one line over `*`.
+    "__neg__",
+    # x - y states the reference minimal polynomial and x - x == 0 in these
+    # tests; one line over `+` and `__neg__`.
+    "__sub__",
+}
+
+
+def shipped_requests():
+    """Each command each shipped instance accepts: spectrum, degree and check
+    on every one, and distance on the connection instances, which refuses a
+    multiset."""
+    for path in sorted(INSTANCE_DIR.glob("*.txt")):
+        yield from (["spectrum", str(path)], ["degree", str(path)], ["check", str(path)])
+        if "[connection]" in path.read_text():
+            yield ["distance", str(path)]
+
+
+def test_every_operator_is_reached_on_the_shipped_instances(monkeypatch, capsys):
+    defined = OPERATOR_DUNDERS & set(vars(Cyclotomic))
+    reached = set()
+    for name in defined:
+
+        def counted(*args, name=name, real=vars(Cyclotomic)[name]):
+            reached.add(name)
+            return real(*args)
+
+        monkeypatch.setattr(Cyclotomic, name, counted)
+    for argv in shipped_requests():
+        code = main(argv)
+        err = capsys.readouterr().err
+        refused = argv[0] == "distance" and "needs a simple connection set" in err
+        assert code == 0 or (code == 2 and refused), (argv, err)
+    assert UNREACHED_OPERATORS <= defined
+    assert reached == defined - UNREACHED_OPERATORS

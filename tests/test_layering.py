@@ -6,10 +6,11 @@ group engine alone, `exactnum` on the units engine, `colour` on the group
 engine and exact rationals, and `search`, which classifies candidates on the
 units engine, needs nothing above it.  No module reaches into another's
 private, `_`-prefixed names, only `exactnum` reads the stored form of a
-cyclotomic value, and only `units` reads the bundle pullbacks or checks a
-fixing subgroup on elements in coset form.  The galois checks take the
-fixing subgroup they test from their caller, only `galois` builds exact
-spectra, and in `search` each read label names one call.
+cyclotomic value, only `exactnum._fold` reads the residues of the powers of z,
+and only `units` reads the bundle pullbacks or forms the cosets of a fixing
+subgroup.  The galois checks take the fixing subgroup they test from their
+caller, only `galois` builds exact spectra, and in `search` each read label
+names one call.
 `galois` decides integrality exactly, so it reaches neither the Jacobi
 kernels nor the float spectrum.  The CLI builds every group in
 `_construct_group`, which sizes it first and caps the generator closure.
@@ -82,8 +83,9 @@ def test_only_exactnum_reads_the_stored_terms():
 
 def test_only_units_reads_pullbacks_and_checks_coset_forms():
     # Every other module obtains a fixing subgroup, already checked, from
-    # units.read_fixing_subgroup.
-    guarded = {"pullbacks", "_check_coset_form"}
+    # units.read_fixing_subgroup, and tests values in coset form only through
+    # units.coset_split.
+    guarded = {"pullbacks", "_check_coset_form", "coset_form"}
     readers = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "units.py":
@@ -95,7 +97,22 @@ def test_only_units_reads_pullbacks_and_checks_coset_forms():
             ]
     assert readers == []
     units_names = {node.name for node in parse(PACKAGE / "units.py").body if hasattr(node, "name")}
-    assert "_check_coset_form" in units_names
+    assert {"_check_coset_form", "coset_form", "coset_split"} <= units_names
+
+
+def test_only_fold_reads_the_power_residues():
+    # One fold reduces every value built from powers of z, so a new basis for
+    # the field changes `_fold` and the readers that print a value, not its
+    # arithmetic.
+    readers = [
+        f"{path.stem}.{function.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in ast.walk(parse(path))
+        if isinstance(function, ast.FunctionDef) and function.name != "_power_residues"
+        for node in ast.walk(function)
+        if "_power_residues" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    assert readers == ["exactnum._fold"]
 
 
 def test_galois_checks_take_the_fixing_subgroup_from_their_caller():

@@ -248,15 +248,16 @@ def test_spectrum_exact_rejects_non_real_eigenvalue():
 
 def reference_spectrum(f, table):
     # One character sum per row, as a rational combination of the row's
-    # values, and one realness test per row.
+    # values built with + and *, and one realness test per row.
     n = f.group.order
     weights = class_weight_vector(f)
     per_irr = []
     merged = {}
     for label, degree, row in zip(table.labels, table.degrees, character_values(table)):
-        lam = Cyclotomic.linear_combination(
-            n, [(w / degree, chi) for w, chi in zip(weights, row) if w]
-        )
+        lam = Cyclotomic.from_rational(n, 0)
+        for w, chi in zip(weights, row):
+            if w:
+                lam = lam + chi * (w / degree)
         assert galois_apply(n - 1, lam) == lam
         per_irr.append((label, degree, lam))
         merged[lam] = merged.get(lam, 0) + degree**2
