@@ -19,7 +19,6 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from cayspec.errors import InternalInconsistency
-from cayspec.units import unit_group
 
 RationalLike = Union[int, str, Fraction]
 
@@ -70,36 +69,38 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _poly_divexact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    # Exact division of integer polynomials (coefficients low to high).
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % lead != 0:
-            raise InternalInconsistency("non-exact polynomial division")
-        q[i] = c // lead
-        if q[i]:
-            for j, dj in enumerate(den):
-                num[i + j] -= q[i] * dj
-    if any(num[: len(den) - 1]):
-        raise InternalInconsistency("polynomial division left a remainder")
-    return q
+def _mobius(m: int) -> int:
+    exponents = _factor(m).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+
+
+def _times_binomial(poly: list[int], d: int) -> list[int]:
+    # poly * (x^d - 1), coefficients low to high.
+    return [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial.
+    """Coefficients (low to high) of the n-th cyclotomic polynomial, monic of
+    degree phi(n): the product of (x^d - 1)^mu(n/d) over the divisors d of n.
 
-    Computed by exact division of x^n - 1 by the cyclotomic polynomials of the
-    proper divisors of n; monic of degree phi(n).
+    The binomials with mu(n/d) = 1 are multiplied in first, then those with
+    mu(n/d) = -1 divided out, each quotient checked by multiplying it back.
     """
     if n < 1:
         raise ValueError(f"cyclotomic_polynomial needs n >= 1, got {n}")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n)[:-1]:
-        poly = _poly_divexact(poly, cyclotomic_polynomial(d))
+    mu = {d: _mobius(n // d) for d in divisors(n)}
+    poly = [1]
+    for d in (d for d in mu if mu[d] == 1):
+        poly = _times_binomial(poly, d)
+    for d in (d for d in mu if mu[d] == -1):
+        # p = q * (x^d - 1) reads p[i] = q[i - d] - q[i], so q[i] = q[i - d] - p[i].
+        quotient: list[int] = []
+        for i in range(len(poly) - d):
+            quotient.append((quotient[i - d] if i >= d else 0) - poly[i])
+        if _times_binomial(quotient, d) != poly:
+            raise InternalInconsistency(f"x^{d} - 1 does not divide the product for Phi_{n}")
+        poly = quotient
     return tuple(poly)
 
 
@@ -127,21 +128,14 @@ def _power_residues(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
-def _mobius(m: int) -> int:
-    exponents = _factor(m).values()
-    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
-
-
 @lru_cache(maxsize=None)
 def _ramanujan_sums(n: int) -> tuple[int, ...]:
     # Entry i is the trace of z^i from the n-th cyclotomic field to the
-    # rationals, the Ramanujan sum mu(n/g) * phi(n) / phi(n/g) with g = gcd(i, n).
+    # rationals, the Ramanujan sum mu(n/g) * phi(n) / phi(n/g) with g = gcd(i, n),
+    # computed once per divisor g.
     phi = euler_phi(n)
-    out = []
-    for i in range(n):
-        m = n // gcd(i, n)
-        out.append(_mobius(m) * (phi // euler_phi(m)))
-    return tuple(out)
+    by_gcd = {g: _mobius(n // g) * (phi // euler_phi(n // g)) for g in divisors(n)}
+    return tuple(by_gcd[gcd(i, n)] for i in range(n))
 
 
 def _fold(n: int, acc: list[int], pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -160,6 +154,18 @@ def _fold(n: int, acc: list[int], pairs: Iterable[tuple[int, int]]) -> list[int]
 
 
 _ZERO = Fraction(0)
+
+
+def _signed_sum(terms: Iterable[tuple[bool, str, str]]) -> str:
+    """Join (negative, magnitude, power) terms as 'a + b*t - t^2': a power of
+    magnitude 1 stands alone, an empty power is the constant term, the first
+    term is signed only when negative, and no terms give '0'."""
+    parts = []
+    for negative, mag, power in terms:
+        term = (power if mag == "1" else f"{mag}*{power}") if power else mag
+        sign = ("- " if negative else "+ ") if parts else ("-" if negative else "")
+        parts.append(sign + term)
+    return " ".join(parts) or "0"
 
 
 class Cyclotomic:
@@ -308,20 +314,15 @@ class Cyclotomic:
         return self.to_complex().real
 
     def __str__(self):
-        if self.is_rational():
-            return str(self.rational_value())
+        # A rational value renders as its Fraction: one term (0, a) with a
+        # prime to D, or none.
         D = self.denominator
-        parts = []
+        terms = []
         for i, a in self.terms:
             g = gcd(a, D)
             mag = str(abs(a) // g) if g == D else f"{abs(a) // g}/{D // g}"
-            z = f"z{self.conductor}^{i}"
-            term = mag if i == 0 else (z if mag == "1" else f"{mag}*{z}")
-            if not parts:
-                parts.append(term if a > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if a > 0 else f"- {term}")
-        return " ".join(parts)
+            terms.append((a < 0, mag, f"z{self.conductor}^{i}" if i else ""))
+        return _signed_sum(terms)
 
     def __repr__(self):
         return f"Cyclotomic({self.conductor}, {self})"
@@ -338,7 +339,8 @@ def galois_apply(h: int, x: Cyclotomic) -> Cyclotomic:
 
 def galois_orbit(x: Cyclotomic) -> tuple[Cyclotomic, ...]:
     """Distinct images of x under the full unit group, in first-seen order."""
-    return tuple(dict.fromkeys(galois_apply(h, x) for h in unit_group(x.conductor).members))
+    n = x.conductor
+    return tuple(dict.fromkeys(galois_apply(h, x) for h in range(1, n + 1) if gcd(h, n) == 1))
 
 
 def minimal_polynomial(x: Cyclotomic) -> tuple[Fraction, ...]:
@@ -363,15 +365,11 @@ def minimal_polynomial(x: Cyclotomic) -> tuple[Fraction, ...]:
             power = power * x
         trace = sum(a * sums[i] for i, a in power.terms)
         power_sums.append(scale * Fraction(trace, power.denominator))
-    # e[k] is the k-th elementary symmetric function of the orbit.
-    e = [Fraction(1)]
+    # Newton's identities for the monic coefficients, c_d = 1:
+    # k * c_{d-k} = -(p_1 * c_{d-k+1} + ... + p_k * c_d).
+    coeffs = [_ZERO] * d + [Fraction(1)]
     for k in range(1, d + 1):
-        total = sum(
-            (e[k - i] * power_sums[i - 1] if i % 2 else -e[k - i] * power_sums[i - 1])
-            for i in range(1, k + 1)
-        )
-        e.append(total / k)
-    coeffs = tuple(e[d - j] if (d - j) % 2 == 0 else -e[d - j] for j in range(d + 1))
+        coeffs[d - k] = -sum(p * coeffs[d - k + i] for i, p in enumerate(power_sums[:k], 1)) / k
     value = Cyclotomic.one(n)
     for c in coeffs[d - 1 :: -1]:
         value = value * x + c
@@ -380,25 +378,14 @@ def minimal_polynomial(x: Cyclotomic) -> tuple[Fraction, ...]:
             f"trace route: minimal polynomial {format_polynomial(coeffs)} of {x} "
             f"does not vanish there by Horner's rule (value {value})"
         )
-    return coeffs
+    return tuple(coeffs)
 
 
 def format_polynomial(coeffs: Sequence[Fraction]) -> str:
     """Human form of an exact polynomial, highest power first, e.g. 't^2 - 8'."""
-    parts = []
+    terms = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = Fraction(coeffs[i])
-        if not c:
-            continue
-        mag = -c if c < 0 else c
-        if i == 0:
-            term = str(mag)
-        elif i == 1:
-            term = "t" if mag == 1 else f"{mag}*t"
-        else:
-            term = f"t^{i}" if mag == 1 else f"{mag}*t^{i}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts) if parts else "0"
+        if c:
+            terms.append((c < 0, str(abs(c)), "" if i == 0 else "t" if i == 1 else f"t^{i}"))
+    return _signed_sum(terms)

@@ -157,6 +157,19 @@ class Spectrum(NamedTuple):
         return sum(v.real_embedding() ** 2 * m for v, m in self.pairs) ** 0.5
 
 
+class _DescendingKey(NamedTuple):
+    """Sorts values by descending real embedding, and values whose embeddings
+    tie by their exact coefficients, built only for a tie."""
+
+    embedding: float
+    value: Cyclotomic
+
+    def __lt__(self, other: "_DescendingKey") -> bool:
+        if self.embedding != other.embedding:
+            return self.embedding > other.embedding
+        return self.value.coeffs < other.value.coeffs
+
+
 def spectrum_exact(f: ColourFunction, table: CharacterTable) -> Spectrum:
     """One eigenvalue per irreducible with multiplicity its degree squared.
 
@@ -193,10 +206,7 @@ def spectrum_exact(f: ColourFunction, table: CharacterTable) -> Spectrum:
         per_irr.append((label, degree, lam))
         merged[lam] = count + degree**2
     pairs = tuple(
-        sorted(
-            merged.items(),
-            key=lambda item: (-item[0].real_embedding(), item[0].coeffs),
-        )
+        sorted(merged.items(), key=lambda item: _DescendingKey(item[0].real_embedding(), item[0]))
     )
     if sum(m for _, m in pairs) != n:
         raise InternalInconsistency("spectrum multiplicities do not sum to |G|")

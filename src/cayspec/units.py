@@ -123,9 +123,8 @@ class FixingTables:
     per-element tuple.  For h = units[i], pi_h sends each bundle to the
     bundle that g -> g**h maps it onto (the identity stays put), and
     `pullbacks[i]` maps an extended vector v to v o pi_h.  `coset_forms`
-    caches, per fixing subgroup, the validated subgroup, (h, pullback on
-    elements) for its generators, and the same for one representative of
-    each non-trivial coset in the units.
+    caches, per fixing subgroup, the validated subgroup and its coset tests
+    (see `coset_form`).
     """
 
     def __init__(self, G: Group):
@@ -160,9 +159,10 @@ def fixing_tables(G: Group) -> FixingTables:
 
 
 def coset_form(tables: FixingTables, members: tuple[int, ...]) -> tuple:
-    """(subgroup, generators, coset representatives) of a fixing set, each
-    unit paired with its pullback on elements, validating on first sight that
-    the members form a subgroup."""
+    """(subgroup, tests) of a fixing set, validating on first sight that the
+    members form a subgroup: a test (h, pullback on elements, True) for each
+    generator h, which must fix, then (h, pullback, False) for one
+    representative h of each non-trivial coset, which must move."""
     form = tables.coset_forms.get(members)
     if form is None:
         G = tables.group
@@ -180,9 +180,10 @@ def coset_form(tables: FixingTables, members: tuple[int, ...]) -> tuple:
             if u not in covered:
                 reps.append(u)
                 covered.update(u * h % n for h in members)
-        form = tables.coset_forms[members] = (H,) + tuple(
-            tuple((h, _getter(power_map(G, h))) for h in units)
-            for units in (H.generators, reps)
+        form = tables.coset_forms[members] = H, tuple(
+            (h, _getter(power_map(G, h)), must_fix)
+            for units, must_fix in ((H.generators, True), (reps, False))
+            for h in units
         )
     return form
 
@@ -192,9 +193,8 @@ def coset_split(tables: FixingTables, members: tuple[int, ...], fixes) -> Option
     some values, tested by `fixes(h, pullback)`, part: (h, True) for a generator
     of H that moves them, (h, False) for a coset representative that fixes
     them; None, as each generator fixes and each representative moves them, pins it to H."""
-    _, generators, reps = coset_form(tables, members)
-    tests = [(h, p, True) for h, p in generators] + [(h, p, False) for h, p in reps]
-    return next(((h, moves) for h, p, moves in tests if fixes(h, p) != moves), None)
+    _, tests = coset_form(tables, members)
+    return next(((h, must_fix) for h, p, must_fix in tests if fixes(h, p) != must_fix), None)
 
 
 def read_fixing_subgroup(

@@ -1115,10 +1115,11 @@ def test_tableless_rational_colour_runs_jacobi_once(capsys, monkeypatch, tmp_pat
     )
 
 
-def _loaded_by_cli_import(modules) -> str:
-    """The given modules that `import cayspec.cli` loads, as a printed list."""
+def _loaded_by_import(modules, importing="cayspec.cli") -> str:
+    """The given modules that importing `importing` loads in a fresh
+    interpreter, as a printed list."""
     src = str(Path(cayspec.__file__).resolve().parent.parent)
-    code = f"import sys, cayspec.cli; print(sorted(m for m in {modules!r} if m in sys.modules))"
+    code = f"import sys, {importing}; print(sorted(m for m in {modules!r} if m in sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -1133,14 +1134,19 @@ def _loaded_by_cli_import(modules) -> str:
 def test_cli_import_loads_no_process_pool():
     # Only `search --jobs` above 1 starts workers; every other request
     # should not pay for importing multiprocessing.
-    assert _loaded_by_cli_import(("multiprocessing", "concurrent.futures.process")) == "[]"
+    assert _loaded_by_import(("multiprocessing", "concurrent.futures.process")) == "[]"
 
 
 def test_cli_import_loads_no_dataclass_machinery():
     # Every request is a fresh process: `dataclasses` and the `inspect`,
     # `ast` and `dis` modules it pulls in cost about 10 ms to import, and
     # each decorated class more to build.
-    assert _loaded_by_cli_import(("dataclasses", "inspect")) == "[]"
+    assert _loaded_by_import(("dataclasses", "inspect")) == "[]"
+
+
+def test_exactnum_import_loads_no_group_engine():
+    # The field layer is a leaf: it lists the units modulo n itself.
+    assert _loaded_by_import(("cayspec.units", "cayspec.groups"), "cayspec.exactnum") == "[]"
 
 
 @pytest.mark.parametrize(

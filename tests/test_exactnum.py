@@ -1,6 +1,8 @@
 import operator
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,78 @@ def test_cyclotomic_product_is_x_n_minus_1(n):
         prod = poly_mul(prod, list(cyclotomic_polynomial(d)))
     expected = [-1] + [0] * (n - 1) + [1]
     assert prod == expected
+
+
+def reference_divexact(num, den):
+    # Exact division of integer polynomials (coefficients low to high).
+    num = list(num)
+    q = [0] * (len(num) - len(den) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i], rem = divmod(num[i + len(den) - 1], den[-1])
+        assert rem == 0
+        if q[i]:
+            for j, dj in enumerate(den):
+                num[i + j] -= q[i] * dj
+    assert not any(num[: len(den) - 1])
+    return q
+
+
+@lru_cache(maxsize=None)
+def reference_cyclotomic(n):
+    # The recursion the Moebius product replaced: x^n - 1 divided exactly by
+    # Phi_d for each proper divisor d of n.
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in (d for d in range(1, n) if n % d == 0):
+        poly = reference_divexact(poly, reference_cyclotomic(d))
+    return tuple(poly)
+
+
+@pytest.mark.parametrize(
+    "ns", [range(1, 1201), (1155, 2310, 4620, 5000, 10_000)], ids=["to-1200", "large"]
+)
+def test_cyclotomic_polynomial_matches_recursive_reference(ns):
+    for n in ns:
+        assert cyclotomic_polynomial(n) == reference_cyclotomic(n), n
+
+
+def test_cyclotomic_polynomial_builds_no_other_divisor():
+    cyclotomic_polynomial.cache_clear()
+    assert len(cyclotomic_polynomial(4620)) == euler_phi(4620) + 1
+    assert cyclotomic_polynomial.cache_info().currsize == 1
+
+
+def test_cyclotomic_division_is_checked(monkeypatch):
+    # With mu(6) read as -1, x^6 - 1 is divided by x - 1, x^2 - 1 and x^3 - 1,
+    # and x^2 - 1 does not divide 1 + x + ... + x^5.
+    real = ex._mobius
+    monkeypatch.setattr(ex, "_mobius", lambda m: -1 if m == 6 else real(m))
+    cyclotomic_polynomial.cache_clear()
+    message = "^x\\^2 - 1 does not divide the product for Phi_6$"
+    with pytest.raises(InternalInconsistency, match=message):
+        cyclotomic_polynomial(6)
+
+
+@lru_cache(maxsize=None)
+def reference_mobius(m):
+    mu, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if m > 1 else mu
+
+
+def test_ramanujan_sums_match_per_index_formula():
+    # Entry i is mu(n/g) * phi(n) / phi(n/g), g = gcd(i, n), worked out for each i.
+    for n in range(1, 1500):
+        expected = tuple(
+            reference_mobius(n // gcd(i, n)) * (euler_phi(n) // euler_phi(n // gcd(i, n)))
+            for i in range(n)
+        )
+        assert ex._ramanujan_sums(n) == expected, n
 
 
 def test_from_exponents_reductions():

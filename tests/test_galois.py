@@ -30,7 +30,13 @@ from cayspec.galois import (
     multiset_fixing_subgroup,
     splitting_field,
 )
-from cayspec.groups import make_cyclic, make_dihedral, make_from_generators, power_map
+from cayspec.groups import (
+    make_cyclic,
+    make_dihedral,
+    make_from_generators,
+    make_product,
+    power_map,
+)
 from cayspec.search import SetRecord, classify
 from cayspec.spectra import Spectrum, character_table, spectrum_exact
 from cayspec.units import UnitSubgroup, close_generators, fixing_tables, unit_group, unit_subgroup
@@ -229,6 +235,35 @@ def test_stabilizer_identity_random():
             assert checked_spectrum(f, fixing_subgroup(f)) is not None
             count += 1
     assert count >= 50
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        make_cyclic(30),
+        make_cyclic(60),
+        make_dihedral(15),
+        make_product(make_cyclic(6), make_cyclic(10)),
+    ],
+    ids=["Z30", "Z60", "D15", "Z6xZ10"],
+)
+def test_galois_twist(G):
+    # f o pi_u, g -> f(g**u), has the fixing subgroup of f, and as a row's
+    # sum of f(g**u) chi(g) is the sum of f(g) chi(g**v), v = u^-1, its
+    # spectrum is sigma_v of f's, multiplicities kept.
+    n = G.order
+    rng = random.Random(n)
+    units = unit_group(n).members
+    for _ in range(9):
+        f = random_class_function(G, rng)
+        u = rng.choice(units)
+        pm = power_map(G, u)
+        twisted = colour_from_values(G, {g: f.values[pm[g]] for g in range(n)})
+        H = fixing_subgroup(f)
+        assert fixing_subgroup(twisted).members == H.members
+        v = pow(u, -1, n)
+        expected = {galois_apply(v, value): m for value, m in checked_spectrum(f, H).pairs}
+        assert dict(checked_spectrum(twisted, H).pairs) == expected
 
 
 def test_integral_over_trivial_subgroup():

@@ -13,6 +13,7 @@ from cayspec.groups import (
     power,
     power_map,
 )
+from cayspec.units import fixing_tables
 
 
 def class_names(G):
@@ -329,6 +330,31 @@ def test_power_matches_repeated_multiplication(G):
             assert power(G, g, k) == ref
     for h in range(-G.order, G.order + 1):
         assert power_map(G, h) == tuple(power(G, g, h) for g in range(G.order))
+
+
+@pytest.mark.parametrize(
+    "G",
+    [make_cyclic(9), make_dihedral(5), PRODUCT_223, make_dihedral(6)],
+    ids=["Z9", "D5", "Z2xZ2xZ3", "Z2xD3"],
+)
+def test_pullbacks_match_repeated_multiplication(G):
+    # pullbacks[i] sends bundle b to the bundle of x**h, h = units[i], for the
+    # first element x of b, here the h-fold product of x; the identity, index
+    # B, stays put.  Bundles are inverse-closed, so pi_h = pi_-h.
+    tables = fixing_tables(G)
+    B = len(tables.bundles)
+    extended = tuple(range(B + 1))
+    images = {}
+    for h, pullback in zip(tables.units, tables.pullbacks):
+        expected = []
+        for bundle in tables.bundles:
+            ref = 0
+            for _ in range(h):
+                ref = G.mul(ref, bundle[0])
+            expected.append(tables.bundle_of[ref])
+        images[h] = pullback(extended)
+        assert images[h] == (*expected, B), h
+    assert all(images[h] == images[G.order - h] for h in tables.units)
 
 
 @pytest.mark.parametrize(

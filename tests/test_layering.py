@@ -1,8 +1,9 @@
-"""Layering guard: the units engine sits below the field layer.
+"""Layering guard: the group engine, the units engine and the field layer
+sit below the rest.
 
 Imports are read from the source with `ast`, so nothing is imported and no
 module runs.  The group engine imports no other module, `units` builds on the
-group engine alone, `exactnum` on the units engine, `colour` on the group
+group engine alone, `exactnum` on the error types alone, `colour` on the group
 engine and exact rationals, and `search`, which classifies candidates on the
 units engine, needs nothing above it.  No module reaches into another's
 private, `_`-prefixed names, only `exactnum` reads the stored form of a
@@ -31,7 +32,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cayspec"
 
 ALLOWED = {
     "colour": {"exactnum", "groups"},
-    "exactnum": {"errors", "units"},
+    "exactnum": {"errors"},
     "groups": set(),
     "units": {"errors", "groups"},
     "search": {"errors", "groups", "units"},

@@ -420,6 +420,32 @@ def test_spectrum_sorted_descending():
     assert embeddings == sorted(embeddings, reverse=True)
 
 
+def test_embedding_ties_break_on_exact_coefficients(monkeypatch):
+    # Rounded to whole numbers, distinct eigenvalues tie; the order must be
+    # that of the key (-embedding, coeffs).
+    real = Cyclotomic.real_embedding
+    monkeypatch.setattr(Cyclotomic, "real_embedding", lambda x: float(round(real(x))))
+    rng = random.Random(5)
+    ties = 0
+    for G in (make_cyclic(30), make_dihedral(12), make_product(make_cyclic(4), make_cyclic(6))):
+        for _ in range(3):
+            spectrum = spectrum_exact(random_class_function(G, rng), character_table(G))
+            values = [v for v, _ in spectrum.pairs]
+            assert values == sorted(values, key=lambda v: (-v.real_embedding(), v.coeffs))
+            ties += len(values) - len({v.real_embedding() for v in values})
+    assert ties > 20
+
+
+def test_untied_spectra_read_no_coefficients(monkeypatch, capsys):
+    # The exact coefficients only break ties between equal embeddings.
+    reads = []
+    coeffs = Cyclotomic.coeffs
+    monkeypatch.setattr(Cyclotomic, "coeffs", property(lambda x: reads.append(x) or coeffs.fget(x)))
+    for name in ("z5_pentagon.txt", "d8_alpha.txt"):
+        assert main(["spectrum", instance_path(name)]) == 0
+    assert reads == [] and "exact" in capsys.readouterr().out
+
+
 def test_adjacency_matrix_properties():
     G = make_cyclic(6)
     zero = colour_from_values(G, {})
