@@ -114,10 +114,10 @@ def distance_layering(f: ColourFunction) -> DistanceLayering:
     if unreached:
         raise ValueError(f"connection set does not reach: {', '.join(unreached)}")
     diameter = max(dist)
-    layers = tuple(
-        tuple(g for g in range(G.order) if dist[g] == level)
-        for level in range(diameter + 1)
-    )
+    buckets: list[list[int]] = [[] for _ in range(diameter + 1)]
+    for g, d in enumerate(dist):
+        buckets[d].append(g)
+    layers = tuple(map(tuple, buckets))
     colour = colour_from_values(G, {g: Fraction(d) for g, d in enumerate(dist)})
     return DistanceLayering(colour=colour, layers=layers, diameter=diameter)
 

@@ -5,9 +5,11 @@ primitive n-th root of unity, stored as its residue modulo the n-th cyclotomic
 polynomial over the power basis {z^0, ..., z^{phi(n)-1}}: integer numerators of
 the non-zero coefficients over one common denominator, in lowest terms.  This
 canonical form makes equality and hashing a comparison of integers, which is
-what stabilizer and orbit computations need; no other module reads it.  One
-fold, `_fold`, reduces every value built from powers of z: exponent sums,
-Galois images and products; a sum of two reduced values needs no reduction.
+what stabilizer and orbit computations need; no other module reads it.  A value
+is built once, from exponent counts or as a Galois image, and one fold,
+`_fold`, reduces both; values are never added or multiplied.  The one routine
+that needs powers, `minimal_polynomial`, takes exponent counts and works in the
+group ring Z[z]/(z^n - 1), reducing a single value at the end.
 """
 
 from __future__ import annotations
@@ -15,16 +17,25 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from cayspec.errors import InternalInconsistency
 
 RationalLike = Union[int, str, Fraction]
 
-# Total bits (numerators plus denominators) allowed in one canonical residue.
+# Total bits (numerators plus denominators) allowed in one canonical residue,
+# and numerator bits in one integer group-ring vector of `minimal_polynomial`.
 # A guardrail against runaway coefficient growth, not a precision limit.
 COEFFICIENT_BIT_BUDGET = 1_000_000
+
+
+def _check_budget(bits: int) -> None:
+    if bits > COEFFICIENT_BIT_BUDGET:
+        raise ValueError(
+            f"canonical residue exceeds the {COEFFICIENT_BIT_BUDGET}-bit coefficient budget"
+        )
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -106,26 +117,25 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _power_residues(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # Row e holds the non-zero (index, coefficient) pairs of the canonical
-    # residue of z^e modulo the n-th cyclotomic polynomial, for every exponent
-    # a product of two canonical residues can produce.
-    modulus = cyclotomic_polynomial(n)
+    # Row e < n holds the non-zero (index, coefficient) pairs of the canonical
+    # residue of z^e modulo the n-th cyclotomic polynomial.  With r the
+    # product of the primes of n and m = n/r, Phi_n(z) = Phi_r(z^m): the
+    # residue of z^(q*m + s), s < m, is that of y^q modulo Phi_r with y^j read
+    # as z^(j*m + s), so only the r rows of Phi_r are shifted densely.
+    r = prod(_factor(n))
+    m = n // r
+    modulus = cyclotomic_polynomial(r)
     phi = len(modulus) - 1
-    count = max(n, 2 * phi - 1)
     rows = []
-    cur = [0] * phi
-    cur[0] = 1
-    for _ in range(count):
-        rows.append(tuple((i, r) for i, r in enumerate(cur) if r))
-        lead = cur[phi - 1]
-        nxt = [0] * phi
-        for i in range(phi - 1, 0, -1):
-            nxt[i] = cur[i - 1]
+    cur = [1] + [0] * (phi - 1)
+    for _ in range(r):
+        rows.append(tuple((j * m, c) for j, c in enumerate(cur) if c))
+        lead = cur[-1]
+        cur = [0] + cur[:-1]
         if lead:
             for i in range(phi):
-                nxt[i] -= lead * modulus[i]
-        cur = nxt
-    return tuple(rows)
+                cur[i] -= lead * modulus[i]
+    return tuple(tuple((i + s, c) for i, c in row) for row in rows for s in range(m))
 
 
 @lru_cache(maxsize=None)
@@ -140,17 +150,26 @@ def _ramanujan_sums(n: int) -> tuple[int, ...]:
 
 def _fold(n: int, acc: list[int], pairs: Iterable[tuple[int, int]]) -> list[int]:
     # Add k times the canonical residue of z^e to the power-basis accumulator
-    # for each (e, k) pair, 0 <= e < max(n, 2 * phi(n) - 1): the one reader of
-    # the `_power_residues` table, built only at the first non-zero exponent.
+    # for each (e, k) pair, 0 <= e < n: the one reader of the
+    # `_power_residues` table, built only at the first non-zero exponent.
     rows = None
     for e, k in pairs:
         if not e:
             acc[0] += k
         elif k:
             rows = rows or _power_residues(n)
-            for i, r in rows[e]:
-                acc[i] += k * r
+            for i, c in rows[e]:
+                acc[i] += k * c
     return acc
+
+
+def _lift(n: int, exponent_coeffs: Mapping[int, RationalLike]) -> tuple[list[tuple[int, int]], int]:
+    # (pairs, D): sum_e c_e * z^e is D^-1 times the sum of k * z^e over the
+    # integer (e, k) pairs, with every exponent taken modulo n.  An int
+    # coefficient is read as it is, with no Fraction built for it.
+    items = [(e, c if isinstance(c, int) else as_fraction(c)) for e, c in exponent_coeffs.items()]
+    D = lcm(*(c.denominator for _, c in items))
+    return [(e % n, c.numerator * (D // c.denominator)) for e, c in items], D
 
 
 _ZERO = Fraction(0)
@@ -175,8 +194,8 @@ class Cyclotomic:
     one positive common denominator D: `terms` holds the non-zero (index,
     D * coefficient) pairs in increasing index, and D shares no factor with
     their numerators, so equal field values have equal (conductor, D, terms).
-    Every value is built by `__init__` from one dense integer accumulator;
-    arithmetic reads and writes integers only.
+    Every value is built by `__init__` from one dense integer accumulator.
+    A value has no arithmetic: it is compared, hashed, embedded and printed.
     """
 
     __slots__ = ("conductor", "denominator", "terms")
@@ -191,10 +210,7 @@ class Cyclotomic:
         # The bits the coefficients would take as reduced Fractions are at most
         # their numerator bits plus those of D, and 1 for each zero.
         bits = len(numerators) - len(terms) + len(terms) * denominator.bit_length()
-        if bits + sum(a.bit_length() for _, a in terms) > COEFFICIENT_BIT_BUDGET:
-            raise ValueError(
-                f"canonical residue exceeds the {COEFFICIENT_BIT_BUDGET}-bit coefficient budget"
-            )
+        _check_budget(bits + sum(a.bit_length() for _, a in terms))
         self.conductor = conductor
         self.denominator = denominator
         self.terms = terms
@@ -212,13 +228,8 @@ class Cyclotomic:
         cls, n: int, exponent_coeffs: Mapping[int, RationalLike], denominator: int = 1
     ) -> "Cyclotomic":
         """Build (sum_e c_e * z^e) / denominator with exponents taken modulo n,
-        then canonicalize.  An int coefficient is read as it is, with no
-        Fraction built for it."""
-        items = [
-            (e, c if isinstance(c, int) else as_fraction(c)) for e, c in exponent_coeffs.items()
-        ]
-        D = lcm(*(c.denominator for _, c in items))
-        pairs = [(e % n, c.numerator * (D // c.denominator)) for e, c in items]
+        then canonicalize."""
+        pairs, D = _lift(n, exponent_coeffs)
         return cls(n, _fold(n, [0] * euler_phi(n), pairs), D * denominator)
 
     @classmethod
@@ -228,49 +239,6 @@ class Cyclotomic:
     @classmethod
     def one(cls, n: int) -> "Cyclotomic":
         return cls.from_exponents(n, {0: 1})
-
-    def _parts(self, other):
-        # (terms, denominator) of a rational or a value of this conductor; else None.
-        if isinstance(other, Cyclotomic):
-            if other.conductor != self.conductor:
-                raise ValueError(f"mixed conductors {self.conductor} and {other.conductor}")
-            return other.terms, other.denominator
-        if isinstance(other, (int, Fraction)):
-            return ((0, other.numerator),) if other else (), other.denominator
-        return None
-
-    def __add__(self, other):
-        # Reduced residues add coefficient by coefficient, with no fold.
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        terms, d = parts
-        D = lcm(self.denominator, d)
-        acc = [0] * euler_phi(self.conductor)
-        for pairs, k in ((self.terms, D // self.denominator), (terms, D // d)):
-            for i, a in pairs:
-                acc[i] += k * a
-        return Cyclotomic(self.conductor, acc, D)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, other):
-        # The convolution's low half is already reduced; its high half is folded.
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        terms, d = parts
-        n = self.conductor
-        phi = euler_phi(n)
-        conv = [0] * (2 * phi - 1)
-        for i, ai in self.terms:
-            for j, bj in terms:
-                conv[i + j] += ai * bj
-        return Cyclotomic(n, _fold(n, conv[:phi], enumerate(conv[phi:], phi)), self.denominator * d)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -343,40 +311,59 @@ def galois_orbit(x: Cyclotomic) -> tuple[Cyclotomic, ...]:
     return tuple(dict.fromkeys(galois_apply(h, x) for h in range(1, n + 1) if gcd(h, n) == 1))
 
 
-def minimal_polynomial(x: Cyclotomic) -> tuple[Fraction, ...]:
-    """Monic minimal polynomial of x over the rationals (coefficients low to high).
+def _times(vector: list[int], step: Sequence[tuple[int, int]]) -> list[int]:
+    # vector * sum of k * z^e over the (e, k) step in Z[z]/(z^n - 1), n the
+    # vector's length: one rotation per exponent, with no reduction.
+    out = [0] * len(vector)
+    for e, k in step:
+        out = [a + k * b for a, b in zip(out, vector[-e:] + vector[:-e])]
+    _check_budget(sum(map(int.bit_length, out)))
+    return out
+
+
+def minimal_polynomial(n: int, exponent_coeffs: Mapping[int, RationalLike]) -> tuple[Fraction, ...]:
+    """Monic minimal polynomial over the rationals (coefficients low to high)
+    of x = sum_e c_e * z^e, given by the exponent counts `from_exponents` takes.
 
     With d the size of the Galois orbit of x, the power sums of the orbit are
-    p_k = Tr(x^k) * d / phi(n), where the trace of z^i is a Ramanujan sum, and
-    Newton's identities turn p_1..p_d into the coefficients: d - 1 products in
-    all, and every coefficient rational by construction.  The result is checked
-    by a second route sharing only the ring arithmetic: it must vanish at x,
-    evaluated exactly by Horner's rule.  A monic polynomial of degree
-    d = [Q(x):Q] with x as a root is the minimal polynomial.
+    p_k = Tr(x^k) * d / phi(n).  The trace of z^i is a Ramanujan sum that
+    depends only on i mod n, so x^k is taken in the group ring Z[z]/(z^n - 1):
+    a dense integer vector scaled by D^k, for D the common denominator of the
+    c_e, each product by x one rotation per exponent and never reduced.
+    Newton's identities turn p_1..p_d into the coefficients, rational by
+    construction.  The result is checked by a second route sharing only the
+    exponent lift: Horner's rule evaluates it at x in the same group ring,
+    scaled to integers, and the one value reduced by `from_exponents` must be
+    zero.  A monic polynomial of degree d = [Q(x):Q] with x as a root is the
+    minimal polynomial.
     """
-    n = x.conductor
+    x = Cyclotomic.from_exponents(n, exponent_coeffs)
     d = len(galois_orbit(x))
+    step, D = _lift(n, exponent_coeffs)
     sums = _ramanujan_sums(n)
     scale = Fraction(d, euler_phi(n))
     power_sums = []
-    power = x
+    power = [1] + [0] * (n - 1)
     for k in range(1, d + 1):
-        if k > 1:
-            power = power * x
-        trace = sum(a * sums[i] for i, a in power.terms)
-        power_sums.append(scale * Fraction(trace, power.denominator))
+        power = _times(power, step)
+        power_sums.append(scale * Fraction(sum(map(mul, power, sums)), D**k))
     # Newton's identities for the monic coefficients, c_d = 1:
     # k * c_{d-k} = -(p_1 * c_{d-k+1} + ... + p_k * c_d).
     coeffs = [_ZERO] * d + [Fraction(1)]
     for k in range(1, d + 1):
         coeffs[d - k] = -sum(p * coeffs[d - k + i] for i, p in enumerate(power_sums[:k], 1)) / k
-    value = Cyclotomic.one(n)
-    for c in coeffs[d - 1 :: -1]:
-        value = value * x + c
-    if value:
+    # Horner's rule on L * D^(d-k) times the partial values, L the common
+    # denominator of the coefficients, ends at L * D^d times the value at x.
+    L = lcm(*(c.denominator for c in coeffs))
+    value = [L] + [0] * (n - 1)
+    for k in range(d - 1, -1, -1):
+        value = _times(value, step)
+        value[0] += int(L * coeffs[k]) * D ** (d - k)
+    residue = Cyclotomic.from_exponents(n, dict(enumerate(value)), L * D**d)
+    if residue:
         raise InternalInconsistency(
             f"trace route: minimal polynomial {format_polynomial(coeffs)} of {x} "
-            f"does not vanish there by Horner's rule (value {value})"
+            f"does not vanish there by Horner's rule (value {residue})"
         )
     return tuple(coeffs)
 

@@ -56,12 +56,13 @@ class FieldReport(NamedTuple):
     minimal_poly: tuple[Fraction, ...]
 
 
-def _gauss_period(n: int, members: Sequence[int], k: int) -> Cyclotomic:
+def _gauss_period(n: int, members: Sequence[int], k: int) -> dict[int, int]:
+    # The exponent counts of eta_k = sum of z^(k*h) over h in H.
     counts: dict[int, int] = {}
     for h in members:
         e = (k * h) % n
         counts[e] = counts.get(e, 0) + 1
-    return Cyclotomic.from_exponents(n, counts)
+    return counts
 
 
 def _primitive_search(
@@ -91,9 +92,10 @@ def _primitive_search(
         # 1 is rational: its minimal polynomial is t - 1.
         return Cyclotomic.one(n), (Fraction(-1), Fraction(1))
     for k in range(1, n):
-        x = _gauss_period(n, H.members, k)
+        counts = _gauss_period(n, H.members, k)
+        x = Cyclotomic.from_exponents(n, counts)
         if _coset_split(tables, H.members, (x,)) is None:
-            poly = minimal_polynomial(x)
+            poly = minimal_polynomial(n, counts)
             if len(poly) - 1 != degree:
                 raise InternalInconsistency(
                     f"coset route: {x} has stabilizer {H.members}, but its Galois "

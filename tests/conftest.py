@@ -6,6 +6,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Iterable
 
@@ -40,6 +41,49 @@ def symmetric_bundles(G: Group) -> list[tuple[int, ...]]:
         used.add(inverse_ci)
         bundles.append(tuple(sorted(set(cls) | set(part.classes[inverse_ci]))))
     return bundles
+
+
+def _scaled(value) -> tuple[int, dict[int, int]]:
+    # (D, counts): a value is D^-1 times the sum of k * z^e over its integer
+    # counts, read off its power-basis coefficients; a rational is exponent 0.
+    coeffs = value.coeffs if isinstance(value, Cyclotomic) else (Fraction(value),)
+    nonzero = [(e, c) for e, c in enumerate(coeffs) if c]
+    D = lcm(*(c.denominator for _, c in nonzero))
+    return D, {e: c.numerator * (D // c.denominator) for e, c in nonzero}
+
+
+def _conductor(values) -> int:
+    (n,) = {v.conductor for v in values if isinstance(v, Cyclotomic)}
+    return n
+
+
+def reference_sum(*values) -> Cyclotomic:
+    """The sum of cyclotomic values of one conductor and rationals: their
+    power-basis coefficients added exponent by exponent over one common
+    denominator, reduced once by `Cyclotomic.from_exponents`."""
+    scaled = [_scaled(value) for value in values]
+    D = lcm(*(d for d, _ in scaled))
+    total: Counter = Counter()
+    for d, counts in scaled:
+        for e, k in counts.items():
+            total[e] += k * (D // d)
+    return Cyclotomic.from_exponents(_conductor(values), total, D)
+
+
+def reference_product(*values) -> Cyclotomic:
+    """The product of cyclotomic values of one conductor and rationals: their
+    power-basis coefficients convolved, exponents added modulo the conductor,
+    reduced once by `Cyclotomic.from_exponents`."""
+    n = _conductor(values)
+    D, total = 1, {0: 1}
+    for value in values:
+        d, factor = _scaled(value)
+        nxt: Counter = Counter()
+        for e, a in total.items():
+            for f, b in factor.items():
+                nxt[(e + f) % n] += a * b
+        D, total = D * d, nxt
+    return Cyclotomic.from_exponents(n, total, D)
 
 
 def character_values(table) -> list[list[Cyclotomic]]:

@@ -35,6 +35,8 @@ from conftest import (
     d8_alpha,
     d8_beta,
     product_of_cyclics,
+    reference_product,
+    reference_sum,
     search_corpus_groups,
 )
 
@@ -66,7 +68,7 @@ def test_criterion_01_alpha_example():
         Cyclotomic.from_rational(16, Fraction(-199, 5)): 1,
         Cyclotomic.from_rational(16, -1): 4,
         surd: 4,
-        -surd: 4,
+        reference_product(surd, -1): 4,
     }
     assert surd.real_embedding() == pytest.approx(0.5656854249, abs=1e-10)
     H = fixing_subgroup(alpha)
@@ -106,8 +108,8 @@ def test_criterion_03_s1_example():
     assert dict(spec.pairs) == {
         Cyclotomic.from_rational(10, 9): 1,
         minus_one: 1,
-        minus_one + sqrt5: 4,
-        minus_one - sqrt5: 4,
+        reference_sum(minus_one, sqrt5): 4,
+        reference_sum(minus_one, reference_product(sqrt5, -1)): 4,
     }
     assert multiset_fixing_subgroup(f).members == (1, 9)
     assert euler_phi(10) // len(fixing_subgroup(f).members) == 2
@@ -159,8 +161,8 @@ def test_criterion_07_trace_and_frobenius(oracle_corpus):
         total = Cyclotomic.from_rational(n, 0)
         total_sq = Cyclotomic.from_rational(n, 0)
         for _, degree, lam in spec.per_irreducible:
-            total = total + lam * degree**2
-            total_sq = total_sq + lam * lam * degree**2
+            total = reference_sum(total, reference_product(lam, degree**2))
+            total_sq = reference_sum(total_sq, reference_product(lam, lam, degree**2))
         assert total == n * f.values[0]
         assert total_sq == Cyclotomic.from_rational(
             n, Fraction(n) * sum(v * v for v in f.values)
@@ -199,15 +201,16 @@ def test_criterion_08_character_table_invariants():
         values = character_values(table)
         for i, row_i in enumerate(values):
             for j, row_j in enumerate(values):
-                total = Cyclotomic.from_rational(n, 0)
-                for ci in range(len(sizes)):
-                    total = total + row_i[ci] * row_j[inv_class[ci]] * sizes[ci]
+                total = reference_sum(
+                    *(reference_product(row_i[ci], row_j[inv_class[ci]], size)
+                      for ci, size in enumerate(sizes))
+                )
                 assert total == (n if i == j else 0)
         for ci in range(len(part.classes)):
             for cj in range(len(part.classes)):
-                total = Cyclotomic.from_rational(n, 0)
-                for row in values:
-                    total = total + row[ci] * row[inv_class[cj]]
+                total = reference_sum(
+                    *(reference_product(row[ci], row[inv_class[cj]]) for row in values)
+                )
                 assert total == (n // sizes[ci] if ci == cj else 0)
         count += 1
     report(8, f"orthogonality exact for {count} tables of order <= 40", budget.check())

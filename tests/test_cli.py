@@ -30,7 +30,7 @@ from cayspec.groups import (
 )
 from cayspec.spectra import has_character_table
 from cayspec.units import unit_group
-from conftest import instance_path, random_class_function
+from conftest import instance_path, random_class_function, reference_sum
 
 
 def machine_block(text: str) -> dict[str, str]:
@@ -1017,7 +1017,7 @@ def test_stabilizer_identity_mismatch_exits_three(capsys, monkeypatch, command, 
         n = f.group.order
         if command == "spectrum":
             (value, mult), *rest = spec.pairs
-            pairs = ((value + Cyclotomic.from_exponents(n, {1: 1}), mult), *rest)
+            pairs = ((reference_sum(value, Cyclotomic.from_exponents(n, {1: 1})), mult), *rest)
         else:
             pairs = tuple(
                 (Cyclotomic.from_exponents(n, {0: i}), m) for i, (_, m) in enumerate(spec.pairs)
@@ -1287,8 +1287,8 @@ def test_degree_one_field_skips_the_minimal_polynomial(capsys, tmp_path, monkeyp
     # the Galois orbit of 1 under every unit.
     import cayspec.galois as galois_mod
 
-    def refuse(x):
-        raise AssertionError(f"minimal polynomial of {x} computed at degree 1")
+    def refuse(n, exponent_coeffs):
+        raise AssertionError(f"minimal polynomial of {exponent_coeffs} computed at degree 1")
 
     monkeypatch.setattr(galois_mod, "minimal_polynomial", refuse)
     path = tmp_path / "s4.txt"

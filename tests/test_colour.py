@@ -134,6 +134,20 @@ def test_distance_layer_invariants():
     assert layering.layers[1] == tuple(g for g, v in enumerate(S.values) if v)
 
 
+@pytest.mark.parametrize("elements", [[1, 999], [2, 998, 5, 995]], ids=["cycle", "two-steps"])
+def test_distance_layers_match_the_per_level_scan(elements):
+    # One pass buckets the elements by distance; the scan it replaced read
+    # all n distances once per level, in increasing element order.
+    G = make_cyclic(1000)
+    layering = distance_layering(multiset_colour(G, elements))
+    dist = [int(v) for v in layering.colour.values]
+    assert layering.layers == tuple(
+        tuple(g for g in range(G.order) if dist[g] == level)
+        for level in range(layering.diameter + 1)
+    )
+    assert layering.diameter == (500 if elements == [1, 999] else 101)
+
+
 def test_pullback_identity_and_inverse():
     _, alpha = d8_alpha()
     assert power_pullback(alpha, 1) == alpha

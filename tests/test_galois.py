@@ -48,7 +48,14 @@ from conftest import (
     instance_path,
     multiset_colour,
     random_class_function,
+    reference_product,
+    reference_sum,
 )
+
+
+def period(n, members, k):
+    """The Gauss period sum of z^(k*h) over h in members, from its exponent counts."""
+    return Cyclotomic.from_exponents(n, _gauss_period(n, members, k))
 
 
 def test_unit_subgroup_validation():
@@ -157,7 +164,7 @@ def test_splitting_field_alpha():
     assert report.degree == 2
     assert report.fixing_subgroup.members == (1, 7, 9, 15)
     # the first subgroup period vanishes, the second certifies the field
-    assert not _gauss_period(16, (1, 7, 9, 15), 1)
+    assert not period(16, (1, 7, 9, 15), 1)
     assert report.primitive_element == Cyclotomic.from_exponents(16, {2: 2, 14: 2})
     assert report.minimal_poly == (Fraction(-8), Fraction(0), Fraction(1))
     verdict = integrality_verdict(alpha, fixing_subgroup(alpha))
@@ -329,7 +336,7 @@ def test_integer_rule_checks_both_integrality_routes(monkeypatch, capsys):
 
     def halved(f, table):
         spec = real(f, table)
-        return spec._replace(pairs=tuple((v + Fraction(1, 2), m) for v, m in spec.pairs))
+        return spec._replace(pairs=tuple((reference_sum(v, Fraction(1, 2)), m) for v, m in spec.pairs))
 
     monkeypatch.setattr(galois_mod, "spectrum_exact", halved)
     assert main(["degree", instance_path("d8_beta.txt")]) == 3
@@ -422,7 +429,7 @@ def test_layer_sum_form_raises_on_injected_mismatch(monkeypatch, capsys):
     def shifted(f, table):
         spec = real(f, table)
         (label, deg, lam), *rest = spec.per_irreducible
-        return spec._replace(per_irreducible=((label, deg, lam + 1), *rest))
+        return spec._replace(per_irreducible=((label, deg, reference_sum(lam, 1)), *rest))
 
     monkeypatch.setattr(galois_mod, "spectrum_exact", shifted)
     pentagon = multiset_colour(make_cyclic(5), [1, 4])
@@ -438,14 +445,14 @@ def reference_primitive_search(n, members, degree):
     # candidate accepted on the size of its whole Galois orbit.
     if degree == 1:
         return Cyclotomic.one(n)
-    periods = [_gauss_period(n, members, k) for k in range(1, n)]
+    periods = [period(n, members, k) for k in range(1, n)]
 
     def candidates():
         yield from periods
         for i in range(len(periods)):
             for j in range(i + 1, len(periods)):
                 for c in range(1, 9):
-                    yield periods[i] + periods[j] * c
+                    yield reference_sum(periods[i], reference_product(periods[j], c))
 
     return next((x for x in candidates() if len(galois_orbit(x)) == degree), None)
 
@@ -464,7 +471,7 @@ def test_primitive_search_matches_orbit_reference(G):
         x, poly = _primitive_search(tables, H, degree)
         assert x is not None
         assert x == reference_primitive_search(n, members, degree), members
-        assert poly == minimal_polynomial(x)
+        assert poly == minimal_polynomial(n, dict(enumerate(x.coeffs)))
 
 
 def unit_subgroups(n):
@@ -512,9 +519,9 @@ def test_primitive_search_finds_a_single_period_for_every_subgroup():
                 assert f == 1
                 assert x == 1
                 continue
-            eta = _gauss_period(n, H.members, n // f)
+            eta = period(n, H.members, n // f)
             assert tuple(u for u in units if galois_apply(u, eta) == eta) == H.members, (n, H.members)
-            periods = {_gauss_period(n, H.members, k) for k in range(1, n // f + 1)}
+            periods = {period(n, H.members, k) for k in range(1, n // f + 1)}
             assert x in periods, (n, H.members)
     assert swept == 520
 
@@ -650,6 +657,27 @@ def test_degree_reads_rows_times_support_classes_from_the_rule(monkeypatch, caps
     assert {c for _, c in cells} == {1, n - 1}
 
 
+def test_degree_builds_no_value_per_power(monkeypatch, capsys, tmp_path):
+    # The same circulant has degree d = 400.  Its minimal polynomial builds
+    # two values, the period for its Galois orbit and the one reduced Horner
+    # value, as powers and Horner steps stay in the group ring; products of
+    # values built 3d more (7,201 in all).
+    built = [0]
+    real = Cyclotomic.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        real(self, *args)
+
+    monkeypatch.setattr(Cyclotomic, "__init__", counted)
+    n = 2000
+    path = tmp_path / "circulant.txt"
+    path.write_text(f"[group]\nkind = cyclic\nn = {n}\n\n[connection]\nelements = 1, {n - 1}\n")
+    assert main(["degree", str(path)]) == 0
+    assert "degree = 400" in capsys.readouterr().out
+    assert built[0] <= 6_003
+
+
 def test_distance_refuses_an_unchecked_spectrum(monkeypatch, capsys):
     # z5 added to the first distance eigenvalue of the pentagon: unit 4, the
     # generator of H' = {1, 4}, moves it, so the stabilizer identity fails
@@ -660,7 +688,7 @@ def test_distance_refuses_an_unchecked_spectrum(monkeypatch, capsys):
         spec = real(f, table)
         (value, mult), *rest = spec.pairs
         z5 = Cyclotomic.from_exponents(5, {1: 1})
-        return spec._replace(pairs=((value + z5, mult), *rest))
+        return spec._replace(pairs=((reference_sum(value, z5), mult), *rest))
 
     monkeypatch.setattr(galois_mod, "spectrum_exact", moved)
     assert main(["distance", instance_path("z5_pentagon.txt")]) == 3

@@ -40,6 +40,8 @@ from conftest import (
     instance_path,
     multiset_colour,
     random_class_function,
+    reference_product,
+    reference_sum,
 )
 
 # D3 x Z2: D3 moves {0, 1, 2}, Z2 swaps {3, 4}.
@@ -57,9 +59,10 @@ def check_row_orthogonality(table):
     values = character_values(table)
     for i, row_i in enumerate(values):
         for j, row_j in enumerate(values):
-            total = Cyclotomic.from_rational(n, 0)
-            for ci in range(len(sizes)):
-                total = total + row_i[ci] * row_j[inv_class[ci]] * sizes[ci]
+            total = reference_sum(
+                *(reference_product(row_i[ci], row_j[inv_class[ci]], size)
+                  for ci, size in enumerate(sizes))
+            )
             assert total == (n if i == j else 0)
 
 
@@ -71,9 +74,7 @@ def check_column_orthogonality(table):
     values = character_values(table)
     for ci in range(len(part.classes)):
         for cj in range(len(part.classes)):
-            total = Cyclotomic.from_rational(n, 0)
-            for row in values:
-                total = total + row[ci] * row[inv_class[cj]]
+            total = reference_sum(*(reference_product(row[ci], row[inv_class[cj]]) for row in values))
             expected = n // len(part.classes[ci]) if ci == cj else 0
             assert total == expected
 
@@ -176,8 +177,9 @@ def dihedral_reference(m):
 
     def rot(k, h):
         # two separate roots, so coinciding exponents are added, not merged
-        return Cyclotomic.from_exponents(n, {2 * k * h: 1}) + Cyclotomic.from_exponents(
-            n, {-2 * k * h: 1}
+        return reference_sum(
+            Cyclotomic.from_exponents(n, {2 * k * h: 1}),
+            Cyclotomic.from_exponents(n, {-2 * k * h: 1}),
         )
 
     def linear(on_rot, on_ref):
@@ -248,7 +250,8 @@ def test_spectrum_exact_rejects_non_real_eigenvalue():
 
 def reference_spectrum(f, table):
     # One character sum per row, as a rational combination of the row's
-    # values built with + and *, and one realness test per row.
+    # values built by the reference sum and product, and one realness test
+    # per row.
     n = f.group.order
     weights = class_weight_vector(f)
     per_irr = []
@@ -257,7 +260,7 @@ def reference_spectrum(f, table):
         lam = Cyclotomic.from_rational(n, 0)
         for w, chi in zip(weights, row):
             if w:
-                lam = lam + chi * (w / degree)
+                lam = reference_sum(lam, reference_product(chi, w / degree))
         assert galois_apply(n - 1, lam) == lam
         per_irr.append((label, degree, lam))
         merged[lam] = merged.get(lam, 0) + degree**2
@@ -386,7 +389,7 @@ def test_spectrum_alpha_pairs():
         Cyclotomic.from_rational(16, Fraction(-199, 5)): 1,
         Cyclotomic.from_rational(16, -1): 4,
         surd: 4,
-        -surd: 4,
+        reference_product(surd, -1): 4,
     }
     assert dict(spec.pairs) == expected
 
@@ -491,8 +494,8 @@ def trace_identities(f, spec):
     total = Cyclotomic.from_rational(n, 0)
     total_sq = Cyclotomic.from_rational(n, 0)
     for _, degree, lam in spec.per_irreducible:
-        total = total + lam * degree**2
-        total_sq = total_sq + lam * lam * degree**2
+        total = reference_sum(total, reference_product(lam, degree**2))
+        total_sq = reference_sum(total_sq, reference_product(lam, lam, degree**2))
     assert total == n * f.values[0]
     assert total_sq == Cyclotomic.from_rational(
         n, Fraction(n) * sum(v * v for v in f.values)
@@ -547,7 +550,7 @@ def test_adjacency_minimal_polynomial_has_the_distinct_eigenvalues_as_roots(orac
         for value, _ in spec.pairs:
             total = Cyclotomic.from_rational(value.conductor, 0)
             for c in reversed(poly):
-                total = total * value + c
+                total = reference_sum(reference_product(total, value), c)
             assert not total, (f, value)
 
 
