@@ -327,7 +327,7 @@ def _echo_colour(G: Group, colour: ColourFunction) -> list[tuple[str, str]]:
 
 
 def load_instance(path: str, bound: Bound = Bound()) -> InstanceDocument:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_instance(fh.read(), bound)
 
 

@@ -193,9 +193,12 @@ class Cyclotomic:
     Immutable.  A value is stored once, as its power-basis coefficients over
     one positive common denominator D: `terms` holds the non-zero (index,
     D * coefficient) pairs in increasing index, and D shares no factor with
-    their numerators, so equal field values have equal (conductor, D, terms).
-    Every value is built by `__init__` from one dense integer accumulator.
-    A value has no arithmetic: it is compared, hashed, embedded and printed.
+    their numerators, so equal field values have equal (conductor, D, terms),
+    and equality and hashing read that triple alone: a value equals only a
+    value, never a rational.  `from_exponents` builds every value and
+    `galois_apply` every image, both through `__init__`, which reduces one
+    dense integer accumulator.  A value has no arithmetic: it is compared,
+    hashed, embedded and printed.
     """
 
     __slots__ = ("conductor", "denominator", "terms")
@@ -232,17 +235,7 @@ class Cyclotomic:
         pairs, D = _lift(n, exponent_coeffs)
         return cls(n, _fold(n, [0] * euler_phi(n), pairs), D * denominator)
 
-    @classmethod
-    def from_rational(cls, n: int, value: RationalLike) -> "Cyclotomic":
-        return cls.from_exponents(n, {0: value})
-
-    @classmethod
-    def one(cls, n: int) -> "Cyclotomic":
-        return cls.from_exponents(n, {0: 1})
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(self.conductor, other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         return (
@@ -252,9 +245,6 @@ class Cyclotomic:
         )
 
     def __hash__(self):
-        # A rational value hashes as its Fraction, as it compares equal to it.
-        if self.is_rational():
-            return hash(self.rational_value())
         return hash((self.conductor, self.denominator, self.terms))
 
     def __bool__(self):

@@ -90,7 +90,7 @@ def _primitive_search(
     n = H.modulus
     if degree == 1:
         # 1 is rational: its minimal polynomial is t - 1.
-        return Cyclotomic.one(n), (Fraction(-1), Fraction(1))
+        return Cyclotomic.from_exponents(n, {0: 1}), (Fraction(-1), Fraction(1))
     for k in range(1, n):
         counts = _gauss_period(n, H.members, k)
         x = Cyclotomic.from_exponents(n, counts)

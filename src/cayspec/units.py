@@ -26,9 +26,11 @@ from cayspec.groups import Group, class_bundles, power, power_map
 class UnitSubgroup(NamedTuple):
     """A subgroup of the units modulo n, with a best-effort short generator list.
 
-    A value: `unit_group` shares one instance between all its callers, and
-    `FixingTables.coset_forms` caches one instance per fixing subgroup.  Its
-    order is `len(H.members)`; `len(H)` counts the three fields.
+    A value, built in this module alone: `unit_group` lists the units and
+    shares one instance between all its callers, `close_generators` closes a
+    generator list, and `coset_form` checks a fixing set and caches one
+    instance per fixing subgroup in `FixingTables.coset_forms`.  Its order
+    is `len(H.members)`; `len(H)` counts the three fields.
     """
 
     modulus: int
@@ -79,31 +81,15 @@ def unit_group(n: int) -> UnitSubgroup:
     return UnitSubgroup(n, members, _find_generators(n, members)[0])
 
 
-def unit_subgroup(n: int, members: Sequence[int]) -> UnitSubgroup:
-    """Wrap a member list as a subgroup, validating units and closure: the
-    members form a subgroup exactly when the generators found among them
-    generate no other unit."""
-    ms = tuple(sorted(set(members)))
-    units = set(unit_group(n).members)
-    for h in ms:
-        if h not in units:
-            raise ValueError(f"{h} is not a unit modulo {n}")
-    gens, closure = _find_generators(n, ms)
-    escaped = closure.difference(ms)
-    if escaped:
-        raise ValueError(f"member list not a subgroup: {min(escaped)} escapes")
-    return UnitSubgroup(n, ms, gens)
-
-
 def close_generators(n: int, gens: Sequence[int]) -> UnitSubgroup:
     """The subgroup of units modulo n generated by the given unit labels."""
     for g in gens:
         if gcd(g, n) != 1:
             raise ValueError(f"{g} is not a unit modulo {n}")
     if n == 1:
-        return UnitSubgroup(1, (1,), ())
-    reduced = [g % n for g in gens]
-    return unit_subgroup(n, sorted(_closure(n, reduced)))
+        return unit_group(1)
+    members = tuple(sorted(_closure(n, [g % n for g in gens])))
+    return UnitSubgroup(n, members, _find_generators(n, members)[0])
 
 
 def _getter(indices: Sequence[int]):
@@ -167,13 +153,14 @@ def coset_form(tables: FixingTables, members: tuple[int, ...]) -> tuple:
     if form is None:
         G = tables.group
         n = G.order
-        try:
-            H = unit_subgroup(n, members)  # members are units: only closure can fail
-        except ValueError as err:
+        gens, closure = _find_generators(n, members)
+        escaped = closure.difference(members)
+        if escaped:
             raise InternalInconsistency(
-                f"bundle route: fixing set {members} is not a subgroup of the "
-                f"units modulo {n} ({err})"
-            ) from None
+                f"bundle route: fixing set {members} is not a subgroup of the units "
+                f"modulo {n} (member list not a subgroup: {min(escaped)} escapes)"
+            )
+        H = UnitSubgroup(n, members, gens)
         covered = set(members)
         reps = []
         for u in tables.units:

@@ -43,6 +43,13 @@ def symmetric_bundles(G: Group) -> list[tuple[int, ...]]:
     return bundles
 
 
+def rational(n: int, value) -> Cyclotomic:
+    """The rational value as a cyclotomic value of conductor n, built like
+    every other value, by `Cyclotomic.from_exponents`: a value compares equal
+    only to a value, never to an int or a Fraction."""
+    return Cyclotomic.from_exponents(n, {0: value})
+
+
 def _scaled(value) -> tuple[int, dict[int, int]]:
     # (D, counts): a value is D^-1 times the sum of k * z^e over its integer
     # counts, read off its power-basis coefficients; a rational is exponent 0.

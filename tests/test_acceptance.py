@@ -35,6 +35,7 @@ from conftest import (
     d8_alpha,
     d8_beta,
     product_of_cyclics,
+    rational,
     reference_product,
     reference_sum,
     search_corpus_groups,
@@ -62,11 +63,11 @@ def test_criterion_01_alpha_example():
     spec = spectrum_exact(alpha, character_table(G))
     surd = Cyclotomic.from_exponents(16, {2: Fraction(2, 5), 14: Fraction(2, 5)})
     assert dict(spec.pairs) == {
-        Cyclotomic.from_rational(16, Fraction(241, 5)): 1,
-        Cyclotomic.from_rational(16, Fraction(49, 5)): 1,
-        Cyclotomic.from_rational(16, Fraction(-71, 5)): 1,
-        Cyclotomic.from_rational(16, Fraction(-199, 5)): 1,
-        Cyclotomic.from_rational(16, -1): 4,
+        rational(16, Fraction(241, 5)): 1,
+        rational(16, Fraction(49, 5)): 1,
+        rational(16, Fraction(-71, 5)): 1,
+        rational(16, Fraction(-199, 5)): 1,
+        rational(16, -1): 4,
         surd: 4,
         reference_product(surd, -1): 4,
     }
@@ -85,12 +86,12 @@ def test_criterion_02_beta_example():
     G, beta = d8_beta()
     spec = spectrum_exact(beta, character_table(G))
     assert dict(spec.pairs) == {
-        Cyclotomic.from_rational(16, 58): 1,
-        Cyclotomic.from_rational(16, 18): 1,
-        Cyclotomic.from_rational(16, -14): 1,
-        Cyclotomic.from_rational(16, -38): 1,
-        Cyclotomic.from_rational(16, -6): 4,
-        Cyclotomic.from_rational(16, 0): 8,
+        rational(16, 58): 1,
+        rational(16, 18): 1,
+        rational(16, -14): 1,
+        rational(16, -38): 1,
+        rational(16, -6): 4,
+        rational(16, 0): 8,
     }
     verdict = integrality_verdict(beta, fixing_subgroup(beta), spec)
     assert verdict.rational and verdict.integral
@@ -104,9 +105,9 @@ def test_criterion_03_s1_example():
     # sqrt(5) inside the conductor-10 field: 1 + 2*(z^2 + z^8)
     sqrt5 = Cyclotomic.from_exponents(10, {0: 1, 2: 2, 8: 2})
     assert sqrt5.real_embedding() == pytest.approx(5**0.5, abs=1e-12)
-    minus_one = Cyclotomic.from_rational(10, -1)
+    minus_one = rational(10, -1)
     assert dict(spec.pairs) == {
-        Cyclotomic.from_rational(10, 9): 1,
+        rational(10, 9): 1,
         minus_one: 1,
         reference_sum(minus_one, sqrt5): 4,
         reference_sum(minus_one, reference_product(sqrt5, -1)): 4,
@@ -121,8 +122,8 @@ def test_criterion_04_s2_example():
     G, f = d5_s2()
     spec = spectrum_exact(f, character_table(G))
     assert dict(spec.pairs) == {
-        Cyclotomic.from_rational(10, 8): 2,
-        Cyclotomic.from_rational(10, -2): 8,
+        rational(10, 8): 2,
+        rational(10, -2): 8,
     }
     assert integrality_verdict(f, fixing_subgroup(f), spec).integral
     report(4, "doubled all-rotations multiset example integral", budget.check())
@@ -158,13 +159,13 @@ def test_criterion_07_trace_and_frobenius(oracle_corpus):
     for f in oracle_corpus:
         n = f.group.order
         spec = spectrum_exact(f, character_table(f.group))
-        total = Cyclotomic.from_rational(n, 0)
-        total_sq = Cyclotomic.from_rational(n, 0)
+        total = rational(n, 0)
+        total_sq = rational(n, 0)
         for _, degree, lam in spec.per_irreducible:
             total = reference_sum(total, reference_product(lam, degree**2))
             total_sq = reference_sum(total_sq, reference_product(lam, lam, degree**2))
-        assert total == n * f.values[0]
-        assert total_sq == Cyclotomic.from_rational(
+        assert total == rational(n, n * f.values[0])
+        assert total_sq == rational(
             n, Fraction(n) * sum(v * v for v in f.values)
         )
     report(7, "trace and Frobenius identities exact on the corpus", budget.check())
@@ -205,13 +206,13 @@ def test_criterion_08_character_table_invariants():
                     *(reference_product(row_i[ci], row_j[inv_class[ci]], size)
                       for ci, size in enumerate(sizes))
                 )
-                assert total == (n if i == j else 0)
+                assert total == rational(n, n if i == j else 0)
         for ci in range(len(part.classes)):
             for cj in range(len(part.classes)):
                 total = reference_sum(
                     *(reference_product(row[ci], row[inv_class[cj]]) for row in values)
                 )
-                assert total == (n // sizes[ci] if ci == cj else 0)
+                assert total == rational(n, n // sizes[ci] if ci == cj else 0)
         count += 1
     report(8, f"orthogonality exact for {count} tables of order <= 40", budget.check())
 

@@ -974,6 +974,17 @@ def test_tableless_integrality_is_exact(capsys, tmp_path, command, colour, integ
         assert expected in out
 
 
+def test_byte_order_mark_is_read_past(capsys, tmp_path):
+    # An editor may save a UTF-8 file with a byte-order mark; the instance
+    # must read as it does without one.
+    original = Path(instance_path("d8_alpha.txt"))
+    marked = tmp_path / "d8_alpha.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    expected = run(capsys, "spectrum", str(original))
+    assert expected[0] == 0
+    assert run(capsys, "spectrum", str(marked)) == expected
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "degree", "/nonexistent/file.txt")
     assert code == 2

@@ -18,8 +18,8 @@ from cayspec.exactnum import (
     galois_orbit,
     minimal_polynomial,
 )
-from cayspec.units import unit_group, unit_subgroup
-from conftest import INSTANCE_DIR, instance_path, reference_product, reference_sum
+from cayspec.units import close_generators, unit_group
+from conftest import INSTANCE_DIR, instance_path, rational, reference_product, reference_sum
 
 
 def poly_mul(a, b):
@@ -31,9 +31,13 @@ def poly_mul(a, b):
 
 
 def stabilizer(x):
-    # All units h with galois_apply(h, x) == x, found by scanning every unit.
+    # All units h with galois_apply(h, x) == x, found by scanning every unit;
+    # they form a subgroup, so closing them adds no unit.
     n = x.conductor
-    return unit_subgroup(n, [h for h in unit_group(n).members if galois_apply(h, x) == x])
+    fixing = tuple(h for h in unit_group(n).members if galois_apply(h, x) == x)
+    H = close_generators(n, fixing)
+    assert H.members == fixing
+    return H
 
 
 def test_euler_phi_values():
@@ -169,23 +173,23 @@ def test_power_residues_shift_only_the_rows_of_the_product_of_the_primes(monkeyp
 
 
 def test_from_exponents_reductions():
-    assert Cyclotomic.from_exponents(4, {2: 1}) == -1
-    assert Cyclotomic.from_exponents(16, {8: 1}) == -1
-    assert Cyclotomic.from_exponents(9, {0: 1}) == 1
+    assert Cyclotomic.from_exponents(4, {2: 1}) == rational(4, -1)
+    assert Cyclotomic.from_exponents(16, {8: 1}) == rational(16, -1)
+    assert Cyclotomic.from_exponents(9, {9: 1}) == rational(9, 1)
 
 
 def test_rationals_build_no_power_residues(monkeypatch):
     # z^0 = 1 needs no table of reduced powers, whose build at a conductor such
     # as 2,880 takes a good part of a second: a degree-1 field prints 1.
     monkeypatch.setattr(ex, "_power_residues", lambda n: pytest.fail(f"table built for {n}"))
-    x = Cyclotomic.from_rational(2880, Fraction(-3, 4))
-    assert str(Cyclotomic.one(2880)) == "1"
-    assert reference_sum(reference_product(x, 2), 1) == Fraction(-1, 2)
+    x = rational(2880, Fraction(-3, 4))
+    assert str(rational(2880, 1)) == "1"
+    assert reference_sum(reference_product(x, 2), 1) == rational(2880, Fraction(-1, 2))
     assert not reference_sum(x, Fraction(3, 4))
 
 
 def test_galois_apply_fixes_rationals():
-    x = Cyclotomic.from_rational(12, Fraction(7, 3))
+    x = rational(12, Fraction(7, 3))
     for h in unit_group(12).members:
         assert galois_apply(h, x) == x
 
@@ -210,7 +214,7 @@ def test_galois_apply_rejects_non_units():
 
 
 def test_stabilizer_examples():
-    assert stabilizer(Cyclotomic.from_rational(16, 3)).members == unit_group(16).members
+    assert stabilizer(rational(16, 3)).members == unit_group(16).members
     sqrt2 = Cyclotomic.from_exponents(16, {2: 1, 14: 1})
     assert stabilizer(sqrt2).members == (1, 7, 9, 15)
     assert stabilizer(Cyclotomic.from_exponents(5, {1: 1})).members == (1,)
@@ -251,9 +255,9 @@ def reference_minimal_polynomial(x):
     # The orbit-product expansion the trace route replaced: prod (t - v) over
     # the Galois orbit, d(d+1)/2 products.
     n = x.conductor
-    coeffs = [Cyclotomic.one(n)]
+    coeffs = [rational(n, 1)]
     for v in reference_orbit(x):
-        nxt = [Cyclotomic.from_rational(n, 0) for _ in range(len(coeffs) + 1)]
+        nxt = [rational(n, 0) for _ in range(len(coeffs) + 1)]
         for i, c in enumerate(coeffs):
             nxt[i + 1] = reference_sum(nxt[i + 1], c)
             nxt[i] = reference_sum(nxt[i], reference_product(c, v, -1))
@@ -274,7 +278,7 @@ def minpoly_cases(n):
     def coeff():
         return Fraction(rng.choice([-5, -3, -1, 1, 2, 7]), rng.choice([1, 2, 3, 9]))
 
-    cases = [Cyclotomic.from_rational(n, Fraction(-7, 3)), Cyclotomic.from_rational(n, 0)]
+    cases = [rational(n, Fraction(-7, 3)), rational(n, 0)]
     units = unit_group(n).members
     if len(units) <= 16:
         for size in (1, 2, 4):
@@ -312,7 +316,7 @@ def test_horner_check_sees_wrong_traces(monkeypatch, capsys):
 
 def horner(coeffs, x):
     n = x.conductor
-    acc = Cyclotomic.from_rational(n, 0)
+    acc = rational(n, 0)
     for c in reversed(coeffs):
         acc = reference_sum(reference_product(acc, x), c)
     return acc
@@ -377,7 +381,7 @@ def test_str_matches_fraction_rendering(x):
 
 
 def test_to_complex_basics():
-    assert Cyclotomic.one(6).to_complex() == pytest.approx(1 + 0j)
+    assert rational(6, 1).to_complex() == pytest.approx(1 + 0j)
     i_val = Cyclotomic.from_exponents(4, {1: 1}).to_complex()
     assert i_val.real == pytest.approx(0, abs=1e-12)
     assert i_val.imag == pytest.approx(1, abs=1e-12)
@@ -396,10 +400,9 @@ def over_budget(bits):
 
 def test_coefficient_budget_guardrail(monkeypatch):
     big = Fraction(2**64, 3)
-    one = Cyclotomic.one(8)
+    one = rational(8, 1)
     z = Cyclotomic.from_exponents(8, {1: 1})
     constructions = (
-        lambda: Cyclotomic.from_rational(8, big),
         lambda: Cyclotomic.from_exponents(8, {0: big}),
         lambda: Cyclotomic.from_exponents(8, {5: big, 3: 1}),
         lambda: reference_product(one, big),
@@ -440,12 +443,17 @@ def test_group_ring_powers_are_held_to_the_budget(monkeypatch, capsys, tmp_path)
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def test_rational_values_hash_as_their_fractions():
-    # Equal values must hash equal, and a rational value equals its Fraction.
-    assert hash(Cyclotomic.from_rational(7, Fraction(3, 2))) == hash(Fraction(3, 2))
-    assert hash(Cyclotomic.from_rational(9, 0)) == hash(0)
-    assert len({Cyclotomic.one(5), 1}) == 1
-    assert len({Cyclotomic.from_rational(12, Fraction(-2, 3)), Fraction(-2, 3)}) == 1
+def test_values_equal_only_values_of_their_conductor():
+    # Equality and hashing read (conductor, D, terms) alone, for a rational
+    # value too: it equals no int or Fraction, and no value of another
+    # conductor.
+    x = rational(7, Fraction(3, 2))
+    assert hash(x) == hash((7, 2, ((0, 3),)))
+    assert x != Fraction(3, 2) and Fraction(3, 2) != x
+    assert rational(9, 0) != 0 and not rational(9, 0)
+    assert len({rational(5, 1), 1}) == 2
+    assert rational(5, 1) != rational(10, 1)
+    assert x.is_rational() and x.rational_value() == Fraction(3, 2)
 
 
 def test_equal_values_share_one_stored_form():
@@ -453,7 +461,7 @@ def test_equal_values_share_one_stored_form():
     half = Fraction(1, 2)
     rational_routes = [
         Cyclotomic.from_exponents(8, {0: Fraction(2, 4)}),
-        Cyclotomic.from_rational(8, half),
+        rational(8, half),
         Cyclotomic.from_exponents(8, {0: Fraction(1, 6), 8: Fraction(1, 3)}),
         reference_sum(reference_product(z[0], Fraction(1, 6)), reference_product(z[0], Fraction(1, 3))),
         reference_product(
@@ -479,7 +487,7 @@ def test_equal_values_share_one_stored_form():
     x = value_routes[0]
     zero = reference_sum(x, reference_product(x, -1))
     assert (zero.denominator, zero.terms) == (1, ())
-    assert zero == 0 and not zero
+    assert zero == rational(8, 0) and not zero
 
 
 def reference_coeffs(n, exponent_coeffs):
@@ -560,7 +568,7 @@ def test_linear_combination_matches_reference_fold(n, data):
     assert reference_product(x, c).coeffs == reference_fold(n, scaled)
     assert reference_sum(reference_product(x, c), y).coeffs == reference_fold(n, [*scaled, *b.items()])
     assert galois_apply(h, x).coeffs == reference_fold(n, [(e * h, u) for e, u in a.items()])
-    assert Cyclotomic.from_exponents(n, {}) == Cyclotomic.from_rational(n, 0) == 0
+    assert Cyclotomic.from_exponents(n, {}) == rational(n, 0) and not rational(n, 0)
 
 
 def test_linear_combination_rejects_mixed_conductors():

@@ -2,6 +2,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from operator import itemgetter
 
 import pytest
@@ -39,7 +40,7 @@ from cayspec.groups import (
 )
 from cayspec.search import SetRecord, classify
 from cayspec.spectra import Spectrum, character_table, spectrum_exact
-from cayspec.units import UnitSubgroup, close_generators, fixing_tables, unit_group, unit_subgroup
+from cayspec.units import UnitSubgroup, close_generators, coset_form, fixing_tables, unit_group
 from conftest import (
     d5_s1,
     d5_s2,
@@ -48,6 +49,7 @@ from conftest import (
     instance_path,
     multiset_colour,
     random_class_function,
+    rational,
     reference_product,
     reference_sum,
 )
@@ -58,17 +60,26 @@ def period(n, members, k):
     return Cyclotomic.from_exponents(n, _gauss_period(n, members, k))
 
 
-def test_unit_subgroup_validation():
-    H = unit_subgroup(16, [1, 7, 9, 15])
-    assert H.members == (1, 7, 9, 15)
-    with pytest.raises(ValueError, match="^2 is not a unit modulo 16$"):
-        unit_subgroup(16, [1, 2])
-    with pytest.raises(ValueError):
-        unit_subgroup(16, [1, 3])  # 3*3 = 9 escapes
-    with pytest.raises(ValueError):
-        unit_subgroup(16, [3, 9, 11])  # missing 1
-    with pytest.raises(ValueError, match="7 escapes"):
-        unit_subgroup(8, [1, 3, 5])  # every square is 1; only 3*5 = 7 escapes
+def test_coset_form_refuses_a_fixing_set_that_is_not_a_subgroup():
+    # The bundle route's member set is closed by the generators found among
+    # its members; the least unit they reach outside it is named.
+    for n, members, escaped in (
+        (16, (1, 3), 9),  # 3*3 = 9 escapes
+        (8, (1, 3, 5), 7),  # every square is 1; only 3*5 = 7 escapes
+        (15, (1, 2, 14), 4),
+        (16, (3, 9, 11), 1),  # missing 1
+    ):
+        tables = fixing_tables(make_cyclic(n))
+        message = (
+            f"bundle route: fixing set {members} is not a subgroup of the units "
+            f"modulo {n} (member list not a subgroup: {escaped} escapes)"
+        )
+        with pytest.raises(InternalInconsistency) as info:
+            coset_form(tables, members)
+        assert str(info.value) == message
+        assert members not in tables.coset_forms
+    H, _ = coset_form(fixing_tables(make_cyclic(16)), (1, 7, 9, 15))
+    assert H == UnitSubgroup(16, (1, 7, 9, 15), (7, 9))
 
 
 def test_records_are_values():
@@ -77,7 +88,7 @@ def test_records_are_values():
     G, alpha = d8_alpha()
     spec = spectrum_exact(alpha, character_table(G))
     record = classify(make_cyclic(6)).records[2]
-    H = unit_subgroup(16, [1, 7, 9, 15])
+    H = close_generators(16, [7, 9])
     cases = [
         (unit_group(16), close_generators(16, unit_group(16).generators), "members"),
         (H, UnitSubgroup(16, (1, 7, 9, 15), (7, 9)), "members"),
@@ -90,7 +101,7 @@ def test_records_are_values():
         assert hash(value) == hash(copy)
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
-    assert H != unit_subgroup(16, [1, 15])
+    assert H != close_generators(16, [15])
     # A colour is equal only on the same group object.
     assert alpha != ColourFunction(d8_alpha()[0], alpha.values)
     units = unit_group(16).members
@@ -109,10 +120,55 @@ def test_close_generators():
         close_generators(16, [6])
 
 
+def reference_closure(n, gens):
+    """The units reached from 1 by multiplying by the generators."""
+    reached, frontier = {1}, [1]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = x * g % n
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached
+
+
+def reference_subgroup(n, members):
+    """The fields of the validating route both constructors once took: the
+    members sorted and distinct, each a unit; generators taken from them in
+    order, each one not yet reached, until they generate the members; and no
+    unit reached outside them."""
+    if n == 1:
+        return 1, (1,), ()
+    ms = tuple(sorted(set(members)))
+    assert all(gcd(h, n) == 1 for h in ms)
+    gens, reached = [], {1}
+    for h in ms:
+        if h not in reached:
+            gens.append(h)
+            reached = reference_closure(n, gens)
+            if reached == set(ms):
+                break
+    assert reached == set(ms)
+    return n, ms, tuple(gens)
+
+
+def test_subgroups_keep_their_fields_for_every_n_up_to_300():
+    # H.generators is printed in the machine block, so each constructor must
+    # give the fields the validating route gave, not only the members.
+    for n in range(1, 301):
+        units = [h for h in range(1, n + 1) if gcd(h, n) == 1]
+        assert tuple(unit_group(n)) == reference_subgroup(n, units), n
+        for gens in ([], [n - 1], *([u] for u in units), *([u, n - 1] for u in units[1::7])):
+            H = close_generators(n, gens)
+            assert tuple(H) == reference_subgroup(n, reference_closure(n, gens)), (n, gens)
+
+
 def test_generators_regenerate_members():
     for n, members in ((16, (1, 7, 9, 15)), (10, (1, 9)), (5, (1, 2, 3, 4))):
-        H = unit_subgroup(n, members)
-        assert close_generators(n, H.generators).members == members
+        H = close_generators(n, members)
+        assert H.members == members
+        assert close_generators(n, H.generators) == H
 
 
 def test_fixing_subgroup_alpha():
@@ -184,7 +240,7 @@ def test_splitting_field_constant():
     report = splitting_field(f)
     assert report.degree == 1
     assert report.fixing_subgroup.members == unit_group(6).members
-    assert report.primitive_element == Cyclotomic.one(6)
+    assert report.primitive_element == rational(6, 1)
 
 
 def test_field_report_invariants():
@@ -226,9 +282,9 @@ def test_stabilizer_identity_refuses_a_wrong_subgroup():
     # eigenvalue; H = all units has generator 3, which moves the surds.
     _, alpha = d8_alpha()
     assert checked_spectrum(alpha, fixing_subgroup(alpha)) is not None
-    for wrong, split in (((1,), "unit 7 moves"), (unit_group(16).members, "unit 3 fixes")):
+    for wrong, split in ((close_generators(16, []), "unit 7 moves"), (unit_group(16), "unit 3 fixes")):
         with pytest.raises(InternalInconsistency, match=f"^stabilizer identity: {split} "):
-            checked_spectrum(alpha, unit_subgroup(16, wrong))
+            checked_spectrum(alpha, wrong)
 
 
 def test_stabilizer_identity_random():
@@ -282,7 +338,7 @@ def test_integral_over_trivial_subgroup():
 
 def test_integral_over_examples():
     _, alpha = d8_alpha()
-    assert is_algebraically_integral_over(alpha, unit_subgroup(16, (1, 7, 9, 15)))
+    assert is_algebraically_integral_over(alpha, close_generators(16, (7, 9)))
     assert not is_algebraically_integral_over(alpha, unit_group(16))
     _, beta = d8_beta()
     assert is_algebraically_integral_over(beta, unit_group(16))
@@ -444,7 +500,7 @@ def reference_primitive_search(n, members, degree):
     # The search the coset test replaced: every period built up front, each
     # candidate accepted on the size of its whole Galois orbit.
     if degree == 1:
-        return Cyclotomic.one(n)
+        return rational(n, 1)
     periods = [period(n, members, k) for k in range(1, n)]
 
     def candidates():
@@ -466,7 +522,7 @@ def test_primitive_search_matches_orbit_reference(G):
     subgroups = {close_generators(n, [u]).members for u in units}
     subgroups |= {close_generators(n, [u, n - 1]).members for u in units}
     for members in sorted(subgroups):
-        H = unit_subgroup(n, members)
+        H = close_generators(n, members)
         degree = euler_phi(n) // len(H.members)
         x, poly = _primitive_search(tables, H, degree)
         assert x is not None
@@ -517,7 +573,7 @@ def test_primitive_search_finds_a_single_period_for_every_subgroup():
             x, _ = _primitive_search(tables, H, degree)
             if degree == 1:
                 assert f == 1
-                assert x == 1
+                assert x == rational(n, 1)
                 continue
             eta = period(n, H.members, n // f)
             assert tuple(u for u in units if galois_apply(u, eta) == eta) == H.members, (n, H.members)
@@ -590,7 +646,7 @@ def test_transfer_check_scaling_preserves_degree():
     assert algebraic_degree(alpha) == algebraic_degree(doubled)
     table = character_table(G)
     s_alpha, s_doubled = spectrum_exact(alpha, table), spectrum_exact(doubled, table)
-    for H_K, verdict in ((unit_group(16), False), (unit_subgroup(16, (1, 7, 9, 15)), True)):
+    for H_K, verdict in ((unit_group(16), False), (close_generators(16, (7, 9)), True)):
         assert eigenvalues_fixed_by(s_alpha, H_K) is verdict
         assert eigenvalues_fixed_by(s_doubled, H_K) is verdict
 

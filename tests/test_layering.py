@@ -6,8 +6,9 @@ module runs.  The group engine imports no other module, `units` builds on the
 group engine alone, `exactnum` on the error types alone, `colour` on the group
 engine and exact rationals, and `search`, which classifies candidates on the
 units engine, needs nothing above it.  No module reaches into another's
-private, `_`-prefixed names, only `exactnum` reads the stored form of a
-cyclotomic value, only `exactnum._fold` reads the residues of the powers of z,
+private, `_`-prefixed names, only `exactnum` constructs or reads the stored
+form of a cyclotomic value, only `units` constructs a subgroup of units, only
+`exactnum._fold` reads the residues of the powers of z,
 and only `units` reads the bundle pullbacks or forms the cosets of a fixing
 subgroup.  The galois checks take the fixing subgroup they test from their
 caller, only `galois` builds exact spectra, and in `search` each read label
@@ -80,6 +81,25 @@ def test_only_exactnum_reads_the_stored_terms():
                 if isinstance(node, ast.Attribute) and node.attr == "terms"
             ]
     assert readers == []
+
+
+# Each value type is constructed in its own module only: every other module
+# takes a `Cyclotomic` from `from_exponents` or `galois_apply`, and a
+# `UnitSubgroup` from `unit_group`, `close_generators` or a fixing-subgroup read.
+CONSTRUCTED_IN = {"Cyclotomic": "exactnum", "UnitSubgroup": "units"}
+
+
+def test_each_value_type_is_constructed_in_its_own_module():
+    # A call by name or as an attribute (`units.UnitSubgroup(...)`) counts.
+    calls = {
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+        if name in CONSTRUCTED_IN
+    }
+    assert calls == {f"{module}.{name}" for name, module in CONSTRUCTED_IN.items()}
 
 
 def test_only_units_reads_pullbacks_and_checks_coset_forms():
@@ -268,8 +288,10 @@ VALUE_DUNDERS = {"__eq__", "__hash__", "__setattr__", "__reduce__"}
 # Classes that write equality, hashing, immutability or pickling by hand; a
 # plain record is a NamedTuple, which gives all four with no code.
 HAND_WRITTEN_VALUES = {
-    # Equality reads the canonical form, and a rational value hashes as its
-    # Fraction.
+    # Equality and hashing read the canonical (conductor, D, terms) alone.
+    # It stays a class because `__init__` is the one point that reduces a
+    # value, which a NamedTuple cannot define, and perfbench counts values
+    # by wrapping `Cyclotomic.__init__`.
     "exactnum.Cyclotomic",
 }
 
