@@ -14,23 +14,15 @@ stdout before the whole report was written.
 from __future__ import annotations
 
 import argparse
+import errno
+import importlib.util
 import math
 import os
 import sys
-from fractions import Fraction
+from types import ModuleType
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from cayspec.colour import ColourFunction, colour_from_multiset, colour_from_values
 from cayspec.errors import InternalInconsistency, ParseError
-from cayspec.exactnum import euler_phi, format_polynomial
-from cayspec.galois import (
-    checked_spectrum,
-    distance_report,
-    fixing_subgroup,
-    integrality_verdict,
-    is_algebraically_integral_over,
-    splitting_field,
-)
 from cayspec.groups import (
     CLOSURE_CAP,
     Group,
@@ -40,9 +32,35 @@ from cayspec.groups import (
     make_from_generators,
     make_product,
 )
-from cayspec.search import DEFAULT_ORDER_LIMIT, SearchResult, classify, set_renderer
-from cayspec.spectra import NUMERIC_ORDER_LIMIT, Spectrum, compare_spectra, spectrum_numeric
 from cayspec.units import close_generators
+
+
+def _layer(name: str) -> ModuleType:
+    """The module cayspec.<name>, in `sys.modules` and bound on the package at
+    once, its body run on the first attribute access, so that a request loads
+    only the layers it reaches.  A module already imported is returned as it
+    is: a second copy would hold second copies of its classes."""
+    fullname = f"cayspec.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules["cayspec"], name, module)
+    return module
+
+
+colour = _layer("colour")
+exactnum = _layer("exactnum")
+galois = _layer("galois")
+search = _layer("search")
+spectra = _layer("spectra")
+# Reached only through spectra; registered here too, so that every layer is
+# in `sys.modules` once this module is imported (perfbench/trace_request.py
+# reads each one there before it runs).
+_layer("_kernels")
 
 
 # -- instance files ----------------------------------------------------------
@@ -57,7 +75,7 @@ class InstanceDocument(NamedTuple):
     group: Group
     kind: str  # "colour" | "connection"
     echo_entries: list[tuple[str, str]]
-    colour: ColourFunction
+    colour: colour.ColourFunction
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -78,6 +96,8 @@ def _split_top_level(text: str) -> list[str]:
 
 
 def _parse_rational(text: str, line: int, column: int) -> Fraction:
+    from fractions import Fraction  # only instance requests read rationals
+
     text = text.strip()
     try:
         if "/" in text:
@@ -290,9 +310,8 @@ def parse_instance(text: str, bound: Bound = Bound()) -> InstanceDocument:
                         kcol,
                     )
                 assignment[g] = rational
-        colour = colour_from_values(G, assignment)
-        echo = _echo_colour(G, colour)
-        return InstanceDocument(kind, params, G, "colour", echo, colour)
+        f = colour.colour_from_values(G, assignment)
+        return InstanceDocument(kind, params, G, "colour", _echo_colour(G, f), f)
 
     counts: dict[int, int] = {}
     for key, value, lineno, kcol, vcol in connection_raw:
@@ -311,16 +330,16 @@ def parse_instance(text: str, bound: Bound = Bound()) -> InstanceDocument:
             if mult < 0:
                 raise ParseError("negative multiplicity", lineno, vcol)
             counts[g] = counts.get(g, 0) + mult
-    colour = colour_from_multiset(G, counts)
-    echo = [(G.names[g], str(m)) for g, m in enumerate(colour.values) if m]
-    return InstanceDocument(kind, params, G, "connection", echo, colour)
+    f = colour.colour_from_multiset(G, counts)
+    echo = [(G.names[g], str(m)) for g, m in enumerate(f.values) if m]
+    return InstanceDocument(kind, params, G, "connection", echo, f)
 
 
-def _echo_colour(G: Group, colour: ColourFunction) -> list[tuple[str, str]]:
+def _echo_colour(G: Group, f: colour.ColourFunction) -> list[tuple[str, str]]:
     part = conjugacy_classes(G)
     entries = []
     for rep in part.representatives:
-        value = colour.values[rep]
+        value = f.values[rep]
         if value:
             entries.append((f"class({G.names[rep]})", str(value)))
     return entries
@@ -396,7 +415,7 @@ def _echo_instance(report: Report, doc: InstanceDocument, command: str) -> None:
         report.put(f"instance.{doc.kind}.{key}", value)
 
 
-def _spectrum_section(report: Report, spectrum: Spectrum) -> None:
+def _spectrum_section(report: Report, spectrum: spectra.Spectrum) -> None:
     report.line(f"Exact spectrum ({len(spectrum.pairs)} distinct values):")
     report.line(f"  {'value':<34} {'mult':>4}   embedding")
     report.put("spectrum.exact.count", len(spectrum.pairs))
@@ -426,9 +445,9 @@ def _field_section(report: Report, field_report) -> None:
         f"Algebraic degree: phi({n})/{len(field_report.fixing_subgroup.members)}"
         f" = {field_report.degree}"
     )
-    report.put("phi", euler_phi(n))
+    report.put("phi", exactnum.euler_phi(n))
     report.put("degree", field_report.degree)
-    poly = format_polynomial(field_report.minimal_poly)
+    poly = exactnum.format_polynomial(field_report.minimal_poly)
     report.line(
         f"Primitive element: {field_report.primitive_element}"
         f"  with minimal polynomial {poly}"
@@ -445,8 +464,8 @@ def cmd_spectrum(doc: InstanceDocument) -> tuple[Report, int]:
     report = Report()
     report.line(f"Cayley colour graph on a {doc.group_kind} group of order {doc.group.order}")
     _echo_instance(report, doc, "spectrum")
-    H = fixing_subgroup(f)
-    exact = checked_spectrum(f, H)
+    H = galois.fixing_subgroup(f)
+    exact = galois.checked_spectrum(f, H)
     if exact is not None:
         _spectrum_section(report, exact)
     else:
@@ -456,11 +475,11 @@ def cmd_spectrum(doc: InstanceDocument) -> tuple[Report, int]:
             file=sys.stderr,
         )
         report.put("spectrum.exact.count", "unavailable")
-    numeric = spectrum_numeric(f)
+    numeric = spectra.spectrum_numeric(f)
     report.put("spectrum.numeric", ";".join(_fmt_float(v) for v in numeric))
     exit_code = 0
     if exact is not None:
-        comparison = compare_spectra(exact, numeric)
+        comparison = spectra.compare_spectra(exact, numeric)
         report.line(
             f"Numeric cross-check: max deviation {_fmt_float(comparison.max_deviation)}"
             f" (threshold {_fmt_float(comparison.threshold)}):"
@@ -469,7 +488,7 @@ def cmd_spectrum(doc: InstanceDocument) -> tuple[Report, int]:
         report.put("spectrum.match", comparison.matches)
         if not comparison.matches:
             exit_code = 3
-    verdict = integrality_verdict(f, H, exact)
+    verdict = galois.integrality_verdict(f, H, exact)
     report.line(
         f"Rational: {'yes' if verdict.rational else 'no'}   "
         f"Integral: {'yes' if verdict.integral else 'no'}"
@@ -484,11 +503,11 @@ def cmd_degree(doc: InstanceDocument) -> tuple[Report, int]:
     report = Report()
     report.line(f"Cayley colour graph on a {doc.group_kind} group of order {doc.group.order}")
     _echo_instance(report, doc, "degree")
-    field_report = splitting_field(f)
+    field_report = galois.splitting_field(f)
     _subgroup_section(report, "H", field_report.fixing_subgroup)
     _field_section(report, field_report)
-    exact = checked_spectrum(f, field_report.fixing_subgroup)
-    verdict = integrality_verdict(f, field_report.fixing_subgroup, exact)
+    exact = galois.checked_spectrum(f, field_report.fixing_subgroup)
+    verdict = galois.integrality_verdict(f, field_report.fixing_subgroup, exact)
     report.put("verdict.rational", verdict.rational)
     report.put("verdict.integral", verdict.integral)
     return report, 0
@@ -498,7 +517,7 @@ def cmd_distance(doc: InstanceDocument) -> tuple[Report, int]:
     if doc.kind != "connection":
         raise ValueError("distance analysis needs a [connection] section")
     G = doc.group
-    result = distance_report(doc.colour)  # refuses a multiplicity above 1
+    result = galois.distance_report(doc.colour)  # refuses a multiplicity above 1
     report = Report()
     report.line(f"Distance analysis on a {doc.group_kind} group of order {G.order}")
     _echo_instance(report, doc, "distance")
@@ -526,7 +545,7 @@ def cmd_check(doc: InstanceDocument, subgroup_arg: str) -> tuple[Report, int]:
     except ValueError:
         raise ValueError(f"--subgroup {subgroup_arg}: generators must be integers") from None
     H_K = close_generators(n, gens)
-    verdict = is_algebraically_integral_over(f, H_K)
+    verdict = galois.is_algebraically_integral_over(f, H_K)
     report = Report()
     report.line(f"Integrality over the fixed field of <{subgroup_arg or '1'}> mod {n}")
     _echo_instance(report, doc, "check")
@@ -550,8 +569,8 @@ def cmd_search(args) -> tuple[Report, int]:
         # A command-line value has no line to point at.
         raise ValueError(f"--group {args.group}: {err.reason}") from None
     multisets = args.multisets is not None  # --multisets 0 is refused, not a sets search
-    result = classify(G, args.multisets if multisets else 1, args.connected, args.jobs)
-    render = set_renderer(G)
+    result = search.classify(G, args.multisets if multisets else 1, args.connected, args.jobs)
+    render = search.set_renderer(G)
     mode = "multisets" if multisets else "sets"
     report = Report()
     report.line(
@@ -587,7 +606,7 @@ def cmd_search(args) -> tuple[Report, int]:
     return report, exit_code
 
 
-def _set_lines(result: SearchResult, render) -> Iterator[str]:
+def _set_lines(result: search.SearchResult, render) -> Iterator[str]:
     """The machine lines of each record, rendered from its bundle vector."""
     for r, vector in zip(result.records, result.vectors()):
         names, valency = render(vector)
@@ -603,6 +622,8 @@ def _set_lines(result: SearchResult, render) -> Iterator[str]:
 
 
 # -- entry point ---------------------------------------------------------------
+
+DEFAULT_ORDER_LIMIT = 64  # the default --limit of search
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -629,33 +650,56 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated unit generators of the fixing subgroup (empty: trivial)",
     )
 
-    search = sub.add_parser("search", help="enumerate normal connection sets")
-    search.add_argument("--group", required=True, help="kind:params, e.g. dihedral:4")
-    search.add_argument(
+    search_cmd = sub.add_parser("search", help="enumerate normal connection sets")
+    search_cmd.add_argument("--group", required=True, help="kind:params, e.g. dihedral:4")
+    search_cmd.add_argument(
         "--multisets",
         type=int,
         default=None,
         metavar="CAP",
         help="enumerate multisets with this multiplicity cap instead of sets",
     )
-    search.add_argument("--connected", action="store_true", help="keep connected graphs only")
-    search.add_argument("--degree", type=int, default=None, help="exit 1 unless this degree occurs")
-    search.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per CPU")
-    search.add_argument("--limit", type=int, default=DEFAULT_ORDER_LIMIT, help="group order cap")
-    search.add_argument("--out", help="write the report to a file instead of stdout")
+    search_cmd.add_argument("--connected", action="store_true", help="keep connected graphs only")
+    search_cmd.add_argument(
+        "--degree", type=int, default=None, help="exit 1 unless this degree occurs"
+    )
+    search_cmd.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at most one per CPU"
+    )
+    search_cmd.add_argument(
+        "--limit", type=int, default=DEFAULT_ORDER_LIMIT, help="group order cap"
+    )
+    search_cmd.add_argument("--out", help="write the report to a file instead of stdout")
     return parser
+
+
+def _check_out(path: str) -> None:
+    """Refuse a report path that `open(path, "w")` would refuse for a missing
+    directory or for naming one, with the error it would raise, before any
+    work and without creating the file."""
+    parent = os.path.dirname(path)
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif parent and not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         if args.command == "search":
             report, code = cmd_search(args)
         else:
             bound = Bound()
             if args.command == "spectrum":
                 # Every spectrum request runs the numeric oracle on the n x n matrix.
-                bound = Bound(NUMERIC_ORDER_LIMIT, f"the numeric oracle limit {NUMERIC_ORDER_LIMIT}")
+                limit = spectra.NUMERIC_ORDER_LIMIT
+                bound = Bound(limit, f"the numeric oracle limit {limit}")
             doc = load_instance(args.file, bound)
             if args.command == "spectrum":
                 report, code = cmd_spectrum(doc)
@@ -665,7 +709,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 report, code = cmd_distance(doc)
             else:
                 report, code = cmd_check(doc, args.subgroup)
-        if getattr(args, "out", None):
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 report.write(fh)
         else:

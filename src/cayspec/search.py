@@ -51,7 +51,6 @@ from cayspec.errors import InternalInconsistency
 from cayspec.groups import Group, class_bundles
 from cayspec.units import FixingTables, UnitSubgroup, fixing_tables, read_fixing_subgroup
 
-DEFAULT_ORDER_LIMIT = 64
 MAX_CANDIDATES = 2**20
 MAX_ELEMENT_COPIES = 2**27
 

@@ -108,9 +108,11 @@ class FixingTables:
     its value at the identity.  `read_off` maps an extended vector to its
     per-element tuple.  For h = units[i], pi_h sends each bundle to the
     bundle that g -> g**h maps it onto (the identity stays put), and
-    `pullbacks[i]` maps an extended vector v to v o pi_h.  `coset_forms`
-    caches, per fixing subgroup, the validated subgroup and its coset tests
-    (see `coset_form`).
+    `pullbacks[pullback_of[i]]` maps an extended vector v to v o pi_h.  Units
+    with the same pi_h share one pullback (pi_h = pi_-h always, as bundles
+    are inverse-closed), so `pullbacks` holds each distinct one once.
+    `coset_forms` caches, per fixing subgroup, the validated subgroup and its
+    coset tests (see `coset_form`).
     """
 
     def __init__(self, G: Group):
@@ -124,16 +126,21 @@ class FixingTables:
         units = unit_group(n).members
         # A power map with unit exponent sends classes to classes and
         # inverses to inverses, so one element shows where a bundle goes.
-        pullbacks = [
-            _getter([bundle_of[power(G, bundle[0], h)] for bundle in bundles] + [B])
+        distinct: dict[tuple[int, ...], int] = {}
+        pullback_of = tuple(
+            distinct.setdefault(
+                tuple([bundle_of[power(G, bundle[0], h)] for bundle in bundles] + [B]),
+                len(distinct),
+            )
             for h in units
-        ]
+        )
         self.group = G
         self.bundles = bundles
         self.bundle_of = tuple(bundle_of)
         self.read_off = _getter(bundle_of)
         self.units = units
-        self.pullbacks = tuple(pullbacks)
+        self.pullbacks = tuple(map(_getter, distinct))
+        self.pullback_of = pullback_of
         self.coset_forms: dict[tuple[int, ...], tuple] = {}
 
 
@@ -190,10 +197,12 @@ def read_fixing_subgroup(
     """The fixing subgroup of the extended vector v, {h : v o pi_h = v},
     checked on `values`, v per element, in coset form; and the key of v's
     unit orbit, the least image v o pi_h.  Both come from one pass over the
-    pullbacks.  A failed check names the vector by `label.format(*label_args)`.
+    distinct pullbacks.  A failed check names the vector by
+    `label.format(*label_args)`.
     """
     images = [pullback(extended) for pullback in tables.pullbacks]
-    members = tuple(compress(tables.units, map(extended.__eq__, images)))
+    fixed = list(map(extended.__eq__, images))
+    members = tuple(compress(tables.units, map(fixed.__getitem__, tables.pullback_of)))
     return _check_coset_form(tables, members, extended, values, label, label_args), min(images)
 
 
@@ -221,7 +230,7 @@ def _check_coset_form(
             f"the element route moves it at {G.names[g]} "
             f"({values[g]} there, {values[pm[g]]} at {G.names[g]}**{h})"
         )
-    moved = tables.pullbacks[tables.units.index(h)](extended)
+    moved = tables.pullbacks[tables.pullback_of[tables.units.index(h)]](extended)
     b = next(b for b, m in enumerate(moved) if m != extended[b])
     raise InternalInconsistency(
         f"{label.format(*label_args)}: the bundle route moves it by unit {h} "

@@ -556,12 +556,12 @@ def test_refusals_pin_stderr_and_exit_code(capsys, monkeypatch, tmp_path, argv, 
 
 
 def test_out_of_memory_exits_two(capsys, monkeypatch):
-    import cayspec.cli as cli_mod
+    import cayspec.search as search_mod
 
     def exhausted(G, multiplicity_cap=1, require_connected=False, jobs=1):
         raise MemoryError
 
-    monkeypatch.setattr(cli_mod, "classify", exhausted)
+    monkeypatch.setattr(search_mod, "classify", exhausted)
     code, out, err = run(capsys, "search", "--group", "cyclic:5")
     assert code == 2
     assert out == ""
@@ -751,11 +751,32 @@ def test_late_search_inconsistency_writes_nothing(capsys, monkeypatch, tmp_path)
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "target, err",
+    [
+        ("missing/report.txt", "[Errno 2] No such file or directory"),
+        (".", "[Errno 21] Is a directory"),
+    ],
+    ids=["missing-directory", "directory"],
+)
+def test_search_refuses_a_bad_out_before_the_work(capsys, monkeypatch, tmp_path, target, err):
+    # A report that cannot be written is refused before the group is built,
+    # with the error `open` gives and exit 2, and no file is created.
+    refuse_construction(monkeypatch)
+    target = os.path.normpath(tmp_path / target)
+    code, out, stderr = run(capsys, "search", "--group", "cyclic:24", "--out", target)
+    assert (code, out, stderr) == (2, "", f"error: {err}: {target!r}\n")
+    with pytest.raises(OSError) as raised:
+        open(target, "w")
+    assert stderr == f"error: {raised.value}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_spectrum_refuses_orders_above_the_numeric_limit(capsys, monkeypatch, tmp_path):
     # Refused before any exact work, with exit 2 and nothing written.  The
     # limit sits above every spectrum the benchmark asks for (n = 64).
-    import cayspec.cli as cli_mod
     import cayspec.galois as galois_mod
+    import cayspec.spectra as spectra_mod
     from cayspec.spectra import NUMERIC_ORDER_LIMIT
 
     assert NUMERIC_ORDER_LIMIT >= 64
@@ -765,7 +786,7 @@ def test_spectrum_refuses_orders_above_the_numeric_limit(capsys, monkeypatch, tm
 
     monkeypatch.setattr(galois_mod, "character_table", refuse)
     monkeypatch.setattr(galois_mod, "spectrum_exact", refuse)
-    monkeypatch.setattr(cli_mod, "spectrum_numeric", refuse)
+    monkeypatch.setattr(spectra_mod, "spectrum_numeric", refuse)
     # The limit admits its own order: the group is parsed and exact work begins.
     n = NUMERIC_ORDER_LIMIT
     path = tmp_path / "limit.txt"
@@ -991,16 +1012,16 @@ def test_missing_file(capsys):
 
 
 def test_exact_numeric_mismatch_exits_three(capsys, monkeypatch):
-    import cayspec.cli as cli_mod
+    import cayspec.spectra as spectra_mod
 
-    real = cli_mod.spectrum_numeric
+    real = spectra_mod.spectrum_numeric
 
     def perturbed(f, **kwargs):
         values = real(f, **kwargs)
         values[0] += 1e-2
         return values
 
-    monkeypatch.setattr(cli_mod, "spectrum_numeric", perturbed)
+    monkeypatch.setattr(spectra_mod, "spectrum_numeric", perturbed)
     code, out, _ = run(capsys, "spectrum", instance_path("d8_beta.txt"))
     assert code == 3
     assert machine_block(out)["spectrum.match"] == "false"
@@ -1126,11 +1147,9 @@ def test_tableless_rational_colour_runs_jacobi_once(capsys, monkeypatch, tmp_pat
     )
 
 
-def _loaded_by_import(modules, importing="cayspec.cli") -> str:
-    """The given modules that importing `importing` loads in a fresh
-    interpreter, as a printed list."""
+def _fresh(code: str) -> str:
+    """What `code` prints in a fresh interpreter, stripped."""
     src = str(Path(cayspec.__file__).resolve().parent.parent)
-    code = f"import sys, {importing}; print(sorted(m for m in {modules!r} if m in sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -1140,6 +1159,58 @@ def _loaded_by_import(modules, importing="cayspec.cli") -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
+
+
+def _loaded_by_import(modules, importing="cayspec.cli") -> str:
+    """The given modules that importing `importing` loads in a fresh
+    interpreter, as a printed list."""
+    code = f"import sys, {importing}; print(sorted(m for m in {modules!r} if m in sys.modules))"
+    return _fresh(code)
+
+
+def _run_by_request(argv) -> str:
+    """The cayspec modules whose bodies ran, and which of `fractions` and
+    `decimal` were imported, when a fresh interpreter serves one request, as
+    a printed list.  A layer the CLI has registered but not reached is still
+    a lazy module, not a plain `ModuleType`."""
+    return _fresh(
+        "import contextlib, io, sys, types\n"
+        "from cayspec.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(sorted(m for m, module in sys.modules.items() if m in ('fractions', 'decimal')"
+        " or m.startswith('cayspec.') and type(module) is types.ModuleType))"
+    )
+
+
+def test_search_request_runs_only_the_search_layers():
+    # A search classifies on the group and units engines alone: none of the
+    # exact core runs, and no rational is parsed.
+    ran = _run_by_request(["search", "--group", "dihedral:4"])
+    layers = ["cayspec.cli", "cayspec.errors", "cayspec.groups", "cayspec.search", "cayspec.units"]
+    assert ran == str(layers)
+
+
+def test_instance_request_runs_no_search():
+    ran = _run_by_request(["degree", instance_path("d8_alpha.txt")])
+    assert "cayspec.galois" in ran
+    assert "cayspec.search" not in ran
+
+
+def test_lazy_layers_are_the_imported_modules():
+    # A layer the CLI registers is the module any later import finds, and the
+    # package attribute, whichever is imported first; importing the CLI after
+    # a layer replaces no module: one copy of each class.
+    code = (
+        "import sys, {first}\n"
+        "before = {{m: sys.modules[m] for m in sys.modules if m.startswith('cayspec')}}\n"
+        "import {second}, cayspec\n"
+        "print(all(sys.modules[m] is module for m, module in before.items()),"
+        " cayspec.galois is sys.modules['cayspec.galois'] is cayspec.cli.galois,"
+        " cayspec.galois.Cyclotomic is sys.modules['cayspec.exactnum'].Cyclotomic)"
+    )
+    for first, second in (("cayspec.cli", "cayspec.galois"), ("cayspec.galois", "cayspec.cli")):
+        assert _fresh(code.format(first=first, second=second)) == "True True True", first
 
 
 def test_cli_import_loads_no_process_pool():

@@ -447,7 +447,8 @@ FAULT_CASES = [
 def test_dual_routes_raise_on_injected_mismatch(monkeypatch, capsys):
     # Every command reads its fixing subgroups off the shared bundle
     # pullbacks and checks them on elements in coset form; a fault in the
-    # pullbacks must exit 3 and name the unit and the element.
+    # pullbacks must exit 3 and name the unit and the element.  Units share
+    # one pullback per distinct pi_h, so the faults are set on those.
     FixingTables = units_mod.FixingTables
 
     class IdentityPermutations(FixingTables):
@@ -455,15 +456,17 @@ def test_dual_routes_raise_on_injected_mismatch(monkeypatch, capsys):
         def __init__(self, G):
             super().__init__(G)
             identity = itemgetter(*range(len(self.bundles) + 1))
-            self.pullbacks = tuple(identity for _ in self.units)
+            self.pullbacks = tuple(identity for _ in self.pullbacks)
 
     class SwappedInversion(FixingTables):
-        # pi_-1 wrongly swaps the first two bundles: inversion, which fixes
-        # every bundle, drops out, so its coset must not be found fixed.
+        # pi_-1, which shares the identity's pullback, wrongly gets one of its
+        # own that swaps the first two bundles: inversion, which fixes every
+        # bundle, drops out, so its coset must not be found fixed.
         def __init__(self, G):
             super().__init__(G)
             swap = itemgetter(1, 0, *range(2, len(self.bundles) + 1))
-            self.pullbacks = self.pullbacks[:-1] + (swap,)
+            self.pullbacks += (swap,)
+            self.pullback_of = self.pullback_of[:-1] + (len(self.pullbacks) - 1,)
 
     for argv, identity_error, swap_error in FAULT_CASES:
         for tables, expected in (

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -13,7 +14,7 @@ from cayspec.groups import (
     power,
     power_map,
 )
-from cayspec.units import fixing_tables
+from cayspec.units import fixing_tables, read_fixing_subgroup
 
 
 def class_names(G):
@@ -338,14 +339,16 @@ def test_power_matches_repeated_multiplication(G):
     ids=["Z9", "D5", "Z2xZ2xZ3", "Z2xD3"],
 )
 def test_pullbacks_match_repeated_multiplication(G):
-    # pullbacks[i] sends bundle b to the bundle of x**h, h = units[i], for the
-    # first element x of b, here the h-fold product of x; the identity, index
-    # B, stays put.  Bundles are inverse-closed, so pi_h = pi_-h.
+    # pullbacks[pullback_of[i]] sends bundle b to the bundle of x**h,
+    # h = units[i], for the first element x of b, here the h-fold product of
+    # x; the identity, index B, stays put.  Bundles are inverse-closed, so
+    # pi_h = pi_-h.
     tables = fixing_tables(G)
     B = len(tables.bundles)
     extended = tuple(range(B + 1))
     images = {}
-    for h, pullback in zip(tables.units, tables.pullbacks):
+    for h, i in zip(tables.units, tables.pullback_of):
+        pullback = tables.pullbacks[i]
         expected = []
         for bundle in tables.bundles:
             ref = 0
@@ -355,6 +358,42 @@ def test_pullbacks_match_repeated_multiplication(G):
         images[h] = pullback(extended)
         assert images[h] == (*expected, B), h
     assert all(images[h] == images[G.order - h] for h in tables.units)
+
+
+@pytest.mark.parametrize(
+    "G, distinct",
+    [
+        (make_product(make_cyclic(2), make_cyclic(8)), 2),
+        (make_cyclic(24), 4),
+        (make_dihedral(16), 4),
+        (make_cyclic(12), 2),
+    ],
+    ids=["Z2xZ8", "Z24", "D16", "Z12"],
+)
+def test_units_share_their_pullbacks(G, distinct):
+    # Units with the same bundle permutation share one pullback, so a read
+    # applies each distinct permutation once; its members are still every
+    # unit h with v o pi_h = v, as pi_h computed per unit gives them.
+    tables = fixing_tables(G)
+    assert len(tables.pullbacks) == distinct
+    assert len(tables.pullback_of) == len(tables.units)
+    per_unit = [
+        tuple(tables.bundle_of[power(G, bundle[0], h)] for bundle in tables.bundles)
+        for h in tables.units
+    ]
+    B = len(tables.bundles)
+    rng = random.Random(G.order)
+    for _ in range(50):
+        extended = tuple(rng.randrange(3) for _ in range(B)) + (0,)
+        values = tables.read_off(extended)
+        expected = tuple(
+            h
+            for h, perm in zip(tables.units, per_unit)
+            if tuple(extended[b] for b in perm) + (0,) == extended
+        )
+        H, key = read_fixing_subgroup(tables, extended, values, "vector")
+        assert H.members == expected
+        assert key == min(tuple(extended[b] for b in perm) + (0,) for perm in per_unit)
 
 
 @pytest.mark.parametrize(

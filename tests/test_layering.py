@@ -15,7 +15,9 @@ caller, only `galois` builds exact spectra, and in `search` each read label
 names one call.
 `galois` decides integrality exactly, so it reaches neither the Jacobi
 kernels nor the float spectrum.  The CLI builds every group in
-`_construct_group`, which sizes it first and caps the generator closure.
+`_construct_group`, which sizes it first and caps the generator closure, and
+reaches every layer above the units engine through a lazy module, so that a
+request runs only the layers it uses.
 Every function the package defines is named somewhere else in it, apart
 from a short list that tests keep.
 Records are `NamedTuple`s: only a short list of classes writes its own
@@ -196,6 +198,29 @@ def construct_group(tree):
         if isinstance(node, ast.FunctionDef) and node.name == "_construct_group"
     ]
     return routine
+
+
+# Layers the CLI registers with `_layer`, whose bodies run on first use.
+LAZY_LAYERS = {"colour", "exactnum", "galois", "search", "spectra", "_kernels"}
+
+
+def test_cli_imports_no_name_from_a_lazy_layer():
+    # `from cayspec.galois import x` would run galois on every request; the
+    # CLI reaches each lazy layer through its module, as `galois.x`.
+    tree = parse(PACKAGE / "cli.py")
+    eager = [
+        f"{module}: {names}"
+        for module, names in imports(ast.walk(tree))
+        if module.removeprefix("cayspec.") in LAZY_LAYERS
+        or (module == "cayspec" and LAZY_LAYERS & set(names))
+    ]
+    assert eager == []
+    registered = {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_layer"
+    }
+    assert registered == LAZY_LAYERS
 
 
 def test_cli_builds_groups_in_one_routine():
